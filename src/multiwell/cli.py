@@ -17,16 +17,17 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .crossings import (REFERENCE_DELTAS_ALPHA4, AlcQuery, LabelsUnresolvedError,
-                        NewtonError, asym_locus_cubic, crossing_table,
-                        pairing_gaps, relocalization_scan, solve_crossing)
+from .crossings import (REFERENCE_DELTAS_ALPHA4, TABLE_PAIRS, AlcQuery,
+                        LabelsUnresolvedError, NewtonError, asym_locus_cubic,
+                        crossing_table, linearized_shift, pairing_gaps,
+                        relocalization_scan, solve_crossing, tilt_scan)
 from .polynomial import Polynomial, RootIsolationError
 from .spectrum import (ConvergenceError, SolverConfig, central_levels,
                        choose_domain, classify_levels, grid_points_for,
                        off_central_levels, solve_numerical, well_weights)
 from .svgfig import line_plot
 from .wells import (DegenerateWellError, WellShape, build_symmetric,
-                    harmonic_wells)
+                    harmonic_wells, stationary_window, triple_well)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 2
@@ -137,18 +138,11 @@ def _resolve_potential(args) -> tuple[Polynomial, str]:
     mu2 = args.mu2 if args.mu2 is not None else 2.0 + (args.delta or 0.0)
     if mu2 <= 0.0:
         raise CliError("mu^2 must be positive")
-    a2 = args.alpha ** 2
-    shape = WellShape((a2, a2 * (1.0 + mu2)))
-    return build_symmetric(shape), \
+    # mu2 - 2.0 is exact for 1 <= mu2 <= 4, so s2 rounds as (1 + mu2) *
+    # alpha^2 and --delta d matches --mu2 2+d; passing d itself would move
+    # the last bit of s2 for some negative d
+    return triple_well(args.alpha, mu2 - 2.0), \
         f"alpha={args.alpha:g}, mu^2={mu2:g}"
-
-
-def _stationary_window(p: Polynomial) -> float:
-    dv = p.derivative()
-    if dv.degree < 1:
-        return 3.0
-    bound = 1.0 + max(abs(c) for c in dv.coeffs[:-1]) / abs(dv.coeffs[-1])
-    return bound + 1.0
 
 
 def _harmonic_families(p: Polynomial, levels: int, lam: float):
@@ -158,7 +152,7 @@ def _harmonic_families(p: Polynomial, levels: int, lam: float):
         central = central_levels(p, levels - 1, lam)
     except ValueError:
         pass
-    wells = [w for w in harmonic_wells(p, _stationary_window(p)) if w.x > 1e-9]
+    wells = [w for w in harmonic_wells(p, stationary_window(p)) if w.x > 1e-9]
     off = [(w, off_central_levels(p, w, levels - 1, lam)) for w in wells]
     return central, off
 
@@ -379,7 +373,7 @@ def _cmd_locus(args) -> int:
     rows = []
     for i in range(args.steps):
         eps = args.eps_min + (args.eps_max - args.eps_min) * i / (args.steps - 1)
-        d_lin = -2.0 * eps / (math.sqrt(3.0) * args.alpha ** 3) + 0.0
+        d_lin = linearized_shift(eps, args.alpha) + 0.0
         d_cubic = asym_locus_cubic(eps, args.alpha).delta
         rows.append((eps, d_lin, d_cubic, abs(d_cubic - d_lin)))
     if args.format == "csv":
@@ -435,18 +429,22 @@ def _cfg_get(cfg: dict[str, str], key: str, cast, default=None):
         raise CliError(f"config key {key!r}: {exc}") from exc
 
 
+def _sweep_solver(cfg: dict[str, str], half: float, step: float,
+                  levels: int) -> SolverConfig:
+    """Grid of a lattice sweep; half_width, grid_step and lambda may be
+    overridden in the config."""
+    half = _cfg_get(cfg, "half_width", float, half)
+    step = _cfg_get(cfg, "grid_step", float, step)
+    return SolverConfig(half_width=half, grid_points=grid_points_for(half, step),
+                        num_levels=levels, lam=_cfg_get(cfg, "lambda", float, 1.0))
+
+
 def _sweep_relocalization(cfg: dict[str, str], jobs: int):
     alpha = _cfg_get(cfg, "alpha", float)
     lo = _cfg_get(cfg, "delta_min", float)
     hi = _cfg_get(cfg, "delta_max", float)
     steps = _cfg_get(cfg, "steps", int)
-    half = _cfg_get(cfg, "half_width", float, 9.0)
-    step = _cfg_get(cfg, "grid_step", float, 0.005)
-    levels = _cfg_get(cfg, "levels", int, 1)
-    lam = _cfg_get(cfg, "lambda", float, 1.0)
-    solver = SolverConfig(half_width=half,
-                          grid_points=grid_points_for(half, step),
-                          num_levels=levels, lam=lam)
+    solver = _sweep_solver(cfg, 9.0, 0.005, _cfg_get(cfg, "levels", int, 1))
     result = relocalization_scan(alpha, (lo, hi), steps, solver, jobs=jobs)
     header = "delta,E0,w_central,w_outer,label"
     csv_rows = [[_fmt(r.delta), _fmt(r.e0), _fmt(r.w_central),
@@ -460,18 +458,11 @@ def _sweep_tilt(cfg: dict[str, str], jobs: int):
     """Double-well contrast demo: the left-weight response to a linear tilt
     is smooth, unlike the triple-well relocalization jump."""
     del jobs
-    from .crossings import tilt_scan
     s1 = _cfg_get(cfg, "s1", float)
     lo = _cfg_get(cfg, "tilt_min", float)
     hi = _cfg_get(cfg, "tilt_max", float)
     steps = _cfg_get(cfg, "steps", int)
-    half = _cfg_get(cfg, "half_width", float, 6.0)
-    step = _cfg_get(cfg, "grid_step", float, 0.01)
-    lam = _cfg_get(cfg, "lambda", float, 1.0)
-    solver = SolverConfig(half_width=half,
-                          grid_points=grid_points_for(half, step),
-                          num_levels=1, lam=lam)
-    rows = tilt_scan(s1, (lo, hi), steps, solver)
+    rows = tilt_scan(s1, (lo, hi), steps, _sweep_solver(cfg, 6.0, 0.01, 1))
     header = "tilt,E0,w_left,w_right"
     csv_rows = [[_fmt(r.tilt), _fmt(r.e0), _fmt(r.w_left), _fmt(r.w_right)]
                 for r in rows]
@@ -488,7 +479,6 @@ def _sweep_alc(cfg: dict[str, str], jobs: int):
     hi = _cfg_get(cfg, "bracket_hi", float, 0.05)
     pairs_text = _cfg_get(cfg, "pairs", str, "all")
     if pairs_text.strip().lower() == "all":
-        from .crossings import TABLE_PAIRS
         pairs = list(TABLE_PAIRS)
     else:
         pairs = []

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import Polynomial
+from .polynomial import Polynomial, bisect_root, bracket_scan
 from .spectrum import (SolverConfig, classify_levels, grid_points_for,
-                       harmonic_spectrum_n2, solve_numerical, well_weights)
+                       harmonic_spectrum_n2, solve_numerical)
 from .wells import (PerturbationRangeError, WellShape, build_symmetric,
-                    harmonic_wells)
+                    harmonic_wells, triple_well)
 
 __all__ = [
     "AlcQuery", "AlcSolution", "AsymLocusPoint", "PairGap",
@@ -34,7 +34,8 @@ __all__ = [
     "LabelsUnresolvedError", "NewtonError",
     "TABLE_PAIRS", "PAIRED_ROWS", "REFERENCE_DELTAS_ALPHA4",
     "solve_crossing", "crossing_table", "pairing_gaps",
-    "tune_maximal_degeneracy", "asym_locus_linearized", "asym_locus_cubic",
+    "tune_maximal_degeneracy", "linearized_shift", "asym_locus_linearized",
+    "asym_locus_cubic",
     "left_well_shift", "relocalization_scan", "tilt_scan",
 ]
 
@@ -171,8 +172,7 @@ def _default_numeric_config(q: AlcQuery) -> SolverConfig:
 
 
 def _numeric_residual(delta: float, q: AlcQuery, cfg: SolverConfig) -> float:
-    shape = WellShape((q.alpha ** 2, (3.0 + delta) * q.alpha ** 2))
-    p = build_symmetric(shape)
+    p = triple_well(q.alpha, delta)
     labeled = classify_levels(solve_numerical(p, cfg), p)
     central = [lv.energy for lv in labeled if lv.label == f"central-{q.n}"]
     doublet = [lv.energy for lv in labeled
@@ -210,11 +210,7 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
             return _numeric_residual(d, q, cfg)
 
     lo, hi = q.bracket
-    samples = 33
-    xs = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    fs = [residual(x) for x in xs]
-    intervals = [(xs[i], xs[i + 1], fs[i]) for i in range(samples - 1)
-                 if fs[i] == 0.0 or (fs[i] < 0.0) != (fs[i + 1] < 0.0)]
+    intervals = bracket_scan(residual, lo, hi, 33)
     if not intervals:
         raise ValueError(
             f"no crossing in bracket [{lo:g}, {hi:g}] for (m={q.m}, n={q.n})")
@@ -222,23 +218,7 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
         warnings.warn("multiple residual sign changes in bracket; "
                       "taking the root nearest zero", stacklevel=2)
         intervals.sort(key=lambda iv: abs(0.5 * (iv[0] + iv[1])))
-    a, b, fa = intervals[0]
-    if fa == 0.0:
-        delta = a
-    else:
-        for _ in range(200):
-            if b - a <= delta_tol:
-                break
-            mid = 0.5 * (a + b)
-            fm = residual(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fm < 0.0) == (fa < 0.0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        delta = 0.5 * (a + b)
+    delta = bisect_root(residual, *intervals[0], delta_tol)
     return AlcSolution(q.m, q.n, delta, mu=math.sqrt(2.0 + delta),
                        beta=q.alpha * math.sqrt(2.0 + delta),
                        residual=residual(delta), backend=q.backend)
@@ -336,6 +316,12 @@ def tune_maximal_degeneracy(shape: WellShape, tol: float,
         f"no convergence in {max_iter} iterations; residuals {res.tolist()}")
 
 
+def linearized_shift(epsilon: float, alpha: float) -> float:
+    """Leading-order catastrophe shift delta = -2*eps/(sqrt(3)*alpha^3),
+    with no range check."""
+    return -2.0 * epsilon / (math.sqrt(3.0) * alpha ** 3)
+
+
 def asym_locus_linearized(epsilon: float, alpha: float) -> AsymLocusPoint:
     """Leading-order catastrophe shift delta = -2*eps/(sqrt(3)*alpha^3).
 
@@ -348,8 +334,8 @@ def asym_locus_linearized(epsilon: float, alpha: float) -> AsymLocusPoint:
         raise PerturbationRangeError(
             f"|epsilon|={abs(epsilon):g} exceeds 0.1*alpha^3; "
             "use asym_locus_cubic")
-    delta = -2.0 * epsilon / (math.sqrt(3.0) * alpha ** 3)
-    return AsymLocusPoint(epsilon, alpha, delta, "linearized")
+    return AsymLocusPoint(epsilon, alpha, linearized_shift(epsilon, alpha),
+                          "linearized")
 
 
 def _locus_epsilon(delta: float, alpha: float) -> float:
@@ -360,40 +346,24 @@ def asym_locus_cubic(epsilon: float, alpha: float) -> AsymLocusPoint:
     """Solve eps = -(1/2)*alpha^3*delta*sqrt(3+delta) for delta in (-3, 1].
 
     Agrees with the linearized form as eps/alpha^3 -> 0.  When the
-    equation has two solutions the one nearest zero is returned.
+    equation has two solutions the one nearest zero is returned: it is the
+    only one in [-2, 1], where delta*sqrt(3+delta) increases strictly
+    (from -2 to 2), so plain bisection on that branch finds it.
     """
     if not (alpha > 0.0):
         raise ValueError("alpha must be positive")
     if epsilon == 0.0:
         return AsymLocusPoint(0.0, alpha, 0.0, "cubic")
-    lo, hi = -3.0 + 1e-9, 1.0
-    samples = 601
-    xs = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    fs = [_locus_epsilon(x, alpha) - epsilon for x in xs]
-    brackets = [(xs[i], xs[i + 1], fs[i]) for i in range(samples - 1)
-                if fs[i] == 0.0 or (fs[i] < 0.0) != (fs[i + 1] < 0.0)]
-    if not brackets:
+
+    def excess(d: float) -> float:
+        return _locus_epsilon(d, alpha) - epsilon
+
+    f_lo = excess(-2.0)
+    if f_lo != 0.0 and (f_lo < 0.0) == (excess(1.0) < 0.0):
         raise ValueError(
             f"no catastrophe shift in (-3, 1] for epsilon={epsilon:g}, "
             f"alpha={alpha:g} (attainable range is +-alpha^3)")
-    brackets.sort(key=lambda iv: abs(0.5 * (iv[0] + iv[1])))
-    a, b, fa = brackets[0]
-    if fa == 0.0:
-        delta = a
-    else:
-        for _ in range(200):
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break
-            fm = _locus_epsilon(mid, alpha) - epsilon
-            if fm == 0.0:
-                a = b = mid
-                break
-            if (fm < 0.0) == (fa < 0.0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        delta = 0.5 * (a + b)
+    delta = bisect_root(excess, -2.0, 1.0, f_lo, 0.0)
     return AsymLocusPoint(epsilon, alpha, delta, "cubic")
 
 
@@ -414,27 +384,12 @@ def left_well_shift(alpha: float, beta: float,
     return depth, curvature
 
 
-def _triple_well_poly(alpha: float, delta: float) -> Polynomial:
-    a2 = alpha * alpha
-    return build_symmetric(WellShape((a2, (3.0 + delta) * a2)))
-
-
 def _scan_point(args: tuple[float, float, SolverConfig]) -> ScanRow:
     alpha, delta, cfg = args
-    p = _triple_well_poly(alpha, delta)
-    pairs = solve_numerical(p, cfg)
-    ground = pairs[0]
-    regions = well_weights(ground, p)
-    w_central = _central_weight_of(regions)
-    label = classify_levels(pairs, p)[0].label
-    return ScanRow(delta, ground.energy, w_central, 1.0 - w_central, label)
-
-
-def _central_weight_of(regions) -> float:
-    for region in regions:
-        if region.lo < 0.0 < region.hi:
-            return region.weight
-    return 0.0
+    p = triple_well(alpha, delta)
+    ground = classify_levels(solve_numerical(p, cfg), p)[0]
+    return ScanRow(delta, ground.energy, ground.w_central,
+                   1.0 - ground.w_central, ground.label)
 
 
 def relocalization_scan(alpha: float, delta_range: tuple[float, float],

@@ -3,7 +3,9 @@
 Coefficients are stored ascending by power, so ``coeffs[k]`` multiplies
 ``x**k``.  Everything is plain float arithmetic on small degrees
 (<= ~15); robustness comes from Sturm-count isolation plus bisection,
-not from extended precision.
+not from extended precision.  The bisection (bisect_root) and the lattice
+sign-change scan (bracket_scan) are shared by every scalar root-find in
+the package.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-__all__ = ["Polynomial", "Root", "RootIsolationError", "real_roots"]
+__all__ = ["Polynomial", "Root", "RootIsolationError", "real_roots",
+           "bisect_root", "bracket_scan"]
 
 # relative threshold below which a remainder coefficient is treated as an
 # exact zero when building the Sturm chain
@@ -92,8 +95,6 @@ class Polynomial:
         for c in self.coeffs[-2::-1]:
             result = result * x + c
         return result
-
-    evaluate = __call__
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
@@ -216,11 +217,19 @@ def _sign_changes(chain: list[list[float]], x: float) -> int:
     return changes
 
 
-def _bisect_to(f, a: float, b: float, fa: float, tol: float) -> float:
-    for _ in range(200):
-        if b - a <= tol:
-            break
+def bisect_root(f, a: float, b: float, fa: float, tol: float) -> float:
+    """Root of f in [a, b] by bisection, given fa = f(a) and a sign change
+    of f on [a, b] (or fa == 0, which returns a).
+
+    Stops when b - a <= tol or when the midpoint is no longer strictly
+    inside (a, b), so tol = 0 refines to adjacent floats.
+    """
+    if fa == 0.0:
+        return a
+    while b - a > tol:
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
         fm = f(mid)
         if fm == 0.0:
             return mid
@@ -229,6 +238,16 @@ def _bisect_to(f, a: float, b: float, fa: float, tol: float) -> float:
         else:
             b = mid
     return 0.5 * (a + b)
+
+
+def bracket_scan(f, lo: float, hi: float,
+                 samples: int) -> list[tuple[float, float, float]]:
+    """Sample f on an evenly spaced lattice of [lo, hi]; return every cell
+    (a, b, f(a)) where f(a) == 0 or f changes sign, in lattice order."""
+    xs = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
+    fs = [f(x) for x in xs]
+    return [(xs[i], xs[i + 1], fs[i]) for i in range(samples - 1)
+            if fs[i] == 0.0 or (fs[i] < 0.0) != (fs[i + 1] < 0.0)]
 
 
 def _is_ambiguous(dp: Polynomial, r: float, tol: float) -> bool:
@@ -242,20 +261,12 @@ def _is_ambiguous(dp: Polynomial, r: float, tol: float) -> bool:
 def _even_multiplicity_root(p: Polynomial, dp: Polynomial,
                             a: float, b: float, tol: float) -> float:
     """Locate a root with no sign change (even multiplicity) via the extremum."""
-    samples = 33
-    xs = [a + (b - a) * i / (samples - 1) for i in range(samples)]
-    ds = [dp(x) for x in xs]
-    for i in range(samples - 1):
-        if ds[i] == 0.0:
-            x_ext = xs[i]
-            break
-        if (ds[i] < 0.0) != (ds[i + 1] < 0.0):
-            x_ext = _bisect_to(dp, xs[i], xs[i + 1], ds[i], tol)
-            break
-    else:
+    cells = bracket_scan(dp, a, b, 33)
+    if not cells:
         raise RootIsolationError(
             f"counted a root in [{a:.6g}, {b:.6g}] but found no sign change "
             "of the polynomial or its derivative")
+    x_ext = bisect_root(dp, *cells[0], tol)
     if abs(p(x_ext)) > 1e-8 * (1.0 + p.magnitude_at(x_ext)):
         raise RootIsolationError(
             f"extremum at x={x_ext:.6g} does not touch zero; "
@@ -317,7 +328,7 @@ def real_roots(p: Polynomial, lo: float, hi: float,
         if fb == 0.0:
             r = xb
         elif fa != 0.0 and (fa < 0.0) != (fb < 0.0):
-            r = _bisect_to(p, xa, xb, fa, tol)
+            r = bisect_root(p, xa, xb, fa, tol)
         else:
             r = _even_multiplicity_root(p, dp, xa, xb, tol)
             roots.append(Root(r, True))

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .polynomial import Polynomial, real_roots
-from .wells import HarmonicWell, critical_points, harmonic_wells
+from .wells import (HarmonicWell, critical_points, harmonic_wells,
+                    stationary_window)
 
 __all__ = [
     "SolverConfig", "Eigenpair", "HarmonicSpectrum", "RegionWeight",
@@ -158,13 +159,9 @@ def choose_domain(p: Polynomial, e_max: float) -> float:
     """
     if p.degree < 2 or p.degree % 2 != 0 or p.coeffs[-1] <= 0.0:
         raise ValueError("potential must be confining: even degree >= 2, positive leading coefficient")
-    dv = p.derivative()
-    outer = 0.0
-    if dv.degree >= 1:
-        bound = 1.0 + max(abs(c) for c in dv.coeffs[:-1]) / abs(dv.coeffs[-1])
-        roots = real_roots(dv, -bound - 1.0, bound + 1.0, tol=1e-9 * max(1.0, bound))
-        if roots:
-            outer = max(abs(r.x) for r in roots)
+    window = stationary_window(p)
+    roots = real_roots(p.derivative(), -window, window, tol=1e-9 * window)
+    outer = max((abs(r.x) for r in roots), default=0.0)
     level = 2.0 * e_max
     min_l = outer + 2.0
     half = 0.5
@@ -286,23 +283,25 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     return pairs
 
 
+def _region_edges(p: Polynomial, window: float) -> list[float]:
+    """-inf, the maxima of V in [-window, window] in order, +inf."""
+    maxima = [cp.x for cp in critical_points(p, window) if cp.kind == "max"]
+    return [-math.inf] + sorted(maxima) + [math.inf]
+
+
+def _region_weights(pair: Eigenpair, edges: list[float]) -> list[RegionWeight]:
+    rho = pair.psi ** 2 * pair.h
+    return [RegionWeight(lo, hi, float(rho[(pair.x >= lo) & (pair.x < hi)].sum()))
+            for lo, hi in zip(edges, edges[1:])]
+
+
 def well_weights(pair: Eigenpair, p: Polynomial) -> list[RegionWeight]:
     """Probability weights of the grid regions delimited by the maxima of V.
 
     A single-well potential (no interior maxima) yields one region of
     weight 1.  Weights sum to the normalization (1 within 1e-9).
     """
-    window = float(pair.x[-1])
-    maxima = [cp.x for cp in critical_points(p, window) if cp.kind == "max"]
-    rho = pair.psi ** 2 * pair.h
-    if not maxima:
-        return [RegionWeight(-math.inf, math.inf, float(rho.sum()))]
-    edges = [-math.inf] + sorted(maxima) + [math.inf]
-    out = []
-    for lo, hi in zip(edges, edges[1:]):
-        mask = (pair.x >= lo) & (pair.x < hi)
-        out.append(RegionWeight(lo, hi, float(rho[mask].sum())))
-    return out
+    return _region_weights(pair, _region_edges(p, float(pair.x[-1])))
 
 
 def _central_weight(regions: list[RegionWeight]) -> float:
@@ -323,10 +322,11 @@ def classify_levels(pairs: list[Eigenpair], p: Polynomial) -> list[LabeledLevel]
     if not pairs:
         return []
     lam = pairs[0].lam
-    weights = [_central_weight(well_weights(pair, p)) for pair in pairs]
+    window = float(pairs[0].x[-1])
+    edges = _region_edges(p, window)
+    weights = [_central_weight(_region_weights(pair, edges)) for pair in pairs]
     order = sorted(range(len(pairs)), key=lambda i: pairs[i].energy)
 
-    window = float(pairs[0].x[-1])
     spacing = None
     try:
         outer = [w for w in harmonic_wells(p, window) if w.x > 1e-9]

@@ -22,9 +22,9 @@ from .polynomial import Polynomial, real_roots
 __all__ = [
     "WellShape", "HarmonicWell", "CriticalPoint", "QuadWellForms",
     "PerturbedExtrema", "DegenerateWellError", "PerturbationRangeError",
-    "build_symmetric", "closed_form_n2", "closed_form_n3",
-    "critical_points", "harmonic_wells", "tilted_well_minimum",
-    "perturbed_extrema_n2",
+    "build_symmetric", "triple_well", "closed_form_n2", "closed_form_n3",
+    "stationary_window", "critical_points", "harmonic_wells",
+    "tilted_well_minimum", "perturbed_extrema_n2",
 ]
 
 
@@ -164,6 +164,16 @@ def build_symmetric(shape: WellShape) -> Polynomial:
     return dv.antiderivative()
 
 
+def triple_well(alpha: float, delta: float) -> Polynomial:
+    """Triple well with widths alpha and beta, beta^2 = (2 + delta) * alpha^2.
+
+    The increments are s = (alpha^2, (3 + delta) * alpha^2), alpha^2
+    computed as alpha * alpha.
+    """
+    a2 = alpha * alpha
+    return build_symmetric(WellShape((a2, (3.0 + delta) * a2)))
+
+
 def closed_form_n2(alpha: float, beta: float) -> tuple[float, float]:
     """Couplings (a, c) of x^6 + a x^4 + c x^2 for the triple-well shape."""
     if alpha < 0.0 or beta < 0.0:
@@ -213,6 +223,16 @@ def _check_monotone_beyond(dv: Polynomial, window: float) -> None:
                     f"window={window:g} too small: derivative changes sign near "
                     f"x={x:.6g}; enlarge the window past the outermost stationary point")
             sign = v
+
+
+def stationary_window(p: Polynomial) -> float:
+    """Half-width that encloses every real stationary point of p with a
+    margin of 1: the Cauchy bound on the roots of V', plus 1 (3 when V' is
+    constant)."""
+    dv = p.derivative()
+    if dv.degree < 1:
+        return 3.0
+    return 1.0 + max(abs(c) for c in dv.coeffs[:-1]) / abs(dv.coeffs[-1]) + 1.0
 
 
 def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:

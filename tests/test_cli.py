@@ -3,12 +3,14 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from multiwell.cli import main
 
 EXIT_OK, EXIT_NUMERIC, EXIT_USAGE = 0, 2, 64
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -295,3 +297,22 @@ class TestEntryPoint:
             [sys.executable, "-m", "multiwell", "frobnicate"],
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_USAGE
+
+
+# Reference CSVs written by an earlier version of the CLI.  None of these
+# commands calls LAPACK, so their bytes do not depend on the machine; a
+# refactor that moves a printed digit shows up here.
+@pytest.mark.parametrize("name, argv", [
+    ("table1.csv", ["table1", "--format", "csv"]),
+    ("locus_alpha4.csv", ["locus", "--alpha", "4", "--format", "csv"]),
+    ("locus_alpha4_wide.csv", ["locus", "--alpha", "4", "--eps-min", "-60",
+                               "--eps-max", "60", "--steps", "41",
+                               "--format", "csv"]),
+    ("spectrum_alpha4_delta-0.0001_harmonic.csv",
+     ["spectrum", "--alpha", "4", "--delta", "-0.0001",
+      "--backend", "harmonic", "--format", "csv"]),
+])
+def test_golden_csv_bytes(capsys, name, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert out.encode("utf-8") == (DATA / name).read_bytes()

@@ -13,9 +13,10 @@ from multiwell.crossings import (PAIRED_ROWS, REFERENCE_DELTAS_ALPHA4,
                                  relocalization_scan, solve_crossing, tilt_scan,
                                  tune_maximal_degeneracy)
 from multiwell.polynomial import Polynomial
-from multiwell.spectrum import SolverConfig
+from multiwell.spectrum import (SolverConfig, classify_levels, solve_numerical,
+                                well_weights)
 from multiwell.wells import (PerturbationRangeError, WellShape, build_symmetric,
-                             critical_points)
+                             critical_points, triple_well)
 
 
 def harmonic_residual(delta, m, n, alpha=4.0):
@@ -186,6 +187,13 @@ class TestAsymLocus:
         pt = asym_locus_cubic(0.9 * 64.0, 4.0)
         assert -2.0 < pt.delta < 0.0
 
+    @pytest.mark.parametrize("eps", [1e-100, -1e-100, 1e-300, -1e-300])
+    def test_tiny_tilt_keeps_sign(self, eps):
+        delta = asym_locus_cubic(eps, 4.0).delta
+        lin = asym_locus_linearized(eps, 4.0).delta
+        assert math.copysign(1.0, delta) == -math.copysign(1.0, eps)
+        assert abs(delta - lin) <= 1e-12 * abs(lin)
+
     def test_unreachable_epsilon(self):
         with pytest.raises(ValueError, match="no catastrophe"):
             asym_locus_cubic(1.5 * 64.0, 4.0)
@@ -275,6 +283,27 @@ class TestRelocalizationScan:
         cfg = SolverConfig(half_width=9.0, grid_points=1201, num_levels=1)
         with pytest.raises(ValueError):
             relocalization_scan(4.0, (0.0, 0.005), 2, cfg)
+
+
+def _origin_weight(pair, p):
+    return [r.weight for r in well_weights(pair, p) if r.contains_origin][0]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.floats(3.5, 6.0), st.floats(0.0026 - 0.01, 0.0026 + 0.01))
+def test_level_weights_match_well_weights(alpha, delta):
+    # classify_levels and the scan find the region edges once per call;
+    # every weight must still equal well_weights' central region bit for bit
+    half = 0.5 * math.ceil(2.0 * (math.sqrt(3.2) * alpha + 2.5))
+    cfg = SolverConfig(half_width=half, grid_points=801, num_levels=5)
+    p = triple_well(alpha, delta)
+    pairs = solve_numerical(p, cfg)
+    for level, pair in zip(classify_levels(pairs, p), pairs):
+        assert level.w_central == _origin_weight(pair, p)
+    scan = relocalization_scan(alpha, (delta - 1e-3, delta + 1e-3), 3, cfg)
+    for row in scan.rows:
+        q = triple_well(alpha, row.delta)
+        assert row.w_central == _origin_weight(solve_numerical(q, cfg)[0], q)
 
 
 class TestTiltScan:

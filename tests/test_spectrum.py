@@ -12,15 +12,11 @@ from multiwell.spectrum import (SolverConfig, central_levels, choose_domain,
                                 classify_levels, grid_points_for,
                                 harmonic_spectrum_n2, off_central_levels,
                                 solve_numerical, well_weights)
-from multiwell.wells import HarmonicWell, WellShape, build_symmetric, harmonic_wells
+from multiwell.wells import (HarmonicWell, WellShape, build_symmetric,
+                             harmonic_wells, triple_well)
 
 HO = Polynomial([0.0, 0.0, 1.0])  # unit harmonic oscillator x^2
 TRIPLE = build_symmetric(WellShape((16.0, 48.0)))
-
-
-def triple_well(alpha, delta=0.0):
-    a2 = alpha * alpha
-    return build_symmetric(WellShape((a2, (3.0 + delta) * a2)))
 
 
 class TestSolverConfig:

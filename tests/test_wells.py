@@ -10,7 +10,8 @@ from multiwell.polynomial import Polynomial
 from multiwell.wells import (DegenerateWellError, PerturbationRangeError,
                              WellShape, build_symmetric, closed_form_n2,
                              closed_form_n3, critical_points, harmonic_wells,
-                             perturbed_extrema_n2, tilted_well_minimum)
+                             perturbed_extrema_n2, tilted_well_minimum,
+                             triple_well)
 
 widths = st.floats(0.3, 4.0)
 
@@ -43,6 +44,10 @@ class TestBuildSymmetric:
         p = build_symmetric(WellShape((16.0, 48.0)))
         assert p.coeffs == pytest.approx(
             (0.0, 0.0, 2304.0, 0.0, -96.0, 0.0, 1.0), rel=1e-14)
+
+    def test_triple_well_family(self):
+        assert triple_well(4.0, 0.0) == build_symmetric(WellShape((16.0, 48.0)))
+        assert triple_well(4.0, 0.5) == build_symmetric(WellShape((16.0, 56.0)))
 
     def test_quad_well(self):
         p = build_symmetric(WellShape((1.0, 2.0, 3.0)))
