@@ -472,7 +472,7 @@ def _sweep_tilt(cfg: dict[str, str], jobs: int):
 
 
 def _sweep_alc(cfg: dict[str, str], jobs: int):
-    del jobs  # each bisection is sequential; pairs are few
+    del jobs  # each root-find is sequential; pairs are few
     alpha = _cfg_get(cfg, "alpha", float)
     backend = _cfg_get(cfg, "backend", str, "harmonic")
     lo = _cfg_get(cfg, "bracket_lo", float, -0.05)
@@ -495,8 +495,8 @@ def _sweep_alc(cfg: dict[str, str], jobs: int):
     header = "m,n,delta,residual"
     csv_rows = [[str(s.m), str(s.n), _fmt(s.delta), _fmt(s.residual)]
                 for s in sols]
-    results = [{"m": s.m, "n": s.n, "delta": s.delta, "residual": s.residual}
-               for s in sols]
+    results = [{"m": s.m, "n": s.n, "delta": s.delta, "residual": s.residual,
+                "evaluations": s.evaluations} for s in sols]
     return header, csv_rows, results, None
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import Polynomial, bisect_root, bracket_scan
+from .polynomial import Polynomial, bisect_root, bracket_scan, brent_root
 from .spectrum import (SolverConfig, classify_levels, grid_points_for,
                        harmonic_spectrum_n2, solve_numerical)
 from .wells import (PerturbationRangeError, WellShape, build_symmetric,
@@ -108,6 +108,7 @@ class AlcSolution:
     beta: float
     residual: float
     backend: str
+    evaluations: int  # backend residual evaluations, bracket ends included
 
 
 @dataclass(frozen=True)
@@ -194,34 +195,91 @@ def _numeric_residual(delta: float, q: AlcQuery, cfg: SolverConfig) -> float:
         f"offcentral-{q.m} found in {[lv.label for lv in labeled]}")
 
 
-def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
-    """Solve the crossing condition for delta by bisection in the bracket.
+def _no_crossing(q: AlcQuery) -> ValueError:
+    lo, hi = q.bracket
+    return ValueError(
+        f"no crossing in bracket [{lo:g}, {hi:g}] for (m={q.m}, n={q.n})")
 
-    The bracket must contain a sign change of the residual; if several
-    appear (should not happen, the residual is monotone in the default
-    bracket) the root nearest zero is taken and a warning is emitted.
+
+def _numeric_root(q: AlcQuery, cell: tuple[float, float, float] | None,
+                  harmonic, delta_tol: float) -> tuple[float, float, int]:
+    """Numerical root by Brent's method, bracketed from the harmonic cell.
+
+    The harmonic cell widened by its own width on each side (clipped to
+    q.bracket) brackets the numerical root when the two backends agree to
+    within a cell; otherwise, or without a cell, q.bracket itself is used.
+    Returns (delta, residual at delta, eigensolves).
     """
-    if q.backend == "harmonic":
-        def residual(d: float) -> float:
-            return _harmonic_residual(d, q.m, q.n, q.alpha)
-    else:
-        cfg = q.solver if q.solver is not None else _default_numeric_config(q)
-        def residual(d: float) -> float:
-            return _numeric_residual(d, q, cfg)
+    cfg = q.solver if q.solver is not None else _default_numeric_config(q)
+    evaluations = 0
+
+    def residual(d: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return _numeric_residual(d, q, cfg)
 
     lo, hi = q.bracket
-    intervals = bracket_scan(residual, lo, hi, 33)
-    if not intervals:
-        raise ValueError(
-            f"no crossing in bracket [{lo:g}, {hi:g}] for (m={q.m}, n={q.n})")
-    if len(intervals) > 1:
+    brackets = [(lo, hi)]
+    if cell is not None:
+        width = cell[1] - cell[0]
+        near = (max(lo, cell[0] - width), min(hi, cell[1] + width))
+        if near != (lo, hi):
+            brackets.insert(0, near)
+    for a, b in brackets:
+        fa, fb = residual(a), residual(b)
+        if fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0):
+            break
+    else:
+        raise _no_crossing(q)
+    delta, value = brent_root(residual, a, b, fa, fb, delta_tol)
+    if cell is not None and not brackets[0][0] <= delta <= brackets[0][1]:
+        root = bisect_root(harmonic, *cell, delta_tol)
+        warnings.warn(f"numerical root delta={delta:.8g} lies outside the "
+                      f"widened harmonic cell around the harmonic root "
+                      f"delta={root:.8g}", stacklevel=3)
+    return delta, value, evaluations
+
+
+def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
+    """Solve the crossing condition for delta to within delta_tol.
+
+    Both backends locate the sign change of the closed-form harmonic
+    residual on a 33-point lattice of the bracket; if several appear
+    (should not happen, the residual is monotone in the default bracket)
+    the cell nearest zero is taken and a warning is emitted.  The harmonic
+    backend bisects that cell.  The numerical backend brackets its own
+    residual from the harmonic cell and refines with Brent's method, so a
+    solve costs a handful of eigensolves; a numerical root outside the
+    widened harmonic cell draws a warning.  Raises ValueError when the
+    bracket holds no crossing.
+    """
+    # harmonic residual evaluations; the numerical backend reports its
+    # eigensolves instead
+    evaluations = 0
+
+    def harmonic(d: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return _harmonic_residual(d, q.m, q.n, q.alpha)
+
+    cells = bracket_scan(harmonic, *q.bracket, 33)
+    if len(cells) > 1:
         warnings.warn("multiple residual sign changes in bracket; "
                       "taking the root nearest zero", stacklevel=2)
-        intervals.sort(key=lambda iv: abs(0.5 * (iv[0] + iv[1])))
-    delta = bisect_root(residual, *intervals[0], delta_tol)
+        cells.sort(key=lambda iv: abs(0.5 * (iv[0] + iv[1])))
+    cell = cells[0] if cells else None
+    if q.backend == "harmonic":
+        if cell is None:
+            raise _no_crossing(q)
+        delta = bisect_root(harmonic, *cell, delta_tol)
+        residual = harmonic(delta)
+    else:
+        delta, residual, evaluations = _numeric_root(q, cell, harmonic,
+                                                     delta_tol)
     return AlcSolution(q.m, q.n, delta, mu=math.sqrt(2.0 + delta),
                        beta=q.alpha * math.sqrt(2.0 + delta),
-                       residual=residual(delta), backend=q.backend)
+                       residual=residual, backend=q.backend,
+                       evaluations=evaluations)
 
 
 def crossing_table(alpha: float, delta_tol: float = 1e-12) -> list[AlcSolution]:

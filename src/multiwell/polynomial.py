@@ -3,9 +3,9 @@
 Coefficients are stored ascending by power, so ``coeffs[k]`` multiplies
 ``x**k``.  Everything is plain float arithmetic on small degrees
 (<= ~15); robustness comes from Sturm-count isolation plus bisection,
-not from extended precision.  The bisection (bisect_root) and the lattice
-sign-change scan (bracket_scan) are shared by every scalar root-find in
-the package.
+not from extended precision.  The bisection (bisect_root), Brent's method
+(brent_root) and the lattice sign-change scan (bracket_scan) are shared by
+every scalar root-find in the package.
 """
 
 from __future__ import annotations
@@ -14,11 +14,12 @@ import math
 from typing import Iterable, NamedTuple
 
 __all__ = ["Polynomial", "Root", "RootIsolationError", "real_roots",
-           "bisect_root", "bracket_scan"]
+           "bisect_root", "brent_root", "bracket_scan"]
 
 # relative threshold below which a remainder coefficient is treated as an
 # exact zero when building the Sturm chain
 _CHAIN_EPS = 1e-13
+_EPS = 2.0 ** -52  # float64 unit roundoff, Brent's relative step floor
 
 
 class RootIsolationError(RuntimeError):
@@ -238,6 +239,64 @@ def bisect_root(f, a: float, b: float, fa: float, tol: float) -> float:
         else:
             b = mid
     return 0.5 * (a + b)
+
+
+def brent_root(f, a: float, b: float, fa: float, fb: float,
+               tol: float) -> tuple[float, float]:
+    """Root of f in [a, b] by Brent's zero-in method, given fa = f(a) and
+    fb = f(b) of opposite sign (or one of them 0, which returns that end).
+
+    Each step is an inverse-quadratic or secant step when it lands well
+    inside the current bracket and shrinks it fast enough, and a bisection
+    step otherwise (R. P. Brent, Comput. J. 14, 422 (1971)).  A retained
+    value of +-inf, which carries a sign but no magnitude, always forces
+    bisection.  Every evaluated point lies in [a, b].  Returns (x, f(x))
+    for the bracket end with the smaller |f| once the bracket is at most
+    tol (plus a few ulps of x) wide, so the root is within tol of x and
+    f(x) needs no re-evaluation.
+    """
+    if not (tol > 0.0):
+        raise ValueError("tol must be positive")
+    if fa == 0.0:
+        return a, fa
+    if fb == 0.0:
+        return b, fb
+    if (fa < 0.0) == (fb < 0.0):
+        raise ValueError(f"f({a!r}) and f({b!r}) do not differ in sign")
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):  # keep the best estimate in b
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        half = 0.5 * (c - b)
+        if abs(half) <= tol1 or fb == 0.0:
+            return b, fb
+        finite = math.isfinite(fa) and math.isfinite(fb) and math.isfinite(fc)
+        if finite and abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic through (a, fa), (b, fb), (c, fc)
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < 3.0 * half * q - abs(tol1 * q) and p < abs(0.5 * e * q):
+                e, d = d, p / q
+            else:
+                d = e = half
+        else:
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > tol1 else math.copysign(tol1, half)
+        fb = f(b)
+        if (fb < 0.0) == (fc < 0.0) and fb != 0.0:  # c must straddle the root
+            c, fc = a, fa
+            d = e = b - a
 
 
 def bracket_scan(f, lo: float, hi: float,

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .polynomial import Polynomial, real_roots
-from .wells import (HarmonicWell, critical_points, harmonic_wells,
-                    stationary_window)
+from .wells import (CriticalPoint, HarmonicWell, critical_points,
+                    harmonic_wells_from, stationary_window)
 
 __all__ = [
     "SolverConfig", "Eigenpair", "HarmonicSpectrum", "RegionWeight",
@@ -283,9 +283,9 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     return pairs
 
 
-def _region_edges(p: Polynomial, window: float) -> list[float]:
-    """-inf, the maxima of V in [-window, window] in order, +inf."""
-    maxima = [cp.x for cp in critical_points(p, window) if cp.kind == "max"]
+def _region_edges(points: list[CriticalPoint]) -> list[float]:
+    """-inf, the maxima among the critical points in order, +inf."""
+    maxima = [cp.x for cp in points if cp.kind == "max"]
     return [-math.inf] + sorted(maxima) + [math.inf]
 
 
@@ -301,7 +301,8 @@ def well_weights(pair: Eigenpair, p: Polynomial) -> list[RegionWeight]:
     A single-well potential (no interior maxima) yields one region of
     weight 1.  Weights sum to the normalization (1 within 1e-9).
     """
-    return _region_weights(pair, _region_edges(p, float(pair.x[-1])))
+    return _region_weights(
+        pair, _region_edges(critical_points(p, float(pair.x[-1]))))
 
 
 def _central_weight(regions: list[RegionWeight]) -> float:
@@ -323,13 +324,14 @@ def classify_levels(pairs: list[Eigenpair], p: Polynomial) -> list[LabeledLevel]
         return []
     lam = pairs[0].lam
     window = float(pairs[0].x[-1])
-    edges = _region_edges(p, window)
+    points = critical_points(p, window)
+    edges = _region_edges(points)
     weights = [_central_weight(_region_weights(pair, edges)) for pair in pairs]
     order = sorted(range(len(pairs)), key=lambda i: pairs[i].energy)
 
     spacing = None
     try:
-        outer = [w for w in harmonic_wells(p, window) if w.x > 1e-9]
+        outer = [w for w in harmonic_wells_from(p, points) if w.x > 1e-9]
         if outer:
             spacing = 2.0 * lam * math.sqrt(outer[-1].g)
     except ValueError:

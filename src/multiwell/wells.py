@@ -24,6 +24,7 @@ __all__ = [
     "PerturbedExtrema", "DegenerateWellError", "PerturbationRangeError",
     "build_symmetric", "triple_well", "closed_form_n2", "closed_form_n3",
     "stationary_window", "critical_points", "harmonic_wells",
+    "harmonic_wells_from",
     "tilted_well_minimum", "perturbed_extrema_n2",
 ]
 
@@ -274,10 +275,16 @@ def harmonic_wells(p: Polynomial, window: float) -> list[HarmonicWell]:
     stationary point has vanishing curvature: the harmonic model is
     refused there.
     """
+    return harmonic_wells_from(p, critical_points(p, window))
+
+
+def harmonic_wells_from(p: Polynomial,
+                        points: list[CriticalPoint]) -> list[HarmonicWell]:
+    """harmonic_wells from an already computed critical_points(p, window)."""
     dv = p.derivative()
     ddv = dv.derivative()
     wells = []
-    for cp in critical_points(p, window):
+    for cp in points:
         if cp.kind == "degenerate":
             raise DegenerateWellError(
                 f"degenerate stationary point at x={cp.x:.6g} "

@@ -241,6 +241,9 @@ class TestSweep:
         assert len(lines) == 3
         assert float(lines[1].split(",")[2]) == pytest.approx(0.0026042,
                                                               abs=1e-5)
+        manifest = json.loads((outdir / "alc_manifest.json").read_text())
+        # 33 harmonic lattice points, 19 halvings to 1e-8, 1 final residual
+        assert [r["evaluations"] for r in manifest["results"]] == [53, 53]
 
     def test_tilt_sweep_smooth_contrast(self, capsys, tmp_path):
         config = self.write_config(tmp_path, "\n".join([

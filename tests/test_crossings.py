@@ -1,11 +1,14 @@
 """Crossing conditions, degeneracy tuning, asymmetric locus, scans."""
 
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiwell import crossings
 from multiwell.crossings import (PAIRED_ROWS, REFERENCE_DELTAS_ALPHA4,
                                  TABLE_PAIRS, AlcQuery, NewtonError,
                                  asym_locus_cubic, asym_locus_linearized,
@@ -89,6 +92,62 @@ class TestSolveCrossing:
             AlcQuery(-1, 0, 4.0)
         with pytest.raises(ValueError):
             AlcQuery(0, 0, 4.0, bracket=(0.1, -0.1))
+
+
+class TestNumericalSearch:
+    @pytest.mark.parametrize("m,n", [(0, 0), (3, 3), (1, 3)])
+    def test_residual_changes_sign_once_on_default_bracket(self, m, n):
+        # the numerical solve brackets its root from the harmonic lattice
+        # instead of scanning its own residual; this is the invariant that
+        # makes that safe at alpha = 4
+        q = AlcQuery(m, n, 4.0, backend="numerical")
+        cfg = crossings._default_numeric_config(q)
+        values = [crossings._numeric_residual(-0.05 + 0.1 * i / 8, q, cfg)
+                  for i in range(9)]
+        changes = sum((a < 0.0) != (b < 0.0) for a, b in zip(values, values[1:]))
+        assert changes == 1
+        assert 0.0 not in values
+
+    def test_no_crossing_in_bracket(self):
+        with pytest.raises(ValueError, match="no crossing"):
+            solve_crossing(AlcQuery(0, 0, 4.0, bracket=(0.03, 0.05),
+                                    backend="numerical"))
+
+    def test_ground_pair_takes_few_eigensolves(self, monkeypatch):
+        calls = []
+        def counting(p, cfg):
+            calls.append(cfg)
+            return solve_numerical(p, cfg)
+        monkeypatch.setattr(crossings, "solve_numerical", counting)
+        sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+        assert len(calls) <= 8
+        assert sol.evaluations == len(calls)
+        assert sol.delta == pytest.approx(0.0026010424, abs=1e-8)
+
+    def test_harmonic_evaluations_count_scan_and_bisection(self):
+        sol = solve_crossing(AlcQuery(0, 0, 4.0), delta_tol=1e-8)
+        # 33 lattice points, ceil(log2(0.1/32 / 1e-8)) = 19 halvings, and
+        # the residual at the returned delta
+        assert sol.evaluations == 33 + 19 + 1
+
+    def test_far_harmonic_cell_falls_back_and_warns(self, monkeypatch):
+        expected = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+        true_residual = crossings._harmonic_residual
+        monkeypatch.setattr(crossings, "_harmonic_residual",
+                            lambda d, m, n, a: true_residual(d - 0.02, m, n, a))
+        with pytest.warns(UserWarning, match="outside the widened harmonic cell"):
+            sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+        assert sol.delta == pytest.approx(expected.delta, abs=1e-8)
+
+    def test_numerical_solve_does_not_import_scipy_optimize(self):
+        code = ("import sys\n"
+                "from multiwell.crossings import AlcQuery, solve_crossing\n"
+                "solve_crossing(AlcQuery(0, 0, 4.0, backend='numerical'))\n"
+                "print('scipy.optimize' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestCrossingTable:

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiwell.polynomial import Polynomial, Root, RootIsolationError, real_roots
+from multiwell.polynomial import (Polynomial, Root, RootIsolationError,
+                                 bisect_root, brent_root, real_roots)
 
 # V(x) = x^6 - 96 x^4 + 2304 x^2 and its derivative 6x(x^2-16)(x^2-48)
 TRIPLE_WELL = Polynomial([0.0, 0.0, 2304.0, 0.0, -96.0, 0.0, 1.0])
@@ -200,6 +201,89 @@ class TestRealRoots:
         assert len(found) == len(roots)
         for got, want in zip(found, roots):
             assert abs(got.x - want) <= tol
+
+
+class Recorder:
+    """Wraps f and records every point it is evaluated at."""
+
+    def __init__(self, f):
+        self.f = f
+        self.points = []
+
+    def __call__(self, x):
+        self.points.append(x)
+        return self.f(x)
+
+
+class TestBrentRoot:
+    def test_smooth_function_beats_bisection(self):
+        def f(x):
+            return math.exp(x) - 2.0
+        brent, bisect = Recorder(f), Recorder(f)
+        x, fx = brent_root(brent, 0.0, 3.0, f(0.0), f(3.0), 1e-12)
+        bisect_root(bisect, 0.0, 3.0, f(0.0), 1e-12)
+        assert abs(x - math.log(2.0)) <= 1e-12
+        assert len(brent.points) <= 10
+        assert 3 * len(brent.points) < len(bisect.points)
+
+    def test_infinite_ends_converge_inside(self):
+        def f(x):
+            if x < 0.2:
+                return math.inf
+            if x > 0.9:
+                return -math.inf
+            return 0.3025 - x * x
+        rec = Recorder(f)
+        x, fx = brent_root(rec, 0.0, 1.0, math.inf, -math.inf, 1e-10)
+        assert abs(x - 0.55) <= 1e-10
+        assert all(0.0 <= p <= 1.0 for p in rec.points)
+
+    def test_infinite_step_converges_inside(self):
+        # the first secant step from (0, 0.1) and (1, -1) lands at 1/11,
+        # inside the +inf plateau
+        def f(x):
+            if x <= 0.05:
+                return 0.1
+            if x < 0.6:
+                return math.inf
+            return (0.7 - x) * 10.0 / 3.0
+        rec = Recorder(f)
+        x, fx = brent_root(rec, 0.0, 1.0, 0.1, -1.0, 1e-10)
+        assert math.inf in [f(p) for p in rec.points]
+        assert abs(x - 0.7) <= 1e-10
+        assert all(0.0 <= p <= 1.0 for p in rec.points)
+
+    def test_zero_at_left_end_returns_it(self):
+        def f(x):
+            raise AssertionError("no evaluation needed")
+        assert brent_root(f, 1.0, 2.0, 0.0, 5.0, 1e-9) == (1.0, 0.0)
+
+    def test_returned_value_is_f_at_x(self):
+        def f(x):
+            return x ** 3 - 2.0 * x - 5.0
+        x, fx = brent_root(f, 2.0, 3.0, f(2.0), f(3.0), 1e-9)
+        assert fx == f(x)
+        assert abs(x - 2.0945514815423265) <= 1e-9
+
+    def test_rejects_unbracketed_interval(self):
+        with pytest.raises(ValueError, match="differ in sign"):
+            brent_root(math.exp, 0.0, 1.0, 1.0, math.e, 1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(root=st.floats(-1.0, 1.0), left=st.floats(1e-3, 2.0),
+           right=st.floats(1e-3, 2.0), p=st.floats(-2.0, 2.0),
+           extra=st.floats(0.1, 3.0), lead=st.sampled_from([1.0, -0.5, 4.0]),
+           tol=st.sampled_from([1e-4, 1e-8, 1e-10]))
+    def test_random_cubic(self, root, left, right, p, extra, lead, tol):
+        # (x - root) * (x^2 + p x + q) with q > p^2/4: one real root, whose
+        # sign change the factored form evaluates exactly
+        q = 0.25 * p * p + extra
+        rec = Recorder(lambda x: lead * (x - root) * (x * x + p * x + q))
+        a, b = root - left, root + right
+        x, fx = brent_root(rec, a, b, rec.f(a), rec.f(b), tol)
+        assert abs(x - root) <= tol + 4.0 * 2.0 ** -52 * abs(x)
+        assert fx == rec.f(x)
+        assert all(a <= pt <= b for pt in rec.points)
 
 
 class TestAlgebra:

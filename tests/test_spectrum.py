@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiwell import spectrum
 from multiwell.polynomial import Polynomial
 from multiwell.spectrum import (SolverConfig, central_levels, choose_domain,
                                 classify_levels, grid_points_for,
                                 harmonic_spectrum_n2, off_central_levels,
                                 solve_numerical, well_weights)
 from multiwell.wells import (HarmonicWell, WellShape, build_symmetric,
-                             harmonic_wells, triple_well)
+                             critical_points, harmonic_wells, triple_well)
 
 HO = Polynomial([0.0, 0.0, 1.0])  # unit harmonic oscillator x^2
 TRIPLE = build_symmetric(WellShape((16.0, 48.0)))
@@ -234,3 +235,18 @@ class TestClassifyLevels:
         labeled = classify_levels(solve_numerical(p, cfg), p)
         central = [lv for lv in labeled if lv.family == "central"]
         assert [lv.index for lv in central] == list(range(len(central)))
+
+    def test_isolates_critical_points_once(self, monkeypatch):
+        p = triple_well(4.0, delta=0.0)
+        cfg = SolverConfig(half_width=9.0, grid_points=1801, num_levels=4)
+        pairs = solve_numerical(p, cfg)
+        calls = []
+        def counting(poly, window):
+            calls.append(window)
+            return critical_points(poly, window)
+        monkeypatch.setattr(spectrum, "critical_points", counting)
+        labeled = classify_levels(pairs, p)
+        assert calls == [9.0]
+        # the outer spacing still comes from the polished outer minimum
+        assert [lv.label for lv in labeled] == \
+            ["central-0", "offcentral-0", "offcentral-0", "central-1"]
