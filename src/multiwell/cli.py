@@ -189,24 +189,25 @@ def _cmd_table1(args) -> int:
     elapsed = time.perf_counter() - t0
     gaps = pairing_gaps(sols)
 
+    compared = []    # (reference, deviation) per row with --compare
+    if args.compare:
+        for s in sols:
+            ref = REFERENCE_DELTAS_ALPHA4[(s.m, s.n)]
+            compared.append((ref, abs(s.delta - ref)))
+        max_dev = max(dev for _, dev in compared)
+
     if args.format == "csv":
         rows = [[str(s.m), str(s.n), _fmt(s.delta), _fmt(s.residual)]
                 for s in sols]
         _emit(_csv_lines("m,n,delta,residual", rows), args.output)
         return EXIT_OK
     if args.format == "json":
-        payload = []
-        for s in sols:
-            entry = {"m": s.m, "n": s.n, "delta": s.delta,
-                     "residual": s.residual}
-            if args.compare:
-                ref = REFERENCE_DELTAS_ALPHA4[(s.m, s.n)]
-                entry["reference"] = ref
-                entry["deviation"] = abs(s.delta - ref)
-            payload.append(entry)
+        payload = [{"m": s.m, "n": s.n, "delta": s.delta,
+                    "residual": s.residual} for s in sols]
+        for entry, (ref, dev) in zip(payload, compared):
+            entry["reference"], entry["deviation"] = ref, dev
         _emit(_dump_json(payload), args.output)
         if args.compare:
-            max_dev = max(e["deviation"] for e in payload)
             print(f"max_abs_deviation={max_dev:.3e}", file=sys.stderr)
         return EXIT_OK
 
@@ -216,13 +217,10 @@ def _cmd_table1(args) -> int:
     if args.compare:
         header += f" {'reference':>11} {'deviation':>11}"
     lines.append(header)
-    max_dev = 0.0
-    for s in sols:
+    for i, s in enumerate(sols):
         line = f"{s.m:>2} {s.n:>2} {s.delta:>13.8f} {s.residual:>12.3e}"
         if args.compare:
-            ref = REFERENCE_DELTAS_ALPHA4[(s.m, s.n)]
-            dev = abs(s.delta - ref)
-            max_dev = max(max_dev, dev)
+            ref, dev = compared[i]
             line += f" {ref:>11.5f} {dev:>11.3e}"
         lines.append(line)
     lines.append("pairing gaps |delta(m+1,n+2) - delta(m,n)|:")

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomial import Polynomial, bisect_root, bracket_scan, brent_root
-from .spectrum import (SolverConfig, classify_levels, grid_points_for,
-                       harmonic_spectrum_n2, solve_numerical)
+from .spectrum import (SolverConfig, _region_weights, classify_levels,
+                       grid_points_for, harmonic_spectrum_n2, solve_numerical)
 from .wells import (PerturbationRangeError, WellShape, build_symmetric,
                     harmonic_wells, triple_well)
 
@@ -497,7 +497,6 @@ def tilt_scan(s1: float, tilt_range: tuple[float, float], steps: int,
         b = lo + (hi - lo) * i / (steps - 1)
         p = Polynomial([0.0, b, -2.0 * s1, 0.0, 1.0])
         ground = solve_numerical(p, cfg)[0]
-        rho = ground.psi ** 2 * ground.h
-        w_left = float(rho[ground.x < 0.0].sum())
+        w_left = _region_weights(ground, [-math.inf, 0.0, math.inf])[0].weight
         rows.append(TiltRow(b, ground.energy, w_left, 1.0 - w_left))
     return rows

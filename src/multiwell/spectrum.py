@@ -28,7 +28,7 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """The eigensolver failed to converge within its iteration budget."""
+    """The eigensolver failed to converge, or to resolve a cluster by parity."""
 
 
 @dataclass(frozen=True)
@@ -185,61 +185,54 @@ def _is_symmetric(p: Polynomial) -> bool:
     return all(abs(c) <= 1e-12 * top for c in p.coeffs[1::2])
 
 
-def _rayleigh(diag: np.ndarray, off: float, v: np.ndarray) -> float:
-    av = diag * v
-    av[:-1] += off * v[1:]
-    av[1:] += off * v[:-1]
-    return float(v @ av) / float(v @ v)
-
-
 def _symmetrize_parity(energies: np.ndarray, psi: np.ndarray,
                        diag: np.ndarray, off: float) -> None:
     """Restore parity-pure eigenvectors of a symmetric potential, in place.
 
-    Exact eigenvectors are even or odd; deep outer doublets split below
-    machine resolution, so LAPACK returns arbitrary rotations within the
-    2D eigenspace.  Degenerate pairs are rotated back to the even/odd
-    basis; lone vectors are projected onto their dominant parity (for a
-    degenerate singleton both parities are eigenvectors, for a resolved
-    level this only strips numerical noise).  psi columns hold interior
-    values only.
+    Exact eigenvectors are even or odd, but LAPACK returns arbitrary
+    rotations within clusters of levels closer than 1e-6 of their energy
+    (outer doublets; a central level meeting one at a crossing).  Each
+    cluster V is rotated by the eigenvectors of its parity matrix V^T J V
+    (J reverses the grid), and each vector projected onto its even part
+    (eigenvalue >= 0) or odd part (< 0); these projections are orthogonal,
+    so normalizing suffices.  A parity part of two or more vectors is
+    diagonalized on the operator (Rayleigh-Ritz), and a cluster is written
+    back in ascending Rayleigh quotient; LAPACK's energies are kept.
+    Below the top of the window the parity eigenvalues must be near +-1
+    (V spans whole parity eigenspaces), else ConvergenceError; a cluster
+    at the top may be a doublet cut by the window, and keeps each vector's
+    dominant parity.  psi columns hold interior values only.
     """
+    rows = psi.T    # one contiguous row per level
     k = len(energies)
-    groups: list[list[int]] = []
-    for j in range(k):
-        if groups and abs(energies[j] - energies[groups[-1][-1]]) \
-                <= 1e-6 * max(1.0, abs(energies[j])):
-            groups[-1].append(j)
-        else:
-            groups.append([j])
-    for group in groups:
-        if len(group) == 1:
-            col = psi[:, group[0]]
-            even = 0.5 * (col + col[::-1])
-            odd = 0.5 * (col - col[::-1])
-            dominant = even if float(even @ even) >= float(odd @ odd) else odd
-            norm = math.sqrt(float(dominant @ dominant))
-            if norm > 0.0:
-                psi[:, group[0]] = dominant / norm
-            continue
-        if len(group) != 2:
-            continue
-        i, j = group
-        candidates = []
-        for col in (psi[:, i], psi[:, j]):
-            flipped = col[::-1]
-            candidates.append(0.5 * (col + flipped))
-            candidates.append(0.5 * (col - flipped))
-        even = max(candidates[0::2], key=lambda u: float(u @ u))
-        odd = max(candidates[1::2], key=lambda u: float(u @ u))
-        if float(even @ even) == 0.0 or float(odd @ odd) == 0.0:
-            continue
-        even = even / math.sqrt(float(even @ even))
-        odd = odd / math.sqrt(float(odd @ odd))
-        if _rayleigh(diag, off, even) <= _rayleigh(diag, off, odd):
-            psi[:, i], psi[:, j] = even, odd
-        else:
-            psi[:, i], psi[:, j] = odd, even
+    start = 0
+    while start < k:
+        stop = start + 1
+        while stop < k and abs(energies[stop] - energies[stop - 1]) \
+                <= 1e-6 * max(1.0, abs(energies[stop])):
+            stop += 1
+        v = rows[start:stop]
+        # the reversed copy keeps the product on BLAS
+        lam, rot = np.linalg.eigh(v.dot(v[:, ::-1].copy().T))
+        if stop < k and abs(lam).min() < 0.5:
+            raise ConvergenceError(
+                f"levels {start}..{stop - 1} (E={energies[start]:.12g}) do "
+                f"not split by parity: parity eigenvalues {lam.tolist()}")
+        w = rot.T.dot(v)
+        w = 0.5 * (w + np.where(lam >= 0.0, 1.0, -1.0)[:, None] * w[:, ::-1])
+        for u in w:
+            u /= math.sqrt(float(u @ u))
+        if stop - start > 1:
+            aw = diag * w    # the operator applied to each row
+            aw[:, :-1] += off * w[:, 1:]
+            aw[:, 1:] += off * w[:, :-1]
+            for part in (lam >= 0.0, lam < 0.0):
+                if np.count_nonzero(part) > 1:
+                    y = np.linalg.eigh(w[part].dot(aw[part].T))[1].T
+                    w[part], aw[part] = y.dot(w[part]), y.dot(aw[part])
+            w = w[np.argsort(np.einsum("ij,ij->i", w, aw), kind="stable")]
+        rows[start:stop] = w
+        start = stop
 
 
 def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
