@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -449,7 +450,9 @@ def _sweep_relocalization(cfg: dict[str, str], jobs: int):
                  _fmt(r.w_outer), r.label] for r in result.rows]
     results = [{"delta": r.delta, "E0": r.e0, "w_central": r.w_central,
                 "w_outer": r.w_outer, "label": r.label} for r in result.rows]
-    return header, csv_rows, results, result.crossing
+    return header, csv_rows, results, {
+        "solver": asdict(solver), "crossing": result.crossing,
+        "crossing_bracket": result.bracket}
 
 
 def _sweep_tilt(cfg: dict[str, str], jobs: int):
@@ -460,13 +463,15 @@ def _sweep_tilt(cfg: dict[str, str], jobs: int):
     lo = _cfg_get(cfg, "tilt_min", float)
     hi = _cfg_get(cfg, "tilt_max", float)
     steps = _cfg_get(cfg, "steps", int)
-    rows = tilt_scan(s1, (lo, hi), steps, _sweep_solver(cfg, 6.0, 0.01, 1))
+    solver = _sweep_solver(cfg, 6.0, 0.01, 1)
+    rows = tilt_scan(s1, (lo, hi), steps, solver)
     header = "tilt,E0,w_left,w_right"
     csv_rows = [[_fmt(r.tilt), _fmt(r.e0), _fmt(r.w_left), _fmt(r.w_right)]
                 for r in rows]
     results = [{"tilt": r.tilt, "E0": r.e0, "w_left": r.w_left,
                 "w_right": r.w_right} for r in rows]
-    return header, csv_rows, results, None
+    return header, csv_rows, results, {"solver": asdict(solver),
+                                       "crossing": None}
 
 
 def _sweep_alc(cfg: dict[str, str], jobs: int):
@@ -495,7 +500,7 @@ def _sweep_alc(cfg: dict[str, str], jobs: int):
                 for s in sols]
     results = [{"m": s.m, "n": s.n, "delta": s.delta, "residual": s.residual,
                 "evaluations": s.evaluations} for s in sols]
-    return header, csv_rows, results, None
+    return header, csv_rows, results, {"crossing": None}
 
 
 def _cmd_sweep(args) -> int:
@@ -506,11 +511,11 @@ def _cmd_sweep(args) -> int:
         raise CliError("jobs must be at least 1")
     name = cfg.get("name", kind)
     if kind == "relocalization":
-        header, csv_rows, results, crossing = _sweep_relocalization(cfg, jobs)
+        header, csv_rows, results, summary = _sweep_relocalization(cfg, jobs)
     elif kind == "alc":
-        header, csv_rows, results, crossing = _sweep_alc(cfg, jobs)
+        header, csv_rows, results, summary = _sweep_alc(cfg, jobs)
     elif kind == "tilt":
-        header, csv_rows, results, crossing = _sweep_tilt(cfg, jobs)
+        header, csv_rows, results, summary = _sweep_tilt(cfg, jobs)
     else:
         raise CliError(f"unknown sweep kind {kind!r} "
                        "(expected 'relocalization', 'alc', or 'tilt')")
@@ -523,11 +528,12 @@ def _cmd_sweep(args) -> int:
         "params": dict(sorted(cfg.items())),
         "started": datetime.now(timezone.utc).isoformat(),
         "results": results,
-        "crossing": crossing,
+        **summary,
         "tool_version": __version__,
     }
     manifest_path = outdir / f"{name}_manifest.json"
     manifest_path.write_text(_dump_json(manifest), encoding="utf-8")
+    crossing = summary["crossing"]
     cross_text = "no crossing" if crossing is None else f"crossing={crossing:.6g}"
     print(f"wrote {csv_path} and {manifest_path} ({len(results)} results, "
           f"{cross_text})")

@@ -148,6 +148,7 @@ class ScanResult:
     alpha: float
     rows: tuple[ScanRow, ...]
     crossing: float | None
+    bracket: tuple[float, float] | None  # lattice deltas around the crossing
 
 
 @dataclass(frozen=True)
@@ -456,7 +457,9 @@ def relocalization_scan(alpha: float, delta_range: tuple[float, float],
     """Ground-state central weight w_c over a delta lattice.
 
     Reports the crossing delta* where w_c first drops through 0.5 (linear
-    interpolation between lattice points), or None when w_c never crosses.
+    interpolation between lattice points), or None when w_c never crosses,
+    and the bracket of the two lattice deltas that straddle it: the
+    crossing is known to one lattice step.
     Lattice points are independent; jobs > 1 distributes them over
     processes and merges in lattice order.
     """
@@ -472,13 +475,13 @@ def relocalization_scan(alpha: float, delta_range: tuple[float, float],
             rows = list(pool.map(_scan_point, tasks))
     else:
         rows = [_scan_point(t) for t in tasks]
-    crossing = None
     for a, b in zip(rows, rows[1:]):
         if a.w_central > 0.5 >= b.w_central:
             frac = (a.w_central - 0.5) / (a.w_central - b.w_central)
-            crossing = a.delta + frac * (b.delta - a.delta)
-            break
-    return ScanResult(alpha, tuple(rows), crossing)
+            return ScanResult(alpha, tuple(rows),
+                              a.delta + frac * (b.delta - a.delta),
+                              (a.delta, b.delta))
+    return ScanResult(alpha, tuple(rows), None, None)
 
 
 def tilt_scan(s1: float, tilt_range: tuple[float, float], steps: int,

@@ -3,7 +3,9 @@
 Two routes: closed-form harmonic estimates per well (level spacing
 2*lam*sqrt(V''/2)), and a second-order finite-difference discretization on
 a symmetric grid with Dirichlet boundaries, solved by LAPACK bisection on
-the Sturm count plus inverse iteration (scipy's 'stebz' driver).
+the Sturm count plus inverse iteration (scipy's 'stebz' driver).  A
+reflection-symmetric potential is solved as separate even and odd blocks on
+the half grid x >= 0, so its levels have exact parity.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """The eigensolver failed to converge, or to resolve a cluster by parity."""
+    """The LAPACK tridiagonal eigensolver failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -185,54 +187,16 @@ def _is_symmetric(p: Polynomial) -> bool:
     return all(abs(c) <= 1e-12 * top for c in p.coeffs[1::2])
 
 
-def _symmetrize_parity(energies: np.ndarray, psi: np.ndarray,
-                       diag: np.ndarray, off: float) -> None:
-    """Restore parity-pure eigenvectors of a symmetric potential, in place.
-
-    Exact eigenvectors are even or odd, but LAPACK returns arbitrary
-    rotations within clusters of levels closer than 1e-6 of their energy
-    (outer doublets; a central level meeting one at a crossing).  Each
-    cluster V is rotated by the eigenvectors of its parity matrix V^T J V
-    (J reverses the grid), and each vector projected onto its even part
-    (eigenvalue >= 0) or odd part (< 0); these projections are orthogonal,
-    so normalizing suffices.  A parity part of two or more vectors is
-    diagonalized on the operator (Rayleigh-Ritz), and a cluster is written
-    back in ascending Rayleigh quotient; LAPACK's energies are kept.
-    Below the top of the window the parity eigenvalues must be near +-1
-    (V spans whole parity eigenspaces), else ConvergenceError; a cluster
-    at the top may be a doublet cut by the window, and keeps each vector's
-    dominant parity.  psi columns hold interior values only.
-    """
-    rows = psi.T    # one contiguous row per level
-    k = len(energies)
-    start = 0
-    while start < k:
-        stop = start + 1
-        while stop < k and abs(energies[stop] - energies[stop - 1]) \
-                <= 1e-6 * max(1.0, abs(energies[stop])):
-            stop += 1
-        v = rows[start:stop]
-        # the reversed copy keeps the product on BLAS
-        lam, rot = np.linalg.eigh(v.dot(v[:, ::-1].copy().T))
-        if stop < k and abs(lam).min() < 0.5:
-            raise ConvergenceError(
-                f"levels {start}..{stop - 1} (E={energies[start]:.12g}) do "
-                f"not split by parity: parity eigenvalues {lam.tolist()}")
-        w = rot.T.dot(v)
-        w = 0.5 * (w + np.where(lam >= 0.0, 1.0, -1.0)[:, None] * w[:, ::-1])
-        for u in w:
-            u /= math.sqrt(float(u @ u))
-        if stop - start > 1:
-            aw = diag * w    # the operator applied to each row
-            aw[:, :-1] += off * w[:, 1:]
-            aw[:, 1:] += off * w[:, :-1]
-            for part in (lam >= 0.0, lam < 0.0):
-                if np.count_nonzero(part) > 1:
-                    y = np.linalg.eigh(w[part].dot(aw[part].T))[1].T
-                    w[part], aw[part] = y.dot(w[part]), y.dot(aw[part])
-            w = w[np.argsort(np.einsum("ij,ij->i", w, aw), kind="stable")]
-        rows[start:stop] = w
-        start = stop
+def _lowest(diag: np.ndarray, off: np.ndarray, k: int,
+            cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest k eigenpairs of a symmetric tridiagonal matrix (LAPACK stebz)."""
+    try:
+        return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+                                check_finite=False, lapack_driver="stebz")
+    except LinAlgError as exc:
+        raise ConvergenceError(
+            f"tridiagonal eigensolver failed: {exc} (grid_points="
+            f"{cfg.grid_points}, h={cfg.step:.4g}, lam={cfg.lam:g})") from exc
 
 
 def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
@@ -242,30 +206,49 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     off-diagonal -lam^2/h^2, Dirichlet boundaries.  Eigenvalues come from
     bisection on the Sturm count, eigenvectors from inverse iteration;
     wavefunctions are returned L2-normalized (sum psi^2 * h = 1) with
-    deterministic sign.
+    deterministic sign (the leftmost largest |psi| is positive).
+
+    A reflection-symmetric potential is solved as two half-grid blocks on
+    x >= 0: an even block (psi(0) free; its unknown at x = 0 is
+    psi(0)/sqrt(2), which keeps the block symmetric) and an odd block
+    (psi(0) = 0).  Level j of the tridiagonal operator has j sign changes,
+    so its parity is (-1)^j: the k lowest levels are the ceil(k/2) lowest
+    even and floor(k/2) lowest odd ones, interleaved even, odd, even, ...
+    Each vector is mirrored onto the full grid and so has exact parity,
+    also inside doublets split below machine precision, where the even
+    member is kept at or below the odd one.
     """
-    n = cfg.grid_points
-    if cfg.num_levels > n - 2:
-        raise ValueError(f"requested {cfg.num_levels} levels on a grid with "
+    n, k = cfg.grid_points, cfg.num_levels
+    if k > n - 2:
+        raise ValueError(f"requested {k} levels on a grid with "
                          f"{n - 2} interior points")
     x = cfg.grid()
     h = cfg.step
-    v_grid = p(x)
     off = -cfg.lam * cfg.lam / (h * h)
-    diag = v_grid[1:-1] - 2.0 * off
-    try:
-        energies, vectors = eigh_tridiagonal(
-            diag, np.full(n - 3, off), select="i",
-            select_range=(0, cfg.num_levels - 1),
-            check_finite=False, lapack_driver="stebz")
-    except LinAlgError as exc:
-        raise ConvergenceError(
-            f"tridiagonal eigensolver failed: {exc} "
-            f"(grid_points={n}, h={h:.4g}, lam={cfg.lam:g})") from exc
     if _is_symmetric(p):
-        _symmetrize_parity(energies, vectors, diag, off)
+        c = (n - 1) // 2    # x[c] = 0
+        diag = p(x[c:-1]) - 2.0 * off
+        even_off = np.full(c - 1, off)
+        even_off[0] *= math.sqrt(2.0)
+        energies = np.empty(k)
+        half = np.zeros((c, k))    # psi on x[c:-1], one column per level
+        energies[0::2], half[:, 0::2] = _lowest(
+            diag, even_off, (k + 1) // 2, cfg)
+        half[0, 0::2] *= math.sqrt(2.0)
+        if k > 1:
+            energies[1::2], half[1:, 1::2] = _lowest(
+                diag[1:], np.full(c - 2, off), k // 2, cfg)
+        # the blocks are bisected separately, each to about ulp * |T|: a
+        # doublet split below that may come out with its odd member lower
+        energies = np.maximum.accumulate(energies)
+        vectors = np.empty((n - 2, k))
+        vectors[c - 1:] = half
+        vectors[:c - 1] = half[:0:-1] * (-1.0) ** np.arange(k)
+    else:
+        energies, vectors = _lowest(p(x[1:-1]) - 2.0 * off,
+                                    np.full(n - 3, off), k, cfg)
     pairs = []
-    for j in range(cfg.num_levels):
+    for j in range(k):
         psi = np.zeros(n)
         psi[1:-1] = vectors[:, j]
         psi /= math.sqrt(float(psi @ psi) * h)

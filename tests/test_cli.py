@@ -153,6 +153,28 @@ class TestDensity:
         assert svg.count("w=") >= 3  # one weight annotation per region
         assert "</svg>" in svg
 
+    def test_outer_doublet_even_member_first(self, capsys):
+        # at delta = 0.003 the outer doublet is split far below machine
+        # precision; its even member must still come first and the odd
+        # one vanish at x = 0 exactly
+        code, out, _ = run_cli(capsys, "spectrum", "--alpha", "4",
+                               "--delta", "0.003", "--backend", "numerical",
+                               "--format", "json")
+        assert code == EXIT_OK
+        labels = [lv["label"] for lv in json.loads(out)["levels"]]
+        doublet = [i for i, label in enumerate(labels)
+                   if label == "offcentral-0"]
+        assert len(doublet) == 2
+        rho0 = []
+        for level in doublet:
+            code, out, _ = run_cli(capsys, "density", "--alpha", "4",
+                                   "--delta", "0.003", "--level", str(level),
+                                   "--format", "csv")
+            assert code == EXIT_OK
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            rho0 += [float(r[1]) for r in rows if float(r[0]) == 0.0]
+        assert rho0[0] > 0.0 and rho0[1] == 0.0
+
 
 class TestLocus:
     def test_csv_schema_and_values(self, capsys):
@@ -208,6 +230,15 @@ class TestSweep:
         assert manifest["tool_version"]
         assert "started" in manifest
         assert 0.001 <= manifest["crossing"] <= 0.005
+        assert manifest["solver"] == {"half_width": 9.0, "grid_points": 901,
+                                      "num_levels": 1, "lam": 1.0}
+        # the bracket is the pair of CSV rows that straddle w_central = 0.5
+        rows = [line.split(",") for line in lines[1:]]
+        lo, hi = manifest["crossing_bracket"]
+        i = [float(r[0]) for r in rows].index(lo)
+        assert float(rows[i + 1][0]) == hi
+        assert float(rows[i][2]) > 0.5 >= float(rows[i + 1][2])
+        assert lo < manifest["crossing"] <= hi
 
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         config = self.write_config(tmp_path, "\n".join([
@@ -260,6 +291,8 @@ class TestSweep:
         assert max(abs(b - a) for a, b in zip(weights, weights[1:])) < 0.3
         manifest = json.loads((outdir / "tilt_manifest.json").read_text())
         assert manifest["crossing"] is None
+        assert manifest["solver"] == {"half_width": 6.0, "grid_points": 601,
+                                      "num_levels": 1, "lam": 1.0}
 
     def test_malformed_config_line_diagnostics(self, capsys, tmp_path):
         config = self.write_config(tmp_path,

@@ -312,6 +312,14 @@ class TestRelocalizationScan:
         assert 0.001 <= scan.crossing <= 0.005
         assert scan.crossing == pytest.approx(0.0026, abs=0.001)
 
+    def test_bracket_is_the_straddling_lattice_step(self, scan):
+        lo, hi = scan.bracket
+        deltas = [r.delta for r in scan.rows]
+        i = deltas.index(lo)
+        assert deltas[i + 1] == hi
+        assert scan.rows[i].w_central > 0.5 >= scan.rows[i + 1].w_central
+        assert lo < scan.crossing <= hi
+
     def test_weights_flip_sharply(self, scan):
         before = [r for r in scan.rows if r.delta <= scan.crossing - 0.002]
         after = [r for r in scan.rows if r.delta >= scan.crossing + 0.002]
@@ -330,6 +338,7 @@ class TestRelocalizationScan:
         cfg = SolverConfig(half_width=9.0, grid_points=1201, num_levels=1)
         result = relocalization_scan(4.0, (0.0035, 0.005), 4, cfg)
         assert result.crossing is None
+        assert result.bracket is None
 
     def test_parallel_matches_serial(self, scan):
         cfg = SolverConfig(half_width=9.0, grid_points=1801, num_levels=1)

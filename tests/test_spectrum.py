@@ -4,15 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from multiwell import crossings, spectrum
 from multiwell.crossings import AlcQuery, solve_crossing
 from multiwell.polynomial import Polynomial
-from multiwell.spectrum import (ConvergenceError, SolverConfig,
-                                central_levels, choose_domain,
+from multiwell.spectrum import (SolverConfig, central_levels, choose_domain,
                                 classify_levels, grid_points_for,
                                 harmonic_spectrum_n2, off_central_levels,
                                 solve_numerical, well_weights)
@@ -165,9 +164,9 @@ class TestSolveNumerical:
 
     def test_parity_of_symmetric_potential(self):
         # includes the numerically degenerate outer doublet at delta=0.003,
-        # where raw inverse-iteration vectors mix left/right, and the
-        # three-level cluster (central level meeting the doublet) at the
-        # finite-difference crossing delta*(0, 0) and near it
+        # where full-grid inverse-iteration vectors mix left/right, and the
+        # finite-difference crossing delta*(0, 0), where a central level
+        # meets the doublet, and a point near it
         cases = [(0.003, SolverConfig(half_width=9.0, grid_points=1801,
                                       num_levels=4))]
         query = AlcQuery(0, 0, 4.0, backend="numerical")
@@ -177,7 +176,7 @@ class TestSolveNumerical:
         for delta, cfg in cases:
             for q in solve_numerical(triple_well(4.0, delta), cfg):
                 assert np.max(np.abs(np.abs(q.psi) - np.abs(q.psi[::-1]))) \
-                    < 1e-6
+                    < 1e-12
 
     def test_doublet_splitting_shrinks_with_barrier(self):
         # double well x^4 - 2 s x^2: tunneling suppression with barrier growth
@@ -203,62 +202,40 @@ def _parity_defect(v: np.ndarray) -> float:
                  / np.max(np.abs(v)))
 
 
-def _oscillator_basis():
-    """x^2 on a 201-point interior grid: diagonal, off-diagonal, and its
-    five lowest eigenvectors made exactly even, odd, even, odd, even."""
-    x = np.linspace(-6.0, 6.0, 203)[1:-1]
-    h = x[1] - x[0]
-    off = -1.0 / (h * h)
-    diag = x * x - 2.0 * off
-    _, vecs = eigh_tridiagonal(diag, np.full(200, off), select="i",
-                               select_range=(0, 4))
-    basis = 0.5 * (vecs + vecs[::-1] * (-1.0) ** np.arange(5))
-    return diag, off, basis / np.linalg.norm(basis, axis=0)
+def _unsplit_energies(p: Polynomial, cfg: SolverConfig) -> np.ndarray:
+    """Lowest levels of the full-grid operator from one LAPACK solve."""
+    x = cfg.grid()
+    off = -cfg.lam * cfg.lam / (cfg.step * cfg.step)
+    return eigh_tridiagonal(p(x[1:-1]) - 2.0 * off,
+                            np.full(cfg.grid_points - 3, off), select="i",
+                            select_range=(0, cfg.num_levels - 1),
+                            lapack_driver="stebz")[0]
 
 
-def _rayleigh(diag, off, v):
-    av = diag * v
-    av[:-1] += off * v[1:]
-    av[1:] += off * v[:-1]
-    return float(v @ av)
+_SYMMETRIC = st.one_of(
+    st.builds(triple_well, st.floats(3.0, 5.0), st.floats(-0.01, 0.01)),
+    st.lists(st.floats(0.5, 4.0), min_size=1, max_size=3).map(
+        lambda widths: build_symmetric(WellShape.from_widths(*widths))))
 
 
-class TestSymmetrizeParity:
-    def test_mixed_cluster_below_top_raises(self):
-        diag, off, basis = _oscillator_basis()
-        e0, o1, e2, o3, e4 = basis.T
-        # parity eigenvalues 0: the pair spans no parity-invariant subspace
-        psi = np.column_stack([(e0 + o1) / math.sqrt(2.0),
-                               (e2 + o3) / math.sqrt(2.0), e4])
-        with pytest.raises(ConvergenceError, match="levels 0..1"):
-            spectrum._symmetrize_parity(np.array([5.0, 5.0, 9.0]), psi,
-                                        diag, off)
-
-    def test_mixed_cluster_at_top_is_made_parity_pure(self):
-        diag, off, basis = _oscillator_basis()
-        e0, o1, e2, o3 = basis[:, :4].T
-        psi = np.column_stack([(e0 + o1) / math.sqrt(2.0),
-                               (e2 + o3) / math.sqrt(2.0)])
-        spectrum._symmetrize_parity(np.array([5.0, 5.0]), psi, diag, off)
-        assert max(_parity_defect(col) for col in psi.T) < 1e-12
-        assert np.allclose(psi.T @ psi, np.eye(2), atol=1e-12)
-
-    def test_three_member_cluster_ritz_ordered(self):
-        diag, off, basis = _oscillator_basis()
-        # a rotation of even e0, odd o1 and even e2 into one cluster, below
-        # a resolved odd level o3
-        rng = np.random.default_rng(7)
-        rot = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        psi = np.column_stack([basis[:, :3] @ rot, basis[:, 3]])
-        spectrum._symmetrize_parity(np.array([3.0, 3.0, 3.0, 7.0]), psi,
-                                    diag, off)
-        assert max(_parity_defect(col) for col in psi.T) < 1e-12
-        assert np.allclose(psi.T @ psi, np.eye(4), atol=1e-12)
-        quotients = [_rayleigh(diag, off, col) for col in psi.T]
-        assert quotients == sorted(quotients)
-        # the Ritz vectors of an invariant subspace are its eigenvectors
-        assert np.allclose(np.abs(np.sum(psi * basis[:, :4], axis=0)), 1.0,
-                           atol=1e-12)
+@settings(max_examples=25, deadline=None)
+@given(_SYMMETRIC, st.integers(1, 9))
+@example(TRIPLE, 1)
+@example(TRIPLE, 8)
+def test_parity_blocks_match_unsplit_operator(p, k):
+    # the even and odd half-grid blocks reproduce the full operator's k
+    # lowest levels, level j with parity (-1)^j, as an orthonormal set
+    cfg = SolverConfig(half_width=choose_domain(p, 0.0), grid_points=801,
+                       num_levels=k)
+    pairs = solve_numerical(p, cfg)
+    for pair, want in zip(pairs, _unsplit_energies(p, cfg), strict=True):
+        assert abs(pair.energy - want) <= 1e-9 * max(1.0, abs(want))
+    for j, pair in enumerate(pairs):
+        mirrored = (-1.0) ** j * pair.psi[::-1]
+        assert np.max(np.abs(pair.psi - mirrored)) \
+            < 1e-14 * np.max(np.abs(pair.psi))
+    psi = np.array([pair.psi for pair in pairs])
+    assert np.allclose(psi @ psi.T * cfg.step, np.eye(k), rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=5, deadline=None)
