@@ -11,20 +11,22 @@ from pathlib import Path
 
 from multiwell.cli import main as cli_main
 from multiwell.crossings import relocalization_scan
-from multiwell.spectrum import SolverConfig, grid_points_for
+from multiwell.spectrum import resolve_solver
+from multiwell.wells import triple_well
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--alpha", type=float, default=4.0)
-    ap.add_argument("--half-width", type=float, default=9.0)
-    ap.add_argument("--grid-step", type=float, default=0.01)
+    ap.add_argument("--half-width", type=float, default=None,
+                    help="grid half-width (default: resolved from the potential)")
+    ap.add_argument("--grid-step", type=float, default=None,
+                    help="grid spacing (default: the library's 0.005)")
     ap.add_argument("--outdir", default="out")
     args = ap.parse_args()
 
-    cfg = SolverConfig(half_width=args.half_width,
-                       grid_points=grid_points_for(args.half_width,
-                                                   args.grid_step),
-                       num_levels=1)
+    # one grid for the scan and the figures, resolved at the widest delta
+    cfg = resolve_solver(triple_well(args.alpha, 0.005), 1,
+                         half_width=args.half_width, step=args.grid_step)
     result = relocalization_scan(args.alpha, (0.0, 0.005), 21, cfg)
     if result.crossing is None:
         raise SystemExit("no crossing found in [0, 0.005]")
@@ -38,8 +40,8 @@ if __name__ == "__main__":
         target = outdir / f"density_{tag}.svg"
         code = cli_main(["density", "--alpha", str(args.alpha),
                          "--delta", f"{delta:.8f}", "--level", "0",
-                         "--half-width", str(args.half_width),
-                         "--grid-step", str(args.grid_step),
+                         "--half-width", repr(cfg.half_width),
+                         "--grid-step", repr(cfg.step),
                          "--output", str(target)])
         if code != 0:
             raise SystemExit(code)

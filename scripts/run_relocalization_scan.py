@@ -13,16 +13,20 @@ from multiwell.cli import main as cli_main
 
 
 def build_config(args) -> str:
-    return "\n".join([
+    lines = [
         "kind = relocalization",
         f"alpha = {args.alpha}",
         f"delta_min = {args.delta_min}",
         f"delta_max = {args.delta_max}",
         f"steps = {args.steps}",
-        f"half_width = {args.half_width}",
-        f"grid_step = {args.grid_step}",
         "name = relocalization",
-    ]) + "\n"
+    ]
+    # an omitted grid key leaves it to the library's grid resolver
+    if args.half_width is not None:
+        lines.append(f"half_width = {args.half_width}")
+    if args.grid_step is not None:
+        lines.append(f"grid_step = {args.grid_step}")
+    return "\n".join(lines) + "\n"
 
 
 if __name__ == "__main__":
@@ -31,8 +35,8 @@ if __name__ == "__main__":
     ap.add_argument("--delta-min", type=float, default=0.0)
     ap.add_argument("--delta-max", type=float, default=0.005)
     ap.add_argument("--steps", type=int, default=11)
-    ap.add_argument("--half-width", type=float, default=9.0)
-    ap.add_argument("--grid-step", type=float, default=0.005)
+    ap.add_argument("--half-width", type=float, default=None)
+    ap.add_argument("--grid-step", type=float, default=None)
     ap.add_argument("--outdir", default="out")
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()

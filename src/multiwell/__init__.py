@@ -9,11 +9,12 @@ from .crossings import (AlcQuery, AlcSolution, AsymLocusPoint, DegeneracyFit,
                         left_well_shift, pairing_gaps, relocalization_scan,
                         solve_crossing, tilt_scan, tune_maximal_degeneracy)
 from .polynomial import Polynomial, Root, RootIsolationError, real_roots
-from .spectrum import (ConvergenceError, Eigenpair, HarmonicSpectrum,
-                       LabeledLevel, RegionWeight, SolverConfig, central_levels,
-                       choose_domain, classify_levels, grid_points_for,
-                       harmonic_spectrum_n2, off_central_levels,
-                       solve_numerical, well_weights)
+from .spectrum import (ConvergenceError, DomainEstimateError, Eigenpair,
+                       HarmonicSpectrum, LabeledLevel, RegionWeight,
+                       SolverConfig, central_levels, choose_domain,
+                       classify_levels, grid_points_for, harmonic_spectrum_n2,
+                       off_central_levels, resolve_solver, solve_numerical,
+                       well_weights)
 from .wells import (CriticalPoint, DegenerateWellError, HarmonicWell,
                     PerturbationRangeError, PerturbedExtrema, QuadWellForms,
                     WellShape, build_symmetric, closed_form_n2, closed_form_n3,
@@ -31,9 +32,10 @@ __all__ = [
     "harmonic_wells", "tilted_well_minimum", "perturbed_extrema_n2",
     # spectrum
     "SolverConfig", "Eigenpair", "HarmonicSpectrum", "RegionWeight",
-    "LabeledLevel", "ConvergenceError", "central_levels", "off_central_levels",
-    "harmonic_spectrum_n2", "choose_domain", "grid_points_for",
-    "solve_numerical", "well_weights", "classify_levels",
+    "LabeledLevel", "ConvergenceError", "DomainEstimateError",
+    "central_levels", "off_central_levels", "harmonic_spectrum_n2",
+    "choose_domain", "grid_points_for", "resolve_solver", "solve_numerical",
+    "well_weights", "classify_levels",
     # crossings
     "AlcQuery", "AlcSolution", "AsymLocusPoint", "DegeneracyFit",
     "ScanRow", "ScanResult", "LabelsUnresolvedError", "NewtonError",

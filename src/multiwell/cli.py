@@ -23,12 +23,12 @@ from .crossings import (REFERENCE_DELTAS_ALPHA4, TABLE_PAIRS, AlcQuery,
                         crossing_table, linearized_shift, pairing_gaps,
                         relocalization_scan, solve_crossing, tilt_scan)
 from .polynomial import Polynomial, RootIsolationError
-from .spectrum import (ConvergenceError, SolverConfig, central_levels,
-                       choose_domain, classify_levels, grid_points_for,
-                       off_central_levels, solve_numerical, well_weights)
+from .spectrum import (ConvergenceError, DomainEstimateError,
+                       _harmonic_families, classify_levels, resolve_solver,
+                       solve_numerical, well_weights)
 from .svgfig import line_plot
 from .wells import (DegenerateWellError, WellShape, build_symmetric,
-                    harmonic_wells, stationary_window, triple_well)
+                    tilted_double_well, triple_well)
 
 EXIT_OK = 0
 EXIT_NUMERIC = 2
@@ -62,15 +62,15 @@ def _dump_json(obj) -> str:
     return json.dumps(_canon(obj), indent=2) + "\n"
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _csv_lines(header: str, rows: list[list[str]]) -> str:
-    return "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+def _render(columns: list[str], records: list[dict], fmt: str,
+            wrap=None) -> str:
+    """CSV of the records' `columns`, or JSON of the whole records (passed
+    through `wrap` when the list sits inside a payload object)."""
+    if fmt == "json":
+        return _dump_json(records if wrap is None else wrap(records))
+    rows = [",".join(_fmt(r[c]) if isinstance(r[c], float) else str(r[c])
+                     for c in columns) for r in records]
+    return "\n".join([",".join(columns)] + rows) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,10 +100,8 @@ def _add_potential_args(sub: argparse.ArgumentParser) -> None:
 def _add_grid_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--half-width", type=float, default=None,
                      help="grid half-width L (default: chosen from the potential)")
-    sub.add_argument("--grid-step", type=float, default=0.005,
+    sub.add_argument("--grid-step", type=float, default=None,
                      help="target grid spacing h (default 0.005)")
-    sub.add_argument("--grid-points", type=int, default=None,
-                     help="explicit odd grid point count")
     sub.add_argument("--lambda", dest="lam", type=float, default=1.0,
                      help="kinetic prefactor in -lam^2 d2/dx2 (default 1)")
 
@@ -146,41 +144,15 @@ def _resolve_potential(args) -> tuple[Polynomial, str]:
         f"alpha={args.alpha:g}, mu^2={mu2:g}"
 
 
-def _harmonic_families(p: Polynomial, levels: int, lam: float):
-    """(central levels or None, [(well, level list) for x>0 wells])."""
-    central = None
-    try:
-        central = central_levels(p, levels - 1, lam)
-    except ValueError:
-        pass
-    wells = [w for w in harmonic_wells(p, stationary_window(p)) if w.x > 1e-9]
-    off = [(w, off_central_levels(p, w, levels - 1, lam)) for w in wells]
-    return central, off
-
-
-def _solver_config(args, p: Polynomial, levels: int) -> SolverConfig:
-    lam = args.lam
-    if args.half_width is not None:
-        half = args.half_width
-    else:
-        central, off = _harmonic_families(p, levels, lam)
-        estimates = list(central or [])
-        for _, values in off:
-            estimates.extend(values)
-        if not estimates:
-            raise CliError("cannot estimate a domain for this potential; "
-                           "pass --half-width")
-        half = choose_domain(p, max(estimates))
-    n = args.grid_points if args.grid_points is not None \
-        else grid_points_for(half, args.grid_step)
-    return SolverConfig(half_width=half, grid_points=n,
-                        num_levels=levels, lam=lam)
+def _solver(args, p: Polynomial, levels: int):
+    return resolve_solver(p, levels, args.lam, half_width=args.half_width,
+                          step=args.grid_step)
 
 
 # ---------------------------------------------------------------------------
 # table1
 
-def _cmd_table1(args) -> int:
+def _cmd_table1(args) -> str:
     if args.alpha <= 0.0:
         raise CliError("alpha must be positive")
     if args.compare and abs(args.alpha - 4.0) > 1e-12:
@@ -188,29 +160,17 @@ def _cmd_table1(args) -> int:
     t0 = time.perf_counter()
     sols = crossing_table(args.alpha)
     elapsed = time.perf_counter() - t0
-    gaps = pairing_gaps(sols)
-
-    compared = []    # (reference, deviation) per row with --compare
+    records = [{"m": s.m, "n": s.n, "delta": s.delta, "residual": s.residual}
+               for s in sols]
     if args.compare:
-        for s in sols:
-            ref = REFERENCE_DELTAS_ALPHA4[(s.m, s.n)]
-            compared.append((ref, abs(s.delta - ref)))
-        max_dev = max(dev for _, dev in compared)
-
-    if args.format == "csv":
-        rows = [[str(s.m), str(s.n), _fmt(s.delta), _fmt(s.residual)]
-                for s in sols]
-        _emit(_csv_lines("m,n,delta,residual", rows), args.output)
-        return EXIT_OK
-    if args.format == "json":
-        payload = [{"m": s.m, "n": s.n, "delta": s.delta,
-                    "residual": s.residual} for s in sols]
-        for entry, (ref, dev) in zip(payload, compared):
-            entry["reference"], entry["deviation"] = ref, dev
-        _emit(_dump_json(payload), args.output)
-        if args.compare:
+        for r in records:
+            ref = REFERENCE_DELTAS_ALPHA4[(r["m"], r["n"])]
+            r["reference"], r["deviation"] = ref, abs(r["delta"] - ref)
+        max_dev = max(r["deviation"] for r in records)
+    if args.format != "table":
+        if args.compare and args.format == "json":
             print(f"max_abs_deviation={max_dev:.3e}", file=sys.stderr)
-        return EXIT_OK
+        return _render(["m", "n", "delta", "residual"], records, args.format)
 
     lines = [f"crossing conditions at alpha={args.alpha:g} "
              f"(beta^2 = (2+delta)*alpha^2)"]
@@ -218,181 +178,150 @@ def _cmd_table1(args) -> int:
     if args.compare:
         header += f" {'reference':>11} {'deviation':>11}"
     lines.append(header)
-    for i, s in enumerate(sols):
-        line = f"{s.m:>2} {s.n:>2} {s.delta:>13.8f} {s.residual:>12.3e}"
+    for r in records:
+        line = f"{r['m']:>2} {r['n']:>2} {r['delta']:>13.8f} {r['residual']:>12.3e}"
         if args.compare:
-            ref, dev = compared[i]
-            line += f" {ref:>11.5f} {dev:>11.3e}"
+            line += f" {r['reference']:>11.5f} {r['deviation']:>11.3e}"
         lines.append(line)
     lines.append("pairing gaps |delta(m+1,n+2) - delta(m,n)|:")
-    for g in gaps:
+    for g in pairing_gaps(sols):
         lines.append(f"  {g.first} vs {g.second}: {g.gap:.3e}")
     if args.compare:
         lines.append(f"max_abs_deviation={max_dev:.3e}")
     lines.append(f"solved 12 conditions in {elapsed:.3f} s")
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # spectrum
 
-def _cmd_spectrum(args) -> int:
+def _spectrum_harmonic(args, p: Polynomial, desc: str) -> str:
+    central, off = _harmonic_families(p, args.levels, args.lam)
+    records = [{"family": "central", "index": i, "energy": e}
+               for i, e in enumerate(central or [])]
+    for k, (_, values) in enumerate(off):
+        family = "offcentral" if len(off) == 1 else f"offcentral{k}"
+        records += [{"family": family, "index": i, "energy": e}
+                    for i, e in enumerate(values)]
+    if not records:
+        raise CliError("no harmonic wells found for this potential")
+    springs = {}
+    if central is not None:
+        springs["spring_central"] = math.sqrt(p.coeffs[2])  # sqrt(V''(0)/2)
+    if off:
+        springs["spring_offcentral"] = [math.sqrt(w.g) for w, _ in off]
+    if args.format != "table":
+        return _render(["family", "index", "energy"], records, args.format,
+                       lambda levels: {"backend": "harmonic", "potential": desc,
+                                       "levels": levels, **springs})
+    lines = [f"harmonic estimates for {desc} (lam={args.lam:g})"]
+    lines += [f"  {r['family']}-{r['index']}: {r['energy']:.6f}" for r in records]
+    if central is not None:
+        lines.append(f"  spring central sqrt(c) = {springs['spring_central']:.6f}")
+    for w, _ in off:
+        lines.append(f"  spring offcentral Omega = "
+                     f"{math.sqrt(w.g):.6f} (well at x={w.x:.6g})")
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_spectrum(args) -> str:
     if args.levels < 1:
         raise CliError("--levels must be at least 1")
     p, desc = _resolve_potential(args)
     if args.backend == "harmonic":
-        central, off = _harmonic_families(p, args.levels, args.lam)
-        rows = []
-        spring_central = None
-        if central is not None:
-            spring_central = math.sqrt(p.coeffs[2])  # sqrt(V''(0)/2)
-            rows.extend(("central", i, e) for i, e in enumerate(central))
-        for k, (well, values) in enumerate(off):
-            family = "offcentral" if len(off) == 1 else f"offcentral{k}"
-            rows.extend((family, i, e) for i, e in enumerate(values))
-        if not rows:
-            raise CliError("no harmonic wells found for this potential")
-        if args.format == "csv":
-            _emit(_csv_lines("family,index,energy",
-                             [[f, str(i), _fmt(e)] for f, i, e in rows]),
-                  args.output)
-        elif args.format == "json":
-            payload = {
-                "backend": "harmonic", "potential": desc,
-                "levels": [{"family": f, "index": i, "energy": e}
-                           for f, i, e in rows],
-            }
-            if spring_central is not None:
-                payload["spring_central"] = spring_central
-            if off:
-                payload["spring_offcentral"] = [math.sqrt(w.g) for w, _ in off]
-            _emit(_dump_json(payload), args.output)
-        else:
-            lines = [f"harmonic estimates for {desc} (lam={args.lam:g})"]
-            for f, i, e in rows:
-                lines.append(f"  {f}-{i}: {e:.6f}")
-            if spring_central is not None:
-                lines.append(f"  spring central sqrt(c) = {spring_central:.6f}")
-            for w, _ in off:
-                lines.append(f"  spring offcentral Omega = "
-                             f"{math.sqrt(w.g):.6f} (well at x={w.x:.6g})")
-            _emit("\n".join(lines) + "\n", args.output)
-        return EXIT_OK
+        return _spectrum_harmonic(args, p, desc)
 
-    cfg = _solver_config(args, p, args.levels)
-    pairs = solve_numerical(p, cfg)
-    labeled = classify_levels(pairs, p)
+    cfg = _solver(args, p, args.levels)
+    labeled = classify_levels(solve_numerical(p, cfg), p)
+    columns = ["label", "family", "index", "energy", "w_central", "w_outer"]
     harm = {}
     if args.compare:
+        columns += ["energy_harmonic", "diff"]
         central, off = _harmonic_families(p, args.levels + 2, args.lam)
-        if central is not None:
-            harm.update({f"central-{i}": e for i, e in enumerate(central)})
+        harm.update({f"central-{i}": e for i, e in enumerate(central or [])})
         if off:
             outermost = max(off, key=lambda item: item[0].x)
             harm.update({f"offcentral-{i}": e
                          for i, e in enumerate(outermost[1])})
-    rows = []
+    records = []
     for lv in labeled:
-        row = {"label": lv.label, "family": lv.family,
-               "index": -1 if lv.index is None else lv.index,
-               "energy": lv.energy, "w_central": lv.w_central,
-               "w_outer": 1.0 - lv.w_central}
+        r = {"label": lv.label, "family": lv.family,
+             "index": -1 if lv.index is None else lv.index,
+             "energy": lv.energy, "w_central": lv.w_central,
+             "w_outer": 1.0 - lv.w_central}
         if args.compare:
-            est = harm.get(lv.label)
-            row["energy_harmonic"] = est if est is not None else float("nan")
-            row["diff"] = lv.energy - est if est is not None else float("nan")
-        rows.append(row)
-    if args.format == "csv":
-        header = "label,family,index,energy,w_central,w_outer"
-        if args.compare:
-            header += ",energy_harmonic,diff"
-        csv_rows = []
-        for r in rows:
-            cells = [r["label"], r["family"], str(r["index"]),
-                     _fmt(r["energy"]), _fmt(r["w_central"]), _fmt(r["w_outer"])]
-            if args.compare:
-                cells += [_fmt(r["energy_harmonic"]), _fmt(r["diff"])]
-            csv_rows.append(cells)
-        _emit(_csv_lines(header, csv_rows), args.output)
-    elif args.format == "json":
-        _emit(_dump_json({"backend": "numerical", "potential": desc,
-                          "half_width": cfg.half_width,
-                          "grid_points": cfg.grid_points,
-                          "levels": rows}), args.output)
-    else:
-        lines = [f"numerical spectrum for {desc} "
-                 f"(L={cfg.half_width:g}, {cfg.grid_points} points, "
-                 f"lam={cfg.lam:g})"]
-        for r in rows:
-            line = (f"  {r['label']:<14} E={r['energy']:.6f} "
-                    f"w_c={r['w_central']:.4f}")
-            if args.compare and not math.isnan(r["energy_harmonic"]):
-                line += (f" harmonic={r['energy_harmonic']:.6f} "
-                         f"diff={r['diff']:+.6f}")
-            lines.append(line)
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+            r["energy_harmonic"] = harm.get(lv.label, math.nan)
+            r["diff"] = lv.energy - r["energy_harmonic"]
+        records.append(r)
+    if args.format != "table":
+        return _render(columns, records, args.format,
+                       lambda levels: {"backend": "numerical", "potential": desc,
+                                       "half_width": cfg.half_width,
+                                       "grid_points": cfg.grid_points,
+                                       "levels": levels})
+    lines = [f"numerical spectrum for {desc} "
+             f"(L={cfg.half_width:g}, {cfg.grid_points} points, "
+             f"lam={cfg.lam:g})"]
+    for r in records:
+        line = f"  {r['label']:<14} E={r['energy']:.6f} w_c={r['w_central']:.4f}"
+        if args.compare and not math.isnan(r["energy_harmonic"]):
+            line += (f" harmonic={r['energy_harmonic']:.6f} "
+                     f"diff={r['diff']:+.6f}")
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # density
 
-def _cmd_density(args) -> int:
+def _cmd_density(args) -> str:
     if args.level < 0:
         raise CliError("--level must be non-negative")
     p, desc = _resolve_potential(args)
-    cfg = _solver_config(args, p, args.level + 1)
-    pair = solve_numerical(p, cfg)[args.level]
+    pair = solve_numerical(p, _solver(args, p, args.level + 1))[args.level]
     rho = pair.psi ** 2
     if args.format == "csv":
-        rows = [[_fmt(x), _fmt(r)] for x, r in zip(pair.x, rho)]
-        _emit(_csv_lines("x,rho", rows), args.output)
-        return EXIT_OK
-    regions = well_weights(pair, p)
-    bands = [(r.lo, r.hi, f"w={r.weight:.4f}") for r in regions]
-    svg = line_plot(list(pair.x), list(rho),
-                    title=f"probability density, level {args.level} ({desc})",
-                    xlabel="x", ylabel="rho(x)",
-                    regions=bands if len(bands) > 1 else None)
-    _emit(svg, args.output)
-    return EXIT_OK
+        return _render(["x", "rho"], [{"x": x, "rho": r}
+                                      for x, r in zip(pair.x, rho)], "csv")
+    bands = [(r.lo, r.hi, f"w={r.weight:.4f}") for r in well_weights(pair, p)]
+    return line_plot(list(pair.x), list(rho),
+                     title=f"probability density, level {args.level} ({desc})",
+                     xlabel="x", ylabel="rho(x)",
+                     regions=bands if len(bands) > 1 else None)
 
 
 # ---------------------------------------------------------------------------
 # locus
 
-def _cmd_locus(args) -> int:
+def _cmd_locus(args) -> str:
     if args.alpha <= 0.0:
         raise CliError("alpha must be positive")
     if args.steps < 2:
         raise CliError("--steps must be at least 2")
     if not (args.eps_min < args.eps_max):
         raise CliError("need eps-min < eps-max")
-    rows = []
+    records = []
     for i in range(args.steps):
         eps = args.eps_min + (args.eps_max - args.eps_min) * i / (args.steps - 1)
         d_lin = linearized_shift(eps, args.alpha) + 0.0
         d_cubic = asym_locus_cubic(eps, args.alpha).delta
-        rows.append((eps, d_lin, d_cubic, abs(d_cubic - d_lin)))
-    if args.format == "csv":
-        _emit(_csv_lines("epsilon,delta_lin,delta_cubic,gap",
-                         [[_fmt(a), _fmt(b), _fmt(c), _fmt(d)]
-                          for a, b, c, d in rows]), args.output)
-    elif args.format == "json":
-        _emit(_dump_json([{"epsilon": a, "delta_lin": b, "delta_cubic": c,
-                           "gap": d} for a, b, c, d in rows]), args.output)
-    else:
-        lines = [f"asymmetric catastrophe locus at alpha={args.alpha:g}",
-                 f"{'epsilon':>12} {'delta_lin':>14} {'delta_cubic':>14} {'gap':>11}"]
-        for a, b, c, d in rows:
-            lines.append(f"{a:>12.6g} {b:>14.6e} {c:>14.6e} {d:>11.3e}")
-        _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+        records.append({"epsilon": eps, "delta_lin": d_lin,
+                        "delta_cubic": d_cubic, "gap": abs(d_cubic - d_lin)})
+    if args.format != "table":
+        return _render(list(records[0]), records, args.format)
+    lines = [f"asymmetric catastrophe locus at alpha={args.alpha:g}",
+             f"{'epsilon':>12} {'delta_lin':>14} {'delta_cubic':>14} {'gap':>11}"]
+    for r in records:
+        lines.append(f"{r['epsilon']:>12.6g} {r['delta_lin']:>14.6e} "
+                     f"{r['delta_cubic']:>14.6e} {r['gap']:>11.3e}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # sweep
+
+_REQUIRED = object()
+
 
 def _parse_config(path: str) -> dict[str, str]:
     try:
@@ -417,9 +346,9 @@ def _parse_config(path: str) -> dict[str, str]:
     return out
 
 
-def _cfg_get(cfg: dict[str, str], key: str, cast, default=None):
+def _cfg_get(cfg: dict[str, str], key: str, cast, default=_REQUIRED):
     if key not in cfg:
-        if default is None:
+        if default is _REQUIRED:
             raise CliError(f"config key {key!r} is required")
         return default
     try:
@@ -428,14 +357,12 @@ def _cfg_get(cfg: dict[str, str], key: str, cast, default=None):
         raise CliError(f"config key {key!r}: {exc}") from exc
 
 
-def _sweep_solver(cfg: dict[str, str], half: float, step: float,
-                  levels: int) -> SolverConfig:
-    """Grid of a lattice sweep; half_width, grid_step and lambda may be
-    overridden in the config."""
-    half = _cfg_get(cfg, "half_width", float, half)
-    step = _cfg_get(cfg, "grid_step", float, step)
-    return SolverConfig(half_width=half, grid_points=grid_points_for(half, step),
-                        num_levels=levels, lam=_cfg_get(cfg, "lambda", float, 1.0))
+def _sweep_grid(cfg: dict[str, str], widest: Polynomial, levels: int):
+    """The resolved grid of a lattice sweep's widest potential; half_width,
+    grid_step and lambda keys override the resolver's defaults."""
+    return resolve_solver(widest, levels, _cfg_get(cfg, "lambda", float, 1.0),
+                          half_width=_cfg_get(cfg, "half_width", float, None),
+                          step=_cfg_get(cfg, "grid_step", float, None))
 
 
 def _sweep_relocalization(cfg: dict[str, str], jobs: int):
@@ -443,14 +370,12 @@ def _sweep_relocalization(cfg: dict[str, str], jobs: int):
     lo = _cfg_get(cfg, "delta_min", float)
     hi = _cfg_get(cfg, "delta_max", float)
     steps = _cfg_get(cfg, "steps", int)
-    solver = _sweep_solver(cfg, 9.0, 0.005, _cfg_get(cfg, "levels", int, 1))
+    solver = _sweep_grid(cfg, triple_well(alpha, hi),
+                         _cfg_get(cfg, "levels", int, 1))
     result = relocalization_scan(alpha, (lo, hi), steps, solver, jobs=jobs)
-    header = "delta,E0,w_central,w_outer,label"
-    csv_rows = [[_fmt(r.delta), _fmt(r.e0), _fmt(r.w_central),
-                 _fmt(r.w_outer), r.label] for r in result.rows]
-    results = [{"delta": r.delta, "E0": r.e0, "w_central": r.w_central,
+    records = [{"delta": r.delta, "E0": r.e0, "w_central": r.w_central,
                 "w_outer": r.w_outer, "label": r.label} for r in result.rows]
-    return header, csv_rows, results, {
+    return ["delta", "E0", "w_central", "w_outer", "label"], records, {
         "solver": asdict(solver), "crossing": result.crossing,
         "crossing_bracket": result.bracket}
 
@@ -463,15 +388,14 @@ def _sweep_tilt(cfg: dict[str, str], jobs: int):
     lo = _cfg_get(cfg, "tilt_min", float)
     hi = _cfg_get(cfg, "tilt_max", float)
     steps = _cfg_get(cfg, "steps", int)
-    solver = _sweep_solver(cfg, 6.0, 0.01, 1)
-    rows = tilt_scan(s1, (lo, hi), steps, solver)
-    header = "tilt,E0,w_left,w_right"
-    csv_rows = [[_fmt(r.tilt), _fmt(r.e0), _fmt(r.w_left), _fmt(r.w_right)]
-                for r in rows]
-    results = [{"tilt": r.tilt, "E0": r.e0, "w_left": r.w_left,
-                "w_right": r.w_right} for r in rows]
-    return header, csv_rows, results, {"solver": asdict(solver),
-                                       "crossing": None}
+    # tilts +-b mirror each other, so the symmetric grid of -|b| serves both;
+    # at -|b| the deeper well, which holds the ground state, lies at x > 0
+    solver = _sweep_grid(cfg, tilted_double_well(s1, -max(abs(lo), abs(hi))), 1)
+    records = [{"tilt": r.tilt, "E0": r.e0, "w_left": r.w_left,
+                "w_right": r.w_right}
+               for r in tilt_scan(s1, (lo, hi), steps, solver)]
+    return ["tilt", "E0", "w_left", "w_right"], records, {
+        "solver": asdict(solver), "crossing": None}
 
 
 def _sweep_alc(cfg: dict[str, str], jobs: int):
@@ -495,39 +419,35 @@ def _sweep_alc(cfg: dict[str, str], jobs: int):
                                     backend=backend))
             for m, n in pairs]
     sols.sort(key=lambda s: s.delta)
-    header = "m,n,delta,residual"
-    csv_rows = [[str(s.m), str(s.n), _fmt(s.delta), _fmt(s.residual)]
-                for s in sols]
-    results = [{"m": s.m, "n": s.n, "delta": s.delta, "residual": s.residual,
+    records = [{"m": s.m, "n": s.n, "delta": s.delta, "residual": s.residual,
                 "evaluations": s.evaluations} for s in sols]
-    return header, csv_rows, results, {"crossing": None}
+    return ["m", "n", "delta", "residual"], records, {"crossing": None}
 
 
-def _cmd_sweep(args) -> int:
+_SWEEPS = {"relocalization": _sweep_relocalization, "alc": _sweep_alc,
+           "tilt": _sweep_tilt}
+
+
+def _cmd_sweep(args) -> str:
     cfg = _parse_config(args.config)
     kind = cfg.get("kind", "relocalization").lower()
+    if kind not in _SWEEPS:
+        raise CliError(f"unknown sweep kind {kind!r} "
+                       "(expected 'relocalization', 'alc', or 'tilt')")
     jobs = args.jobs if args.jobs is not None else _cfg_get(cfg, "jobs", int, 1)
     if jobs < 1:
         raise CliError("jobs must be at least 1")
     name = cfg.get("name", kind)
-    if kind == "relocalization":
-        header, csv_rows, results, summary = _sweep_relocalization(cfg, jobs)
-    elif kind == "alc":
-        header, csv_rows, results, summary = _sweep_alc(cfg, jobs)
-    elif kind == "tilt":
-        header, csv_rows, results, summary = _sweep_tilt(cfg, jobs)
-    else:
-        raise CliError(f"unknown sweep kind {kind!r} "
-                       "(expected 'relocalization', 'alc', or 'tilt')")
+    columns, records, summary = _SWEEPS[kind](cfg, jobs)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{name}.csv"
-    csv_path.write_text(_csv_lines(header, csv_rows), encoding="utf-8")
+    csv_path.write_text(_render(columns, records, "csv"), encoding="utf-8")
     manifest = {
         "command": "sweep",
         "params": dict(sorted(cfg.items())),
         "started": datetime.now(timezone.utc).isoformat(),
-        "results": results,
+        "results": records,
         **summary,
         "tool_version": __version__,
     }
@@ -535,9 +455,8 @@ def _cmd_sweep(args) -> int:
     manifest_path.write_text(_dump_json(manifest), encoding="utf-8")
     crossing = summary["crossing"]
     cross_text = "no crossing" if crossing is None else f"crossing={crossing:.6g}"
-    print(f"wrote {csv_path} and {manifest_path} ({len(results)} results, "
-          f"{cross_text})")
-    return EXIT_OK
+    return (f"wrote {csv_path} and {manifest_path} ({len(records)} results, "
+            f"{cross_text})\n")
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--outdir", default="out")
     sw.add_argument("--jobs", type=int, default=None,
                     help="parallel workers for lattice points")
-    sw.set_defaults(func=_cmd_sweep)
+    sw.set_defaults(func=_cmd_sweep, output=None)
     return parser
 
 
@@ -609,8 +528,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
-        return args.func(args)
-    except CliError as exc:
+        text = args.func(args)
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+        return EXIT_OK
+    except (CliError, DomainEstimateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

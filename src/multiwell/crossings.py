@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import Polynomial, bisect_root, bracket_scan, brent_root
+from .polynomial import bisect_root, bracket_scan, brent_root
 from .spectrum import (SolverConfig, _region_weights, classify_levels,
-                       grid_points_for, harmonic_spectrum_n2, solve_numerical)
+                       harmonic_spectrum_n2, resolve_solver, solve_numerical)
 from .wells import (PerturbationRangeError, WellShape, build_symmetric,
-                    harmonic_wells, triple_well)
+                    harmonic_wells, tilted_double_well, triple_well)
 
 __all__ = [
     "AlcQuery", "AlcSolution", "AsymLocusPoint", "PairGap",
@@ -166,11 +166,9 @@ def _harmonic_residual(delta: float, m: int, n: int, alpha: float) -> float:
 
 
 def _default_numeric_config(q: AlcQuery) -> SolverConfig:
-    levels = 2 * (q.m + 1) + q.n + 3
-    half = math.sqrt(3.2) * q.alpha + 2.5
-    half = 0.5 * math.ceil(2.0 * half)
-    return SolverConfig(half_width=half, grid_points=grid_points_for(half, 0.005),
-                        num_levels=levels)
+    """The resolved grid of the widest potential in the bracket."""
+    return resolve_solver(triple_well(q.alpha, q.bracket[1]),
+                          2 * (q.m + 1) + q.n + 3)
 
 
 def _numeric_residual(delta: float, q: AlcQuery, cfg: SolverConfig) -> float:
@@ -250,9 +248,10 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     the cell nearest zero is taken and a warning is emitted.  The harmonic
     backend bisects that cell.  The numerical backend brackets its own
     residual from the harmonic cell and refines with Brent's method, so a
-    solve costs a handful of eigensolves; a numerical root outside the
-    widened harmonic cell draws a warning.  Raises ValueError when the
-    bracket holds no crossing.
+    solve costs a handful of eigensolves, on q.solver or else on the grid
+    resolve_solver gives the bracket's widest triple well (delta at the
+    upper end); a numerical root outside the widened harmonic cell draws a
+    warning.  Raises ValueError when the bracket holds no crossing.
     """
     # harmonic residual evaluations; the numerical backend reports its
     # eigensolves instead
@@ -498,8 +497,7 @@ def tilt_scan(s1: float, tilt_range: tuple[float, float], steps: int,
     rows = []
     for i in range(steps):
         b = lo + (hi - lo) * i / (steps - 1)
-        p = Polynomial([0.0, b, -2.0 * s1, 0.0, 1.0])
-        ground = solve_numerical(p, cfg)[0]
+        ground = solve_numerical(tilted_double_well(s1, b), cfg)[0]
         w_left = _region_weights(ground, [-math.inf, 0.0, math.inf])[0].weight
         rows.append(TiltRow(b, ground.energy, w_left, 1.0 - w_left))
     return rows

@@ -18,13 +18,13 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .polynomial import Polynomial, real_roots
 from .wells import (CriticalPoint, HarmonicWell, critical_points,
-                    harmonic_wells_from, stationary_window)
+                    harmonic_wells, harmonic_wells_from, stationary_window)
 
 __all__ = [
     "SolverConfig", "Eigenpair", "HarmonicSpectrum", "RegionWeight",
-    "LabeledLevel", "ConvergenceError",
+    "LabeledLevel", "ConvergenceError", "DomainEstimateError",
     "central_levels", "off_central_levels", "harmonic_spectrum_n2",
-    "choose_domain", "grid_points_for", "solve_numerical",
+    "choose_domain", "grid_points_for", "resolve_solver", "solve_numerical",
     "well_weights", "classify_levels",
 ]
 
@@ -33,14 +33,18 @@ class ConvergenceError(RuntimeError):
     """The LAPACK tridiagonal eigensolver failed to converge."""
 
 
+class DomainEstimateError(ValueError):
+    """No harmonic well to size a default grid from; a half-width is needed."""
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Grid and level-count controls for the finite-difference solver.
 
     The grid [-half_width, half_width] must be symmetric with an odd point
     count (so it contains x = 0); half_width should satisfy
-    V(+-L) >= 2 * (highest requested harmonic estimate), which
-    choose_domain arranges.
+    V(+-L) >= 2 * (highest requested harmonic estimate).  resolve_solver
+    builds the default config of a potential.
     """
 
     half_width: float
@@ -180,6 +184,45 @@ def grid_points_for(half_width: float, step: float) -> int:
     if n % 2 == 0:
         n += 1
     return max(n, 201)
+
+
+DEFAULT_STEP = 0.005
+
+
+def _harmonic_families(p: Polynomial, levels: int, lam: float):
+    """(central levels or None, [(well, level list) for x>0 wells])."""
+    central = None
+    try:
+        central = central_levels(p, levels - 1, lam)
+    except ValueError:
+        pass
+    wells = [w for w in harmonic_wells(p, stationary_window(p)) if w.x > 1e-9]
+    off = [(w, off_central_levels(p, w, levels - 1, lam)) for w in wells]
+    return central, off
+
+
+def resolve_solver(p: Polynomial, num_levels: int, lam: float = 1.0, *,
+                   half_width: float | None = None,
+                   step: float | None = None) -> SolverConfig:
+    """The default finite-difference grid for the lowest num_levels of p.
+
+    The step is `step` or DEFAULT_STEP.  Without a half_width, L is
+    choose_domain(p, E_max), E_max being the highest harmonic estimate of
+    index num_levels - 1 over the central well and every x > 0 well; a
+    potential with none of those raises DomainEstimateError.
+    """
+    if half_width is None:
+        central, off = _harmonic_families(p, num_levels, lam)
+        estimates = (central or []) + [e for _, levels in off for e in levels]
+        if not estimates:
+            raise DomainEstimateError("cannot estimate a domain for this "
+                                      "potential (no harmonic well); give a "
+                                      "half-width")
+        half_width = choose_domain(p, max(estimates))
+    step = DEFAULT_STEP if step is None else step
+    return SolverConfig(half_width=half_width,
+                        grid_points=grid_points_for(half_width, step),
+                        num_levels=num_levels, lam=lam)
 
 
 def _is_symmetric(p: Polynomial) -> bool:

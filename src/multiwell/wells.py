@@ -22,7 +22,8 @@ from .polynomial import Polynomial, real_roots
 __all__ = [
     "WellShape", "HarmonicWell", "CriticalPoint", "QuadWellForms",
     "PerturbedExtrema", "DegenerateWellError", "PerturbationRangeError",
-    "build_symmetric", "triple_well", "closed_form_n2", "closed_form_n3",
+    "build_symmetric", "triple_well", "tilted_double_well",
+    "closed_form_n2", "closed_form_n3",
     "stationary_window", "critical_points", "harmonic_wells",
     "harmonic_wells_from",
     "tilted_well_minimum", "perturbed_extrema_n2",
@@ -173,6 +174,11 @@ def triple_well(alpha: float, delta: float) -> Polynomial:
     """
     a2 = alpha * alpha
     return build_symmetric(WellShape((a2, (3.0 + delta) * a2)))
+
+
+def tilted_double_well(s1: float, tilt: float) -> Polynomial:
+    """Double well x^4 - 2*s1*x^2 + tilt*x."""
+    return Polynomial([0.0, tilt, -2.0 * s1, 0.0, 1.0])
 
 
 def closed_form_n2(alpha: float, beta: float) -> tuple[float, float]:

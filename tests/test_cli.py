@@ -11,6 +11,8 @@ from multiwell.cli import main
 
 EXIT_OK, EXIT_NUMERIC, EXIT_USAGE = 0, 2, 64
 DATA = Path(__file__).parent / "data"
+REFERENCE_DELTAS = (Path(__file__).parent.parent / "benchmarks"
+                    / "reference_deltas.json")
 
 
 def run_cli(capsys, *argv):
@@ -293,6 +295,43 @@ class TestSweep:
         assert manifest["crossing"] is None
         assert manifest["solver"] == {"half_width": 6.0, "grid_points": 601,
                                       "num_levels": 1, "lam": 1.0}
+
+    def test_relocalization_default_grid_holds_the_outer_wells(self, capsys,
+                                                              tmp_path):
+        # at alpha = 6 the outer minima sit near x = +-10.4, outside the
+        # fixed half-width 9 an earlier default used (the sweep exited 2)
+        config = self.write_config(tmp_path, "\n".join([
+            "kind = relocalization", "alpha = 6", "delta_min = 0.0",
+            "delta_max = 0.006", "steps = 21", "levels = 3",
+        ]))
+        outdir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "sweep", "--config", config,
+                             "--outdir", str(outdir))
+        assert code == EXIT_OK
+        manifest = json.loads((outdir / "relocalization_manifest.json")
+                              .read_text())
+        assert manifest["solver"]["half_width"] == 13.0
+        ref = next(e["delta_ref"] for e in
+                   json.loads(REFERENCE_DELTAS.read_text())["entries"]
+                   if (e["alpha"], e["m"], e["n"]) == (6.0, 0, 0))
+        assert abs(manifest["crossing"] - ref) <= 0.006 / 20
+
+    def test_tilt_default_grid_holds_the_wells(self, capsys, tmp_path):
+        # the minima of x^4 - 100 x^2 sit at +-7.07; an earlier fixed
+        # half-width of 6 cut them off and gave E0 = -2186.53
+        def ground_energies(*extra):
+            config = self.write_config(tmp_path, "\n".join([
+                "kind = tilt", "s1 = 50", "tilt_min = -0.3", "tilt_max = 0.3",
+                "steps = 3", *extra]))
+            outdir = tmp_path / f"out{len(extra)}"
+            assert run_cli(capsys, "sweep", "--config", config,
+                           "--outdir", str(outdir))[0] == EXIT_OK
+            manifest = json.loads((outdir / "tilt_manifest.json").read_text())
+            return [r["E0"] for r in manifest["results"]]
+
+        default, wide = ground_energies(), ground_energies("half_width = 11")
+        assert default == pytest.approx(wide, rel=1e-6)
+        assert default[0] == pytest.approx(-2487.99, abs=0.01)
 
     def test_malformed_config_line_diagnostics(self, capsys, tmp_path):
         config = self.write_config(tmp_path,

@@ -5,7 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+import pytest
+
+from multiwell.spectrum import resolve_solver
+from multiwell.wells import triple_well
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *argv, timeout=180):
@@ -29,6 +35,36 @@ def test_run_relocalization_scan(tmp_path):
                           .read_text())
     assert len(manifest["results"]) == 5
     assert (tmp_path / "relocalization.csv").exists()
+
+
+def test_run_relocalization_scan_resolves_the_grid(tmp_path):
+    # no --half-width: the library sizes the domain for the alpha = 6
+    # outer wells near x = +-10.4
+    proc = run_script("run_relocalization_scan.py",
+                      "--outdir", str(tmp_path),
+                      "--alpha", "6", "--delta-max", "0.006")
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "relocalization_manifest.json")
+                          .read_text())
+    assert manifest["solver"]["half_width"] == 13.0
+    assert manifest["crossing"] is not None
+
+
+def test_make_reference_fine_config():
+    # benchmarks/make_reference.py builds its fine grid from the library's
+    # default crossing config; import it (without running it) to keep that
+    # private import working
+    code = ("import json, sys; sys.path.insert(0, 'benchmarks'); "
+            "from make_reference import fine_config; "
+            "c = fine_config(0, 0, 4.0, 0.0025); "
+            "print(json.dumps([c.half_width, c.grid_points, c.num_levels]))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    half_width, grid_points, num_levels = json.loads(proc.stdout)
+    default = resolve_solver(triple_well(4.0, 0.05), 5)
+    assert (half_width, num_levels) == (default.half_width, 5)
+    assert 2.0 * half_width / (grid_points - 1) == pytest.approx(0.0025)
 
 
 def test_make_density_figures(tmp_path):

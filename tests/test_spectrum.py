@@ -11,10 +11,11 @@ from scipy.linalg import eigh_tridiagonal
 from multiwell import crossings, spectrum
 from multiwell.crossings import AlcQuery, solve_crossing
 from multiwell.polynomial import Polynomial
-from multiwell.spectrum import (SolverConfig, central_levels, choose_domain,
+from multiwell.spectrum import (DomainEstimateError, SolverConfig,
+                                central_levels, choose_domain,
                                 classify_levels, grid_points_for,
                                 harmonic_spectrum_n2, off_central_levels,
-                                solve_numerical, well_weights)
+                                resolve_solver, solve_numerical, well_weights)
 from multiwell.wells import (HarmonicWell, WellShape, build_symmetric,
                              critical_points, harmonic_wells, triple_well)
 
@@ -124,6 +125,33 @@ class TestChooseDomain:
         n = grid_points_for(9.0, 0.005)
         assert n % 2 == 1 and n >= 201
         assert abs(2 * 9.0 / (n - 1) - 0.005) < 1e-5
+
+
+class TestResolveSolver:
+    @pytest.mark.parametrize("p, half_width, grid_points", [
+        (triple_well(4.0, 0.0), 9.5, 3801),
+        (triple_well(6.0, 0.001), 13.0, 5201),
+        (TRIPLE, 9.5, 3801),
+        (HO, 4.5, 1801),
+        (Polynomial.from_descending([1.0, 0.0, -8.0, 0.5, 0.0]), 5.0, 2001),
+    ])
+    def test_default_grid(self, p, half_width, grid_points):
+        assert resolve_solver(p, 4) == SolverConfig(half_width, grid_points, 4)
+
+    def test_overrides(self):
+        # a given half-width needs no well: the linear potential has none
+        cfg = resolve_solver(Polynomial([0.0, 5.0]), 2, 0.5,
+                             half_width=3.0, step=0.01)
+        assert cfg == SolverConfig(3.0, 601, 2, 0.5)
+
+    def test_wellless_potential_needs_half_width(self):
+        with pytest.raises(DomainEstimateError, match="half-width"):
+            resolve_solver(Polynomial([0.0, 5.0]), 1)
+
+    def test_crossing_default_resolves_the_widest_potential(self):
+        q = AlcQuery(1, 2, 4.0, bracket=(-0.01, 0.03), backend="numerical")
+        assert crossings._default_numeric_config(q) == \
+            resolve_solver(triple_well(4.0, 0.03), 2 * 2 + 2 + 3)
 
 
 class TestSolveNumerical:
