@@ -232,7 +232,8 @@ def _cmd_spectrum(args) -> str:
         return _spectrum_harmonic(args, p, desc)
 
     cfg = _solver(args, p, args.levels)
-    labeled = classify_levels(solve_numerical(p, cfg), p)
+    pairs = solve_numerical(p, cfg)
+    labeled = classify_levels(pairs, p)
     columns = ["label", "family", "index", "energy", "w_central", "w_outer"]
     harm = {}
     if args.compare:
@@ -244,11 +245,12 @@ def _cmd_spectrum(args) -> str:
             harm.update({f"offcentral-{i}": e
                          for i, e in enumerate(outermost[1])})
     records = []
-    for lv in labeled:
+    for lv, pair in zip(labeled, pairs):
+        # error_estimate goes to JSON only: the CSV columns stay fixed
         r = {"label": lv.label, "family": lv.family,
              "index": -1 if lv.index is None else lv.index,
-             "energy": lv.energy, "w_central": lv.w_central,
-             "w_outer": 1.0 - lv.w_central}
+             "energy": lv.energy, "error_estimate": pair.error_estimate,
+             "w_central": lv.w_central, "w_outer": 1.0 - lv.w_central}
         if args.compare:
             r["energy_harmonic"] = harm.get(lv.label, math.nan)
             r["diff"] = lv.energy - r["energy_harmonic"]

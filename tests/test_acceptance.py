@@ -13,8 +13,9 @@ import pytest
 
 from multiwell.cli import main as cli_main
 from multiwell.crossings import (PAIRED_ROWS, REFERENCE_DELTAS_ALPHA4,
-                                 asym_locus_cubic, asym_locus_linearized,
-                                 crossing_table, relocalization_scan)
+                                 AlcQuery, asym_locus_cubic,
+                                 asym_locus_linearized, crossing_table,
+                                 relocalization_scan, solve_crossing)
 from multiwell.polynomial import Polynomial
 from multiwell.spectrum import (SolverConfig, harmonic_spectrum_n2,
                                 solve_numerical, well_weights)
@@ -240,3 +241,18 @@ def test_11_harmonic_gap_shrinks_with_scale(capsys):
     report(capsys, 11, "harmonic-gap-shrinks", monotone,
            f"relative gaps {[f'{g:.3e}' for g in gaps]} strictly decreasing "
            f"over alpha in (3, 4, 5)")
+
+
+def test_12_crossing_time_to_accuracy(capsys):
+    # converged delta*(0, 0) at alpha = 4: the h -> 0 Richardson limit of
+    # the finite-difference crossing, which corrected solves at h = 0.005
+    # and 0.0025 reproduce to 3e-10 and 5e-11
+    converged = 2.601628516e-3
+    t0 = time.perf_counter()
+    sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+    elapsed = time.perf_counter() - t0
+    err = abs(sol.delta - converged)
+    report(capsys, 12, "crossing-time-to-accuracy",
+           err <= 1e-8 and sol.evaluations <= 8,
+           f"|delta*(0,0) - {converged}| = {err:.1e} <= 1e-8 in "
+           f"{sol.evaluations} <= 8 eigensolves, {elapsed:.3f} s")

@@ -118,6 +118,28 @@ class TestSpectrum:
         assert code == EXIT_USAGE
         assert "half-width" in err
 
+    def test_well_left_of_the_origin_sizes_the_grid(self, capsys):
+        # x^4 + 2x has its only well near x = -0.79; E0 is the value of an
+        # explicit --half-width 4 run
+        code, out, _ = run_cli(capsys, "spectrum", "--potential", "1,0,0,2,0",
+                               "--backend", "numerical", "--format", "json")
+        assert code == EXIT_OK
+        e0 = json.loads(out)["levels"][0]["energy"]
+        assert e0 == pytest.approx(0.5621309600, abs=1e-6)
+
+    def test_numerical_json_carries_error_estimates(self, capsys):
+        args = ("spectrum", "--alpha", "4", "--delta", "0",
+                "--backend", "numerical", "--levels", "3")
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == EXIT_OK
+        levels = json.loads(out)["levels"]
+        # grid energies sit below the continuum ones by O(h^2)
+        assert all(0.0 < lv["error_estimate"] < 1e-3 * abs(lv["energy"])
+                   for lv in levels)
+        code, out, _ = run_cli(capsys, *args, "--format", "csv")
+        assert out.splitlines()[0] == \
+            "label,family,index,energy,w_central,w_outer"
+
     def test_numeric_failure_exit_code(self, capsys):
         # degenerate quartic: harmonic backend has no non-degenerate wells
         code, _, err = run_cli(capsys, "spectrum", "--potential", "1,0,0,0,0",

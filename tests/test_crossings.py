@@ -122,7 +122,9 @@ class TestNumericalSearch:
         sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
         assert len(calls) <= 8
         assert sol.evaluations == len(calls)
-        assert sol.delta == pytest.approx(0.0026010424, abs=1e-8)
+        # the corrected energies put delta at the converged value, not at
+        # the O(h^2)-shifted crossing of the raw grid energies
+        assert sol.delta == pytest.approx(2.601628516e-3, abs=1e-8)
 
     def test_harmonic_evaluations_count_scan_and_bisection(self):
         sol = solve_crossing(AlcQuery(0, 0, 4.0), delta_tol=1e-8)

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from multiwell import crossings, spectrum
+from multiwell import crossings, spectrum, wells
 from multiwell.crossings import AlcQuery, solve_crossing
-from multiwell.polynomial import Polynomial
+from multiwell.polynomial import Polynomial, brent_root, real_roots
 from multiwell.spectrum import (DomainEstimateError, SolverConfig,
                                 central_levels, choose_domain,
                                 classify_levels, grid_points_for,
@@ -151,7 +151,25 @@ class TestResolveSolver:
     def test_crossing_default_resolves_the_widest_potential(self):
         q = AlcQuery(1, 2, 4.0, bracket=(-0.01, 0.03), backend="numerical")
         assert crossings._default_numeric_config(q) == \
-            resolve_solver(triple_well(4.0, 0.03), 2 * 2 + 2 + 3)
+            resolve_solver(triple_well(4.0, 0.03), 2 * 2 + 2 + 3,
+                           step=crossings.CROSSING_STEP)
+
+    def test_well_left_of_the_origin_sizes_the_domain(self):
+        # x^4 + 2x: the only well sits near x = -0.79
+        p = Polynomial.from_descending([1.0, 0.0, 0.0, 2.0, 0.0])
+        assert resolve_solver(p, 4) == SolverConfig(3.5, 1401, 4)
+
+    def test_isolates_the_roots_of_the_derivative_once(self, monkeypatch):
+        # one critical-point list serves the wells and the domain bound
+        calls = []
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real_roots(*args, **kwargs)
+        for module in (wells, spectrum):  # wherever it is looked up
+            monkeypatch.setattr(module, "real_roots", counting, raising=False)
+        assert resolve_solver(triple_well(6.0, 0.05), 14) == \
+            SolverConfig(13.0, 5201, 14)
+        assert len(calls) == 1
 
 
 class TestSolveNumerical:
@@ -168,6 +186,19 @@ class TestSolveNumerical:
             errors.append(abs(solve_numerical(HO, cfg)[0].energy - 1.0))
         assert 3.4 < errors[0] / errors[1] < 4.6
         assert 3.4 < errors[1] / errors[2] < 4.6
+
+    def test_corrected_energy_is_fourth_order(self):
+        # energy + error_estimate converges as h^4, and the estimate is the
+        # leading part of the raw O(h^2) error
+        errors = []
+        for n in (601, 1201, 2401):
+            cfg = SolverConfig(half_width=12.0, grid_points=n, num_levels=1)
+            pair = solve_numerical(HO, cfg)[0]
+            raw = 1.0 - pair.energy
+            assert abs(pair.error_estimate - raw) <= 1e-3 * abs(raw)
+            errors.append(abs(raw - pair.error_estimate))
+        assert 13.0 <= errors[0] / errors[1] <= 19.0
+        assert 13.0 <= errors[1] / errors[2] <= 19.0
 
     def test_triple_well_ground_near_harmonic(self):
         cfg = SolverConfig(half_width=9.0, grid_points=1801, num_levels=1)
@@ -193,14 +224,13 @@ class TestSolveNumerical:
     def test_parity_of_symmetric_potential(self):
         # includes the numerically degenerate outer doublet at delta=0.003,
         # where full-grid inverse-iteration vectors mix left/right, and the
-        # finite-difference crossing delta*(0, 0), where a central level
-        # meets the doublet, and a point near it
+        # finite-difference crossing delta*(0, 0) of the h = 0.005 grid,
+        # where a central level meets the doublet, as pinned and as solved
         cases = [(0.003, SolverConfig(half_width=9.0, grid_points=1801,
                                       num_levels=4))]
-        query = AlcQuery(0, 0, 4.0, backend="numerical")
-        default = crossings._default_numeric_config(query)
-        cases += [(0.00260104337, default),
-                  (solve_crossing(query).delta, default)]
+        fine = resolve_solver(triple_well(4.0, 0.05), 5, step=0.005)
+        cases += [(0.00260104337, fine),
+                  (_raw_crossing(AlcQuery(0, 0, 4.0), fine), fine)]
         for delta, cfg in cases:
             for q in solve_numerical(triple_well(4.0, delta), cfg):
                 assert np.max(np.abs(np.abs(q.psi) - np.abs(q.psi[::-1]))) \
@@ -221,6 +251,25 @@ class TestSolveNumerical:
         cfg = SolverConfig(half_width=5.0, grid_points=201, num_levels=200)
         with pytest.raises(ValueError, match="levels"):
             solve_numerical(HO, cfg)
+
+
+def _raw_crossing(q: AlcQuery, cfg: SolverConfig) -> float:
+    """delta where the raw grid energies of central-n and the mean of doublet
+    m cross: the degenerate point of the discretized operator, which the
+    corrected residual of solve_crossing does not land on."""
+    def residual(delta: float) -> float:
+        p = triple_well(q.alpha, delta)
+        labeled = classify_levels(solve_numerical(p, cfg), p)
+        doublet = [lv.energy for lv in labeled
+                   if lv.label == f"offcentral-{q.m}"]
+        central = [lv.energy for lv in labeled
+                   if lv.label == f"central-{q.n}"]
+        return sum(doublet) / len(doublet) - central[0]
+
+    near = solve_crossing(AlcQuery(q.m, q.n, q.alpha,
+                                   backend="numerical")).delta
+    lo, hi = near - 5e-4, near + 5e-4
+    return brent_root(residual, lo, hi, residual(lo), residual(hi), 1e-10)[0]
 
 
 def _parity_defect(v: np.ndarray) -> float:
@@ -274,7 +323,7 @@ def test_parity_and_weights_at_numerical_crossing(alpha):
     # parity-pure and carry total region weight 1
     query = AlcQuery(0, 0, alpha, backend="numerical")
     cfg = crossings._default_numeric_config(query)
-    star = solve_crossing(query).delta
+    star = _raw_crossing(query, cfg)
     for delta in (star - 1e-9, star, star + 1e-9):
         p = triple_well(alpha, delta)
         for pair in solve_numerical(p, cfg):
