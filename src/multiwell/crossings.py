@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import bisect_root, bracket_scan, brent_root
+from .polynomial import bracket_scan, brent_root
 from .spectrum import (SolverConfig, _region_weights, classify_levels,
                        harmonic_spectrum_n2, resolve_solver, solve_numerical)
 from .wells import (PerturbationRangeError, WellShape, build_symmetric,
@@ -211,92 +211,73 @@ def _numeric_residual(delta: float, q: AlcQuery, cfg: SolverConfig) -> float:
         f"offcentral-{q.m} found in {[lv.label for lv in labeled]}")
 
 
-def _no_crossing(q: AlcQuery) -> ValueError:
-    lo, hi = q.bracket
-    return ValueError(
-        f"no crossing in bracket [{lo:g}, {hi:g}] for (m={q.m}, n={q.n})")
-
-
-def _numeric_root(q: AlcQuery, cell: tuple[float, float, float] | None,
-                  harmonic, delta_tol: float) -> tuple[float, float, int]:
-    """Numerical root by Brent's method, bracketed from the harmonic cell.
-
-    The harmonic cell widened by its own width on each side (clipped to
-    q.bracket) brackets the numerical root when the two backends agree to
-    within a cell; otherwise, or without a cell, q.bracket itself is used.
-    Returns (delta, residual at delta, eigensolves).
-    """
-    cfg = q.solver if q.solver is not None else _default_numeric_config(q)
-    evaluations = 0
-
-    def residual(d: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return _numeric_residual(d, q, cfg)
-
-    lo, hi = q.bracket
-    brackets = [(lo, hi)]
-    if cell is not None:
-        width = cell[1] - cell[0]
-        near = (max(lo, cell[0] - width), min(hi, cell[1] + width))
-        if near != (lo, hi):
-            brackets.insert(0, near)
-    for a, b in brackets:
-        fa, fb = residual(a), residual(b)
-        if fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0):
-            break
-    else:
-        raise _no_crossing(q)
-    delta, value = brent_root(residual, a, b, fa, fb, delta_tol)
-    if cell is not None and not brackets[0][0] <= delta <= brackets[0][1]:
-        root = bisect_root(harmonic, *cell, delta_tol)
-        warnings.warn(f"numerical root delta={delta:.8g} lies outside the "
-                      f"widened harmonic cell around the harmonic root "
-                      f"delta={root:.8g}", stacklevel=3)
-    return delta, value, evaluations
-
-
 def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     """Solve the crossing condition for delta to within delta_tol.
 
     Both backends locate the sign change of the closed-form harmonic
     residual on a 33-point lattice of the bracket; if several appear
     (should not happen, the residual is monotone in the default bracket)
-    the cell nearest zero is taken and a warning is emitted.  The harmonic
-    backend bisects that cell.  The numerical backend brackets its own
-    residual (corrected energies) from the harmonic cell and refines with
-    Brent's method, so a solve costs a handful of eigensolves, on q.solver
-    or else on the grid resolve_solver gives the bracket's widest triple
-    well (delta at the upper end) at step CROSSING_STEP; a numerical root
-    outside the widened harmonic cell draws a warning.  Raises ValueError
-    when the bracket holds no crossing.
+    the cell nearest zero is taken and a warning is emitted.  Both then
+    refine their own residual by Brent's method from the first candidate
+    bracket whose ends differ in sign.  The backend sets only the residual,
+    the candidates and what `evaluations` counts:
+
+    - harmonic: the closed form; the cell; every closed-form evaluation,
+      the lattice included.
+    - numerical: the corrected energies on q.solver, or else on the grid
+      resolve_solver gives the bracket's widest triple well (delta at the
+      upper end) at step CROSSING_STEP; the cell widened by its own width
+      on each side (clipped to q.bracket), then q.bracket; the eigensolves,
+      a handful per solve.  A root outside the widened cell draws a
+      warning.
+
+    Raises ValueError when no candidate brackets a crossing.
     """
-    # harmonic residual evaluations; the numerical backend reports its
-    # eigensolves instead
     evaluations = 0
 
-    def harmonic(d: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return _harmonic_residual(d, q.m, q.n, q.alpha)
+    def counted(f):
+        def wrapped(d: float) -> float:
+            nonlocal evaluations
+            evaluations += 1
+            return f(d)
+        return wrapped
 
+    harmonic = counted(lambda d: _harmonic_residual(d, q.m, q.n, q.alpha))
     cells = bracket_scan(harmonic, *q.bracket, 33)
     if len(cells) > 1:
         warnings.warn("multiple residual sign changes in bracket; "
                       "taking the root nearest zero", stacklevel=2)
         cells.sort(key=lambda iv: abs(0.5 * (iv[0] + iv[1])))
-    cell = cells[0] if cells else None
+    cell = cells[0][:2] if cells else None
+    lo, hi = q.bracket
     if q.backend == "harmonic":
-        if cell is None:
-            raise _no_crossing(q)
-        delta = bisect_root(harmonic, *cell, delta_tol)
-        residual = harmonic(delta)
+        residual = harmonic
+        candidates = [cell] if cell is not None else []
     else:
-        delta, residual, evaluations = _numeric_root(q, cell, harmonic,
-                                                     delta_tol)
+        cfg = q.solver if q.solver is not None else _default_numeric_config(q)
+        residual = counted(lambda d: _numeric_residual(d, q, cfg))
+        evaluations = 0  # from here on, eigensolves only
+        candidates = [(lo, hi)]
+        if cell is not None:
+            width = cell[1] - cell[0]
+            near = (max(lo, cell[0] - width), min(hi, cell[1] + width))
+            if near != (lo, hi):
+                candidates.insert(0, near)
+    for a, b in candidates:
+        fa, fb = residual(a), residual(b)
+        if fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0):
+            break
+    else:
+        raise ValueError(
+            f"no crossing in bracket [{lo:g}, {hi:g}] for (m={q.m}, n={q.n})")
+    delta, value = brent_root(residual, a, b, fa, fb, delta_tol)
+    if cell is not None and not candidates[0][0] <= delta <= candidates[0][1]:
+        warnings.warn(f"{q.backend} root delta={delta:.8g} lies outside the "
+                      f"widened harmonic cell [{candidates[0][0]:.8g}, "
+                      f"{candidates[0][1]:.8g}]", stacklevel=2)
     return AlcSolution(q.m, q.n, delta, mu=math.sqrt(2.0 + delta),
                        beta=q.alpha * math.sqrt(2.0 + delta),
-                       residual=residual, backend=q.backend,
+                       residual=value, backend=q.backend,
                        evaluations=evaluations)
 
 
@@ -424,7 +405,8 @@ def asym_locus_cubic(epsilon: float, alpha: float) -> AsymLocusPoint:
     Agrees with the linearized form as eps/alpha^3 -> 0.  When the
     equation has two solutions the one nearest zero is returned: it is the
     only one in [-2, 1], where delta*sqrt(3+delta) increases strictly
-    (from -2 to 2), so plain bisection on that branch finds it.
+    (from -2 to 2), so Brent's method on that branch, run with tol = 0,
+    finds it to a few ulps.
     """
     if not (alpha > 0.0):
         raise ValueError("alpha must be positive")
@@ -434,12 +416,12 @@ def asym_locus_cubic(epsilon: float, alpha: float) -> AsymLocusPoint:
     def excess(d: float) -> float:
         return _locus_epsilon(d, alpha) - epsilon
 
-    f_lo = excess(-2.0)
-    if f_lo != 0.0 and (f_lo < 0.0) == (excess(1.0) < 0.0):
+    f_lo, f_hi = excess(-2.0), excess(1.0)
+    if f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) == (f_hi < 0.0):
         raise ValueError(
             f"no catastrophe shift in (-3, 1] for epsilon={epsilon:g}, "
             f"alpha={alpha:g} (attainable range is +-alpha^3)")
-    delta = bisect_root(excess, -2.0, 1.0, f_lo, 0.0)
+    delta = brent_root(excess, -2.0, 1.0, f_lo, f_hi, 0.0)[0]
     return AsymLocusPoint(epsilon, alpha, delta, "cubic")
 
 

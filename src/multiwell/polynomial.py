@@ -2,24 +2,25 @@
 
 Coefficients are stored ascending by power, so ``coeffs[k]`` multiplies
 ``x**k``.  Everything is plain float arithmetic on small degrees
-(<= ~15); robustness comes from Sturm-count isolation plus bisection,
-not from extended precision.  The bisection (bisect_root), Brent's method
-(brent_root) and the lattice sign-change scan (bracket_scan) are shared by
-every scalar root-find in the package.
+(<= ~15); robustness comes from Sturm-count isolation, not from extended
+precision.  Brent's method (brent_root) and the lattice sign-change scan
+(bracket_scan) are shared by every scalar root-find in the package.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, NamedTuple
 
 __all__ = ["Polynomial", "Root", "RootIsolationError", "real_roots",
-           "bisect_root", "brent_root", "bracket_scan"]
+           "brent_root", "bracket_scan"]
 
 # relative threshold below which a remainder coefficient is treated as an
 # exact zero when building the Sturm chain
 _CHAIN_EPS = 1e-13
 _EPS = 2.0 ** -52  # float64 unit roundoff, Brent's relative step floor
+_TINY = 5e-324  # smallest subnormal, Brent's absolute step floor at 0
 
 
 class RootIsolationError(RuntimeError):
@@ -218,29 +219,6 @@ def _sign_changes(chain: list[list[float]], x: float) -> int:
     return changes
 
 
-def bisect_root(f, a: float, b: float, fa: float, tol: float) -> float:
-    """Root of f in [a, b] by bisection, given fa = f(a) and a sign change
-    of f on [a, b] (or fa == 0, which returns a).
-
-    Stops when b - a <= tol or when the midpoint is no longer strictly
-    inside (a, b), so tol = 0 refines to adjacent floats.
-    """
-    if fa == 0.0:
-        return a
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def brent_root(f, a: float, b: float, fa: float, fb: float,
                tol: float) -> tuple[float, float]:
     """Root of f in [a, b] by Brent's zero-in method, given fa = f(a) and
@@ -253,10 +231,10 @@ def brent_root(f, a: float, b: float, fa: float, fb: float,
     bisection.  Every evaluated point lies in [a, b].  Returns (x, f(x))
     for the bracket end with the smaller |f| once the bracket is at most
     tol (plus a few ulps of x) wide, so the root is within tol of x and
-    f(x) needs no re-evaluation.
+    f(x) needs no re-evaluation; tol = 0 refines to a few ulps.
     """
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
+    if not (tol >= 0.0):
+        raise ValueError("tol must be non-negative")
     if fa == 0.0:
         return a, fa
     if fb == 0.0:
@@ -269,7 +247,7 @@ def brent_root(f, a: float, b: float, fa: float, fb: float,
         if abs(fc) < abs(fb):  # keep the best estimate in b
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * tol + _TINY
         half = 0.5 * (c - b)
         if abs(half) <= tol1 or fb == 0.0:
             return b, fb
@@ -325,7 +303,8 @@ def _even_multiplicity_root(p: Polynomial, dp: Polynomial,
         raise RootIsolationError(
             f"counted a root in [{a:.6g}, {b:.6g}] but found no sign change "
             "of the polynomial or its derivative")
-    x_ext = bisect_root(dp, *cells[0], tol)
+    xa, xb, fa = cells[0]
+    x_ext = brent_root(dp, xa, xb, fa, dp(xb), tol)[0]
     if abs(p(x_ext)) > 1e-8 * (1.0 + p.magnitude_at(x_ext)):
         raise RootIsolationError(
             f"extremum at x={x_ext:.6g} does not touch zero; "
@@ -337,10 +316,11 @@ def real_roots(p: Polynomial, lo: float, hi: float,
                tol: float = 1e-10, max_depth: int = 64) -> list[Root]:
     """All real roots of p in [lo, hi], each accurate to tol.
 
-    Isolation subdivides on Sturm-sequence root counts; refinement is plain
-    bisection.  Near-multiple roots (derivative sign ambiguous within tol)
-    come back flagged.  Raises RootIsolationError if subdivision exceeds
-    max_depth without isolating.
+    Isolation subdivides on Sturm-sequence root counts; refinement is
+    Brent's method on the chain's head, the unit-scaled p whose roots the
+    counts describe.  Near-multiple roots (derivative sign ambiguous within
+    tol) come back flagged.  Raises RootIsolationError if subdivision
+    exceeds max_depth without isolating.
     """
     if not (lo < hi):
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
@@ -373,21 +353,25 @@ def real_roots(p: Polynomial, lo: float, hi: float,
         work.append((xa, mid, va, vm, depth + 1))
         work.append((mid, xb, vm, vb, depth + 1))
 
+    # the sign tests below use the chain's head, not p: unit scaling can
+    # flush a subnormal coefficient to zero, and then only the head has the
+    # roots the Sturm counts describe
+    scaled = functools.partial(_horner, chain[0])
     roots: list[Root] = []
     for xa, xb, count in leaves:
         if count > 1:  # unresolvable cluster narrower than tol
             roots.append(Root(0.5 * (xa + xb), True))
             continue
-        fa, fb = p(xa), p(xb)
+        fa, fb = scaled(xa), scaled(xb)
         if fa == 0.0:
             # the count covers (xa, xb]: a zero at xa belongs to the
             # neighboring leaf, so step inside before bracketing
             xa += min(tol, 1e-3 * (xb - xa))
-            fa = p(xa)
+            fa = scaled(xa)
         if fb == 0.0:
             r = xb
         elif fa != 0.0 and (fa < 0.0) != (fb < 0.0):
-            r = bisect_root(p, xa, xb, fa, tol)
+            r = brent_root(scaled, xa, xb, fa, fb, tol)[0]
         else:
             r = _even_multiplicity_root(p, dp, xa, xb, tol)
             roots.append(Root(r, True))

@@ -208,13 +208,21 @@ DEFAULT_STEP = 0.005
 
 
 def _harmonic_families(p: Polynomial, levels: int, lam: float):
-    """(central levels or None, [(well, level list) for x>0 wells])."""
+    """(central levels or None, [(well, level list) for off-central wells]).
+
+    The off-central wells are listed by x; a well at x < 0 whose mirror
+    at -x is also a well is left out, as the pair shares its levels.
+    """
     central = None
     try:
         central = central_levels(p, levels - 1, lam)
     except ValueError:
         pass
-    wells = [w for w in harmonic_wells(p, stationary_window(p)) if w.x > 1e-9]
+    found = harmonic_wells(p, stationary_window(p))
+    right = [w.x for w in found if w.x > 1e-9]
+    wells = [w for w in found
+             if w.x > 1e-9 or (w.x < -1e-9 and
+                               all(abs(x + w.x) > 1e-9 * x for x in right))]
     off = [(w, off_central_levels(p, w, levels - 1, lam)) for w in wells]
     return central, off
 

@@ -87,9 +87,6 @@ class WellShape:
         """Shape with every width multiplied by lam (increments by lam^2)."""
         return WellShape(tuple(s * lam * lam for s in self.increments))
 
-    def radii(self) -> tuple[float, ...]:
-        return tuple(math.sqrt(s) for s in self.increments)
-
 
 @dataclass(frozen=True)
 class HarmonicWell:

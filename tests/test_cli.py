@@ -1,6 +1,7 @@
 """CLI surface: formats, exit codes, determinism, config handling."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from multiwell.cli import main
+from multiwell.crossings import AlcQuery, solve_crossing
 
 EXIT_OK, EXIT_NUMERIC, EXIT_USAGE = 0, 2, 64
 DATA = Path(__file__).parent / "data"
@@ -126,6 +128,31 @@ class TestSpectrum:
         assert code == EXIT_OK
         e0 = json.loads(out)["levels"][0]["energy"]
         assert e0 == pytest.approx(0.5621309600, abs=1e-6)
+
+    def test_harmonic_lone_well_left_of_the_origin(self, capsys):
+        # x^4 + 2x: the well near x = -0.79, with V = -1.19 and
+        # sqrt(V''/2) = sqrt(6) * 0.79 there, is the only one
+        code, out, _ = run_cli(capsys, "spectrum", "--potential", "1,0,0,2,0",
+                               "--backend", "harmonic", "--format", "json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        x = -(0.5 ** (1.0 / 3.0))
+        assert doc["spring_offcentral"] == [pytest.approx(math.sqrt(6.0) * -x)]
+        assert doc["levels"][0] == {
+            "family": "offcentral", "index": 0,
+            "energy": pytest.approx(x ** 4 + 2.0 * x + math.sqrt(6.0) * -x)}
+
+    def test_harmonic_lists_the_deeper_left_well(self, capsys):
+        # x^4 - 8x^2 + 0.5x: the well near x = -2.02 is deeper than the one
+        # near x = 1.98 and holds the numerical ground state, E0 = -13.088
+        code, out, _ = run_cli(capsys, "spectrum", "--potential", "1,0,-8,0.5,0",
+                               "--backend", "harmonic", "--format", "json")
+        assert code == EXIT_OK
+        grounds = {lv["family"]: lv["energy"] for lv in json.loads(out)["levels"]
+                   if lv["index"] == 0}
+        assert sorted(grounds) == ["offcentral0", "offcentral1"]
+        assert grounds["offcentral0"] < grounds["offcentral1"]
+        assert grounds["offcentral0"] == pytest.approx(-13.088, abs=0.2)
 
     def test_numerical_json_carries_error_estimates(self, capsys):
         args = ("spectrum", "--alpha", "4", "--delta", "0",
@@ -297,8 +324,10 @@ class TestSweep:
         assert float(lines[1].split(",")[2]) == pytest.approx(0.0026042,
                                                               abs=1e-5)
         manifest = json.loads((outdir / "alc_manifest.json").read_text())
-        # 33 harmonic lattice points, 19 halvings to 1e-8, 1 final residual
-        assert [r["evaluations"] for r in manifest["results"]] == [53, 53]
+        # the manifest rounds delta to the CSV's 11 significant digits
+        got = [(r["delta"], r["evaluations"]) for r in manifest["results"]]
+        expected = [solve_crossing(AlcQuery(m, n, 4.0)) for m, n in [(0, 0), (1, 2)]]
+        assert got == [(float(f"{s.delta:.10e}"), s.evaluations) for s in expected]
 
     def test_tilt_sweep_smooth_contrast(self, capsys, tmp_path):
         config = self.write_config(tmp_path, "\n".join([

@@ -126,11 +126,19 @@ class TestNumericalSearch:
         # the O(h^2)-shifted crossing of the raw grid energies
         assert sol.delta == pytest.approx(2.601628516e-3, abs=1e-8)
 
-    def test_harmonic_evaluations_count_scan_and_bisection(self):
+    def test_harmonic_evaluations_count_scan_and_refinement(self, monkeypatch):
+        calls = []
+        true_residual = crossings._harmonic_residual
+        def counting(d, m, n, a):
+            calls.append(d)
+            return true_residual(d, m, n, a)
+        monkeypatch.setattr(crossings, "_harmonic_residual", counting)
         sol = solve_crossing(AlcQuery(0, 0, 4.0), delta_tol=1e-8)
-        # 33 lattice points, ceil(log2(0.1/32 / 1e-8)) = 19 halvings, and
-        # the residual at the returned delta
-        assert sol.evaluations == 33 + 19 + 1
+        assert sol.evaluations == len(calls)
+        # 33 lattice points, then Brent's method in the sign-change cell;
+        # bisecting that cell to 1e-8 would take ceil(log2(0.1/32 / 1e-8))
+        # = 19 more
+        assert 33 < len(calls) < 33 + 19
 
     def test_far_harmonic_cell_falls_back_and_warns(self, monkeypatch):
         expected = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
@@ -160,6 +168,15 @@ class TestCrossingTable:
         for s in sols:
             assert s.delta == pytest.approx(
                 REFERENCE_DELTAS_ALPHA4[(s.m, s.n)], abs=2e-5)
+
+    def test_residual_changes_sign_across_tabulated_delta(self):
+        # an oracle independent of the root-finder: at alpha = 4 the
+        # closed-form residual brackets each tabulated delta within 1e-12
+        for s in crossing_table(4.0):
+            below = crossings._harmonic_residual(s.delta - 1e-12, s.m, s.n, 4.0)
+            above = crossings._harmonic_residual(s.delta + 1e-12, s.m, s.n, 4.0)
+            assert (below < 0.0) != (above < 0.0), (s.m, s.n)
+            assert abs(s.residual) <= max(abs(below), abs(above))
 
     def test_all_pairs_present(self):
         sols = crossing_table(4.0)
@@ -258,6 +275,11 @@ class TestAsymLocus:
     def test_unreachable_epsilon(self):
         with pytest.raises(ValueError, match="no catastrophe"):
             asym_locus_cubic(1.5 * 64.0, 4.0)
+
+    def test_range_ends_are_attainable(self):
+        # eps = -+alpha^3 is solved exactly by the branch ends delta = 1, -2
+        assert asym_locus_cubic(-64.0, 4.0).delta == 1.0
+        assert asym_locus_cubic(64.0, 4.0).delta == -2.0
 
     @settings(max_examples=80)
     @given(st.floats(-0.9, 0.9).filter(lambda s: abs(s) > 1e-8),

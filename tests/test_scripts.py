@@ -67,6 +67,22 @@ def test_make_reference_fine_config():
     assert 2.0 * half_width / (grid_points - 1) == pytest.approx(0.0025)
 
 
+def test_benchmark_tracer_binds_every_traced_function():
+    # benchmarks/tracing.py wraps functions by their `module.function` names;
+    # build its Tracer (without running a benchmark) so that renaming a
+    # traced function fails here
+    code = ("import json, sys; sys.path.insert(0, 'benchmarks'); "
+            "import multiwell.cli; "
+            "from tracing import TRACED, Tracer; "
+            "print(json.dumps([TRACED, Tracer().bound_names]))")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    traced, bound = json.loads(proc.stdout)
+    assert traced
+    assert [name for name in traced if f"multiwell.{name}" not in bound] == []
+
+
 def test_make_density_figures(tmp_path):
     proc = run_script("make_density_figures.py",
                       "--outdir", str(tmp_path), "--grid-step", "0.02")
