@@ -437,6 +437,12 @@ class TestEntryPoint:
     ("spectrum_alpha4_delta-0.0001_harmonic.csv",
      ["spectrum", "--alpha", "4", "--delta", "-0.0001",
       "--backend", "harmonic", "--format", "csv"]),
+    ("spectrum_shape_16_48_96_harmonic.csv",
+     ["spectrum", "--shape", "16,48,96", "--backend", "harmonic",
+      "--format", "csv", "--levels", "4"]),
+    ("spectrum_quartic_tilt_0.5_harmonic.csv",
+     ["spectrum", "--potential", "1,0,-8,0.5,0", "--backend", "harmonic",
+      "--format", "csv", "--levels", "4"]),
 ])
 def test_golden_csv_bytes(capsys, name, argv):
     code, out, _ = run_cli(capsys, *argv)
