@@ -11,9 +11,9 @@ from .crossings import (AlcQuery, AlcSolution, AsymLocusPoint, DegeneracyFit,
 from .polynomial import Polynomial, Root, RootIsolationError, real_roots
 from .spectrum import (ConvergenceError, DomainEstimateError, Eigenpair,
                        HarmonicSpectrum, LabeledLevel, RegionWeight,
-                       SolverConfig, central_levels, choose_domain,
-                       classify_levels, grid_points_for, harmonic_spectrum_n2,
-                       off_central_levels, resolve_solver, solve_numerical,
+                       SolverConfig, choose_domain, classify_levels,
+                       grid_points_for, harmonic_families,
+                       harmonic_spectrum_n2, resolve_solver, solve_numerical,
                        well_weights)
 from .wells import (CriticalPoint, DegenerateWellError, HarmonicWell,
                     PerturbationRangeError, PerturbedExtrema, QuadWellForms,
@@ -33,9 +33,9 @@ __all__ = [
     # spectrum
     "SolverConfig", "Eigenpair", "HarmonicSpectrum", "RegionWeight",
     "LabeledLevel", "ConvergenceError", "DomainEstimateError",
-    "central_levels", "off_central_levels", "harmonic_spectrum_n2",
-    "choose_domain", "grid_points_for", "resolve_solver", "solve_numerical",
-    "well_weights", "classify_levels",
+    "harmonic_families", "harmonic_spectrum_n2", "choose_domain",
+    "grid_points_for", "resolve_solver", "solve_numerical", "well_weights",
+    "classify_levels",
     # crossings
     "AlcQuery", "AlcSolution", "AsymLocusPoint", "DegeneracyFit",
     "ScanRow", "ScanResult", "LabelsUnresolvedError", "NewtonError",

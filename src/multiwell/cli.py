@@ -23,9 +23,9 @@ from .crossings import (REFERENCE_DELTAS_ALPHA4, TABLE_PAIRS, AlcQuery,
                         crossing_table, linearized_shift, pairing_gaps,
                         relocalization_scan, solve_crossing, tilt_scan)
 from .polynomial import Polynomial, RootIsolationError
-from .spectrum import (ConvergenceError, DomainEstimateError,
-                       _harmonic_families, classify_levels, resolve_solver,
-                       solve_numerical, well_weights)
+from .spectrum import (ConvergenceError, DomainEstimateError, classify_levels,
+                       harmonic_families, resolve_solver, solve_numerical,
+                       well_weights)
 from .svgfig import line_plot
 from .wells import (DegenerateWellError, WellShape, build_symmetric,
                     tilted_double_well, triple_well)
@@ -196,29 +196,27 @@ def _cmd_table1(args) -> str:
 # spectrum
 
 def _spectrum_harmonic(args, p: Polynomial, desc: str) -> str:
-    central, off = _harmonic_families(p, args.levels, args.lam)
-    records = [{"family": "central", "index": i, "energy": e}
-               for i, e in enumerate(central or [])]
-    for k, (_, values) in enumerate(off):
-        family = "offcentral" if len(off) == 1 else f"offcentral{k}"
-        records += [{"family": family, "index": i, "energy": e}
-                    for i, e in enumerate(values)]
-    if not records:
+    families = harmonic_families(p)
+    if not families:
         raise CliError("no harmonic wells found for this potential")
+    records = [{"family": family, "index": i, "energy": w.level(i, args.lam)}
+               for family, w in families for i in range(args.levels)]
+    central = [w for family, w in families if family == "central"]
+    off = [w for family, w in families if family != "central"]
     springs = {}
-    if central is not None:
-        springs["spring_central"] = math.sqrt(p.coeffs[2])  # sqrt(V''(0)/2)
+    if central:
+        springs["spring_central"] = math.sqrt(central[0].g)
     if off:
-        springs["spring_offcentral"] = [math.sqrt(w.g) for w, _ in off]
+        springs["spring_offcentral"] = [math.sqrt(w.g) for w in off]
     if args.format != "table":
         return _render(["family", "index", "energy"], records, args.format,
                        lambda levels: {"backend": "harmonic", "potential": desc,
                                        "levels": levels, **springs})
     lines = [f"harmonic estimates for {desc} (lam={args.lam:g})"]
     lines += [f"  {r['family']}-{r['index']}: {r['energy']:.6f}" for r in records]
-    if central is not None:
+    if central:
         lines.append(f"  spring central sqrt(c) = {springs['spring_central']:.6f}")
-    for w, _ in off:
+    for w in off:
         lines.append(f"  spring offcentral Omega = "
                      f"{math.sqrt(w.g):.6f} (well at x={w.x:.6g})")
     return "\n".join(lines) + "\n"
@@ -238,17 +236,13 @@ def _cmd_spectrum(args) -> str:
     harm = {}
     if args.compare:
         columns += ["energy_harmonic", "diff"]
-        central, off = _harmonic_families(p, args.levels + 2, args.lam)
-        harm.update({f"central-{i}": e for i, e in enumerate(central or [])})
-        if off:
-            outermost = max(off, key=lambda item: item[0].x)
-            harm.update({f"offcentral-{i}": e
-                         for i, e in enumerate(outermost[1])})
+        harm = {f"{family}-{i}": w.level(i, args.lam)
+                for family, w in harmonic_families(p)
+                for i in range(args.levels)}
     records = []
     for lv, pair in zip(labeled, pairs):
         # error_estimate goes to JSON only: the CSV columns stay fixed
-        r = {"label": lv.label, "family": lv.family,
-             "index": -1 if lv.index is None else lv.index,
+        r = {"label": lv.label, "family": lv.family, "index": lv.index,
              "energy": lv.energy, "error_estimate": pair.error_estimate,
              "w_central": lv.w_central, "w_outer": 1.0 - lv.w_central}
         if args.compare:

@@ -29,9 +29,10 @@ import numpy as np
 
 from .polynomial import bracket_scan, brent_root
 from .spectrum import (SolverConfig, _region_weights, classify_levels,
-                       harmonic_spectrum_n2, resolve_solver, solve_numerical)
+                       harmonic_families, harmonic_spectrum_n2, resolve_solver,
+                       solve_numerical)
 from .wells import (PerturbationRangeError, WellShape, build_symmetric,
-                    harmonic_wells, tilted_double_well, triple_well)
+                    tilted_double_well, triple_well)
 
 __all__ = [
     "AlcQuery", "AlcSolution", "AsymLocusPoint", "PairGap",
@@ -196,10 +197,6 @@ def _numeric_residual(delta: float, q: AlcQuery, cfg: SolverConfig) -> float:
     doublet = [e for label, e in corrected if label == f"offcentral-{q.m}"]
     if central and doublet:
         return sum(doublet) / len(doublet) - central[0]
-    if any(lv.family == "mixed" for lv in labeled):
-        raise LabelsUnresolvedError(
-            f"labels unresolved at delta={delta:.8g}: mixed-character state "
-            f"among {[lv.label for lv in labeled]}")
     # a family missing from the solved window still fixes the residual sign:
     # the absent level lies above every computed one
     if central:
@@ -302,9 +299,7 @@ def pairing_gaps(solutions: list[AlcSolution]) -> list[PairGap]:
 
 
 def _inequivalent_ground_energies(shape: WellShape) -> list[float]:
-    p = build_symmetric(shape)
-    window = math.sqrt(shape.increments[-1]) + 2.0
-    return [w.level(0) for w in harmonic_wells(p, window) if w.x > -1e-12]
+    return [w.level(0) for _, w in harmonic_families(build_symmetric(shape))]
 
 
 def tune_maximal_degeneracy(shape: WellShape, tol: float,

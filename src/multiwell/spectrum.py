@@ -1,6 +1,6 @@
 """Low-lying bound states of -lam^2 psi'' + V psi = E psi.
 
-Two routes: closed-form harmonic estimates per well (level spacing
+Two routes: closed-form harmonic estimates per well family (level spacing
 2*lam*sqrt(V''/2)), and a second-order finite-difference discretization on
 a symmetric grid with Dirichlet boundaries, solved by LAPACK bisection on
 the Sturm count plus inverse iteration (scipy's 'stebz' driver).  A
@@ -10,7 +10,9 @@ carries error_estimate, the first-order correction of its O(h^2)
 discretization error (Paine, de Hoog & Anderssen, Computing 26, 123
 (1981)), computed from the eigenvector at no extra solve: energy +
 error_estimate is accurate to O(h^4).  Wavefunctions and region weights
-stay O(h^2).
+stay O(h^2).  Both routes name the wells by one map (harmonic_families);
+classify_levels labels each numerical level by the family that holds most
+of its weight.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from .polynomial import Polynomial
 from .wells import (CriticalPoint, HarmonicWell, critical_points,
-                    harmonic_wells, harmonic_wells_from, stationary_window)
+                    harmonic_wells_from, stationary_window)
 
 __all__ = [
     "SolverConfig", "Eigenpair", "HarmonicSpectrum", "RegionWeight",
     "LabeledLevel", "ConvergenceError", "DomainEstimateError",
-    "central_levels", "off_central_levels", "harmonic_spectrum_n2",
-    "choose_domain", "grid_points_for", "resolve_solver", "solve_numerical",
-    "well_weights", "classify_levels",
+    "harmonic_families", "harmonic_spectrum_n2", "choose_domain",
+    "grid_points_for", "resolve_solver", "solve_numerical", "well_weights",
+    "classify_levels",
 ]
 
 
@@ -120,41 +122,20 @@ class RegionWeight:
 
 @dataclass(frozen=True)
 class LabeledLevel:
-    energy: float
-    family: str          # 'central' | 'offcentral' | 'mixed'
-    index: int | None    # n or m counter within the family
-    label: str           # e.g. 'central-0', 'offcentral-1', 'mixed'
-    w_central: float
+    """A numerical level named by the well family that holds most of its
+    weight (see harmonic_families for the families and their names).
 
-
-def central_levels(p: Polynomial, n_max: int, lam: float = 1.0) -> list[float]:
-    """Harmonic levels V(0) + (2n+1)*lam*sqrt(V''(0)/2) for n = 0..n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be non-negative")
-    slope = p.coeffs[1] if len(p.coeffs) > 1 else 0.0
-    if abs(slope) > 1e-12 * (1.0 + p.magnitude_at(1.0)):
-        raise ValueError("origin is not a stationary point of the potential")
-    curv = 2.0 * p.coeffs[2] if len(p.coeffs) > 2 else 0.0
-    if curv <= 1e-12 * (1.0 + p.magnitude_at(1.0)):
-        raise ValueError("origin is not a well: V''(0) <= 0")
-    omega = math.sqrt(0.5 * curv)
-    v0 = p(0.0)
-    return [v0 + (2 * n + 1) * lam * omega for n in range(n_max + 1)]
-
-
-def off_central_levels(p: Polynomial, well: HarmonicWell, m_max: int,
-                       lam: float = 1.0) -> list[float]:
-    """Doublet estimates v + (2m+1)*lam*sqrt(g) for m = 0..m_max.
-
-    Each value stands for a near-degenerate parity doublet; the leading
-    order cannot resolve the splitting.
+    index counts the family's levels by energy; the two members of a
+    parity doublet of a mirrored family share one index.  label is
+    '<family>-<index>', e.g. 'central-0' or 'offcentral-1'.  w_central is
+    the weight of the central family, 0 when the origin is not a well.
     """
-    if m_max < 0:
-        raise ValueError("m_max must be non-negative")
-    dv = p.derivative()
-    if abs(dv(well.x)) > 1e-6 * (1.0 + dv.magnitude_at(well.x)):
-        raise ValueError(f"x={well.x:.6g} is not a stationary point of p")
-    return [well.level(m, lam) for m in range(m_max + 1)]
+
+    energy: float
+    family: str
+    index: int
+    label: str
+    w_central: float
 
 
 def harmonic_spectrum_n2(alpha: float, beta: float, n_max: int, m_max: int,
@@ -207,26 +188,6 @@ def grid_points_for(half_width: float, step: float) -> int:
 DEFAULT_STEP = 0.005
 
 
-def _harmonic_families(p: Polynomial, levels: int, lam: float):
-    """(central levels or None, [(well, level list) for off-central wells]).
-
-    The off-central wells are listed by x; a well at x < 0 whose mirror
-    at -x is also a well is left out, as the pair shares its levels.
-    """
-    central = None
-    try:
-        central = central_levels(p, levels - 1, lam)
-    except ValueError:
-        pass
-    found = harmonic_wells(p, stationary_window(p))
-    right = [w.x for w in found if w.x > 1e-9]
-    wells = [w for w in found
-             if w.x > 1e-9 or (w.x < -1e-9 and
-                               all(abs(x + w.x) > 1e-9 * x for x in right))]
-    off = [(w, off_central_levels(p, w, levels - 1, lam)) for w in wells]
-    return central, off
-
-
 def resolve_solver(p: Polynomial, num_levels: int, lam: float = 1.0, *,
                    half_width: float | None = None,
                    step: float | None = None) -> SolverConfig:
@@ -240,7 +201,7 @@ def resolve_solver(p: Polynomial, num_levels: int, lam: float = 1.0, *,
     if half_width is None:
         points = critical_points(p, stationary_window(p))
         estimates = [w.level(num_levels - 1, lam)
-                     for w in harmonic_wells_from(p, points)]
+                     for _, w in _family_wells(p, points)]
         if not estimates:
             raise DomainEstimateError("cannot estimate a domain for this "
                                       "potential (no harmonic well); give a "
@@ -363,70 +324,88 @@ def well_weights(pair: Eigenpair, p: Polynomial) -> list[RegionWeight]:
         pair, _region_edges(critical_points(p, float(pair.x[-1]))))
 
 
-def _central_weight(regions: list[RegionWeight]) -> float:
-    for region in regions:
-        if region.contains_origin:
-            return region.weight
-    return 0.0
+def _well_families(p: Polynomial, points: list[CriticalPoint]
+                   ) -> tuple[list[float], list[tuple[str, tuple[int, ...]]]]:
+    """The region edges of p (_region_edges) and its well families, each a
+    name and the indices of its regions, in the order harmonic_families
+    gives."""
+    edges = _region_edges(points)
+    regions = list(zip(edges, edges[1:]))
+    # when V'(0) vanishes to roundoff, the origin is the critical point
+    # nearest 0, whatever the isolation tolerance
+    flat = abs(p.derivative()(0.0)) <= 1e-12 * (1.0 + p.magnitude_at(1.0))
+    origin = min(points, key=lambda cp: abs(cp.x)) if flat and points else None
+
+    def is_central(lo: float, hi: float) -> bool:
+        inside = [cp for cp in points if lo < cp.x < hi and cp.kind != "max"]
+        return bool(inside) and min(inside, key=lambda cp: cp.value) is origin
+
+    def outwards(lo: float, hi: float) -> tuple[int, float]:
+        # maxima between the region and the origin, then x
+        return sum(hi <= x < 0.0 or 0.0 < x <= lo for x in edges[1:-1]), lo
+
+    last = len(regions) - 1
+    if _is_symmetric(p):    # mirror pairs (i, last - i), keyed by the x > 0 one
+        groups = [(i, last - i) if last - i < i else (i,)
+                  for i in range(len(regions) // 2, len(regions))]
+    else:
+        groups = [(i,) for i in range(len(regions))]
+    groups.sort(key=lambda g: outwards(*regions[g[0]]))
+    central = [g for g in groups if len(g) == 1 and is_central(*regions[g[0]])]
+    off = [g for g in groups if g not in central]
+    names = ["offcentral"] if len(off) == 1 else \
+        [f"offcentral{k}" for k in range(len(off))]
+    return edges, [("central", g) for g in central] + list(zip(names, off))
+
+
+def _family_wells(p: Polynomial, points: list[CriticalPoint]
+                  ) -> list[tuple[str, HarmonicWell]]:
+    """harmonic_families, given critical_points(p, window) for a window
+    that holds every stationary point."""
+    edges, families = _well_families(p, points)
+    wells = harmonic_wells_from(p, points)
+    return [(name, w) for name, group in families for w in wells
+            if edges[group[0]] < w.x < edges[group[0] + 1]]
+
+
+def harmonic_families(p: Polynomial) -> list[tuple[str, HarmonicWell]]:
+    """The harmonic well of every well family of p, as (family, well) pairs.
+
+    A family is one region between consecutive maxima of V, or, when p is
+    reflection-symmetric (the test that picks the parity-block solve), a
+    region and its mirror image; a mirror pair is represented by its well
+    at x > 0, and its levels are parity doublets.  The region whose
+    lowest non-maximum critical point is the origin is 'central'.  The
+    other families are ordered from the centre outwards (by the number of
+    maxima between them and x = 0), then by x, and are 'offcentral', or
+    'offcentral0', 'offcentral1', ... when there are several.  The m-th
+    harmonic level of a family is well.level(m, lam).  Raises
+    DegenerateWellError when a stationary point has vanishing curvature.
+    """
+    return _family_wells(p, critical_points(p, stationary_window(p)))
 
 
 def classify_levels(pairs: list[Eigenpair], p: Polynomial) -> list[LabeledLevel]:
-    """Label eigenpairs 'central-n' / 'offcentral-m' by dominant region.
+    """Label each eigenpair by the well family that holds most of its weight.
 
-    Outer parity doublets share one m: consecutive off-central energies
-    closer than 1e-3 of the outer level spacing are grouped.  A state whose
-    central weight sits at 0.5 (tie, typical exactly at a crossing) is
-    labeled 'mixed'.
+    The families and their names are those of harmonic_families.  Within
+    a family the levels are counted by energy; the members of a parity
+    doublet of a mirrored family share one index.
     """
     if not pairs:
         return []
-    lam = pairs[0].lam
-    window = float(pairs[0].x[-1])
-    points = critical_points(p, window)
-    edges = _region_edges(points)
-    weights = [_central_weight(_region_weights(pair, edges)) for pair in pairs]
-    order = sorted(range(len(pairs)), key=lambda i: pairs[i].energy)
-
-    spacing = None
-    try:
-        outer = [w for w in harmonic_wells_from(p, points) if w.x > 1e-9]
-        if outer:
-            spacing = 2.0 * lam * math.sqrt(outer[-1].g)
-    except ValueError:
-        pass
-
-    families: dict[int, str] = {}
-    for i, wc in enumerate(weights):
-        if abs(wc - 0.5) <= 1e-6:
-            families[i] = "mixed"
-        elif wc > 0.5:
-            families[i] = "central"
-        else:
-            families[i] = "offcentral"
-
-    off_sorted = [i for i in order if families[i] == "offcentral"]
-    if spacing is None and len(off_sorted) > 1:
-        gaps = [pairs[b].energy - pairs[a].energy
-                for a, b in zip(off_sorted, off_sorted[1:])]
-        spacing = max(max(gaps), 1.0)
-    labels: dict[int, tuple[str, int | None]] = {}
-    n_counter = 0
-    for i in order:
-        if families[i] == "central":
-            labels[i] = (f"central-{n_counter}", n_counter)
-            n_counter += 1
-        elif families[i] == "mixed":
-            labels[i] = ("mixed", None)
-    m_counter = -1
-    prev_energy = None
-    for i in off_sorted:
-        e = pairs[i].energy
-        if prev_energy is None or spacing is None \
-                or e - prev_energy > 1e-3 * spacing:
-            m_counter += 1
-        labels[i] = (f"offcentral-{m_counter}", m_counter)
-        prev_energy = e
-
-    return [LabeledLevel(pairs[i].energy, families[i], labels[i][1],
-                         labels[i][0], weights[i])
-            for i in range(len(pairs))]
+    edges, families = _well_families(
+        p, critical_points(p, float(pairs[0].x[-1])))
+    counts = [0] * len(families)
+    labeled: list[LabeledLevel | None] = [None] * len(pairs)
+    for i in sorted(range(len(pairs)), key=lambda i: pairs[i].energy):
+        regions = _region_weights(pairs[i], edges)
+        weights = [sum(regions[j].weight for j in group) for _, group in families]
+        k = max(range(len(families)), key=weights.__getitem__)
+        name, group = families[k]
+        index = counts[k] // len(group)
+        counts[k] += 1
+        w_central = weights[0] if families[0][0] == "central" else 0.0
+        labeled[i] = LabeledLevel(pairs[i].energy, name, index,
+                                  f"{name}-{index}", w_central)
+    return labeled

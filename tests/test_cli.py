@@ -154,6 +154,55 @@ class TestSpectrum:
         assert grounds["offcentral0"] < grounds["offcentral1"]
         assert grounds["offcentral0"] == pytest.approx(-13.088, abs=0.2)
 
+    @staticmethod
+    def _compared(capsys, *source):
+        code, out, _ = run_cli(capsys, "spectrum", *source, "--backend",
+                               "numerical", "--levels", "6", "--compare",
+                               "--format", "json")
+        assert code == EXIT_OK
+        return json.loads(out)["levels"]
+
+    def test_compare_names_asymmetric_wells_like_the_harmonic_backend(
+            self, capsys):
+        # x^4 - 8x^2 + 0.5x: the origin is no well; the deeper x = -2.02
+        # well is offcentral0 on both backends
+        levels = self._compared(capsys, "--potential", "1,0,-8,0.5,0")
+        assert [lv["label"] for lv in levels] == [
+            "offcentral0-0", "offcentral1-0", "offcentral0-1",
+            "offcentral1-1", "offcentral0-2", "offcentral1-2"]
+        assert all(lv["w_central"] == 0.0 for lv in levels)
+        assert all(math.isfinite(lv["energy_harmonic"]) for lv in levels)
+        assert levels[0]["diff"] == pytest.approx(-0.130, abs=1e-3)
+
+    def test_compare_matches_each_well_of_a_tilted_sextic(self, capsys):
+        # x^6 + 0.01x^5 - 96x^4 + 2304x^2: the ground state sits in the
+        # deeper left well and is compared with that well, not the right one
+        levels = self._compared(capsys, "--potential", "1,0.01,-96,0,2304,0,0")
+        assert [lv["label"] for lv in levels] == [
+            "offcentral0-0", "central-0", "offcentral0-1", "central-1",
+            "central-2", "offcentral1-0"]
+        assert levels[0]["diff"] == pytest.approx(-0.09, abs=0.01)
+        assert all(abs(lv["diff"]) < 1.0 for lv in levels)
+
+    def test_compare_separates_the_doublets_of_an_n3_shape(self, capsys):
+        # the maximally degenerate N = 3 shape: the outer and the inner
+        # ground doublets lie 25 apart and belong to different families
+        levels = self._compared(capsys, "--shape", "16,53.796,91.598")
+        assert [lv["label"] for lv in levels[:4]] == \
+            ["offcentral1-0"] * 2 + ["offcentral0-0"] * 2
+        assert levels[2]["diff"] == pytest.approx(-0.61, abs=0.01)
+
+    def test_compare_lone_left_well_is_offcentral(self, capsys):
+        # x^4 + 2x: the harmonic backend calls its one well offcentral
+        levels = self._compared(capsys, "--potential", "1,0,0,2,0")
+        assert [lv["label"] for lv in levels] == \
+            [f"offcentral-{i}" for i in range(6)]
+        code, out, _ = run_cli(capsys, "spectrum", "--potential", "1,0,0,2,0",
+                               "--backend", "harmonic", "--format", "json")
+        harmonic = {(lv["family"], lv["index"]): lv["energy"]
+                    for lv in json.loads(out)["levels"]}
+        assert levels[0]["energy_harmonic"] == harmonic[("offcentral", 0)]
+
     def test_numerical_json_carries_error_estimates(self, capsys):
         args = ("spectrum", "--alpha", "4", "--delta", "0",
                 "--backend", "numerical", "--levels", "3")

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from multiwell import crossings
 from multiwell.crossings import (PAIRED_ROWS, REFERENCE_DELTAS_ALPHA4,
-                                 TABLE_PAIRS, AlcQuery, NewtonError,
+                                 TABLE_PAIRS, AlcQuery, LabelsUnresolvedError,
+                                 NewtonError,
                                  asym_locus_cubic, asym_locus_linearized,
                                  crossing_table, left_well_shift, pairing_gaps,
                                  relocalization_scan, solve_crossing, tilt_scan,
@@ -112,6 +113,14 @@ class TestNumericalSearch:
         with pytest.raises(ValueError, match="no crossing"):
             solve_crossing(AlcQuery(0, 0, 4.0, bracket=(0.03, 0.05),
                                     backend="numerical"))
+
+    def test_unsolved_levels_raise_labels_unresolved(self):
+        # one level cannot hold central-3 or doublet 3: the residual has no
+        # sign to give, and the search must say so, not report no crossing
+        cfg = SolverConfig(half_width=10.0, grid_points=2001, num_levels=1)
+        with pytest.raises(LabelsUnresolvedError, match="central-3"):
+            solve_crossing(AlcQuery(3, 3, 4.0, backend="numerical",
+                                    solver=cfg))
 
     def test_ground_pair_takes_few_eigensolves(self, monkeypatch):
         calls = []

@@ -90,3 +90,21 @@ def test_make_density_figures(tmp_path):
     for tag in ("below", "at", "above"):
         svg = (tmp_path / f"density_{tag}.svg").read_text()
         assert svg.startswith("<?xml") and "</svg>" in svg
+
+
+def test_readme_library_tour():
+    # the README's first Python block runs against the current API and
+    # gives the values its comments state
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1]
+    namespace = {}
+    exec(tour.split("```", 1)[0], namespace)
+    assert [family for family, _ in namespace["families"]] == \
+        ["central", "offcentral"]
+    assert namespace["e_central"] == pytest.approx(48.0, abs=1e-9)
+    assert namespace["cfg"].half_width == 9.5
+    assert [lv.label for lv in namespace["levels"][:3]] == \
+        ["central-0", "offcentral-0", "offcentral-0"]
+    assert namespace["harmonic"].delta == pytest.approx(0.0026042, abs=5e-8)
+    assert namespace["numerical"].delta == pytest.approx(0.00260162, abs=5e-9)
+    assert len(namespace["table"]) == 12

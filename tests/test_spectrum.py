@@ -12,12 +12,12 @@ from multiwell import crossings, spectrum, wells
 from multiwell.crossings import AlcQuery, solve_crossing
 from multiwell.polynomial import Polynomial, brent_root, real_roots
 from multiwell.spectrum import (DomainEstimateError, SolverConfig,
-                                central_levels, choose_domain,
-                                classify_levels, grid_points_for,
-                                harmonic_spectrum_n2, off_central_levels,
-                                resolve_solver, solve_numerical, well_weights)
-from multiwell.wells import (HarmonicWell, WellShape, build_symmetric,
-                             critical_points, harmonic_wells, triple_well)
+                                choose_domain, classify_levels,
+                                grid_points_for, harmonic_families,
+                                harmonic_spectrum_n2, resolve_solver,
+                                solve_numerical, well_weights)
+from multiwell.wells import (DegenerateWellError, HarmonicWell, WellShape,
+                             build_symmetric, critical_points, triple_well)
 
 HO = Polynomial([0.0, 0.0, 1.0])  # unit harmonic oscillator x^2
 TRIPLE = build_symmetric(WellShape((16.0, 48.0)))
@@ -42,52 +42,89 @@ class TestSolverConfig:
 
 
 class TestCentralLevels:
+    """The central family of harmonic_families and its levels."""
+
     def test_reference_triple_well(self):
-        assert central_levels(TRIPLE, 2) == pytest.approx([48.0, 144.0, 240.0])
+        family, well = harmonic_families(TRIPLE)[0]
+        assert family == "central"
+        assert [well.level(n) for n in range(3)] == \
+            pytest.approx([48.0, 144.0, 240.0])
 
     def test_unit_well(self):
-        assert central_levels(HO, 0) == pytest.approx([1.0])
+        [(family, well)] = harmonic_families(HO)
+        assert family == "central"
+        assert well.level(0) == pytest.approx(1.0)
 
     def test_lambda_scales_spacing(self):
-        levels = central_levels(TRIPLE, 1, lam=2.0)
-        assert levels[1] - levels[0] == pytest.approx(4.0 * 48.0)
+        well = harmonic_families(TRIPLE)[0][1]
+        assert well.level(1, lam=2.0) - well.level(0, lam=2.0) == \
+            pytest.approx(4.0 * 48.0)
 
     def test_origin_not_a_well(self):
-        with pytest.raises(ValueError, match="not a well"):
-            central_levels(Polynomial([0.0, 0.0, 0.0, 0.0, 1.0]), 0)
+        # x^4: the origin is a degenerate minimum, refused like any other
+        with pytest.raises(DegenerateWellError, match="degenerate"):
+            harmonic_families(Polynomial([0.0, 0.0, 0.0, 0.0, 1.0]))
+        assert issubclass(DegenerateWellError, ValueError)
 
     def test_origin_not_stationary(self):
-        with pytest.raises(ValueError, match="stationary"):
-            central_levels(Polynomial([0.0, 1.0, 1.0]), 0)
+        # x + x^2: the only well is at x = -0.5, so nothing is central
+        [(family, well)] = harmonic_families(Polynomial([0.0, 1.0, 1.0]))
+        assert family == "offcentral"
+        assert well.x == pytest.approx(-0.5, abs=1e-12)
 
 
 class TestOffCentralLevels:
+    """The off-central families of harmonic_families and HarmonicWell.level."""
+
     def test_reference_doublets(self):
-        well = HarmonicWell(x=math.sqrt(48.0), v=0.0, g=9216.0)
-        assert off_central_levels(TRIPLE, well, 1) == pytest.approx([96.0, 288.0])
+        family, well = harmonic_families(TRIPLE)[1]
+        assert family == "offcentral"
+        assert well.x == pytest.approx(math.sqrt(48.0), rel=1e-12)
+        assert [well.level(m) for m in range(2)] == pytest.approx([96.0, 288.0])
 
     def test_plain_arithmetic(self):
         # v=-5, g=4 -> -5 + (2m+1)*2 = {-3, 1}
-        p = Polynomial([-5.0, 0.0, 4.0, 0.0, 0.0, 0.0, 0.1])
         well = HarmonicWell(x=0.0, v=-5.0, g=4.0)
-        assert off_central_levels(p, well, 1) == pytest.approx([-3.0, 1.0])
+        assert [well.level(m) for m in range(2)] == pytest.approx([-3.0, 1.0])
 
     def test_ground_state_closed_form(self):
         # v + sqrt(g) at the outer well equals
         # a^6 + 1.5 a^4 b^2 - 0.5 b^6 + sqrt(6 a^2 b^2 + 6 b^4)
         for alpha, beta in ((3.0, 4.0), (4.0, math.sqrt(32.0)), (2.5, 3.5)):
             p = build_symmetric(WellShape.from_widths(alpha, beta))
-            outer = harmonic_wells(p, math.sqrt(alpha**2 + beta**2) + 2.0)[-1]
+            family, outer = harmonic_families(p)[-1]
+            assert family == "offcentral"
             a2, b2 = alpha**2, beta**2
             want = (a2**3 + 1.5 * a2**2 * b2 - 0.5 * b2**3
                     + math.sqrt(6.0 * a2 * b2 + 6.0 * b2 * b2))
-            assert off_central_levels(p, outer, 0)[0] == \
-                pytest.approx(want, rel=1e-9)
+            assert outer.level(0) == pytest.approx(want, rel=1e-9)
 
-    def test_foreign_well_rejected(self):
-        well = HarmonicWell(x=1.0, v=0.0, g=1.0)
-        with pytest.raises(ValueError, match="stationary"):
-            off_central_levels(TRIPLE, well, 0)
+    def test_mirror_pairs_ordered_outwards(self):
+        # shape (16, 48, 96): the origin is a maximum, and the wells at +-4
+        # and +-sqrt(96) are two mirrored families, the inner one first
+        families = harmonic_families(build_symmetric(WellShape((16.0, 48.0,
+                                                                96.0))))
+        assert [family for family, _ in families] == \
+            ["offcentral0", "offcentral1"]
+        assert [w.x for _, w in families] == \
+            pytest.approx([4.0, math.sqrt(96.0)], rel=1e-12)
+
+    def test_asymmetric_wells_each_form_a_family(self):
+        # x^4 - 8x^2 + 0.5x: the well whose region holds the origin first;
+        # the mirror image of the potential mirrors the names
+        for tilt, sign in ((0.5, -1.0), (-0.5, 1.0)):
+            families = harmonic_families(Polynomial([0.0, tilt, -8.0, 0.0, 1.0]))
+            assert [family for family, _ in families] == \
+                ["offcentral0", "offcentral1"]
+            assert sign * families[0][1].x > 0.0 > sign * families[1][1].x
+
+    def test_large_root_window_keeps_the_origin_central(self):
+        # 1e4 x^2 + x^3 + x^4: the stationary window is about 5000, yet the
+        # origin well is found and is central
+        [(family, well)] = harmonic_families(Polynomial([0.0, 0.0, 1e4, 1.0,
+                                                         1.0]))
+        assert family == "central"
+        assert abs(well.x) < 1e-15
 
 
 class TestHarmonicSpectrumN2:
@@ -332,6 +369,29 @@ def test_parity_and_weights_at_numerical_crossing(alpha):
             assert abs(total - 1.0) <= 1e-9
 
 
+@settings(max_examples=15, deadline=None)
+@given(st.floats(3.5, 6.0), st.floats(-0.01, 0.01))
+def test_numerical_labels_name_harmonic_families(alpha, offset):
+    # near the (0, 0) crossing every label names a family of
+    # harmonic_families, and an index of a mirrored family holds at most
+    # one even and one odd level: one parity doublet
+    delta = solve_crossing(AlcQuery(0, 0, alpha)).delta + offset
+    p = triple_well(alpha, delta)
+    families = harmonic_families(p)
+    mirrored = {family for family, well in families if well.x > 0.0}
+    pairs = solve_numerical(p, resolve_solver(p, 8, step=0.01))
+    seen = set()
+    for level, pair in zip(classify_levels(pairs, p), pairs, strict=True):
+        assert level.family in {family for family, _ in families}
+        assert level.label == f"{level.family}-{level.index}"
+        if level.family in mirrored:
+            flipped = pair.psi[::-1]
+            even = np.max(np.abs(pair.psi - flipped)) \
+                < np.max(np.abs(pair.psi + flipped))
+            assert (level.family, level.index, even) not in seen
+            seen.add((level.family, level.index, even))
+
+
 class TestWellWeights:
     def test_single_well_single_region(self):
         p = Polynomial([0.0, 0.0, 1.0, 0.0, 1.0])
@@ -394,6 +454,5 @@ class TestClassifyLevels:
         monkeypatch.setattr(spectrum, "critical_points", counting)
         labeled = classify_levels(pairs, p)
         assert calls == [9.0]
-        # the outer spacing still comes from the polished outer minimum
         assert [lv.label for lv in labeled] == \
             ["central-0", "offcentral-0", "offcentral-0", "central-1"]
