@@ -437,6 +437,17 @@ def left_well_shift(alpha: float, beta: float,
     return depth, curvature
 
 
+def _lattice(name: str, value_range: tuple[float, float],
+             steps: int) -> list[float]:
+    """steps >= 3 evenly spaced values from lo to hi, lo < hi."""
+    if steps < 3:
+        raise ValueError("steps must be at least 3")
+    lo, hi = value_range
+    if not (lo < hi):
+        raise ValueError(f"{name} range must satisfy lo < hi")
+    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+
+
 def _scan_point(args: tuple[float, float, SolverConfig]) -> ScanRow:
     alpha, delta, cfg = args
     p = triple_well(alpha, delta)
@@ -457,13 +468,7 @@ def relocalization_scan(alpha: float, delta_range: tuple[float, float],
     Lattice points are independent; jobs > 1 distributes them over
     processes and merges in lattice order.
     """
-    if steps < 3:
-        raise ValueError("steps must be at least 3")
-    lo, hi = delta_range
-    if not (lo < hi):
-        raise ValueError("delta range must satisfy lo < hi")
-    deltas = [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
-    tasks = [(alpha, d, cfg) for d in deltas]
+    tasks = [(alpha, d, cfg) for d in _lattice("delta", delta_range, steps)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_point, tasks))
@@ -486,12 +491,8 @@ def tilt_scan(s1: float, tilt_range: tuple[float, float], steps: int,
     response to the tilt b is smooth at any lattice resolution, with no
     abrupt weight jump.
     """
-    if steps < 3:
-        raise ValueError("steps must be at least 3")
-    lo, hi = tilt_range
     rows = []
-    for i in range(steps):
-        b = lo + (hi - lo) * i / (steps - 1)
+    for b in _lattice("tilt", tilt_range, steps):
         ground = solve_numerical(tilted_double_well(s1, b), cfg)[0]
         w_left = _region_weights(ground, [-math.inf, 0.0, math.inf])[0].weight
         rows.append(TiltRow(b, ground.energy, w_left, 1.0 - w_left))

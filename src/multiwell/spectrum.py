@@ -309,9 +309,15 @@ def _region_edges(points: list[CriticalPoint]) -> list[float]:
 
 
 def _region_weights(pair: Eigenpair, edges: list[float]) -> list[RegionWeight]:
+    """Weights between consecutive ascending edges, one slice each; a grid
+    point exactly on an edge counts half to each side."""
     rho = pair.psi ** 2 * pair.h
-    return [RegionWeight(lo, hi, float(rho[(pair.x >= lo) & (pair.x < hi)].sum()))
-            for lo, hi in zip(edges, edges[1:])]
+    first = np.searchsorted(pair.x, edges, side="left")
+    past = np.searchsorted(pair.x, edges, side="right")
+    half = [0.5 * rho[a:b].sum() for a, b in zip(first, past)]
+    return [RegionWeight(edges[j], edges[j + 1], float(
+        rho[past[j]:first[j + 1]].sum() + half[j] + half[j + 1]))
+        for j in range(len(edges) - 1)]
 
 
 def well_weights(pair: Eigenpair, p: Polynomial) -> list[RegionWeight]:
@@ -360,8 +366,7 @@ def _well_families(p: Polynomial, points: list[CriticalPoint]
 
 def _family_wells(p: Polynomial, points: list[CriticalPoint]
                   ) -> list[tuple[str, HarmonicWell]]:
-    """harmonic_families, given critical_points(p, window) for a window
-    that holds every stationary point."""
+    """harmonic_families, given critical_points(p, window)."""
     edges, families = _well_families(p, points)
     wells = harmonic_wells_from(p, points)
     return [(name, w) for name, group in families for w in wells

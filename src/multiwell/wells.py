@@ -212,27 +212,10 @@ def closed_form_n3(alpha: float, beta: float, gamma: float) -> QuadWellForms:
     return QuadWellForms(a, c, f, inner_value, inner_curv, outer_value, outer_curv)
 
 
-def _check_monotone_beyond(dv: Polynomial, window: float) -> None:
-    """The derivative must keep one strict sign on a probe band outside the window."""
-    band_lo = window * (1.0 + 1e-9)
-    band_hi = 1.25 * window + 1.0
-    samples = 64
-    for side in (1.0, -1.0):
-        sign = 0.0
-        for i in range(samples):
-            x = side * (band_lo + (band_hi - band_lo) * i / (samples - 1))
-            v = dv(x)
-            if v == 0.0 or (sign != 0.0 and (v < 0.0) != (sign < 0.0)):
-                raise ValueError(
-                    f"window={window:g} too small: derivative changes sign near "
-                    f"x={x:.6g}; enlarge the window past the outermost stationary point")
-            sign = v
-
-
 def stationary_window(p: Polynomial) -> float:
-    """Half-width that encloses every real stationary point of p with a
-    margin of 1: the Cauchy bound on the roots of V', plus 1 (3 when V' is
-    constant)."""
+    """The Cauchy bound on the roots of V', plus 1 (3 when V' is constant):
+    every real stationary point lies inside it with a margin of 1, and
+    critical_points isolates on it whatever window its caller gives."""
     dv = p.derivative()
     if dv.degree < 1:
         return 3.0
@@ -240,23 +223,31 @@ def stationary_window(p: Polynomial) -> float:
 
 
 def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
-    """All stationary points of p in [-window, window], classified and sorted.
+    """All stationary points of p, classified and sorted.
 
+    The roots of V' are isolated on the Cauchy bound stationary_window(p),
+    so none is missed; one beyond +-window by more than the tolerance
+    1e-11 * max(1, window) raises ValueError naming the outermost.
     Points where |V''| falls below 1e-9 of its local term magnitude are
     flagged 'degenerate' rather than classified; cusp-like shapes produce
-    them legitimately.  Requires V monotone beyond +-window (checked on a
-    probe band).
+    them legitimately.
     """
     if not (window > 0.0):
         raise ValueError("window must be positive")
     dv = p.derivative()
     if dv.is_zero:
         raise ValueError("constant potential has no stationary structure")
-    _check_monotone_beyond(dv, window)
     ddv = dv.derivative()
     tol = 1e-11 * max(1.0, window)
+    bound = stationary_window(p)
+    roots = real_roots(dv, -bound, bound, tol=tol)
+    outside = [r.x for r in roots if abs(r.x) > window + tol]
+    if outside:
+        raise ValueError(f"window={window:g} too small: stationary point at "
+                         f"x={max(outside, key=abs):.6g} lies outside; "
+                         "enlarge the window past it")
     points = []
-    for root in real_roots(dv, -window, window, tol=tol):
+    for root in roots:
         curv = ddv(root.x)
         thr = 1e-9 * (1.0 + ddv.magnitude_at(root.x))
         if root.flagged or abs(curv) <= thr:
@@ -270,7 +261,8 @@ def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
 
 
 def harmonic_wells(p: Polynomial, window: float) -> list[HarmonicWell]:
-    """One HarmonicWell per non-degenerate minimum in [-window, window].
+    """One HarmonicWell per non-degenerate minimum of p; critical_points
+    raises when a stationary point lies beyond +-window.
 
     Minimum locations are polished to machine precision (a few Newton
     steps on V'; the curvature is safely nonzero here), so v and g are
@@ -342,14 +334,12 @@ def perturbed_extrema_n2(alpha: float, beta: float, epsilon: float) -> Perturbed
     correction = (b2 + 4.0 * alpha * alpha) / (32.0 * alpha * b2 ** 3)
     tilted = build_symmetric(WellShape.from_widths(alpha, beta)) \
         + Polynomial.monomial(3, epsilon)
-    window = math.sqrt(alpha * alpha + b2) + 2.0
-    roots = real_roots(tilted.derivative(), -window, window,
-                       tol=1e-11 * max(1.0, window))
-    if len(roots) != 5:
+    points = critical_points(tilted, math.sqrt(alpha * alpha + b2) + 2.0)
+    if len(points) != 5:
         raise ValueError(
-            f"expected 5 stationary points, found {len(roots)}; "
+            f"expected 5 stationary points, found {len(points)}; "
             "extrema may have merged (epsilon too large for this shape)")
     return PerturbedExtrema(
         epsilon=epsilon, p2=lead, q2=lead, u2=lead, v2=lead,
         u2_correction=correction,
-        stationary_points=tuple(r.x for r in roots))
+        stationary_points=tuple(cp.x for cp in points))

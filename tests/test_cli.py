@@ -216,6 +216,16 @@ class TestSpectrum:
         assert out.splitlines()[0] == \
             "label,family,index,energy,w_central,w_outer"
 
+    def test_grid_short_of_the_outer_wells_exits_2(self, capsys):
+        # the outer minima sit at x = +-sqrt(48) = +-6.9282, off the grid
+        # [-2, 2], so no level can be labelled by well
+        code, out, err = run_cli(capsys, "spectrum", "--alpha", "4",
+                                 "--delta", "0", "--backend", "numerical",
+                                 "--levels", "3", "--half-width", "2")
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        assert "6.9282" in err and "window=2 too small" in err
+
     def test_numeric_failure_exit_code(self, capsys):
         # degenerate quartic: harmonic backend has no non-degenerate wells
         code, _, err = run_cli(capsys, "spectrum", "--potential", "1,0,0,0,0",

@@ -419,3 +419,19 @@ class TestTiltScan:
         assert weights[-1] - weights[0] > 0.5
         mid = weights[len(weights) // 2]
         assert mid == pytest.approx(0.5, abs=0.02)
+
+    def test_grid_point_on_the_edge_counts_half_to_each_side(self):
+        # x = 0 is a grid point: half of psi(0)^2 h goes to each side, so
+        # w_left(0) = 1/2 and the mirror b -> -b swaps the weights
+        cfg = SolverConfig(half_width=6.0, grid_points=1201, num_levels=1)
+        rows = tilt_scan(2.0, (-0.5, 0.5), 5, cfg)
+        assert rows[2].tilt == 0.0
+        assert rows[2].w_left == pytest.approx(0.5, abs=1e-9)
+        for row, mirror in zip(rows, reversed(rows)):
+            assert row.w_left == pytest.approx(mirror.w_right, abs=1e-9)
+
+    @pytest.mark.parametrize("tilt_range", [(0.5, -0.5), (0.2, 0.2)])
+    def test_empty_tilt_range_rejected(self, tilt_range):
+        cfg = SolverConfig(half_width=6.0, grid_points=601, num_levels=1)
+        with pytest.raises(ValueError, match="lo < hi"):
+            tilt_scan(2.0, tilt_range, 5, cfg)

@@ -1,12 +1,16 @@
 """Smoke tests for the runnable experiment scripts."""
 
+import contextlib
+import io
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from multiwell.cli import main
 from multiwell.spectrum import resolve_solver
 from multiwell.wells import triple_well
 
@@ -108,3 +112,26 @@ def test_readme_library_tour():
     assert namespace["harmonic"].delta == pytest.approx(0.0026042, abs=5e-8)
     assert namespace["numerical"].delta == pytest.approx(0.00260162, abs=5e-9)
     assert len(namespace["table"]) == 12
+
+
+def test_readme_command_line(tmp_path):
+    # every command of the README's "Command line" block exits 0; sweep is
+    # left out (it needs a config file), and files are written to tmp_path
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```\n", 2)[1]
+    ran = []
+    for line in block.replace("\\\n", " ").splitlines():
+        prog, command, *options = shlex.split(line, comments=True)
+        assert prog == "multiwell"
+        if command == "sweep":
+            continue
+        if "--output" in options:
+            i = options.index("--output") + 1
+            options[i] = str(tmp_path / options[i])
+            assert not Path(options[i]).exists()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, *options]) == 0, line
+        if "--output" in options:
+            assert Path(options[i]).stat().st_size > 0
+        ran.append(command)
+    assert len(ran) >= 5

@@ -418,6 +418,23 @@ class TestWellWeights:
         # symmetric doublet: equal split
         assert outer[0].weight == pytest.approx(outer[1].weight, abs=0.06)
 
+    def test_slices_match_masks(self):
+        # reference: one boolean mask per region, edge points counted half;
+        # edges 2 and 3 are grid points, the others fall between them
+        p = triple_well(4.0, delta=0.0026)
+        cfg = SolverConfig(half_width=9.0, grid_points=1801, num_levels=4)
+        edges = [-math.inf, -4.0001, 2.0, 3.0, 4.0001, math.inf]
+        for pair in solve_numerical(p, cfg):
+            rho = pair.psi ** 2 * pair.h
+            x = pair.x
+            assert 2.0 in x and 3.0 in x
+            expected = [rho[(x > lo) & (x < hi)].sum()
+                        + 0.5 * rho[(x == lo) | (x == hi)].sum()
+                        for lo, hi in zip(edges, edges[1:])]
+            got = [r.weight for r in spectrum._region_weights(pair, edges)]
+            assert got == pytest.approx(expected, abs=1e-15)
+            assert got[0] == expected[0] and got[-1] == expected[-1]
+
 
 class TestClassifyLevels:
     def test_below_crossing_ground_is_central(self):

@@ -181,6 +181,37 @@ class TestCriticalPoints:
         with pytest.raises(ValueError, match="window"):
             critical_points(p, 3.0)  # stationary points at 4 and sqrt(48) outside
 
+    def test_point_far_beyond_the_window_raises(self):
+        # stationary points at 0, +-3 and +-20: the pair at +-20 lies twice
+        # as far out as the window
+        p = build_symmetric(WellShape((9.0, 400.0)))
+        with pytest.raises(ValueError, match="window"):
+            critical_points(p, 10.0)
+        with pytest.raises(ValueError, match="window"):
+            harmonic_wells(p, 10.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(first=st.floats(0.25, 30.0),
+           gaps=st.lists(st.floats(0.25, 30.0), max_size=2),
+           margin=st.floats(0.0, 20.0), short=st.floats(1e-6, 1.0))
+    def test_every_stationary_point_or_a_window_error(self, first, gaps,
+                                                      margin, short):
+        # V' = (2N+2) x prod (x^2 - s_k): 2N+1 stationary points, at 0 and
+        # +-sqrt(s_k), whatever window holds them all
+        increments = [first]
+        for gap in gaps:
+            increments.append(increments[-1] + gap)
+        p = build_symmetric(WellShape(tuple(increments)))
+        radii = [math.sqrt(s) for s in increments]
+        window = radii[-1] + margin
+        xs = [c.x for c in critical_points(p, window)]
+        expected = sorted([-r for r in radii] + [0.0] + radii)
+        assert xs == pytest.approx(expected, abs=1e-11 * max(1.0, window))
+        tight = radii[-1] - 1e-6 - short * radii[-1]
+        if tight > 0.0:
+            with pytest.raises(ValueError, match="window"):
+                critical_points(p, tight)
+
     def test_sorted_ascending(self):
         p = build_symmetric(WellShape((1.0, 2.0, 3.0)))
         xs = [c.x for c in critical_points(p, 4.0)]
