@@ -15,7 +15,9 @@ delta = -2*eps/(sqrt(3)*alpha^3).
 The numerical backend equates the levels' corrected energies, energy +
 error_estimate, which are accurate to O(h^4); that lets its default grid
 use the step CROSSING_STEP = 0.01, twice the default of the wavefunction
-consumers (sweeps, densities, spectra).
+consumers (sweeps, densities, spectra).  V is linear in delta, so each
+level's exact slope is a Hellmann-Feynman sum over its eigenvector; Newton's
+method on it from the harmonic root takes about two eigensolves.
 """
 
 from __future__ import annotations
@@ -186,26 +188,52 @@ def _default_numeric_config(q: AlcQuery) -> SolverConfig:
                           2 * (q.m + 1) + q.n + 3, step=CROSSING_STEP)
 
 
-def _numeric_residual(delta: float, q: AlcQuery, cfg: SolverConfig) -> float:
-    """Mean corrected energy of doublet m minus corrected central level n."""
+def _numeric_residual(delta: float, q: AlcQuery,
+                      cfg: SolverConfig) -> tuple[float, float]:
+    """Mean corrected energy of doublet m minus corrected central level n,
+    and its delta-slope from the Hellmann-Feynman slopes sum psi^2 dV h of
+    the grid energies, dV/ddelta = alpha^2 (3 alpha^2 x^2 - 1.5 x^4) exactly
+    (the slope leaves out d(error_estimate)/ddelta; nan when r is +-inf)."""
     p = triple_well(q.alpha, delta)
     pairs = solve_numerical(p, cfg)
     labeled = classify_levels(pairs, p)
-    corrected = [(lv.label, pair.energy + pair.error_estimate)
-                 for lv, pair in zip(labeled, pairs)]
-    central = [e for label, e in corrected if label == f"central-{q.n}"]
-    doublet = [e for label, e in corrected if label == f"offcentral-{q.m}"]
-    if central and doublet:
-        return sum(doublet) / len(doublet) - central[0]
+    a2, x2 = q.alpha * q.alpha, pairs[0].x ** 2
+    dv = a2 * x2 * (3.0 * a2 - 1.5 * x2)
+    central, doublet = ([(pair.energy + pair.error_estimate,
+                          float(pair.psi ** 2 @ dv) * pair.h)
+                         for lv, pair in zip(labeled, pairs) if lv.label == name]
+                        for name in (f"central-{q.n}", f"offcentral-{q.m}"))
+    if central and doublet:  # (energy, slope) of the doublet mean - central
+        return tuple(sum(v) / len(doublet) - c
+                     for v, c in zip(zip(*doublet), central[0]))
     # a family missing from the solved window still fixes the residual sign:
     # the absent level lies above every computed one
     if central:
-        return math.inf
+        return math.inf, math.nan
     if doublet:
-        return -math.inf
+        return -math.inf, math.nan
     raise LabelsUnresolvedError(
         f"labels unresolved at delta={delta:.8g}: neither central-{q.n} nor "
         f"offcentral-{q.m} found in {[lv.label for lv in labeled]}")
+
+
+def _newton(f, x: float, a: float, b: float,
+            tol: float) -> tuple[float, float] | None:
+    """Newton's method on f(x) -> (r, dr/dx) from x in [a, b]: (x, r) at the
+    first step of at most tol (the rtsafe stopping rule, Numerical Recipes
+    9.4), else None once a step leaves [a, b], r or the slope is not finite
+    or the slope is 0, or after six evaluations."""
+    for _ in range(6):
+        r, slope = f(x)
+        if not (math.isfinite(r) and math.isfinite(slope)) or slope == 0.0:
+            return None
+        step = r / slope
+        if abs(step) <= tol:
+            return x, r
+        x -= step
+        if not a <= x <= b:
+            return None
+    return None
 
 
 def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
@@ -214,26 +242,27 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     Both backends locate the sign change of the closed-form harmonic
     residual on a 33-point lattice of the bracket; if several appear
     (should not happen, the residual is monotone in the default bracket)
-    the cell nearest zero is taken and a warning is emitted.  Both then
-    refine their own residual by Brent's method from the first candidate
-    bracket whose ends differ in sign.  The backend sets only the residual,
-    the candidates and what `evaluations` counts:
+    the cell nearest zero is taken and a warning is emitted.
 
-    - harmonic: the closed form; the cell; every closed-form evaluation,
-      the lattice included.
-    - numerical: the corrected energies on q.solver, or else on the grid
-      resolve_solver gives the bracket's widest triple well (delta at the
-      upper end) at step CROSSING_STEP; the cell widened by its own width
-      on each side (clipped to q.bracket), then q.bracket; the eigensolves,
-      a handful per solve.  A root outside the widened cell draws a
-      warning.
+    Brent's method refines the closed form in that cell: the harmonic
+    solution, whose evaluations count every closed-form evaluation, the
+    lattice included.  The numerical backend uses the corrected energies
+    on q.solver, or else on the grid resolve_solver gives the bracket's
+    widest triple well (delta at the upper end) at step CROSSING_STEP, and
+    counts eigensolves.  Newton's method, with the residual's
+    Hellmann-Feynman slope, runs from the harmonic root within the cell
+    widened by its own width on each side (clipped to q.bracket): about
+    two eigensolves.  Without a cell, or when Newton fails (_newton),
+    Brent's method takes over from the first of that widened cell and
+    q.bracket whose ends differ in sign; a root outside the widened cell
+    draws a warning.
 
     Raises ValueError when no candidate brackets a crossing.
     """
     evaluations = 0
 
     def counted(f):
-        def wrapped(d: float) -> float:
+        def wrapped(d: float):
             nonlocal evaluations
             evaluations += 1
             return f(d)
@@ -247,12 +276,12 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
         cells.sort(key=lambda iv: abs(0.5 * (iv[0] + iv[1])))
     cell = cells[0][:2] if cells else None
     lo, hi = q.bracket
-    if q.backend == "harmonic":
-        residual = harmonic
-        candidates = [cell] if cell is not None else []
-    else:
+    solved, candidates = None, []
+    if cell is not None:
+        solved = brent_root(harmonic, *cell, harmonic(cell[0]),
+                            harmonic(cell[1]), delta_tol)
+    if q.backend == "numerical":
         cfg = q.solver if q.solver is not None else _default_numeric_config(q)
-        residual = counted(lambda d: _numeric_residual(d, q, cfg))
         evaluations = 0  # from here on, eigensolves only
         candidates = [(lo, hi)]
         if cell is not None:
@@ -260,18 +289,23 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
             near = (max(lo, cell[0] - width), min(hi, cell[1] + width))
             if near != (lo, hi):
                 candidates.insert(0, near)
-    for a, b in candidates:
-        fa, fb = residual(a), residual(b)
-        if fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0):
-            break
-    else:
-        raise ValueError(
-            f"no crossing in bracket [{lo:g}, {hi:g}] for (m={q.m}, n={q.n})")
-    delta, value = brent_root(residual, a, b, fa, fb, delta_tol)
-    if cell is not None and not candidates[0][0] <= delta <= candidates[0][1]:
-        warnings.warn(f"{q.backend} root delta={delta:.8g} lies outside the "
-                      f"widened harmonic cell [{candidates[0][0]:.8g}, "
-                      f"{candidates[0][1]:.8g}]", stacklevel=2)
+            solved = _newton(counted(lambda d: _numeric_residual(d, q, cfg)),
+                             solved[0], *near, delta_tol)
+        residual = counted(lambda d: _numeric_residual(d, q, cfg)[0])
+    if solved is None:
+        for a, b in candidates:
+            fa, fb = residual(a), residual(b)
+            if fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0):
+                break
+        else:
+            raise ValueError(f"no crossing in bracket [{lo:g}, {hi:g}] for "
+                             f"(m={q.m}, n={q.n})")
+        solved = brent_root(residual, a, b, fa, fb, delta_tol)
+        if cell is not None and not near[0] <= solved[0] <= near[1]:
+            warnings.warn(f"{q.backend} root delta={solved[0]:.8g} lies outside"
+                          f" the widened harmonic cell [{near[0]:.8g}, "
+                          f"{near[1]:.8g}]", stacklevel=2)
+    delta, value = solved
     return AlcSolution(q.m, q.n, delta, mu=math.sqrt(2.0 + delta),
                        beta=q.alpha * math.sqrt(2.0 + delta),
                        residual=value, backend=q.backend,

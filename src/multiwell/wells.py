@@ -230,7 +230,10 @@ def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
     1e-11 * max(1, window) raises ValueError naming the outermost.
     Points where |V''| falls below 1e-9 of its local term magnitude are
     flagged 'degenerate' rather than classified; cusp-like shapes produce
-    them legitimately.
+    them legitimately.  Every other point is polished by three Newton
+    steps on V' (its curvature is safely nonzero), so x, value and
+    curvature are good to full precision, and region edges at maxima sit
+    on the root.
     """
     if not (window > 0.0):
         raise ValueError("window must be positive")
@@ -248,15 +251,16 @@ def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
                          "enlarge the window past it")
     points = []
     for root in roots:
-        curv = ddv(root.x)
-        thr = 1e-9 * (1.0 + ddv.magnitude_at(root.x))
-        if root.flagged or abs(curv) <= thr:
+        x = root.x
+        curv = ddv(x)
+        if root.flagged or abs(curv) <= 1e-9 * (1.0 + ddv.magnitude_at(x)):
             kind = "degenerate"
-        elif curv > 0.0:
-            kind = "min"
         else:
-            kind = "max"
-        points.append(CriticalPoint(root.x, p(root.x), curv, kind))
+            kind = "min" if curv > 0.0 else "max"
+            for _ in range(3):
+                x -= dv(x) / ddv(x)
+            curv = ddv(x)
+        points.append(CriticalPoint(x, p(x), curv, kind))
     return points
 
 
@@ -264,9 +268,8 @@ def harmonic_wells(p: Polynomial, window: float) -> list[HarmonicWell]:
     """One HarmonicWell per non-degenerate minimum of p; critical_points
     raises when a stationary point lies beyond +-window.
 
-    Minimum locations are polished to machine precision (a few Newton
-    steps on V'; the curvature is safely nonzero here), so v and g are
-    good to full precision.  Raises DegenerateWellError when any
+    critical_points polishes the minima to machine precision, so x, v and
+    g are good to full precision.  Raises DegenerateWellError when any
     stationary point has vanishing curvature: the harmonic model is
     refused there.
     """
@@ -276,20 +279,13 @@ def harmonic_wells(p: Polynomial, window: float) -> list[HarmonicWell]:
 def harmonic_wells_from(p: Polynomial,
                         points: list[CriticalPoint]) -> list[HarmonicWell]:
     """harmonic_wells from an already computed critical_points(p, window)."""
-    dv = p.derivative()
-    ddv = dv.derivative()
-    wells = []
     for cp in points:
         if cp.kind == "degenerate":
             raise DegenerateWellError(
                 f"degenerate stationary point at x={cp.x:.6g} "
                 "(|V''| below tolerance); harmonic approximation refused")
-        if cp.kind == "min":
-            x = cp.x
-            for _ in range(3):
-                x -= dv(x) / ddv(x)
-            wells.append(HarmonicWell(x=x, v=p(x), g=0.5 * ddv(x)))
-    return wells
+    return [HarmonicWell(x=cp.x, v=cp.value, g=0.5 * cp.curvature)
+            for cp in points if cp.kind == "min"]
 
 
 def tilted_well_minimum(f: float, g: float, x: float,

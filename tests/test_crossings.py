@@ -16,7 +16,7 @@ from multiwell.crossings import (PAIRED_ROWS, REFERENCE_DELTAS_ALPHA4,
                                  crossing_table, left_well_shift, pairing_gaps,
                                  relocalization_scan, solve_crossing, tilt_scan,
                                  tune_maximal_degeneracy)
-from multiwell.polynomial import Polynomial
+from multiwell.polynomial import Polynomial, bracket_scan, brent_root
 from multiwell.spectrum import (SolverConfig, classify_levels, solve_numerical,
                                 well_weights)
 from multiwell.wells import (PerturbationRangeError, WellShape, build_symmetric,
@@ -103,7 +103,7 @@ class TestNumericalSearch:
         # makes that safe at alpha = 4
         q = AlcQuery(m, n, 4.0, backend="numerical")
         cfg = crossings._default_numeric_config(q)
-        values = [crossings._numeric_residual(-0.05 + 0.1 * i / 8, q, cfg)
+        values = [crossings._numeric_residual(-0.05 + 0.1 * i / 8, q, cfg)[0]
                   for i in range(9)]
         changes = sum((a < 0.0) != (b < 0.0) for a, b in zip(values, values[1:]))
         assert changes == 1
@@ -129,11 +129,55 @@ class TestNumericalSearch:
             return solve_numerical(p, cfg)
         monkeypatch.setattr(crossings, "solve_numerical", counting)
         sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
-        assert len(calls) <= 8
+        assert len(calls) <= 3
         assert sol.evaluations == len(calls)
         # the corrected energies put delta at the converged value, not at
         # the O(h^2)-shifted crossing of the raw grid energies
         assert sol.delta == pytest.approx(2.601628516e-3, abs=1e-8)
+
+    @pytest.mark.parametrize("m,n,alpha", [(0, 0, 4.0), (3, 3, 3.5), (1, 3, 6.0)])
+    def test_hellmann_feynman_slope_matches_central_difference(self, m, n,
+                                                               alpha):
+        q = AlcQuery(m, n, alpha, backend="numerical")
+        cfg = crossings._default_numeric_config(q)
+        delta = solve_crossing(q).delta
+        _, slope = crossings._numeric_residual(delta, q, cfg)
+        h = 1e-5
+        up, down = (crossings._numeric_residual(delta + s, q, cfg)[0]
+                    for s in (h, -h))
+        difference = (up - down) / (2 * h)
+        assert slope == pytest.approx(difference, rel=1e-3)
+
+    def test_newton_agrees_with_brent_on_every_table_pair(self):
+        # the same residual refined by Brent's method over the candidate
+        # bracket solve_crossing would fall back to
+        tol = 1e-8
+        for m, n in TABLE_PAIRS:
+            q = AlcQuery(m, n, 4.0, backend="numerical")
+            cfg = crossings._default_numeric_config(q)
+            a, b, _ = bracket_scan(
+                lambda d: crossings._harmonic_residual(d, m, n, 4.0),
+                -0.05, 0.05, 33)[0]
+            width = b - a
+            a, b = max(-0.05, a - width), min(0.05, b + width)
+
+            def residual(d):
+                return crossings._numeric_residual(d, q, cfg)[0]
+            reference = brent_root(residual, a, b, residual(a), residual(b),
+                                   tol)[0]
+            assert solve_crossing(q, delta_tol=tol).delta == \
+                pytest.approx(reference, abs=tol), (m, n)
+
+    def test_nan_slope_falls_back_to_brent(self, monkeypatch):
+        true_residual = crossings._numeric_residual
+        monkeypatch.setattr(crossings, "_numeric_residual",
+                            lambda d, q, cfg: (true_residual(d, q, cfg)[0],
+                                               math.nan))
+        sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+        assert sol.delta == pytest.approx(2.601628516e-3, abs=1e-8)
+        # one eigensolve finds the slope unusable, then the bracket ends and
+        # Brent's method
+        assert sol.evaluations > 3
 
     def test_harmonic_evaluations_count_scan_and_refinement(self, monkeypatch):
         calls = []

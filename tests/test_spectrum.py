@@ -352,6 +352,31 @@ def test_parity_blocks_match_unsplit_operator(p, k):
     assert np.allclose(psi @ psi.T * cfg.step, np.eye(k), rtol=0.0, atol=1e-12)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(0.5, 3.0), min_size=1, max_size=2),
+       st.floats(0.5, 2.0), st.floats(0.5, 2.0))
+def test_lambda_scaling_of_numerical_energies(widths, s, lam):
+    # x -> s*x maps -lam^2 d2/dx2 + V on [-L, L] onto s^(2N+2) times
+    # -(lam*s^-(N+2))^2 d2/dx2 + V(x/s) on [-sL, sL], point for point: the
+    # grid eigenvalues and their corrections scale exactly.  A level near
+    # E = 0 carries the absolute roundoff of the whole spectrum, so errors
+    # are relative to its largest |E|.
+    shape = WellShape.from_widths(*widths)
+    order = shape.order
+    base = resolve_solver(build_symmetric(shape), 4, lam * s ** -(order + 2),
+                          step=0.02)
+    scaled = SolverConfig(base.half_width * s, base.grid_points,
+                          base.num_levels, lam)
+    factor = s ** (2 * order + 2)
+    small = solve_numerical(build_symmetric(shape), base)
+    large = solve_numerical(build_symmetric(shape.scaled(s)), scaled)
+    scale = factor * max(abs(pair.energy) for pair in small)
+    for a, b in zip(small, large, strict=True):
+        assert abs(b.energy - factor * a.energy) <= 1e-9 * scale
+        assert abs(b.energy + b.error_estimate
+                   - factor * (a.energy + a.error_estimate)) <= 1e-9 * scale
+
+
 @settings(max_examples=5, deadline=None)
 @given(st.floats(3.5, 6.0))
 def test_parity_and_weights_at_numerical_crossing(alpha):

@@ -212,6 +212,23 @@ class TestCriticalPoints:
             with pytest.raises(ValueError, match="window"):
                 critical_points(p, tight)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1.0, 8.0), st.floats(-0.5, 0.5))
+    def test_maxima_polished_onto_the_barrier_tops(self, alpha, delta):
+        # region edges sit on the root to a few ulps, not anywhere within
+        # the 1e-11 * window isolation tolerance
+        p = triple_well(alpha, delta)
+        tops = [c.x for c in critical_points(p, alpha * math.sqrt(3.0 + delta)
+                                             + 1.0) if c.kind == "max"]
+        assert len(tops) == 2
+        assert all(abs(abs(x) - alpha) <= 8 * math.ulp(alpha) for x in tops)
+
+    def test_harmonic_wells_read_the_polished_minima(self):
+        p = build_symmetric(WellShape((16.0, 48.0)))
+        minima = [c for c in critical_points(p, 9.0) if c.kind == "min"]
+        assert [(w.x, w.v, w.g) for w in harmonic_wells(p, 9.0)] == \
+            [(c.x, c.value, 0.5 * c.curvature) for c in minima]
+
     def test_sorted_ascending(self):
         p = build_symmetric(WellShape((1.0, 2.0, 3.0)))
         xs = [c.x for c in critical_points(p, 4.0)]
