@@ -113,6 +113,11 @@ def _parse_floats(text: str, what: str) -> list[float]:
         raise CliError(f"could not parse {what}: {exc}") from exc
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise CliError("alpha must be finite and positive")
+
+
 def _resolve_potential(args) -> tuple[Polynomial, str]:
     picked = [args.potential is not None, args.shape is not None,
               args.alpha is not None]
@@ -130,8 +135,7 @@ def _resolve_potential(args) -> tuple[Polynomial, str]:
         except ValueError as exc:
             raise CliError(f"bad --shape: {exc}") from exc
         return build_symmetric(shape), f"shape {increments}"
-    if args.alpha is None or args.alpha <= 0.0:
-        raise CliError("alpha must be positive")
+    _check_alpha(args.alpha)
     if args.mu2 is not None and args.delta is not None:
         raise CliError("give --mu2 or --delta, not both")
     mu2 = args.mu2 if args.mu2 is not None else 2.0 + (args.delta or 0.0)
@@ -153,8 +157,7 @@ def _solver(args, p: Polynomial, levels: int):
 # table1
 
 def _cmd_table1(args) -> str:
-    if args.alpha <= 0.0:
-        raise CliError("alpha must be positive")
+    _check_alpha(args.alpha)
     if args.compare and abs(args.alpha - 4.0) > 1e-12:
         raise CliError("--compare reference values are tabulated for alpha=4 only")
     t0 = time.perf_counter()
@@ -290,8 +293,7 @@ def _cmd_density(args) -> str:
 # locus
 
 def _cmd_locus(args) -> str:
-    if args.alpha <= 0.0:
-        raise CliError("alpha must be positive")
+    _check_alpha(args.alpha)
     if args.steps < 2:
         raise CliError("--steps must be at least 2")
     if not (args.eps_min < args.eps_max):
@@ -416,7 +418,8 @@ def _sweep_alc(cfg: dict[str, str], jobs: int):
             for m, n in pairs]
     sols.sort(key=lambda s: s.delta)
     records = [{"m": s.m, "n": s.n, "delta": s.delta, "residual": s.residual,
-                "evaluations": s.evaluations} for s in sols]
+                "evaluations": s.evaluations,
+                "harmonic_delta": s.harmonic_delta} for s in sols]
     return ["m", "n", "delta", "residual"], records, {"crossing": None}
 
 

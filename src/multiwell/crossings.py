@@ -18,6 +18,11 @@ use the step CROSSING_STEP = 0.01, twice the default of the wavefunction
 consumers (sweeps, densities, spectra).  V is linear in delta, so each
 level's exact slope is a Hellmann-Feynman sum over its eigenvector; Newton's
 method on it from the harmonic root takes about two eigensolves.
+
+Both backends find the harmonic root first.  The closed-form residual
+(_harmonic_residual) takes a float or a numpy array, so bracket_scan
+evaluates its 33-point sign-change lattice as one array; Brent's method
+then refines the root in the sign-change cell on float evaluations.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomial import bracket_scan, brent_root
-from .spectrum import (SolverConfig, _region_weights, classify_levels,
-                       harmonic_families, harmonic_spectrum_n2, resolve_solver,
+from .spectrum import (SolverConfig, _n2_closed_form, _region_weights,
+                       classify_levels, harmonic_families, resolve_solver,
                        solve_numerical)
 from .wells import (PerturbationRangeError, WellShape, build_symmetric,
                     tilted_double_well, triple_well)
@@ -85,6 +90,11 @@ REFERENCE_DELTAS_ALPHA4: dict[tuple[int, int], float] = {
 }
 
 
+def _require_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class AlcQuery:
     """One crossing condition: off-central level m against central level n."""
@@ -99,8 +109,7 @@ class AlcQuery:
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
             raise ValueError("level indices must be non-negative")
-        if not (self.alpha > 0.0):
-            raise ValueError("alpha must be positive")
+        _require_alpha(self.alpha)
         if not (self.bracket[0] < self.bracket[1]):
             raise ValueError("bracket must satisfy lo < hi")
         if self.backend not in ("harmonic", "numerical"):
@@ -116,7 +125,12 @@ class AlcSolution:
     beta: float
     residual: float
     backend: str
-    evaluations: int  # backend residual evaluations, bracket ends included
+    # backend residual evaluations, bracket ends included: points, so the
+    # harmonic scan's one array evaluation of the lattice counts 33
+    evaluations: int
+    # the closed-form root refined in the lattice's sign-change cell (delta
+    # itself on the harmonic backend), None when the lattice has no cell
+    harmonic_delta: float | None
 
 
 @dataclass(frozen=True)
@@ -167,10 +181,21 @@ class TiltRow:
     w_right: float
 
 
-def _harmonic_residual(delta: float, m: int, n: int, alpha: float) -> float:
-    beta = alpha * math.sqrt(2.0 + delta)
-    hs = harmonic_spectrum_n2(alpha, beta, n_max=n, m_max=m)
-    return hs.off_central[m] - hs.central[n]
+def _harmonic_residual(delta, m: int, n: int, alpha: float):
+    """Outer doublet m minus central level n of the closed-form spectrum,
+    at delta a float or a numpy array.  A float gives the Python float that
+    harmonic_spectrum_n2 gives.  An array decides signs only: numpy's
+    b2 ** 3 can differ from Python's by an ulp.  An array with a value that
+    is not finite is recomputed point by point as floats, so an overflow
+    of Python's power raises OverflowError as it does for a float."""
+    array = isinstance(delta, np.ndarray)
+    beta = alpha * (np.sqrt if array else math.sqrt)(2.0 + delta)
+    spring_c, spring_o, v_outer = _n2_closed_form(alpha, beta)
+    residual = v_outer + (2 * m + 1) * spring_o - (2 * n + 1) * spring_c
+    if array and not np.isfinite(residual).all():
+        return np.array([_harmonic_residual(float(d), m, n, alpha)
+                         for d in delta])
+    return residual
 
 
 # Grid step of the default numerical crossing config.  The corrected
@@ -240,31 +265,33 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     """Solve the crossing condition for delta to within delta_tol.
 
     Both backends locate the sign change of the closed-form harmonic
-    residual on a 33-point lattice of the bracket; if several appear
-    (should not happen, the residual is monotone in the default bracket)
-    the cell nearest zero is taken and a warning is emitted.
+    residual on a 33-point lattice of the bracket, evaluated as one array
+    (bracket_scan); if several appear (should not happen, the residual is
+    monotone in the default bracket) the cell nearest zero is taken and a
+    warning is emitted.
 
-    Brent's method refines the closed form in that cell: the harmonic
-    solution, whose evaluations count every closed-form evaluation, the
-    lattice included.  The numerical backend uses the corrected energies
-    on q.solver, or else on the grid resolve_solver gives the bracket's
-    widest triple well (delta at the upper end) at step CROSSING_STEP, and
-    counts eigensolves.  Newton's method, with the residual's
-    Hellmann-Feynman slope, runs from the harmonic root within the cell
-    widened by its own width on each side (clipped to q.bracket): about
-    two eigensolves.  Without a cell, or when Newton fails (_newton),
-    Brent's method takes over from the first of that widened cell and
-    q.bracket whose ends differ in sign; a root outside the widened cell
-    draws a warning.
+    Brent's method refines the closed form in that cell from float
+    evaluations of its ends: the harmonic solution, whose evaluations count
+    every closed-form point, the 33 of the lattice included.  The refined
+    root is the solution's harmonic_delta on both backends.  The numerical
+    backend uses the corrected energies on q.solver, or else on the grid
+    resolve_solver gives the bracket's widest triple well (delta at the
+    upper end) at step CROSSING_STEP, and counts eigensolves.  Newton's
+    method, with the residual's Hellmann-Feynman slope, runs from the
+    harmonic root within the cell widened by its own width on each side
+    (clipped to q.bracket): about two eigensolves.  Without a cell, or
+    when Newton fails (_newton), Brent's method takes over from the first
+    of that widened cell and q.bracket whose ends differ in sign; a root
+    outside the widened cell draws a warning.
 
     Raises ValueError when no candidate brackets a crossing.
     """
     evaluations = 0
 
     def counted(f):
-        def wrapped(d: float):
+        def wrapped(d):
             nonlocal evaluations
-            evaluations += 1
+            evaluations += d.size if isinstance(d, np.ndarray) else 1
             return f(d)
         return wrapped
 
@@ -280,6 +307,7 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     if cell is not None:
         solved = brent_root(harmonic, *cell, harmonic(cell[0]),
                             harmonic(cell[1]), delta_tol)
+    harmonic_delta = solved[0] if solved is not None else None
     if q.backend == "numerical":
         cfg = q.solver if q.solver is not None else _default_numeric_config(q)
         evaluations = 0  # from here on, eigensolves only
@@ -309,13 +337,12 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     return AlcSolution(q.m, q.n, delta, mu=math.sqrt(2.0 + delta),
                        beta=q.alpha * math.sqrt(2.0 + delta),
                        residual=value, backend=q.backend,
-                       evaluations=evaluations)
+                       evaluations=evaluations, harmonic_delta=harmonic_delta)
 
 
 def crossing_table(alpha: float, delta_tol: float = 1e-12) -> list[AlcSolution]:
     """All twelve reference (m, n) crossings, harmonic backend, sorted by delta."""
-    if not (alpha > 0.0):
-        raise ValueError("alpha must be positive")
+    _require_alpha(alpha)
     sols = [solve_crossing(AlcQuery(m, n, alpha), delta_tol=delta_tol)
             for m, n in TABLE_PAIRS]
     return sorted(sols, key=lambda s: s.delta)
@@ -414,8 +441,7 @@ def asym_locus_linearized(epsilon: float, alpha: float) -> AsymLocusPoint:
     Valid for |epsilon| <= 0.1*alpha^3; beyond that the cubic form must be
     solved (asym_locus_cubic).
     """
-    if not (alpha > 0.0):
-        raise ValueError("alpha must be positive")
+    _require_alpha(alpha)
     if abs(epsilon) > 0.1 * alpha ** 3:
         raise PerturbationRangeError(
             f"|epsilon|={abs(epsilon):g} exceeds 0.1*alpha^3; "
@@ -437,8 +463,7 @@ def asym_locus_cubic(epsilon: float, alpha: float) -> AsymLocusPoint:
     (from -2 to 2), so Brent's method on that branch, run with tol = 0,
     finds it to a few ulps.
     """
-    if not (alpha > 0.0):
-        raise ValueError("alpha must be positive")
+    _require_alpha(alpha)
     if epsilon == 0.0:
         return AsymLocusPoint(0.0, alpha, 0.0, "cubic")
 

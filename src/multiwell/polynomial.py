@@ -4,7 +4,8 @@ Coefficients are stored ascending by power, so ``coeffs[k]`` multiplies
 ``x**k``.  Everything is plain float arithmetic on small degrees
 (<= ~15); robustness comes from Sturm-count isolation, not from extended
 precision.  Brent's method (brent_root) and the lattice sign-change scan
-(bracket_scan) are shared by every scalar root-find in the package.
+(bracket_scan) are shared by every scalar root-find in the package; the
+scan evaluates its function once, on the whole lattice as a numpy array.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import functools
 import math
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 __all__ = ["Polynomial", "Root", "RootIsolationError", "real_roots",
            "brent_root", "bracket_scan"]
@@ -279,12 +282,19 @@ def brent_root(f, a: float, b: float, fa: float, fb: float,
 
 def bracket_scan(f, lo: float, hi: float,
                  samples: int) -> list[tuple[float, float, float]]:
-    """Sample f on an evenly spaced lattice of [lo, hi]; return every cell
-    (a, b, f(a)) where f(a) == 0 or f changes sign, in lattice order."""
-    xs = [lo + (hi - lo) * i / (samples - 1) for i in range(samples)]
-    fs = [f(x) for x in xs]
-    return [(xs[i], xs[i + 1], fs[i]) for i in range(samples - 1)
-            if fs[i] == 0.0 or (fs[i] < 0.0) != (fs[i + 1] < 0.0)]
+    """Evaluate f once on the evenly spaced lattice of [lo, hi], passed as
+    one numpy array, so f must accept arrays; return every cell
+    (a, b, f(a)) where f(a) == 0 or f changes sign, in lattice order, as
+    Python floats.  The points are bit-equal to lo + (hi - lo) * i /
+    (samples - 1).  Overflow and invalid-operation warnings are off during
+    the call: as in Python float arithmetic, values turn into inf or nan
+    silently."""
+    xs = lo + (hi - lo) * np.arange(samples) / (samples - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fs = f(xs)
+    neg = fs < 0.0
+    cells = ((fs[:-1] == 0.0) | (neg[:-1] != neg[1:])).nonzero()[0]
+    return [(float(xs[i]), float(xs[i + 1]), float(fs[i])) for i in cells]
 
 
 def _is_ambiguous(dp: Polynomial, r: float, tol: float) -> bool:

@@ -138,13 +138,21 @@ class LabeledLevel:
     w_central: float
 
 
+def _n2_closed_form(alpha: float, beta):
+    """(spring_c, spring_o, v_outer) of the triple well with widths
+    (alpha, beta): sqrt(c), Omega and V at the outer minimum.  beta may be
+    a numpy array; a float beta takes math.sqrt and Python's float power,
+    so its results are Python floats."""
+    sqrt = np.sqrt if isinstance(beta, np.ndarray) else math.sqrt
+    a2, b2 = alpha * alpha, beta * beta
+    return (sqrt(3.0 * a2 * (a2 + b2)), sqrt(6.0 * a2 * b2 + 6.0 * b2 * b2),
+            a2 ** 3 + 1.5 * a2 * a2 * b2 - 0.5 * b2 ** 3)
+
+
 def harmonic_spectrum_n2(alpha: float, beta: float, n_max: int, m_max: int,
                          lam: float = 1.0) -> HarmonicSpectrum:
     """Closed-form spectrum of the triple well with widths (alpha, beta)."""
-    a2, b2 = alpha * alpha, beta * beta
-    spring_c = math.sqrt(3.0 * a2 * (a2 + b2))
-    spring_o = math.sqrt(6.0 * a2 * b2 + 6.0 * b2 * b2)
-    v_outer = a2 ** 3 + 1.5 * a2 * a2 * b2 - 0.5 * b2 ** 3
+    spring_c, spring_o, v_outer = _n2_closed_form(alpha, beta)
     central = tuple((2 * n + 1) * lam * spring_c for n in range(n_max + 1))
     off = tuple(v_outer + (2 * m + 1) * lam * spring_o for m in range(m_max + 1))
     return HarmonicSpectrum(central, off, spring_c, spring_o)

@@ -55,6 +55,14 @@ class TestTable1:
         assert code == EXIT_USAGE
         assert "alpha" in err
 
+    @pytest.mark.parametrize("command, alpha", [
+        ("table1", "nan"), ("table1", "inf"), ("locus", "nan"),
+        ("spectrum", "nan")])
+    def test_alpha_not_finite_usage_error(self, capsys, command, alpha):
+        code, _, err = run_cli(capsys, command, "--alpha", alpha)
+        assert code == EXIT_USAGE
+        assert "alpha must be finite and positive" in err
+
     def test_compare_requires_alpha_four(self, capsys):
         code, _, err = run_cli(capsys, "table1", "--alpha", "3", "--compare")
         assert code == EXIT_USAGE
@@ -384,9 +392,12 @@ class TestSweep:
                                                               abs=1e-5)
         manifest = json.loads((outdir / "alc_manifest.json").read_text())
         # the manifest rounds delta to the CSV's 11 significant digits
-        got = [(r["delta"], r["evaluations"]) for r in manifest["results"]]
+        got = [(r["delta"], r["evaluations"], r["harmonic_delta"])
+               for r in manifest["results"]]
         expected = [solve_crossing(AlcQuery(m, n, 4.0)) for m, n in [(0, 0), (1, 2)]]
-        assert got == [(float(f"{s.delta:.10e}"), s.evaluations) for s in expected]
+        # on the harmonic backend the harmonic delta is the solution itself
+        assert got == [(float(f"{s.delta:.10e}"), s.evaluations,
+                        float(f"{s.delta:.10e}")) for s in expected]
 
     def test_tilt_sweep_smooth_contrast(self, capsys, tmp_path):
         config = self.write_config(tmp_path, "\n".join([
@@ -502,6 +513,9 @@ class TestEntryPoint:
     ("spectrum_quartic_tilt_0.5_harmonic.csv",
      ["spectrum", "--potential", "1,0,-8,0.5,0", "--backend", "harmonic",
       "--format", "csv", "--levels", "4"]),
+    ("table1_alpha3.5.csv", ["table1", "--alpha", "3.5", "--format", "csv"]),
+    ("table1_alpha7.25.csv",
+     ["table1", "--alpha", "7.25", "--format", "csv"]),
 ])
 def test_golden_csv_bytes(capsys, name, argv):
     code, out, _ = run_cli(capsys, *argv)

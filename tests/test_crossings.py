@@ -3,9 +3,11 @@
 import math
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multiwell import crossings
@@ -40,6 +42,7 @@ class TestSolveCrossing:
         assert abs(sol.residual) < 1e-6
         assert sol.beta == pytest.approx(4.0 * math.sqrt(2.0 + sol.delta))
         assert sol.mu == pytest.approx(math.sqrt(2.0 + sol.delta))
+        assert sol.harmonic_delta == sol.delta
 
     def test_linear_sanity(self):
         # slope of the outer-bottom term at delta=0 is -18432 and the
@@ -179,19 +182,34 @@ class TestNumericalSearch:
         # Brent's method
         assert sol.evaluations > 3
 
+    def test_harmonic_delta_is_the_closed_form_start(self):
+        harmonic = solve_crossing(AlcQuery(0, 0, 4.0), delta_tol=1e-8)
+        numeric = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+        assert numeric.harmonic_delta == harmonic.delta
+
+    def test_harmonic_delta_none_without_a_cell(self, monkeypatch):
+        # a closed form with no sign change leaves Brent's method on the
+        # whole bracket, and no harmonic root to report
+        monkeypatch.setattr(crossings, "_harmonic_residual",
+                            lambda d, m, n, a: d * 0.0 + 1.0)
+        sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+        assert sol.harmonic_delta is None
+        assert sol.delta == pytest.approx(2.601628516e-3, abs=1e-8)
+
     def test_harmonic_evaluations_count_scan_and_refinement(self, monkeypatch):
-        calls = []
+        points = 0
         true_residual = crossings._harmonic_residual
         def counting(d, m, n, a):
-            calls.append(d)
+            nonlocal points
+            points += np.size(d)  # the lattice comes as one array
             return true_residual(d, m, n, a)
         monkeypatch.setattr(crossings, "_harmonic_residual", counting)
         sol = solve_crossing(AlcQuery(0, 0, 4.0), delta_tol=1e-8)
-        assert sol.evaluations == len(calls)
+        assert sol.evaluations == points
         # 33 lattice points, then Brent's method in the sign-change cell;
         # bisecting that cell to 1e-8 would take ceil(log2(0.1/32 / 1e-8))
         # = 19 more
-        assert 33 < len(calls) < 33 + 19
+        assert 33 < points < 33 + 19
 
     def test_far_harmonic_cell_falls_back_and_warns(self, monkeypatch):
         expected = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
@@ -244,6 +262,46 @@ class TestCrossingTable:
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             crossing_table(0.0)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_alpha_must_be_finite(self, alpha):
+        for call in (lambda: AlcQuery(0, 0, alpha),
+                     lambda: crossing_table(alpha),
+                     lambda: asym_locus_cubic(0.5, alpha),
+                     lambda: asym_locus_linearized(0.5, alpha)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                call()
+
+    # at 1e80 alpha^6 overflows; at 2e51 only beta^6 does, which the
+    # array lattice gives as inf and the float recomputation raises on
+    @pytest.mark.parametrize("alpha", [1e80, 2e51])
+    def test_overflow_raises_without_numpy_warnings(self, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError):
+                crossing_table(alpha)
+
+
+@settings(deadline=None)
+@given(alpha=st.floats(0.5, 20.0), m=st.integers(0, 5), n=st.integers(0, 5),
+       lo=st.floats(-0.2, 0.2), hi=st.floats(-0.2, 0.2))
+@example(alpha=4.0, m=0, n=0, lo=-0.05, hi=0.05)
+def test_array_scan_finds_the_scalar_cells(alpha, m, n, lo, hi):
+    # the lattice evaluated as one array against a per-point scan of the
+    # float residual: same cell ends to the bit, f(a) of the same sign
+    assume(lo < hi)
+    def residual(d):
+        return crossings._harmonic_residual(d, m, n, alpha)
+    xs = [lo + (hi - lo) * i / 32 for i in range(33)]
+    fs = [residual(x) for x in xs]
+    expected = [(xs[i], xs[i + 1], fs[i]) for i in range(32)
+                if fs[i] == 0.0 or (fs[i] < 0.0) != (fs[i + 1] < 0.0)]
+    got = bracket_scan(residual, lo, hi, 33)
+    assert [(a.hex(), b.hex()) for a, b, _ in got] == \
+        [(a.hex(), b.hex()) for a, b, _ in expected]
+    for (_, _, fa), (_, _, ea) in zip(got, expected):
+        assert type(fa) is float
+        assert (fa < 0.0, fa == 0.0) == (ea < 0.0, ea == 0.0)
 
 
 class TestTuneMaximalDegeneracy:
