@@ -365,6 +365,7 @@ def _sweep_grid(cfg: dict[str, str], widest: Polynomial, levels: int):
 
 def _sweep_relocalization(cfg: dict[str, str], jobs: int):
     alpha = _cfg_get(cfg, "alpha", float)
+    _check_alpha(alpha)
     lo = _cfg_get(cfg, "delta_min", float)
     hi = _cfg_get(cfg, "delta_max", float)
     steps = _cfg_get(cfg, "steps", int)
@@ -399,6 +400,7 @@ def _sweep_tilt(cfg: dict[str, str], jobs: int):
 def _sweep_alc(cfg: dict[str, str], jobs: int):
     del jobs  # each root-find is sequential; pairs are few
     alpha = _cfg_get(cfg, "alpha", float)
+    _check_alpha(alpha)
     backend = _cfg_get(cfg, "backend", str, "harmonic")
     lo = _cfg_get(cfg, "bracket_lo", float, -0.05)
     hi = _cfg_get(cfg, "bracket_hi", float, 0.05)

@@ -110,12 +110,6 @@ class Polynomial:
         """Antiderivative with the constant fixed so that the result is 0 at 0."""
         return Polynomial([0.0] + [c / (k + 1) for k, c in enumerate(self.coeffs)])
 
-    def even_odd_split(self) -> tuple["Polynomial", "Polynomial"]:
-        """Split into (even part, odd part); the parts sum back to self exactly."""
-        even = [c if k % 2 == 0 else 0.0 for k, c in enumerate(self.coeffs)]
-        odd = [c if k % 2 == 1 else 0.0 for k, c in enumerate(self.coeffs)]
-        return Polynomial(even), Polynomial(odd)
-
     def magnitude_at(self, x: float) -> float:
         """Sum of absolute term magnitudes at x; a cancellation scale."""
         ax = abs(x)

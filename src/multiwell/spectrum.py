@@ -2,8 +2,11 @@
 
 Two routes: closed-form harmonic estimates per well family (level spacing
 2*lam*sqrt(V''/2)), and a second-order finite-difference discretization on
-a symmetric grid with Dirichlet boundaries, solved by LAPACK bisection on
-the Sturm count plus inverse iteration (scipy's 'stebz' driver).  A
+a symmetric grid with Dirichlet boundaries.  A tridiagonal block that needs
+one level is solved by shift-and-invert on LAPACK dpttrf/dpttrs, every shift
+certified by the signs of the factor's pivots; any other block by LAPACK
+bisection on the Sturm count plus inverse iteration (stebz/stein).  Both
+reach stebz's absolute tolerance, ulp * max |Gershgorin end|.  A
 reflection-symmetric potential is solved as separate even and odd blocks on
 the half grid x >= 0, so its levels have exact parity.  Each numerical level
 carries error_estimate, the first-order correction of its O(h^2)
@@ -22,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .polynomial import Polynomial
 from .wells import (CriticalPoint, HarmonicWell, critical_points,
@@ -226,9 +230,75 @@ def _is_symmetric(p: Polynomial) -> bool:
     return all(abs(c) <= 1e-12 * top for c in p.coeffs[1::2])
 
 
+_GROUND_ROUNDS = 60    # shift rounds of _ground before it gives up
+
+
+def _ground(diag: np.ndarray, off: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lowest eigenpair of the tridiagonal T = (diag, off), off < 0, by
+    shift-and-invert with shifts certified by Sylvester inertia (Parlett,
+    The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4); None when it is not
+    certified within _GROUND_ROUNDS rounds.
+
+    lo is a certified lower bound on the lowest eigenvalue, hi an upper one.
+    T - s*I has LDL^T pivots all positive exactly when no eigenvalue lies at
+    or below s (the pivots of stebz's Sturm count), so a shift that factors
+    raises lo; a Rayleigh quotient lowers hi.  The rounds stop when hi - lo
+    is within stebz's own absolute tolerance, ulp * max |Gershgorin end|.
+    """
+    reach = np.abs(off)
+    reach = np.concatenate((reach, [0.0])) + np.concatenate(([0.0], reach))
+    tol = np.finfo(float).eps * max(abs(float(np.min(diag - reach))),
+                                    abs(float(np.max(diag + reach))))
+    lo, hi = -math.inf, math.inf
+    # the first shift is min V (off[-1] is the unscaled -lam^2/h^2), below
+    # every level: the Dirichlet difference Laplacian is positive definite,
+    # and each level of a parity block is one of the full operator
+    shift, factor = float(np.min(diag) + 2.0 * off[-1]), None
+    u = np.ones(diag.size)    # the ground vector is positive: off < 0
+
+    def invert(u: np.ndarray) -> np.ndarray:
+        u = dpttrs(*factor, u)[0]
+        return u / np.linalg.norm(u)
+
+    def rayleigh(u: np.ndarray) -> tuple[float, float]:
+        """u^T T u and the residual norm |T u - rho u| of a unit u."""
+        tu = diag * u
+        tu[1:] += off * u[:-1]
+        tu[:-1] += off * u[1:]
+        rho = float(u @ tu)
+        tu -= rho * u
+        return rho, float(np.linalg.norm(tu))
+
+    for _ in range(_GROUND_ROUNDS):
+        d, e, info = dpttrf(diag - shift, off)
+        if info == 0:
+            lo, factor = shift, (d, e)
+            u = invert(u)
+            rho, residual = rayleigh(u)
+            hi = min(hi, rho)
+            shift = rho - residual
+        elif factor is None:
+            return None
+        else:
+            hi = shift
+        if hi - lo <= tol:
+            u = invert(invert(u))    # as stein's two extra iterations
+            return np.array([rayleigh(u)[0]]), u[:, None]
+        if not lo < shift < hi:
+            shift = 0.5 * (lo + hi)
+    return None
+
+
 def _lowest(diag: np.ndarray, off: np.ndarray, k: int,
             cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of a symmetric tridiagonal matrix (LAPACK stebz)."""
+    """Lowest k eigenpairs of a symmetric tridiagonal matrix with negative
+    off-diagonal: _ground for k == 1, else (and when _ground gives up)
+    LAPACK bisection on the Sturm count plus inverse iteration (stebz)."""
+    if k == 1:
+        ground = _ground(diag, off)
+        if ground is not None:
+            return ground
     try:
         return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
                                 check_finite=False, lapack_driver="stebz")
@@ -242,9 +312,10 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     """Lowest cfg.num_levels eigenpairs of the discretized operator.
 
     Second-order central differences, diagonal V(x_i) + 2*lam^2/h^2,
-    off-diagonal -lam^2/h^2, Dirichlet boundaries.  Eigenvalues come from
-    bisection on the Sturm count, eigenvectors from inverse iteration;
-    wavefunctions are returned L2-normalized (sum psi^2 * h = 1) with
+    off-diagonal -lam^2/h^2, Dirichlet boundaries.  A block solved for one
+    level takes certified shift-and-invert (dpttrf/dpttrs), any other block
+    bisection on the Sturm count plus inverse iteration (stebz/stein), both
+    to stebz's tolerance (see _lowest); wavefunctions are returned L2-normalized (sum psi^2 * h = 1) with
     deterministic sign (the leftmost largest |psi| is positive).  Each
     level's error_estimate is h^2/(12 lam^2) * sum (V - E)^2 psi^2 h.
 

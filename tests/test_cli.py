@@ -358,6 +358,19 @@ class TestSweep:
         assert float(rows[i][2]) > 0.5 >= float(rows[i + 1][2])
         assert lo < manifest["crossing"] <= hi
 
+    @pytest.mark.parametrize("kind", ["relocalization", "alc"])
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1"])
+    def test_bad_alpha_usage_error(self, capsys, tmp_path, kind, alpha):
+        keys = {"relocalization": ["delta_min = 0.0", "delta_max = 0.005",
+                                   "steps = 5"],
+                "alc": ["pairs = 0:0"]}[kind]
+        config = self.write_config(tmp_path, "\n".join(
+            [f"kind = {kind}", f"alpha = {alpha}"] + keys))
+        code, _, err = run_cli(capsys, "sweep", "--config", config,
+                               "--outdir", str(tmp_path / "out"))
+        assert code == EXIT_USAGE
+        assert "alpha must be finite and positive" in err
+
     def test_rerun_is_byte_identical(self, capsys, tmp_path):
         config = self.write_config(tmp_path, "\n".join([
             "kind = relocalization", "alpha = 4", "delta_min = 0.0",

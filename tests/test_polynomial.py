@@ -92,39 +92,6 @@ class TestAntiderivative:
             assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
 
-class TestEvenOddSplit:
-    def test_power_sorting(self):
-        p = Polynomial([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0])  # x^6 + x^3
-        even, odd = p.even_odd_split()
-        assert even == Polynomial([0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
-        assert odd == Polynomial([0.0, 0.0, 0.0, 1.0])
-
-    def test_even_input(self):
-        even, odd = TRIPLE_WELL.even_odd_split()
-        assert even == TRIPLE_WELL
-        assert odd == Polynomial([0.0])
-
-    def test_odd_part_structure_degree_eight(self):
-        # full asymmetric x^8 family with q=0: the odd part is
-        # b*x*(x^4 + (d/b)*x^2), an even polynomial of degree 2(N-2)+2 in
-        # the bracket
-        b, d = 0.7, -1.3
-        p = Polynomial([0.0, 0.0, -24.0, d, 22.0, b, -8.0, 0.0, 1.0])
-        even, odd = p.even_odd_split()
-        bracket = Polynomial([0.0, 0.0, d / b, 0.0, 1.0])  # x^4 + (d/b) x^2
-        assert odd == b * Polynomial([0.0, 1.0]) * bracket
-        assert even + odd == p
-
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=14))
-    def test_split_reconstructs_and_has_parity(self, coeffs):
-        p = Polynomial(coeffs)
-        even, odd = p.even_odd_split()
-        assert even + odd == p
-        for x in (-2.0, -0.7, 0.4, 1.9):
-            assert even(x) == pytest.approx(even(-x), rel=1e-12, abs=1e-300)
-            assert odd(x) == pytest.approx(-odd(-x), rel=1e-12, abs=1e-300)
-
-
 class TestRealRoots:
     def test_triple_well_stationary_set(self):
         roots = real_roots(TRIPLE_WELL_DERIV, -10.0, 10.0, tol=1e-11)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dpttrf
 
 from multiwell import crossings, spectrum, wells
 from multiwell.crossings import AlcQuery, solve_crossing
@@ -17,7 +18,8 @@ from multiwell.spectrum import (DomainEstimateError, SolverConfig,
                                 harmonic_spectrum_n2, resolve_solver,
                                 solve_numerical, well_weights)
 from multiwell.wells import (DegenerateWellError, HarmonicWell, WellShape,
-                             build_symmetric, critical_points, triple_well)
+                             build_symmetric, critical_points,
+                             tilted_double_well, triple_well)
 
 HO = Polynomial([0.0, 0.0, 1.0])  # unit harmonic oscillator x^2
 TRIPLE = build_symmetric(WellShape((16.0, 48.0)))
@@ -415,6 +417,91 @@ def test_numerical_labels_name_harmonic_families(alpha, offset):
                 < np.max(np.abs(pair.psi + flipped))
             assert (level.family, level.index, even) not in seen
             seen.add((level.family, level.index, even))
+
+
+def _spy_ground(monkeypatch) -> list:
+    """Record (diag, off, result) of every call of spectrum._ground."""
+    calls = []
+    ground = spectrum._ground
+
+    def spy(diag, off):
+        calls.append((diag, off, ground(diag, off)))
+        return calls[-1][2]
+    monkeypatch.setattr(spectrum, "_ground", spy)
+    return calls
+
+
+def _tnorm(diag: np.ndarray, off: np.ndarray) -> float:
+    """max |Gershgorin end|: stebz's tolerance is ulp times this."""
+    reach = np.abs(np.r_[off, 0.0]) + np.abs(np.r_[0.0, off])
+    return max(abs(float(np.min(diag - reach))),
+               abs(float(np.max(diag + reach))))
+
+
+def _single_level_cases() -> list:
+    """(p, cfg, sizes of the blocks solved for one level) across the
+    relocalization point, for k = 2 and 3, and for near-symmetric tilts."""
+    cases = []
+    for alpha in (3.5, 4.0, 6.0):
+        star = solve_crossing(AlcQuery(0, 0, alpha)).delta
+        cfg = resolve_solver(triple_well(alpha, star + 0.004), 1)
+        half = (cfg.grid_points - 1) // 2
+        cases += [(triple_well(alpha, star + d), cfg, [half])
+                  for d in (-4e-3, -1e-3, -1e-4, 0.0, 1e-4, 1e-3, 4e-3)]
+    for k, sizes in ((2, [900, 899]), (3, [899])):
+        cases += [(p, SolverConfig(9.0, 1801, k), sizes)
+                  for p in (TRIPLE, triple_well(4.0, 0.0026))]
+    for s1 in (2.0, 4.0, 8.0, 16.0):
+        for tilt in (1e-6, -1e-7, 1e-8, -1e-9):
+            cfg = resolve_solver(tilted_double_well(s1, -abs(tilt)), 1)
+            cases.append((tilted_double_well(s1, tilt), cfg,
+                          [cfg.grid_points - 2]))
+    return cases
+
+
+@pytest.mark.parametrize("p, cfg, sizes", _single_level_cases())
+def test_single_level_route_matches_stebz(monkeypatch, p, cfg, sizes):
+    # each one-level block is certified shift-and-invert, which agrees with
+    # bisection (stebz) on the same block to twice stebz's own tolerance,
+    # brackets its energy E by E -+ that tolerance, and gives the same
+    # region weights
+    calls = _spy_ground(monkeypatch)
+    pairs = solve_numerical(p, cfg)
+    assert [diag.size for diag, _, _ in calls] == sizes
+    for diag, off, (energy, _) in calls:
+        tol = np.finfo(float).eps * _tnorm(diag, off)
+        want = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
+                                lapack_driver="stebz")[0]
+        assert abs(energy[0] - want[0]) <= 2.0 * tol
+        assert dpttrf(diag - (energy[0] - tol), off)[2] == 0
+        assert dpttrf(diag - (energy[0] + tol), off)[2] != 0
+    monkeypatch.setattr(spectrum, "_ground", lambda diag, off: None)
+    for pair, ref in zip(pairs, solve_numerical(p, cfg), strict=True):
+        for got, want in zip(well_weights(pair, p), well_weights(ref, p),
+                             strict=True):
+            assert abs(got.weight - want.weight) <= 1e-8
+
+
+def _refuse(d, e):
+    return d, e, 1
+
+
+@pytest.mark.parametrize("name, value", [("_GROUND_ROUNDS", 1),
+                                         ("dpttrf", _refuse)])
+def test_single_level_route_falls_back_to_stebz(monkeypatch, name, value):
+    # out of rounds, or refused the first factorization, _ground gives up
+    # and the block takes the stebz route
+    calls = _spy_ground(monkeypatch)
+    cfg = SolverConfig(9.0, 1801)
+    solve_numerical(triple_well(4.0, 0.0026), cfg)
+    diag, off, _ = calls[0]
+    monkeypatch.setattr(spectrum, name, value)
+    energy, vector = spectrum._lowest(diag, off, 1, cfg)
+    assert calls[-1][2] is None
+    want_e, want_v = eigh_tridiagonal(diag, off, select="i",
+                                      select_range=(0, 0),
+                                      lapack_driver="stebz")
+    assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
 
 
 class TestWellWeights:
