@@ -8,7 +8,8 @@ from .crossings import (AlcQuery, AlcSolution, AsymLocusPoint, DegeneracyFit,
                         asym_locus_cubic, asym_locus_linearized, crossing_table,
                         left_well_shift, pairing_gaps, relocalization_scan,
                         solve_crossing, tilt_scan, tune_maximal_degeneracy)
-from .polynomial import Polynomial, Root, RootIsolationError, real_roots
+from .polynomial import (ParameterError, Polynomial, Root, RootIsolationError,
+                         real_roots)
 from .spectrum import (ConvergenceError, DomainEstimateError, Eigenpair,
                        HarmonicSpectrum, LabeledLevel, RegionWeight,
                        SolverConfig, choose_domain, classify_levels,
@@ -24,7 +25,7 @@ from .wells import (CriticalPoint, DegenerateWellError, HarmonicWell,
 __all__ = [
     "__version__",
     # polynomial
-    "Polynomial", "Root", "RootIsolationError", "real_roots",
+    "ParameterError", "Polynomial", "Root", "RootIsolationError", "real_roots",
     # wells
     "WellShape", "HarmonicWell", "CriticalPoint", "QuadWellForms",
     "PerturbedExtrema", "DegenerateWellError", "PerturbationRangeError",

@@ -1,7 +1,8 @@
 """Command line: reference crossing table, spectra, density figures,
 asymmetry locus, and config-driven sweeps.
 
-Exit codes: 0 success, 2 numeric/solver failure, 64 usage or config error.
+Exit codes: 0 success, 2 numeric/solver failure, 64 usage or config error
+(a ParameterError, raised by the library or by this module's parsing).
 All CSV/JSON floats are written as %.10e so identical inputs give
 byte-identical data files; only the sweep manifest carries a timestamp.
 """
@@ -22,25 +23,19 @@ from .crossings import (REFERENCE_DELTAS_ALPHA4, TABLE_PAIRS, AlcQuery,
                         LabelsUnresolvedError, NewtonError, asym_locus_cubic,
                         crossing_table, linearized_shift, pairing_gaps,
                         relocalization_scan, solve_crossing, tilt_scan)
-from .polynomial import Polynomial, RootIsolationError
-from .spectrum import (ConvergenceError, DomainEstimateError, classify_levels,
-                       harmonic_families, resolve_solver, solve_numerical,
-                       well_weights)
+from .polynomial import ParameterError, Polynomial, RootIsolationError
+from .spectrum import (ConvergenceError, classify_levels, harmonic_families,
+                       resolve_solver, solve_numerical, well_weights)
 from .svgfig import line_plot
-from .wells import (DegenerateWellError, WellShape, build_symmetric,
-                    tilted_double_well, triple_well)
+from .wells import WellShape, build_symmetric, tilted_double_well, triple_well
 
 EXIT_OK = 0
 EXIT_NUMERIC = 2
 EXIT_USAGE = 64
 
 _NUMERIC_ERRORS = (ValueError, ConvergenceError, RootIsolationError,
-                   LabelsUnresolvedError, NewtonError, DegenerateWellError,
-                   ZeroDivisionError, OverflowError)
-
-
-class CliError(Exception):
-    """Semantic usage/config error -> exit 64."""
+                   LabelsUnresolvedError, NewtonError, ZeroDivisionError,
+                   OverflowError, MemoryError)
 
 
 def _fmt(v: float) -> str:
@@ -110,37 +105,28 @@ def _parse_floats(text: str, what: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise CliError(f"could not parse {what}: {exc}") from exc
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise CliError("alpha must be finite and positive")
+        raise ParameterError(f"could not parse {what}: {exc}") from exc
 
 
 def _resolve_potential(args) -> tuple[Polynomial, str]:
     picked = [args.potential is not None, args.shape is not None,
               args.alpha is not None]
     if sum(picked) != 1:
-        raise CliError("give exactly one of --alpha, --shape, --potential")
+        raise ParameterError("give exactly one of --alpha, --shape, --potential")
     if args.potential is not None:
         coeffs = _parse_floats(args.potential, "--potential")
         if len(coeffs) < 2:
-            raise CliError("--potential needs at least two coefficients")
+            raise ParameterError("--potential needs at least two coefficients")
         return Polynomial.from_descending(coeffs), "custom potential"
     if args.shape is not None:
         increments = _parse_floats(args.shape, "--shape")
-        try:
-            shape = WellShape(tuple(increments))
-        except ValueError as exc:
-            raise CliError(f"bad --shape: {exc}") from exc
-        return build_symmetric(shape), f"shape {increments}"
-    _check_alpha(args.alpha)
+        return build_symmetric(WellShape(tuple(increments))), \
+            f"shape {increments}"
     if args.mu2 is not None and args.delta is not None:
-        raise CliError("give --mu2 or --delta, not both")
+        raise ParameterError("give --mu2 or --delta, not both")
     mu2 = args.mu2 if args.mu2 is not None else 2.0 + (args.delta or 0.0)
     if mu2 <= 0.0:
-        raise CliError("mu^2 must be positive")
+        raise ParameterError("mu^2 must be positive")
     # mu2 - 2.0 is exact for 1 <= mu2 <= 4, so s2 rounds as (1 + mu2) *
     # alpha^2 and --delta d matches --mu2 2+d; passing d itself would move
     # the last bit of s2 for some negative d
@@ -157,9 +143,9 @@ def _solver(args, p: Polynomial, levels: int):
 # table1
 
 def _cmd_table1(args) -> str:
-    _check_alpha(args.alpha)
     if args.compare and abs(args.alpha - 4.0) > 1e-12:
-        raise CliError("--compare reference values are tabulated for alpha=4 only")
+        raise ParameterError("--compare reference values are tabulated for "
+                             "alpha=4 only")
     t0 = time.perf_counter()
     sols = crossing_table(args.alpha)
     elapsed = time.perf_counter() - t0
@@ -201,7 +187,7 @@ def _cmd_table1(args) -> str:
 def _spectrum_harmonic(args, p: Polynomial, desc: str) -> str:
     families = harmonic_families(p)
     if not families:
-        raise CliError("no harmonic wells found for this potential")
+        raise ParameterError("no harmonic wells found for this potential")
     records = [{"family": family, "index": i, "energy": w.level(i, args.lam)}
                for family, w in families for i in range(args.levels)]
     central = [w for family, w in families if family == "central"]
@@ -227,7 +213,7 @@ def _spectrum_harmonic(args, p: Polynomial, desc: str) -> str:
 
 def _cmd_spectrum(args) -> str:
     if args.levels < 1:
-        raise CliError("--levels must be at least 1")
+        raise ParameterError("--levels must be at least 1")
     p, desc = _resolve_potential(args)
     if args.backend == "harmonic":
         return _spectrum_harmonic(args, p, desc)
@@ -275,7 +261,7 @@ def _cmd_spectrum(args) -> str:
 
 def _cmd_density(args) -> str:
     if args.level < 0:
-        raise CliError("--level must be non-negative")
+        raise ParameterError("--level must be non-negative")
     p, desc = _resolve_potential(args)
     pair = solve_numerical(p, _solver(args, p, args.level + 1))[args.level]
     rho = pair.psi ** 2
@@ -293,11 +279,10 @@ def _cmd_density(args) -> str:
 # locus
 
 def _cmd_locus(args) -> str:
-    _check_alpha(args.alpha)
     if args.steps < 2:
-        raise CliError("--steps must be at least 2")
+        raise ParameterError("--steps must be at least 2")
     if not (args.eps_min < args.eps_max):
-        raise CliError("need eps-min < eps-max")
+        raise ParameterError("need eps-min < eps-max")
     records = []
     for i in range(args.steps):
         eps = args.eps_min + (args.eps_max - args.eps_min) * i / (args.steps - 1)
@@ -325,34 +310,34 @@ def _parse_config(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
+        raise ParameterError(f"cannot read config {path}: {exc}") from exc
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise CliError(f"{path}: line {lineno}: expected key=value, "
-                           f"got {raw.strip()!r}")
+            raise ParameterError(f"{path}: line {lineno}: expected key=value, "
+                                 f"got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip().lower(), value.strip()
         if not key or not value:
-            raise CliError(f"{path}: line {lineno}: empty key or value")
+            raise ParameterError(f"{path}: line {lineno}: empty key or value")
         out[key] = value
     if not out:
-        raise CliError(f"{path}: empty config")
+        raise ParameterError(f"{path}: empty config")
     return out
 
 
 def _cfg_get(cfg: dict[str, str], key: str, cast, default=_REQUIRED):
     if key not in cfg:
         if default is _REQUIRED:
-            raise CliError(f"config key {key!r} is required")
+            raise ParameterError(f"config key {key!r} is required")
         return default
     try:
         return cast(cfg[key])
     except ValueError as exc:
-        raise CliError(f"config key {key!r}: {exc}") from exc
+        raise ParameterError(f"config key {key!r}: {exc}") from exc
 
 
 def _sweep_grid(cfg: dict[str, str], widest: Polynomial, levels: int):
@@ -365,7 +350,6 @@ def _sweep_grid(cfg: dict[str, str], widest: Polynomial, levels: int):
 
 def _sweep_relocalization(cfg: dict[str, str], jobs: int):
     alpha = _cfg_get(cfg, "alpha", float)
-    _check_alpha(alpha)
     lo = _cfg_get(cfg, "delta_min", float)
     hi = _cfg_get(cfg, "delta_max", float)
     steps = _cfg_get(cfg, "steps", int)
@@ -400,7 +384,6 @@ def _sweep_tilt(cfg: dict[str, str], jobs: int):
 def _sweep_alc(cfg: dict[str, str], jobs: int):
     del jobs  # each root-find is sequential; pairs are few
     alpha = _cfg_get(cfg, "alpha", float)
-    _check_alpha(alpha)
     backend = _cfg_get(cfg, "backend", str, "harmonic")
     lo = _cfg_get(cfg, "bracket_lo", float, -0.05)
     hi = _cfg_get(cfg, "bracket_hi", float, 0.05)
@@ -414,7 +397,7 @@ def _sweep_alc(cfg: dict[str, str], jobs: int):
             try:
                 pairs.append((int(m_str), int(n_str)))
             except ValueError as exc:
-                raise CliError(f"bad pairs entry {tok!r}: {exc}") from exc
+                raise ParameterError(f"bad pairs entry {tok!r}: {exc}") from exc
     sols = [solve_crossing(AlcQuery(m, n, alpha, bracket=(lo, hi),
                                     backend=backend))
             for m, n in pairs]
@@ -425,21 +408,32 @@ def _sweep_alc(cfg: dict[str, str], jobs: int):
     return ["m", "n", "delta", "residual"], records, {"crossing": None}
 
 
-_SWEEPS = {"relocalization": _sweep_relocalization, "alc": _sweep_alc,
-           "tilt": _sweep_tilt}
+# each sweep kind's runner and config keys, besides kind, name and jobs
+_GRID_KEYS = {"half_width", "grid_step", "lambda"}
+_SWEEPS = {
+    "relocalization": (_sweep_relocalization, {"alpha", "delta_min", "delta_max",
+                                               "steps", "levels"} | _GRID_KEYS),
+    "alc": (_sweep_alc, {"alpha", "backend", "bracket_lo", "bracket_hi", "pairs"}),
+    "tilt": (_sweep_tilt, {"s1", "tilt_min", "tilt_max", "steps"} | _GRID_KEYS),
+}
 
 
 def _cmd_sweep(args) -> str:
     cfg = _parse_config(args.config)
     kind = cfg.get("kind", "relocalization").lower()
     if kind not in _SWEEPS:
-        raise CliError(f"unknown sweep kind {kind!r} "
-                       "(expected 'relocalization', 'alc', or 'tilt')")
+        raise ParameterError(f"unknown sweep kind {kind!r} "
+                             "(expected 'relocalization', 'alc', or 'tilt')")
+    sweep, keys = _SWEEPS[kind]
+    unknown = sorted(set(cfg) - keys - {"kind", "name", "jobs"})
+    if unknown:
+        raise ParameterError(f"unknown config key for sweep kind {kind!r}: "
+                             + ", ".join(map(repr, unknown)))
     jobs = args.jobs if args.jobs is not None else _cfg_get(cfg, "jobs", int, 1)
     if jobs < 1:
-        raise CliError("jobs must be at least 1")
+        raise ParameterError("jobs must be at least 1")
     name = cfg.get("name", kind)
-    columns, records, summary = _SWEEPS[kind](cfg, jobs)
+    columns, records, summary = sweep(cfg, jobs)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{name}.csv"
@@ -535,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         return EXIT_OK
-    except (CliError, DomainEstimateError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

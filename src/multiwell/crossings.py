@@ -34,12 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import bracket_scan, brent_root
+from .polynomial import ParameterError, bracket_scan, brent_root
 from .spectrum import (SolverConfig, _n2_closed_form, _region_weights,
                        classify_levels, harmonic_families, resolve_solver,
                        solve_numerical)
 from .wells import (PerturbationRangeError, WellShape, build_symmetric,
-                    tilted_double_well, triple_well)
+                    require_alpha, tilted_double_well, triple_well)
 
 __all__ = [
     "AlcQuery", "AlcSolution", "AsymLocusPoint", "PairGap",
@@ -90,11 +90,6 @@ REFERENCE_DELTAS_ALPHA4: dict[tuple[int, int], float] = {
 }
 
 
-def _require_alpha(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
-
-
 @dataclass(frozen=True)
 class AlcQuery:
     """One crossing condition: off-central level m against central level n."""
@@ -108,12 +103,13 @@ class AlcQuery:
 
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
-            raise ValueError("level indices must be non-negative")
-        _require_alpha(self.alpha)
+            raise ParameterError("level indices must be non-negative")
+        require_alpha(self.alpha)
         if not (self.bracket[0] < self.bracket[1]):
-            raise ValueError("bracket must satisfy lo < hi")
+            raise ParameterError("bracket must satisfy lo < hi, "
+                                 f"got {tuple(self.bracket)}")
         if self.backend not in ("harmonic", "numerical"):
-            raise ValueError(f"unknown backend {self.backend!r}")
+            raise ParameterError(f"unknown backend {self.backend!r}")
 
 
 @dataclass(frozen=True)
@@ -342,7 +338,6 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
 
 def crossing_table(alpha: float, delta_tol: float = 1e-12) -> list[AlcSolution]:
     """All twelve reference (m, n) crossings, harmonic backend, sorted by delta."""
-    _require_alpha(alpha)
     sols = [solve_crossing(AlcQuery(m, n, alpha), delta_tol=delta_tol)
             for m, n in TABLE_PAIRS]
     return sorted(sols, key=lambda s: s.delta)
@@ -375,7 +370,7 @@ def tune_maximal_degeneracy(shape: WellShape, tol: float,
     returned unchanged.
     """
     if not (tol > 0.0):
-        raise ValueError("tol must be positive")
+        raise ParameterError(f"tol must be positive, got {tol!r}")
     n = shape.order
     if n == 1:
         energies = tuple(_inequivalent_ground_energies(shape))
@@ -431,7 +426,8 @@ def tune_maximal_degeneracy(shape: WellShape, tol: float,
 
 def linearized_shift(epsilon: float, alpha: float) -> float:
     """Leading-order catastrophe shift delta = -2*eps/(sqrt(3)*alpha^3),
-    with no range check."""
+    with no range check on eps; alpha must pass require_alpha."""
+    require_alpha(alpha)
     return -2.0 * epsilon / (math.sqrt(3.0) * alpha ** 3)
 
 
@@ -441,13 +437,12 @@ def asym_locus_linearized(epsilon: float, alpha: float) -> AsymLocusPoint:
     Valid for |epsilon| <= 0.1*alpha^3; beyond that the cubic form must be
     solved (asym_locus_cubic).
     """
-    _require_alpha(alpha)
+    delta = linearized_shift(epsilon, alpha)
     if abs(epsilon) > 0.1 * alpha ** 3:
         raise PerturbationRangeError(
             f"|epsilon|={abs(epsilon):g} exceeds 0.1*alpha^3; "
             "use asym_locus_cubic")
-    return AsymLocusPoint(epsilon, alpha, linearized_shift(epsilon, alpha),
-                          "linearized")
+    return AsymLocusPoint(epsilon, alpha, delta, "linearized")
 
 
 def _locus_epsilon(delta: float, alpha: float) -> float:
@@ -461,21 +456,20 @@ def asym_locus_cubic(epsilon: float, alpha: float) -> AsymLocusPoint:
     equation has two solutions the one nearest zero is returned: it is the
     only one in [-2, 1], where delta*sqrt(3+delta) increases strictly
     (from -2 to 2), so Brent's method on that branch, run with tol = 0,
-    finds it to a few ulps.
+    finds it to a few ulps; |epsilon| > alpha^3 raises ParameterError.
     """
-    _require_alpha(alpha)
+    require_alpha(alpha)
+    if not abs(epsilon) <= alpha ** 3:
+        raise ParameterError(
+            f"no catastrophe shift in (-3, 1] for epsilon={epsilon:g}, "
+            f"alpha={alpha:g} (attainable range is +-alpha^3)")
     if epsilon == 0.0:
         return AsymLocusPoint(0.0, alpha, 0.0, "cubic")
 
     def excess(d: float) -> float:
         return _locus_epsilon(d, alpha) - epsilon
 
-    f_lo, f_hi = excess(-2.0), excess(1.0)
-    if f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) == (f_hi < 0.0):
-        raise ValueError(
-            f"no catastrophe shift in (-3, 1] for epsilon={epsilon:g}, "
-            f"alpha={alpha:g} (attainable range is +-alpha^3)")
-    delta = brent_root(excess, -2.0, 1.0, f_lo, f_hi, 0.0)[0]
+    delta = brent_root(excess, -2.0, 1.0, excess(-2.0), excess(1.0), 0.0)[0]
     return AsymLocusPoint(epsilon, alpha, delta, "cubic")
 
 
@@ -488,7 +482,7 @@ def left_well_shift(alpha: float, beta: float,
     +3*sqrt(alpha^2+beta^2)*(4*alpha^2+5*beta^2)/beta^2 * eps.
     """
     if not (alpha > 0.0 and beta > 0.0):
-        raise ValueError("alpha and beta must be positive")
+        raise ParameterError("alpha and beta must be positive")
     s = alpha * alpha + beta * beta
     depth = -epsilon * s ** 1.5
     curvature = 3.0 * math.sqrt(s) * (4.0 * alpha * alpha + 5.0 * beta * beta) \
@@ -500,10 +494,11 @@ def _lattice(name: str, value_range: tuple[float, float],
              steps: int) -> list[float]:
     """steps >= 3 evenly spaced values from lo to hi, lo < hi."""
     if steps < 3:
-        raise ValueError("steps must be at least 3")
+        raise ParameterError(f"steps must be at least 3, got {steps}")
     lo, hi = value_range
     if not (lo < hi):
-        raise ValueError(f"{name} range must satisfy lo < hi")
+        raise ParameterError(f"{name} range must satisfy lo < hi, "
+                             f"got {tuple(value_range)}")
     return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
 
 

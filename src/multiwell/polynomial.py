@@ -16,14 +16,18 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-__all__ = ["Polynomial", "Root", "RootIsolationError", "real_roots",
-           "brent_root", "bracket_scan"]
+__all__ = ["Polynomial", "Root", "ParameterError", "RootIsolationError",
+           "real_roots", "brent_root", "bracket_scan"]
 
 # relative threshold below which a remainder coefficient is treated as an
 # exact zero when building the Sturm chain
 _CHAIN_EPS = 1e-13
 _EPS = 2.0 ** -52  # float64 unit roundoff, Brent's relative step floor
 _TINY = 5e-324  # smallest subnormal, Brent's absolute step floor at 0
+
+
+class ParameterError(ValueError):
+    """An argument rejected before any computation (CLI exit 64)."""
 
 
 class RootIsolationError(RuntimeError):
@@ -38,9 +42,10 @@ class Root(NamedTuple):
 def _normalize(coeffs: Iterable[float]) -> tuple[float, ...]:
     cs = [float(c) for c in coeffs]
     if not cs:
-        raise ValueError("coefficient list must be non-empty")
+        raise ParameterError("coefficient list must be non-empty")
     if any(not math.isfinite(c) for c in cs):
-        raise ValueError("coefficients must be finite")
+        raise ParameterError(f"coefficients must be finite, got {cs} "
+                             "(ascending by power)")
     while len(cs) > 1 and cs[-1] == 0.0:
         cs.pop()
     return tuple(cs)
@@ -69,7 +74,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, power: int, coeff: float = 1.0) -> "Polynomial":
         if power < 0:
-            raise ValueError("power must be non-negative")
+            raise ParameterError(f"power must be non-negative, got {power}")
         return cls([0.0] * power + [float(coeff)])
 
     @property
@@ -231,13 +236,13 @@ def brent_root(f, a: float, b: float, fa: float, fb: float,
     f(x) needs no re-evaluation; tol = 0 refines to a few ulps.
     """
     if not (tol >= 0.0):
-        raise ValueError("tol must be non-negative")
+        raise ParameterError(f"tol must be non-negative, got {tol!r}")
     if fa == 0.0:
         return a, fa
     if fb == 0.0:
         return b, fb
     if (fa < 0.0) == (fb < 0.0):
-        raise ValueError(f"f({a!r}) and f({b!r}) do not differ in sign")
+        raise ParameterError(f"f({a!r}) and f({b!r}) do not differ in sign")
     c, fc = a, fa
     d = e = b - a
     while True:
@@ -327,11 +332,11 @@ def real_roots(p: Polynomial, lo: float, hi: float,
     exceeds max_depth without isolating.
     """
     if not (lo < hi):
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+        raise ParameterError(f"need lo < hi, got [{lo}, {hi}]")
     if not (tol > 0.0):
-        raise ValueError("tol must be positive")
+        raise ParameterError(f"tol must be positive, got {tol!r}")
     if p.is_zero:
-        raise ValueError("zero polynomial: every point of the interval is a root")
+        raise ParameterError("zero polynomial: every point of the interval is a root")
     if p.degree == 0:
         return []
 

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .polynomial import Polynomial
+from .polynomial import ParameterError, Polynomial
 from .wells import (CriticalPoint, HarmonicWell, critical_points,
                     harmonic_wells_from, stationary_window)
 
@@ -44,7 +44,7 @@ class ConvergenceError(RuntimeError):
     """The LAPACK tridiagonal eigensolver failed to converge."""
 
 
-class DomainEstimateError(ValueError):
+class DomainEstimateError(ParameterError):
     """No harmonic well to size a default grid from; a half-width is needed."""
 
 
@@ -64,16 +64,18 @@ class SolverConfig:
     lam: float = 1.0
 
     def __post_init__(self):
-        if not (self.half_width > 0.0 and math.isfinite(self.half_width)):
-            raise ValueError("half_width must be positive and finite")
+        if not 0.0 < self.half_width < math.inf:
+            raise ParameterError("half_width must be positive and finite, "
+                                 f"got {self.half_width!r}")
         if self.grid_points < 201:
-            raise ValueError("grid_points must be at least 201")
+            raise ParameterError("grid_points must be at least 201")
         if self.grid_points % 2 == 0:
-            raise ValueError("grid_points must be odd (symmetric grid containing 0)")
+            raise ParameterError("grid_points must be odd (symmetric grid "
+                                 "containing 0)")
         if self.num_levels < 1:
-            raise ValueError("num_levels must be at least 1")
-        if not (self.lam > 0.0):
-            raise ValueError("lam must be positive")
+            raise ParameterError("num_levels must be at least 1")
+        if not 0.0 < self.lam < math.inf:
+            raise ParameterError(f"lam must be positive and finite, got {self.lam!r}")
 
     @property
     def step(self) -> float:
@@ -176,7 +178,8 @@ def _domain(p: Polynomial, e_max: float,
     """choose_domain, given critical_points(p, stationary_window(p)) when
     already in hand."""
     if p.degree < 2 or p.degree % 2 != 0 or p.coeffs[-1] <= 0.0:
-        raise ValueError("potential must be confining: even degree >= 2, positive leading coefficient")
+        raise ParameterError("potential must be confining: even degree >= 2, "
+                             "positive leading coefficient")
     if points is None:
         points = critical_points(p, stationary_window(p))
     level = 2.0 * e_max
@@ -205,11 +208,14 @@ def resolve_solver(p: Polynomial, num_levels: int, lam: float = 1.0, *,
                    step: float | None = None) -> SolverConfig:
     """The default finite-difference grid for the lowest num_levels of p.
 
-    The step is `step` or DEFAULT_STEP.  Without a half_width, L is
-    choose_domain(p, E_max), E_max being the highest harmonic estimate of
-    index num_levels - 1 over every well of p; a potential without a well
-    raises DomainEstimateError.
+    The step is `step` (positive, finite) or DEFAULT_STEP.  Without a
+    half_width, L is choose_domain(p, E_max), E_max being the highest
+    harmonic estimate of index num_levels - 1 over every well of p; a
+    potential without a well raises DomainEstimateError.
     """
+    step = DEFAULT_STEP if step is None else step
+    if not 0.0 < step < math.inf:
+        raise ParameterError(f"step must be positive and finite, got {step!r}")
     if half_width is None:
         points = critical_points(p, stationary_window(p))
         estimates = [w.level(num_levels - 1, lam)
@@ -219,7 +225,6 @@ def resolve_solver(p: Polynomial, num_levels: int, lam: float = 1.0, *,
                                       "potential (no harmonic well); give a "
                                       "half-width")
         half_width = _domain(p, max(estimates), points)
-    step = DEFAULT_STEP if step is None else step
     return SolverConfig(half_width=half_width,
                         grid_points=grid_points_for(half_width, step),
                         num_levels=num_levels, lam=lam)
@@ -331,8 +336,8 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     """
     n, k = cfg.grid_points, cfg.num_levels
     if k > n - 2:
-        raise ValueError(f"requested {k} levels on a grid with "
-                         f"{n - 2} interior points")
+        raise ParameterError(f"requested {k} levels on a grid with "
+                             f"{n - 2} interior points")
     x = cfg.grid()
     h = cfg.step
     off = -cfg.lam * cfg.lam / (h * h)

@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .polynomial import Polynomial, real_roots
+from .polynomial import ParameterError, Polynomial, real_roots
 
 __all__ = [
     "WellShape", "HarmonicWell", "CriticalPoint", "QuadWellForms",
     "PerturbedExtrema", "DegenerateWellError", "PerturbationRangeError",
-    "build_symmetric", "triple_well", "tilted_double_well",
+    "require_alpha", "build_symmetric", "triple_well", "tilted_double_well",
     "closed_form_n2", "closed_form_n3",
     "stationary_window", "critical_points", "harmonic_wells",
     "harmonic_wells_from",
@@ -34,7 +34,7 @@ class DegenerateWellError(ValueError):
     """A stationary point with vanishing curvature blocks the harmonic model."""
 
 
-class PerturbationRangeError(ValueError):
+class PerturbationRangeError(ParameterError):
     """The asymmetry coupling is too large for the perturbative formulas."""
 
 
@@ -52,18 +52,18 @@ class WellShape:
     def __post_init__(self):
         inc = tuple(float(s) for s in self.increments)
         if len(inc) < 1:
-            raise ValueError("shape needs at least one increment")
+            raise ParameterError("shape needs at least one increment")
         if any(not math.isfinite(s) or s < 0.0 for s in inc):
-            raise ValueError(f"increments must be finite and non-negative: {inc}")
+            raise ParameterError(f"increments must be finite and non-negative: {inc}")
         if any(b < a for a, b in zip(inc, inc[1:])):
-            raise ValueError(f"increments must be non-decreasing: {inc}")
+            raise ParameterError(f"increments must be non-decreasing: {inc}")
         object.__setattr__(self, "increments", inc)
 
     @classmethod
     def from_widths(cls, *widths: float) -> "WellShape":
         """Build from the per-step widths (alpha, beta, ...): s_k = alpha^2 + ... """
         if not widths:
-            raise ValueError("at least one width required")
+            raise ParameterError("at least one width required")
         total, inc = 0.0, []
         for w in widths:
             total += float(w) ** 2
@@ -101,10 +101,12 @@ class HarmonicWell:
 
     def __post_init__(self):
         if not (self.g > 0.0):
-            raise ValueError(f"half-curvature must be positive, got g={self.g}")
+            raise ParameterError(f"half-curvature must be positive, got g={self.g}")
 
     def level(self, m: int, lam: float = 1.0) -> float:
         """Harmonic estimate v + (2m+1) * lam * sqrt(g) for level m."""
+        if not 0.0 < lam < math.inf:
+            raise ParameterError(f"lam must be positive and finite, got {lam!r}")
         return self.v + (2 * m + 1) * lam * math.sqrt(self.g)
 
 
@@ -163,12 +165,19 @@ def build_symmetric(shape: WellShape) -> Polynomial:
     return dv.antiderivative()
 
 
+def require_alpha(alpha: float) -> None:
+    """ParameterError unless the triple-well width alpha is finite and > 0."""
+    if not 0.0 < alpha < math.inf:    # false for nan too
+        raise ParameterError(f"alpha must be finite and positive, got {alpha!r}")
+
+
 def triple_well(alpha: float, delta: float) -> Polynomial:
     """Triple well with widths alpha and beta, beta^2 = (2 + delta) * alpha^2.
 
     The increments are s = (alpha^2, (3 + delta) * alpha^2), alpha^2
-    computed as alpha * alpha.
+    computed as alpha * alpha; alpha must pass require_alpha.
     """
+    require_alpha(alpha)
     a2 = alpha * alpha
     return build_symmetric(WellShape((a2, (3.0 + delta) * a2)))
 
@@ -181,7 +190,7 @@ def tilted_double_well(s1: float, tilt: float) -> Polynomial:
 def closed_form_n2(alpha: float, beta: float) -> tuple[float, float]:
     """Couplings (a, c) of x^6 + a x^4 + c x^2 for the triple-well shape."""
     if alpha < 0.0 or beta < 0.0:
-        raise ValueError("alpha and beta must be non-negative")
+        raise ParameterError("alpha and beta must be non-negative")
     a2, b2 = alpha * alpha, beta * beta
     return -3.0 * (a2 + 0.5 * b2), 3.0 * a2 * (a2 + b2)
 
@@ -194,7 +203,7 @@ def closed_form_n3(alpha: float, beta: float, gamma: float) -> QuadWellForms:
     A zero curvature (e.g. beta = gamma = 0) marks a degenerate well.
     """
     if alpha < 0.0 or beta < 0.0 or gamma < 0.0:
-        raise ValueError("alpha, beta, gamma must be non-negative")
+        raise ParameterError("alpha, beta, gamma must be non-negative")
     a2, b2, g2 = alpha * alpha, beta * beta, gamma * gamma
     a = -4.0 * a2 - (8.0 / 3.0) * b2 - (4.0 / 3.0) * g2
     c = 8.0 * a2 * b2 + 4.0 * a2 * g2 + 2.0 * b2 * b2 + 6.0 * a2 * a2 + 2.0 * b2 * g2
@@ -236,10 +245,10 @@ def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
     on the root.
     """
     if not (window > 0.0):
-        raise ValueError("window must be positive")
+        raise ParameterError(f"window must be positive, got {window!r}")
     dv = p.derivative()
     if dv.is_zero:
-        raise ValueError("constant potential has no stationary structure")
+        raise ParameterError("constant potential has no stationary structure")
     ddv = dv.derivative()
     tol = 1e-11 * max(1.0, window)
     bound = stationary_window(p)
@@ -302,9 +311,9 @@ def tilted_well_minimum(f: float, g: float, x: float,
     negative (no real extremum pair).
     """
     if not (g > 0.0):
-        raise ValueError("g must be positive")
+        raise ParameterError(f"g must be positive, got {g!r}")
     if not (x > 0.0):
-        raise ValueError("x must be positive")
+        raise ParameterError(f"x must be positive, got {x!r}")
     disc = g * g * x * x - 3.0 * f * g
     if disc < 0.0:
         raise ValueError("no real extremum pair: discriminant g^2 x^2 - 3 f g < 0")
@@ -320,7 +329,7 @@ def perturbed_extrema_n2(alpha: float, beta: float, epsilon: float) -> Perturbed
     on the tilted polynomial should be used directly).
     """
     if not (alpha > 0.0 and beta > 0.0):
-        raise ValueError("alpha and beta must be positive")
+        raise ParameterError("alpha and beta must be positive")
     if abs(epsilon) > 0.1 * alpha ** 3:
         raise PerturbationRangeError(
             f"|epsilon|={abs(epsilon):g} exceeds 0.1*alpha^3={0.1 * alpha ** 3:g}; "

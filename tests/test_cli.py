@@ -1,13 +1,16 @@
 """CLI surface: formats, exit codes, determinism, config handling."""
 
+import importlib.util
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from multiwell import cli
 from multiwell.cli import main
 from multiwell.crossings import AlcQuery, solve_crossing
 
@@ -533,4 +536,104 @@ class TestEntryPoint:
 def test_golden_csv_bytes(capsys, name, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK
+    assert out.encode("utf-8") == (DATA / name).read_bytes()
+
+
+# Bad input exits 64 whichever layer rejects it: the library raises
+# ParameterError for its own arguments, and the CLI maps that one type.
+_RELOC = "kind = relocalization\nalpha = 4\ndelta_max = 0.005\n"
+_ALC = "kind = alc\nalpha = 4\npairs = 0:0\n"
+
+
+@pytest.mark.parametrize("argv, config, named", [
+    pytest.param(["spectrum", "--alpha", "4", "--backend", "numerical",
+                  "--half-width", "-1"], None, "got -1.0", id="half-width"),
+    pytest.param(["spectrum", "--alpha", "4", "--delta", "nan"], None,
+                 "(16.0, nan)", id="delta-nan"),
+    pytest.param(["spectrum", "--potential", "1,nan,0"], None,
+                 "got [0.0, nan, 1.0]", id="potential-nan"),
+    pytest.param(["spectrum", "--alpha", "4", "--backend", "numerical",
+                  "--grid-step", "-0.01"], None,
+                 "step must be positive and finite, got -0.01", id="grid-step"),
+    pytest.param(["spectrum", "--alpha", "4", "--backend", "numerical",
+                  "--lambda", "0"], None,
+                 "lam must be positive and finite, got 0.0",
+                 id="lambda-numerical"),
+    pytest.param(["spectrum", "--alpha", "4", "--lambda", "-1"], None,
+                 "lam must be positive and finite, got -1.0",
+                 id="lambda-harmonic"),
+    pytest.param(["spectrum", "--alpha", "4", "--lambda", "inf"], None,
+                 "lam must be positive and finite, got inf",
+                 id="lambda-infinite"),
+    pytest.param(["locus", "--alpha", "4", "--eps-max", "70"], None,
+                 "epsilon=70", id="locus-epsilon"),
+    pytest.param(None, "kind = tilt\ns1 = nan\ntilt_min = -0.3\n"
+                       "tilt_max = 0.3\nsteps = 3\n", "nan", id="sweep-s1"),
+    pytest.param(None, _RELOC + "delta_min = nan\nsteps = 5\n",
+                 "got (nan, 0.005)", id="sweep-delta-min"),
+    pytest.param(None, _RELOC + "delta_min = 0\nsteps = 2\n",
+                 "steps must be at least 3, got 2", id="sweep-steps"),
+    pytest.param(None, _ALC + "backend = numeric\n",
+                 "unknown backend 'numeric'", id="sweep-backend"),
+    pytest.param(None, _ALC + "bracket_lo = 0.05\nbracket_hi = -0.05\n",
+                 "got (0.05, -0.05)", id="sweep-bracket"),
+    pytest.param(None, _RELOC + "delta_min = 0\nsteps = 5\ngrid_stpe = 0.5\n",
+                 "'grid_stpe'", id="sweep-key-typo"),
+])
+def test_bad_input_exits_64(capsys, tmp_path, argv, config, named):
+    if config is not None:
+        path = tmp_path / "bad.conf"
+        path.write_text(config)
+        argv = ["sweep", "--config", str(path), "--outdir", str(tmp_path / "o")]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_benchmark_sweep_config_is_accepted(capsys, tmp_path, monkeypatch):
+    # the reloc_sweep benchmark writes its configs with SweepInput; every
+    # key it writes must stay a relocalization key
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).parent.parent / "benchmarks"
+        / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for dataclasses
+    spec.loader.exec_module(workloads)
+    path = tmp_path / "sweep.conf"
+    path.write_text(workloads.RelocSweep.warmup.config_text())
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path),
+                             "--outdir", str(tmp_path / "out"), "--jobs", "1")
+    assert (code, err) == (EXIT_OK, "")
+    assert "(21 results, crossing=" in out
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    # a step of 1e-9 asks numpy for about 142 GiB; the solve is replaced
+    # so that nothing is allocated
+    def exhausted(p, cfg):
+        raise MemoryError(f"grid of {cfg.grid_points} points")
+
+    monkeypatch.setattr(cli, "solve_numerical", exhausted)
+    code, out, err = run_cli(capsys, "density", "--alpha", "4",
+                             "--grid-step", "1e-9")
+    assert (code, out) == (EXIT_NUMERIC, "")
+    assert err.startswith("error: grid of ")
+
+
+# Reference stdout of the table format.  The numerical spectrum calls
+# LAPACK, but its six printed decimals sit far above the solver tolerance.
+@pytest.mark.parametrize("name, argv", [
+    ("table1_compare.txt", ["table1", "--compare"]),
+    ("locus_alpha4.txt", ["locus", "--alpha", "4"]),
+    ("spectrum_alpha4_harmonic.txt", ["spectrum", "--alpha", "4"]),
+    ("spectrum_alpha4_levels5_numerical_compare.txt",
+     ["spectrum", "--alpha", "4", "--levels", "5", "--compare",
+      "--backend", "numerical"]),
+])
+def test_golden_table_bytes(capsys, name, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    out = re.sub(r"(?m)^(solved 12 conditions in )[0-9.]+( s)$",
+                 r"\1<elapsed>\2", out)
     assert out.encode("utf-8") == (DATA / name).read_bytes()
