@@ -16,11 +16,11 @@ from .spectrum import (ConvergenceError, DomainEstimateError, Eigenpair,
                        grid_points_for, harmonic_families,
                        harmonic_spectrum_n2, resolve_solver, solve_numerical,
                        well_weights)
-from .wells import (CriticalPoint, DegenerateWellError, HarmonicWell,
-                    PerturbationRangeError, PerturbedExtrema, QuadWellForms,
-                    WellShape, build_symmetric, closed_form_n2, closed_form_n3,
-                    critical_points, harmonic_wells, perturbed_extrema_n2,
-                    tilted_well_minimum)
+from .wells import (AlphaOverflowError, CriticalPoint, DegenerateWellError,
+                    HarmonicWell, PerturbationRangeError, PerturbedExtrema,
+                    QuadWellForms, WellShape, build_symmetric, closed_form_n2,
+                    closed_form_n3, critical_points, harmonic_wells,
+                    perturbed_extrema_n2, tilted_well_minimum)
 
 __all__ = [
     "__version__",
@@ -29,8 +29,9 @@ __all__ = [
     # wells
     "WellShape", "HarmonicWell", "CriticalPoint", "QuadWellForms",
     "PerturbedExtrema", "DegenerateWellError", "PerturbationRangeError",
-    "build_symmetric", "closed_form_n2", "closed_form_n3", "critical_points",
-    "harmonic_wells", "tilted_well_minimum", "perturbed_extrema_n2",
+    "AlphaOverflowError", "build_symmetric", "closed_form_n2",
+    "closed_form_n3", "critical_points", "harmonic_wells",
+    "tilted_well_minimum", "perturbed_extrema_n2",
     # spectrum
     "SolverConfig", "Eigenpair", "HarmonicSpectrum", "RegionWeight",
     "LabeledLevel", "ConvergenceError", "DomainEstimateError",

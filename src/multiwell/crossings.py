@@ -29,15 +29,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .polynomial import ParameterError, bracket_scan, brent_root
-from .spectrum import (SolverConfig, _n2_closed_form, _region_weights,
-                       classify_levels, harmonic_families, resolve_solver,
-                       solve_numerical)
+from .spectrum import (SolverConfig, _load_lapack, _n2_closed_form,
+                       _region_weights, classify_levels, harmonic_families,
+                       resolve_solver, solve_numerical)
 from .wells import (PerturbationRangeError, WellShape, build_symmetric,
                     require_alpha, tilted_double_well, triple_well)
 
@@ -104,10 +103,12 @@ class AlcQuery:
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
             raise ParameterError("level indices must be non-negative")
-        require_alpha(self.alpha)
         if not (self.bracket[0] < self.bracket[1]):
             raise ParameterError("bracket must satisfy lo < hi, "
                                  f"got {tuple(self.bracket)}")
+        # the closed form's largest term: beta^6 = (2 + delta)^3 * alpha^6
+        require_alpha(self.alpha, 6,
+                      math.sqrt(max(1.0, 2.0 + self.bracket[1])))
         if self.backend not in ("harmonic", "numerical"):
             raise ParameterError(f"unknown backend {self.backend!r}")
 
@@ -182,8 +183,9 @@ def _harmonic_residual(delta, m: int, n: int, alpha: float):
     at delta a float or a numpy array.  A float gives the Python float that
     harmonic_spectrum_n2 gives.  An array decides signs only: numpy's
     b2 ** 3 can differ from Python's by an ulp.  An array with a value that
-    is not finite is recomputed point by point as floats, so an overflow
-    of Python's power raises OverflowError as it does for a float."""
+    is not finite is recomputed point by point as floats, so a delta below
+    -2 raises math's ValueError as it does for a float; AlcQuery's
+    require_alpha keeps the powers finite."""
     array = isinstance(delta, np.ndarray)
     beta = alpha * (np.sqrt if array else math.sqrt)(2.0 + delta)
     spring_c, spring_o, v_outer = _n2_closed_form(alpha, beta)
@@ -427,7 +429,7 @@ def tune_maximal_degeneracy(shape: WellShape, tol: float,
 def linearized_shift(epsilon: float, alpha: float) -> float:
     """Leading-order catastrophe shift delta = -2*eps/(sqrt(3)*alpha^3),
     with no range check on eps; alpha must pass require_alpha."""
-    require_alpha(alpha)
+    require_alpha(alpha, 3)
     return -2.0 * epsilon / (math.sqrt(3.0) * alpha ** 3)
 
 
@@ -458,7 +460,7 @@ def asym_locus_cubic(epsilon: float, alpha: float) -> AsymLocusPoint:
     (from -2 to 2), so Brent's method on that branch, run with tol = 0,
     finds it to a few ulps; |epsilon| > alpha^3 raises ParameterError.
     """
-    require_alpha(alpha)
+    require_alpha(alpha, 3)
     if not abs(epsilon) <= alpha ** 3:
         raise ParameterError(
             f"no catastrophe shift in (-3, 1] for epsilon={epsilon:g}, "
@@ -520,10 +522,13 @@ def relocalization_scan(alpha: float, delta_range: tuple[float, float],
     and the bracket of the two lattice deltas that straddle it: the
     crossing is known to one lattice step.
     Lattice points are independent; jobs > 1 distributes them over
-    processes and merges in lattice order.
+    processes and merges in lattice order; LAPACK is loaded before they
+    start, so that forked workers inherit it rather than each importing it.
     """
     tasks = [(alpha, d, cfg) for d in _lattice("delta", delta_range, steps)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        _load_lapack()
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_scan_point, tasks))
     else:

@@ -16,6 +16,9 @@ error_estimate is accurate to O(h^4).  Wavefunctions and region weights
 stay O(h^2).  Both routes name the wells by one map (harmonic_families);
 classify_levels labels each numerical level by the family that holds most
 of its weight.
+
+SciPy's LAPACK bindings load on the first numerical solve (_load_lapack),
+so a closed-form run never imports SciPy.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
-from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .polynomial import ParameterError, Polynomial
 from .wells import (CriticalPoint, HarmonicWell, critical_points,
@@ -192,9 +193,20 @@ def _domain(p: Polynomial, e_max: float,
     return half + 0.5
 
 
+_MAX_GRID_POINTS = np.iinfo(np.intp).max // np.dtype(float).itemsize
+
+
 def grid_points_for(half_width: float, step: float) -> int:
-    """Odd point count >= 201 putting the grid spacing near the requested step."""
-    n = int(round(2.0 * half_width / step)) + 1
+    """Odd point count >= 201 putting the grid spacing near the requested
+    step; ParameterError when numpy cannot size a float array that long
+    (np.intp's maximum in bytes), MemoryError later when it cannot
+    allocate one."""
+    count = 2.0 * half_width / step
+    if not count < _MAX_GRID_POINTS:    # false for nan and inf too
+        raise ParameterError(f"half_width={half_width!r} at step={step!r} "
+                             f"needs {count:.4g} grid points, more than the "
+                             f"{_MAX_GRID_POINTS} a float array can hold")
+    n = int(round(count)) + 1
     if n % 2 == 0:
         n += 1
     return max(n, 201)
@@ -233,6 +245,20 @@ def resolve_solver(p: Polynomial, num_levels: int, lam: float = 1.0, *,
 def _is_symmetric(p: Polynomial) -> bool:
     top = max(abs(c) for c in p.coeffs)
     return all(abs(c) <= 1e-12 * top for c in p.coeffs[1::2])
+
+
+# SciPy's LAPACK bindings, bound by _load_lapack on the first numerical
+# solve: importing scipy.linalg costs about 0.3 s, which a closed-form run
+# never needs.  Module globals read at call time, so tests can patch them.
+LinAlgError = eigh_tridiagonal = dpttrf = dpttrs = None
+
+
+def _load_lapack() -> None:
+    """Bind the LAPACK globals above; a no-op once they are bound."""
+    global LinAlgError, eigh_tridiagonal, dpttrf, dpttrs
+    if eigh_tridiagonal is None:
+        from scipy.linalg import LinAlgError, eigh_tridiagonal
+        from scipy.linalg.lapack import dpttrf, dpttrs
 
 
 _GROUND_ROUNDS = 60    # shift rounds of _ground before it gives up
@@ -300,6 +326,7 @@ def _lowest(diag: np.ndarray, off: np.ndarray, k: int,
     """Lowest k eigenpairs of a symmetric tridiagonal matrix with negative
     off-diagonal: _ground for k == 1, else (and when _ground gives up)
     LAPACK bisection on the Sturm count plus inverse iteration (stebz)."""
+    _load_lapack()
     if k == 1:
         ground = _ground(diag, off)
         if ground is not None:

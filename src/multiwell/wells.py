@@ -15,6 +15,7 @@ to leading order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .polynomial import ParameterError, Polynomial, real_roots
@@ -22,8 +23,8 @@ from .polynomial import ParameterError, Polynomial, real_roots
 __all__ = [
     "WellShape", "HarmonicWell", "CriticalPoint", "QuadWellForms",
     "PerturbedExtrema", "DegenerateWellError", "PerturbationRangeError",
-    "require_alpha", "build_symmetric", "triple_well", "tilted_double_well",
-    "closed_form_n2", "closed_form_n3",
+    "AlphaOverflowError", "require_alpha", "build_symmetric", "triple_well",
+    "tilted_double_well", "closed_form_n2", "closed_form_n3",
     "stationary_window", "critical_points", "harmonic_wells",
     "harmonic_wells_from",
     "tilted_well_minimum", "perturbed_extrema_n2",
@@ -36,6 +37,11 @@ class DegenerateWellError(ValueError):
 
 class PerturbationRangeError(ParameterError):
     """The asymmetry coupling is too large for the perturbative formulas."""
+
+
+class AlphaOverflowError(ParameterError, OverflowError):
+    """alpha so large that a power of it in a closed form overflows a float;
+    raised by require_alpha before anything is computed."""
 
 
 @dataclass(frozen=True)
@@ -165,10 +171,23 @@ def build_symmetric(shape: WellShape) -> Polynomial:
     return dv.antiderivative()
 
 
-def require_alpha(alpha: float) -> None:
-    """ParameterError unless the triple-well width alpha is finite and > 0."""
+# ln of a quarter of the largest float, the bound of require_alpha's powers:
+# the quarter leaves room for the sums of such terms and their rounding
+_LOG_POWER_BOUND = math.log(sys.float_info.max / 4.0)
+
+
+def require_alpha(alpha: float, power: int = 1, scale: float = 1.0) -> None:
+    """ParameterError unless the triple-well width alpha is finite and > 0;
+    AlphaOverflowError unless (scale * alpha)**power, the largest power
+    that the caller's closed form takes, stays below a quarter of the
+    largest float."""
     if not 0.0 < alpha < math.inf:    # false for nan too
         raise ParameterError(f"alpha must be finite and positive, got {alpha!r}")
+    if power * (math.log(scale) + math.log(alpha)) >= _LOG_POWER_BOUND:
+        term = "alpha" if scale == 1.0 else f"({scale:.6g}*alpha)"
+        raise AlphaOverflowError(f"alpha={alpha!r} is too large: the "
+                                 f"closed form's {term}^{power} overflows "
+                                 "a float")
 
 
 def triple_well(alpha: float, delta: float) -> Polynomial:

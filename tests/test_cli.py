@@ -567,6 +567,16 @@ _ALC = "kind = alc\nalpha = 4\npairs = 0:0\n"
                  id="lambda-infinite"),
     pytest.param(["locus", "--alpha", "4", "--eps-max", "70"], None,
                  "epsilon=70", id="locus-epsilon"),
+    pytest.param(["spectrum", "--alpha", "4", "--backend", "numerical",
+                  "--half-width", "1e300"], None,
+                 "half_width=1e+300 at step=0.005 needs 4e+302 grid points",
+                 id="half-width-unsizable"),
+    pytest.param(["table1", "--alpha", "1e60"], None,
+                 "alpha=1e+60 is too large", id="table1-alpha-overflow"),
+    pytest.param(["locus", "--alpha", "1e200"], None,
+                 "alpha=1e+200 is too large", id="locus-alpha-overflow"),
+    pytest.param(None, _ALC + "bracket_hi = 1e300\n",
+                 "alpha=4.0 is too large", id="sweep-bracket-overflow"),
     pytest.param(None, "kind = tilt\ns1 = nan\ntilt_min = -0.3\n"
                        "tilt_max = 0.3\nsteps = 3\n", "nan", id="sweep-s1"),
     pytest.param(None, _RELOC + "delta_min = nan\nsteps = 5\n",
@@ -589,6 +599,15 @@ def test_bad_input_exits_64(capsys, tmp_path, argv, config, named):
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: ") and named in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["table1", "--alpha", "1e51"],
+                                  ["locus", "--alpha", "1e102"]])
+def test_largest_closed_form_alpha_still_runs(capsys, argv):
+    # just below the overflow bound of require_alpha: beta^6 at the default
+    # bracket's delta = 0.05 is 8.6e306, alpha^3 of the locus 1e306
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "") and out
 
 
 def test_benchmark_sweep_config_is_accepted(capsys, tmp_path, monkeypatch):
@@ -619,6 +638,29 @@ def test_memory_error_exits_2(capsys, monkeypatch):
                              "--grid-step", "1e-9")
     assert (code, out) == (EXIT_NUMERIC, "")
     assert err.startswith("error: grid of ")
+
+
+# A closed-form command loads neither SciPy (LAPACK binds on the first
+# numerical solve) nor the process pool (only a scan with jobs > 1 starts
+# one); a numerical spectrum loads SciPy, which imports concurrent.futures.
+@pytest.mark.parametrize("argv, loaded", [
+    (["table1"], []),
+    (["table1", "--compare"], []),
+    (["locus", "--alpha", "4"], []),
+    (["spectrum", "--alpha", "4"], []),
+    (["spectrum", "--alpha", "4", "--backend", "numerical"],
+     ["concurrent.futures", "scipy"]),
+])
+def test_closed_form_commands_do_not_import_scipy(argv, loaded):
+    code = ("import sys\n"
+            "from multiwell.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, sorted({'scipy', 'concurrent.futures'}"
+            " & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} {loaded!r}"
 
 
 # Reference stdout of the table format.  The numerical spectrum calls

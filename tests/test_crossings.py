@@ -272,8 +272,8 @@ class TestCrossingTable:
             with pytest.raises(ValueError, match="finite and positive"):
                 call()
 
-    # at 1e80 alpha^6 overflows; at 2e51 only beta^6 does, which the
-    # array lattice gives as inf and the float recomputation raises on
+    # at 1e80 alpha^6 overflows; at 2e51 only beta^6 does: require_alpha
+    # rejects both before the lattice, with an AlphaOverflowError
     @pytest.mark.parametrize("alpha", [1e80, 2e51])
     def test_overflow_raises_without_numpy_warnings(self, alpha):
         with warnings.catch_warnings():
@@ -486,6 +486,22 @@ class TestRelocalizationScan:
         cfg = SolverConfig(half_width=9.0, grid_points=1201, num_levels=1)
         with pytest.raises(ValueError):
             relocalization_scan(4.0, (0.0, 0.005), 2, cfg)
+
+    def test_parallel_scan_loads_lapack_in_the_parent(self):
+        # the first numerical call of a fresh interpreter: the parent binds
+        # LAPACK before the pool starts, so forked workers inherit it
+        code = ("import sys\n"
+                "from multiwell.crossings import relocalization_scan\n"
+                "from multiwell.spectrum import SolverConfig\n"
+                "cfg = SolverConfig(half_width=9.0, grid_points=1201)\n"
+                "par = relocalization_scan(4.0, (0.0, 0.005), 5, cfg, jobs=2)\n"
+                "print('scipy.linalg' in sys.modules)\n"
+                "ser = relocalization_scan(4.0, (0.0, 0.005), 5, cfg)\n"
+                "print(par.rows == ser.rows)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True"]
 
 
 def _origin_weight(pair, p):

@@ -1,6 +1,9 @@
 """Harmonic estimates, the finite-difference eigensolver, and level labeling."""
 
 import math
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +14,8 @@ from scipy.linalg.lapack import dpttrf
 
 from multiwell import crossings, spectrum, wells
 from multiwell.crossings import AlcQuery, solve_crossing
-from multiwell.polynomial import Polynomial, brent_root, real_roots
+from multiwell.polynomial import (ParameterError, Polynomial, brent_root,
+                                  real_roots)
 from multiwell.spectrum import (DomainEstimateError, SolverConfig,
                                 choose_domain, classify_levels,
                                 grid_points_for, harmonic_families,
@@ -164,6 +168,15 @@ class TestChooseDomain:
         n = grid_points_for(9.0, 0.005)
         assert n % 2 == 1 and n >= 201
         assert abs(2 * 9.0 / (n - 1) - 0.005) < 1e-5
+
+    @pytest.mark.parametrize("half_width, step", [
+        (1e300, 0.005), (1e16, 0.005), (1e300, 1e-10), (math.nan, 0.005)])
+    def test_grid_points_for_rejects_an_unsizable_grid(self, half_width, step):
+        # more points than numpy can size a float array for: 4e302, 4e18
+        # (32 EB), inf and nan, each named with the inputs that asked for it
+        with pytest.raises(ParameterError, match=re.escape(
+                f"half_width={half_width!r} at step={step!r} needs ")):
+            grid_points_for(half_width, step)
 
 
 class TestResolveSolver:
@@ -502,6 +515,28 @@ def test_single_level_route_falls_back_to_stebz(monkeypatch, name, value):
                                       select_range=(0, 0),
                                       lapack_driver="stebz")
     assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
+
+
+def test_lowest_called_first_binds_lapack():
+    # _lowest is the one entry to LAPACK: called before any solve in a fresh
+    # interpreter, it binds the routines itself, on both of its routes; the
+    # Gershgorin ends are 0 and 5, so stebz's tolerance is 5 ulp
+    code = ("import numpy as np\n"
+            "from multiwell import spectrum\n"
+            "diag, off = np.linspace(2.0, 3.0, 401), np.full(400, -1.0)\n"
+            "cfg = spectrum.SolverConfig(1.0, 401)\n"
+            "e1, v1 = spectrum._lowest(diag, off, 1, cfg)\n"
+            "e3, v3 = spectrum._lowest(diag, off, 3, cfg)\n"
+            "from scipy.linalg import eigh_tridiagonal\n"
+            "want = eigh_tridiagonal(diag, off, select='i',"
+            " select_range=(0, 2), lapack_driver='stebz',"
+            " eigvals_only=True)\n"
+            "tol = 8.0 * np.finfo(float).eps * 5.0\n"
+            "print(abs(e1[0] - want[0]) <= tol, np.array_equal(e3, want))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
 
 
 class TestWellWeights:
