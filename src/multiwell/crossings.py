@@ -106,6 +106,11 @@ class AlcQuery:
         if not (self.bracket[0] < self.bracket[1]):
             raise ParameterError("bracket must satisfy lo < hi, "
                                  f"got {tuple(self.bracket)}")
+        # beta^2 = (2 + delta) * alpha^2 must stay positive on the bracket
+        if not self.bracket[0] > -2.0:
+            raise ParameterError("bracket must lie above delta = -2, where "
+                                 "beta^2 = (2 + delta) * alpha^2 vanishes, "
+                                 f"got {tuple(self.bracket)}")
         # the closed form's largest term: beta^6 = (2 + delta)^3 * alpha^6
         require_alpha(self.alpha, 6,
                       math.sqrt(max(1.0, 2.0 + self.bracket[1])))

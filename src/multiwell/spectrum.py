@@ -17,14 +17,21 @@ stay O(h^2).  Both routes name the wells by one map (harmonic_families);
 classify_levels labels each numerical level by the family that holds most
 of its weight.
 
-SciPy's LAPACK bindings load on the first numerical solve (_load_lapack),
-so a closed-form run never imports SciPy.
+The four LAPACK routines come from SciPy's f2py extension
+scipy.linalg._flapack, loaded from its file on the first numerical solve
+(_load_lapack): a closed-form run never touches SciPy, and a numerical one
+loads that one extension, not scipy.linalg.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
+from types import ModuleType
 
 import numpy as np
 
@@ -247,18 +254,54 @@ def _is_symmetric(p: Polynomial) -> bool:
     return all(abs(c) <= 1e-12 * top for c in p.coeffs[1::2])
 
 
-# SciPy's LAPACK bindings, bound by _load_lapack on the first numerical
-# solve: importing scipy.linalg costs about 0.3 s, which a closed-form run
-# never needs.  Module globals read at call time, so tests can patch them.
-LinAlgError = eigh_tridiagonal = dpttrf = dpttrs = None
+# LAPACK routines, bound by _load_lapack on the first numerical solve.
+# Module globals read at call time, so tests can patch them; _lapack, the
+# module they came from, is the guard, and no test patches it.
+_lapack = dpttrf = dpttrs = dstebz = dstein = None
+_FLAPACK = "scipy.linalg._flapack"
 
 
 def _load_lapack() -> None:
-    """Bind the LAPACK globals above; a no-op once they are bound."""
-    global LinAlgError, eigh_tridiagonal, dpttrf, dpttrs
-    if eigh_tridiagonal is None:
-        from scipy.linalg import LinAlgError, eigh_tridiagonal
-        from scipy.linalg.lapack import dpttrf, dpttrs
+    """Bind dpttrf, dpttrs, dstebz and dstein from SciPy's f2py LAPACK
+    extension, scipy.linalg._flapack; a no-op once they are bound.
+
+    The extension is loaded from its file, under its own name, so that
+    scipy/linalg/__init__.py never runs: that import costs about 0.3 s, the
+    extension alone a few ms.  A later import of scipy.linalg finds the
+    module in sys.modules and binds the same routine objects.  When scipy's
+    package directory does not hold the file (an editable install keeps
+    its built extensions elsewhere), the routines come from
+    scipy.linalg.lapack instead: the same objects, at the import's cost.
+    Raises ImportError when SciPy is not installed.
+    """
+    global _lapack, dpttrf, dpttrs, dstebz, dstein
+    if _lapack is not None:
+        return
+    module = sys.modules.get(_FLAPACK) or _load_flapack()
+    if module is None:
+        from scipy.linalg import lapack as module
+    dpttrf, dpttrs = module.dpttrf, module.dpttrs
+    dstebz, dstein = module.dstebz, module.dstein
+    _lapack = module
+
+
+def _load_flapack() -> ModuleType | None:
+    """scipy.linalg._flapack loaded from scipy's package directory without
+    importing scipy, and entered in sys.modules; None when no file is
+    there.  importlib.util.find_spec locates a top-level package without
+    importing it."""
+    spec = importlib.util.find_spec("scipy")
+    folders = spec.submodule_search_locations if spec else None
+    for folder in folders or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[_FLAPACK] = module
+                spec.loader.exec_module(module)
+                return module
+    return None
 
 
 _GROUND_ROUNDS = 60    # shift rounds of _ground before it gives up
@@ -331,13 +374,24 @@ def _lowest(diag: np.ndarray, off: np.ndarray, k: int,
         ground = _ground(diag, off)
         if ground is not None:
             return ground
-    try:
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
-                                check_finite=False, lapack_driver="stebz")
-    except LinAlgError as exc:
+    # the calls eigh_tridiagonal(select="i", lapack_driver="stebz") makes:
+    # levels 1..k by index (range 2; vl, vu unused) at stebz's default
+    # tolerance (abstol 0), ordered by block ("B") as stein needs them
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    _check_info("dstebz", info, cfg)
+    w = w[:m]
+    vectors, info = dstein(diag, off, w, iblock, isplit)
+    _check_info("dstein", info, cfg)
+    order = np.argsort(w)
+    return w[order], vectors[:, order]
+
+
+def _check_info(routine: str, info: int, cfg: SolverConfig) -> None:
+    if info != 0:
         raise ConvergenceError(
-            f"tridiagonal eigensolver failed: {exc} (grid_points="
-            f"{cfg.grid_points}, h={cfg.step:.4g}, lam={cfg.lam:g})") from exc
+            f"tridiagonal eigensolver failed: {routine} info={info} "
+            f"(grid_points={cfg.grid_points}, h={cfg.step:.4g}, "
+            f"lam={cfg.lam:g})")
 
 
 def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:

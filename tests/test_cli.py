@@ -237,6 +237,15 @@ class TestSpectrum:
         assert out == ""
         assert "6.9282" in err and "window=2 too small" in err
 
+    @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+    def test_eigensolver_failure_exits_2(self, capsys, fail_lapack, routine):
+        fail_lapack(routine)
+        code, out, err = run_cli(capsys, "spectrum", "--alpha", "4",
+                                 "--backend", "numerical", "--levels", "5")
+        assert (code, out) == (EXIT_NUMERIC, "")
+        assert err.startswith("error: tridiagonal eigensolver failed: "
+                              f"{routine} info=1 (grid_points=")
+
     def test_numeric_failure_exit_code(self, capsys):
         # degenerate quartic: harmonic backend has no non-degenerate wells
         code, _, err = run_cli(capsys, "spectrum", "--potential", "1,0,0,0,0",
@@ -587,6 +596,8 @@ _ALC = "kind = alc\nalpha = 4\npairs = 0:0\n"
                  "unknown backend 'numeric'", id="sweep-backend"),
     pytest.param(None, _ALC + "bracket_lo = 0.05\nbracket_hi = -0.05\n",
                  "got (0.05, -0.05)", id="sweep-bracket"),
+    pytest.param(None, _ALC + "bracket_lo = -3\n",
+                 "bracket must lie above delta = -2", id="sweep-bracket-lo"),
     pytest.param(None, _RELOC + "delta_min = 0\nsteps = 5\ngrid_stpe = 0.5\n",
                  "'grid_stpe'", id="sweep-key-typo"),
 ])
@@ -640,23 +651,22 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     assert err.startswith("error: grid of ")
 
 
-# A closed-form command loads neither SciPy (LAPACK binds on the first
-# numerical solve) nor the process pool (only a scan with jobs > 1 starts
-# one); a numerical spectrum loads SciPy, which imports concurrent.futures.
+# No command imports the scipy package or the process pool (only a scan
+# with jobs > 1 starts one).  A closed-form command loads no LAPACK; a
+# numerical one loads SciPy's LAPACK extension alone, on its first solve.
 @pytest.mark.parametrize("argv, loaded", [
     (["table1"], []),
     (["table1", "--compare"], []),
     (["locus", "--alpha", "4"], []),
     (["spectrum", "--alpha", "4"], []),
-    (["spectrum", "--alpha", "4", "--backend", "numerical"],
-     ["concurrent.futures", "scipy"]),
+    (["spectrum", "--alpha", "4", "--backend", "numerical"], []),
 ])
 def test_closed_form_commands_do_not_import_scipy(argv, loaded):
     code = ("import sys\n"
             "from multiwell.cli import main\n"
             f"code = main({argv!r})\n"
-            "print(code, sorted({'scipy', 'concurrent.futures'}"
-            " & set(sys.modules)))\n")
+            "print(code, sorted({'scipy', 'scipy.linalg',"
+            " 'concurrent.futures'} & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

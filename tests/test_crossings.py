@@ -18,7 +18,8 @@ from multiwell.crossings import (PAIRED_ROWS, REFERENCE_DELTAS_ALPHA4,
                                  crossing_table, left_well_shift, pairing_gaps,
                                  relocalization_scan, solve_crossing, tilt_scan,
                                  tune_maximal_degeneracy)
-from multiwell.polynomial import Polynomial, bracket_scan, brent_root
+from multiwell.polynomial import (ParameterError, Polynomial, bracket_scan,
+                                  brent_root)
 from multiwell.spectrum import (SolverConfig, classify_levels, solve_numerical,
                                 well_weights)
 from multiwell.wells import (PerturbationRangeError, WellShape, build_symmetric,
@@ -65,6 +66,12 @@ class TestSolveCrossing:
     def test_no_crossing_in_bracket(self):
         with pytest.raises(ValueError, match="no crossing"):
             solve_crossing(AlcQuery(0, 0, 4.0, bracket=(0.03, 0.05)))
+
+    @pytest.mark.parametrize("lo", [-3.0, -2.0, -math.inf])
+    def test_bracket_at_or_below_delta_minus_2_is_rejected(self, lo):
+        # beta^2 = (2 + delta) * alpha^2 is not positive there
+        with pytest.raises(ParameterError, match="above delta = -2"):
+            AlcQuery(0, 0, 4.0, bracket=(lo, 0.05))
 
     def test_residual_monotone_on_default_bracket(self):
         # strict monotonicity makes any root in the bracket unique; the
@@ -488,14 +495,15 @@ class TestRelocalizationScan:
             relocalization_scan(4.0, (0.0, 0.005), 2, cfg)
 
     def test_parallel_scan_loads_lapack_in_the_parent(self):
-        # the first numerical call of a fresh interpreter: the parent binds
-        # LAPACK before the pool starts, so forked workers inherit it
+        # the first numerical call of a fresh interpreter: the parent loads
+        # the LAPACK extension before the pool starts, so forked workers
+        # inherit its bound routines
         code = ("import sys\n"
                 "from multiwell.crossings import relocalization_scan\n"
                 "from multiwell.spectrum import SolverConfig\n"
                 "cfg = SolverConfig(half_width=9.0, grid_points=1201)\n"
                 "par = relocalization_scan(4.0, (0.0, 0.005), 5, cfg, jobs=2)\n"
-                "print('scipy.linalg' in sys.modules)\n"
+                "print('scipy.linalg._flapack' in sys.modules)\n"
                 "ser = relocalization_scan(4.0, (0.0, 0.005), 5, cfg)\n"
                 "print(par.rows == ser.rows)\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -1,5 +1,7 @@
 """Harmonic estimates, the finite-difference eigensolver, and level labeling."""
 
+import importlib.machinery
+import importlib.util
 import math
 import re
 import subprocess
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import scipy.linalg.lapack
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf
 
@@ -16,7 +19,8 @@ from multiwell import crossings, spectrum, wells
 from multiwell.crossings import AlcQuery, solve_crossing
 from multiwell.polynomial import (ParameterError, Polynomial, brent_root,
                                   real_roots)
-from multiwell.spectrum import (DomainEstimateError, SolverConfig,
+from multiwell.spectrum import (ConvergenceError, DomainEstimateError,
+                                SolverConfig,
                                 choose_domain, classify_levels,
                                 grid_points_for, harmonic_families,
                                 harmonic_spectrum_n2, resolve_solver,
@@ -519,24 +523,90 @@ def test_single_level_route_falls_back_to_stebz(monkeypatch, name, value):
 
 def test_lowest_called_first_binds_lapack():
     # _lowest is the one entry to LAPACK: called before any solve in a fresh
-    # interpreter, it binds the routines itself, on both of its routes; the
+    # interpreter, it binds the routines itself, on both of its routes,
+    # without importing scipy.linalg; imported after it, scipy.linalg binds
+    # the very same routines, and the solves repeat bit for bit.  The
     # Gershgorin ends are 0 and 5, so stebz's tolerance is 5 ulp
-    code = ("import numpy as np\n"
+    code = ("import sys\n"
+            "import numpy as np\n"
             "from multiwell import spectrum\n"
             "diag, off = np.linspace(2.0, 3.0, 401), np.full(400, -1.0)\n"
             "cfg = spectrum.SolverConfig(1.0, 401)\n"
             "e1, v1 = spectrum._lowest(diag, off, 1, cfg)\n"
             "e3, v3 = spectrum._lowest(diag, off, 3, cfg)\n"
-            "from scipy.linalg import eigh_tridiagonal\n"
-            "want = eigh_tridiagonal(diag, off, select='i',"
-            " select_range=(0, 2), lapack_driver='stebz',"
-            " eigvals_only=True)\n"
+            "print('scipy' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+            "import scipy.linalg\n"
+            "print(all(getattr(scipy.linalg.lapack, name)"
+            " is getattr(spectrum, name)"
+            " for name in ('dpttrf', 'dpttrs', 'dstebz', 'dstein')))\n"
+            "again = spectrum._lowest(diag, off, 1, cfg)"
+            " + spectrum._lowest(diag, off, 3, cfg)\n"
+            "print(all(np.array_equal(a, b)"
+            " for a, b in zip((e1, v1, e3, v3), again)))\n"
+            "want_e, want_v = scipy.linalg.eigh_tridiagonal(diag, off,"
+            " select='i', select_range=(0, 2), lapack_driver='stebz')\n"
             "tol = 8.0 * np.finfo(float).eps * 5.0\n"
-            "print(abs(e1[0] - want[0]) <= tol, np.array_equal(e3, want))\n")
+            "print(abs(e1[0] - want_e[0]) <= tol, np.array_equal(e3, want_e)"
+            " and np.array_equal(v3, want_v))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "True"]
+    assert proc.stdout.split() == ["False", "False", "True", "True", "True",
+                                   "True"]
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_lowest_raises_when_a_routine_reports_failure(fail_lapack, routine):
+    fail_lapack(routine)
+    diag, off = np.linspace(2.0, 3.0, 401), np.full(400, -1.0)
+    with pytest.raises(ConvergenceError,
+                       match=rf"{routine} info=1 \(grid_points=401, h="):
+        spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401))
+
+
+def _unbind_lapack(monkeypatch):
+    """Reset spectrum's LAPACK globals for this test only."""
+    for name in ("_lapack", "dpttrf", "dpttrs", "dstebz", "dstein"):
+        monkeypatch.setattr(spectrum, name, None)
+    monkeypatch.delitem(sys.modules, spectrum._FLAPACK, raising=False)
+
+
+def _find_scipy_as(monkeypatch, spec):
+    """Make importlib.util.find_spec('scipy') return spec."""
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name, *args: spec if name == "scipy"
+                        else find_spec(name, *args))
+
+
+def test_loader_falls_back_to_scipy_linalg_lapack(monkeypatch, tmp_path):
+    # scipy's package directory without the extension, as in an editable
+    # install: the routines come from scipy.linalg.lapack, and the stebz
+    # route gives the very eigenpairs of eigh_tridiagonal, also when a zero
+    # off-diagonal splits T into blocks that stebz returns one by one
+    _unbind_lapack(monkeypatch)
+    empty = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    empty.submodule_search_locations = [str(tmp_path)]
+    _find_scipy_as(monkeypatch, empty)
+    diag, off = np.full(401, 2.0), np.full(400, -1.0)
+    off[100] = 0.0
+    energy, vector = spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401))
+    assert spectrum._lapack is scipy.linalg.lapack
+    assert spectrum._FLAPACK not in sys.modules
+    for name in ("dpttrf", "dpttrs", "dstebz", "dstein"):
+        assert getattr(spectrum, name) is getattr(scipy.linalg.lapack, name)
+    want_e, want_v = eigh_tridiagonal(diag, off, select="i",
+                                      select_range=(0, 2),
+                                      lapack_driver="stebz")
+    assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
+
+
+def test_loader_without_scipy_raises_import_error(monkeypatch):
+    _unbind_lapack(monkeypatch)
+    _find_scipy_as(monkeypatch, None)
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    with pytest.raises(ImportError):
+        spectrum._load_lapack()
 
 
 class TestWellWeights:
