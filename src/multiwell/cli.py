@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -306,6 +307,15 @@ def _cmd_locus(args) -> str:
 _REQUIRED = object()
 
 
+@contextmanager
+def _writing(path: str | Path):
+    """An OSError while writing the output at path is an input error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from exc
+
+
 def _parse_config(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -435,9 +445,8 @@ def _cmd_sweep(args) -> str:
     name = cfg.get("name", kind)
     columns, records, summary = sweep(cfg, jobs)
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     csv_path = outdir / f"{name}.csv"
-    csv_path.write_text(_render(columns, records, "csv"), encoding="utf-8")
+    manifest_path = outdir / f"{name}_manifest.json"
     manifest = {
         "command": "sweep",
         "params": dict(sorted(cfg.items())),
@@ -446,8 +455,10 @@ def _cmd_sweep(args) -> str:
         **summary,
         "tool_version": __version__,
     }
-    manifest_path = outdir / f"{name}_manifest.json"
-    manifest_path.write_text(_dump_json(manifest), encoding="utf-8")
+    with _writing(outdir):
+        outdir.mkdir(parents=True, exist_ok=True)
+        csv_path.write_text(_render(columns, records, "csv"), encoding="utf-8")
+        manifest_path.write_text(_dump_json(manifest), encoding="utf-8")
     crossing = summary["crossing"]
     cross_text = "no crossing" if crossing is None else f"crossing={crossing:.6g}"
     return (f"wrote {csv_path} and {manifest_path} ({len(records)} results, "
@@ -525,7 +536,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = args.func(args)
         if args.output:
-            Path(args.output).write_text(text, encoding="utf-8")
+            with _writing(args.output):
+                Path(args.output).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
         return EXIT_OK

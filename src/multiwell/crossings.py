@@ -187,18 +187,11 @@ def _harmonic_residual(delta, m: int, n: int, alpha: float):
     """Outer doublet m minus central level n of the closed-form spectrum,
     at delta a float or a numpy array.  A float gives the Python float that
     harmonic_spectrum_n2 gives.  An array decides signs only: numpy's
-    b2 ** 3 can differ from Python's by an ulp.  An array with a value that
-    is not finite is recomputed point by point as floats, so a delta below
-    -2 raises math's ValueError as it does for a float; AlcQuery's
-    require_alpha keeps the powers finite."""
-    array = isinstance(delta, np.ndarray)
-    beta = alpha * (np.sqrt if array else math.sqrt)(2.0 + delta)
+    b2 ** 3 can differ from Python's by an ulp."""
+    sqrt = np.sqrt if isinstance(delta, np.ndarray) else math.sqrt
+    beta = alpha * sqrt(2.0 + delta)
     spring_c, spring_o, v_outer = _n2_closed_form(alpha, beta)
-    residual = v_outer + (2 * m + 1) * spring_o - (2 * n + 1) * spring_c
-    if array and not np.isfinite(residual).all():
-        return np.array([_harmonic_residual(float(d), m, n, alpha)
-                         for d in delta])
-    return residual
+    return v_outer + (2 * m + 1) * spring_o - (2 * n + 1) * spring_c
 
 
 # Grid step of the default numerical crossing config.  The corrected
@@ -267,27 +260,24 @@ def _newton(f, x: float, a: float, b: float,
 def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     """Solve the crossing condition for delta to within delta_tol.
 
-    Both backends locate the sign change of the closed-form harmonic
-    residual on a 33-point lattice of the bracket, evaluated as one array
-    (bracket_scan); if several appear (should not happen, the residual is
-    monotone in the default bracket) the cell nearest zero is taken and a
-    warning is emitted.
+    Both backends scan the closed-form harmonic residual on a 33-point
+    lattice of the bracket, as one array (bracket_scan), and refine its
+    sign-change cell by Brent's method: that root is harmonic_delta, and
+    the harmonic backend's solution, whose evaluations count every
+    closed-form point.  Several cells (not seen on the default bracket,
+    where the residual is monotone) draw a warning, and the one nearest
+    zero is taken.  The window near is that cell widened by its width on
+    each side within q.bracket, or q.bracket when there is no cell.
 
-    Brent's method refines the closed form in that cell from float
-    evaluations of its ends: the harmonic solution, whose evaluations count
-    every closed-form point, the 33 of the lattice included.  The refined
-    root is the solution's harmonic_delta on both backends.  The numerical
-    backend uses the corrected energies on q.solver, or else on the grid
-    resolve_solver gives the bracket's widest triple well (delta at the
-    upper end) at step CROSSING_STEP, and counts eigensolves.  Newton's
-    method, with the residual's Hellmann-Feynman slope, runs from the
-    harmonic root within the cell widened by its own width on each side
-    (clipped to q.bracket): about two eigensolves.  Without a cell, or
-    when Newton fails (_newton), Brent's method takes over from the first
-    of that widened cell and q.bracket whose ends differ in sign; a root
-    outside the widened cell draws a warning.
+    The numerical backend counts eigensolves of one residual: the corrected
+    energies on q.solver, or else on the grid resolve_solver gives the
+    bracket's widest triple well at step CROSSING_STEP.  Newton's method,
+    with the Hellmann-Feynman slope, runs from the harmonic root within
+    near: about two eigensolves.  Without a harmonic root, or when Newton
+    fails (_newton), Brent's method runs on near, then on q.bracket if
+    wider; a root outside near draws a warning.
 
-    Raises ValueError when no candidate brackets a crossing.
+    Raises ValueError when no window brackets a crossing.
     """
     evaluations = 0
 
@@ -304,39 +294,35 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
         warnings.warn("multiple residual sign changes in bracket; "
                       "taking the root nearest zero", stacklevel=2)
         cells.sort(key=lambda iv: abs(0.5 * (iv[0] + iv[1])))
-    cell = cells[0][:2] if cells else None
     lo, hi = q.bracket
-    solved, candidates = None, []
-    if cell is not None:
-        solved = brent_root(harmonic, *cell, harmonic(cell[0]),
-                            harmonic(cell[1]), delta_tol)
+    near, solved = (lo, hi), None
+    if cells:
+        a, b, _ = cells[0]
+        solved = brent_root(harmonic, a, b, harmonic(a), harmonic(b),
+                            delta_tol)
+        near = (max(lo, a - (b - a)), min(hi, b + (b - a)))
     harmonic_delta = solved[0] if solved is not None else None
     if q.backend == "numerical":
         cfg = q.solver if q.solver is not None else _default_numeric_config(q)
         evaluations = 0  # from here on, eigensolves only
-        candidates = [(lo, hi)]
-        if cell is not None:
-            width = cell[1] - cell[0]
-            near = (max(lo, cell[0] - width), min(hi, cell[1] + width))
-            if near != (lo, hi):
-                candidates.insert(0, near)
-            solved = _newton(counted(lambda d: _numeric_residual(d, q, cfg)),
-                             solved[0], *near, delta_tol)
-        residual = counted(lambda d: _numeric_residual(d, q, cfg)[0])
+        residual = counted(lambda d: _numeric_residual(d, q, cfg))
+        if solved is not None:
+            solved = _newton(residual, solved[0], *near, delta_tol)
+        if solved is None:  # Brent's method on near, then on a wider bracket
+            for a, b in dict.fromkeys((near, (lo, hi))):
+                fa, fb = residual(a)[0], residual(b)[0]
+                if fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0):
+                    solved = brent_root(lambda d: residual(d)[0], a, b,
+                                        fa, fb, delta_tol)
+                    break
     if solved is None:
-        for a, b in candidates:
-            fa, fb = residual(a), residual(b)
-            if fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0):
-                break
-        else:
-            raise ValueError(f"no crossing in bracket [{lo:g}, {hi:g}] for "
-                             f"(m={q.m}, n={q.n})")
-        solved = brent_root(residual, a, b, fa, fb, delta_tol)
-        if cell is not None and not near[0] <= solved[0] <= near[1]:
-            warnings.warn(f"{q.backend} root delta={solved[0]:.8g} lies outside"
-                          f" the widened harmonic cell [{near[0]:.8g}, "
-                          f"{near[1]:.8g}]", stacklevel=2)
+        raise ValueError(f"no crossing in bracket [{lo:g}, {hi:g}] for "
+                         f"(m={q.m}, n={q.n})")
     delta, value = solved
+    if not near[0] <= delta <= near[1]:
+        warnings.warn(f"{q.backend} root delta={delta:.8g} lies outside the "
+                      f"widened harmonic cell [{near[0]:.8g}, {near[1]:.8g}]",
+                      stacklevel=2)
     return AlcSolution(q.m, q.n, delta, mu=math.sqrt(2.0 + delta),
                        beta=q.alpha * math.sqrt(2.0 + delta),
                        residual=value, backend=q.backend,

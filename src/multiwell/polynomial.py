@@ -133,15 +133,7 @@ class Polynomial:
             summed[k] += c
         return Polynomial(summed)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Polynomial([c * other for c in self.coeffs])
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         out = [0.0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0.0:
@@ -149,8 +141,6 @@ class Polynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return Polynomial(out)
-
-    __rmul__ = __mul__
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +155,6 @@ def _horner(cs: list[float], x: float) -> float:
 
 def _unit_scale(cs: list[float]) -> list[float]:
     top = max(abs(c) for c in cs)
-    if top == 0.0:
-        return cs
     return [c / top for c in cs]
 
 
@@ -194,11 +182,9 @@ def _polyrem(num: list[float], den: list[float]) -> list[float]:
 
 
 def _sturm_chain(p: Polynomial) -> list[list[float]]:
+    """Unit-scaled Sturm chain of p, of degree >= 1 (real_roots checks)."""
     chain = [_unit_scale(list(p.coeffs))]
-    dp = p.derivative()
-    if dp.is_zero:
-        return chain
-    chain.append(_unit_scale(list(dp.coeffs)))
+    chain.append(_unit_scale(list(p.derivative().coeffs)))
     while len(chain[-1]) > 1:
         rem = _polyrem(chain[-2], chain[-1])
         rem = [-c for c in rem]

@@ -108,7 +108,6 @@ class Eigenpair:
     psi: np.ndarray
     x: np.ndarray
     h: float
-    lam: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -250,8 +249,8 @@ def resolve_solver(p: Polynomial, num_levels: int, lam: float = 1.0, *,
 
 
 def _is_symmetric(p: Polynomial) -> bool:
-    top = max(abs(c) for c in p.coeffs)
-    return all(abs(c) <= 1e-12 * top for c in p.coeffs[1::2])
+    """Every odd coefficient exactly 0: a tilt of any size breaks parity."""
+    return not any(p.coeffs[1::2])
 
 
 # LAPACK routines, bound by _load_lapack on the first numerical solve.
@@ -463,7 +462,7 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
         if psi[peak] < 0.0:
             psi = -psi
         pairs.append(Eigenpair(float(energies[j]), float(corrections[j]),
-                               psi, x, h, cfg.lam))
+                               psi, x, h))
     return pairs
 
 

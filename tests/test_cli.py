@@ -600,12 +600,19 @@ _ALC = "kind = alc\nalpha = 4\npairs = 0:0\n"
                  "bracket must lie above delta = -2", id="sweep-bracket-lo"),
     pytest.param(None, _RELOC + "delta_min = 0\nsteps = 5\ngrid_stpe = 0.5\n",
                  "'grid_stpe'", id="sweep-key-typo"),
+    pytest.param(["table1", "--output", "{tmp}/missing/table.txt"], None,
+                 "cannot write", id="table1-output-directory-missing"),
+    # the last --outdir wins: the config file itself, an existing file
+    pytest.param(["--outdir", "{tmp}/bad.conf"], _ALC, "cannot write",
+                 id="sweep-outdir-is-a-file"),
 ])
 def test_bad_input_exits_64(capsys, tmp_path, argv, config, named):
+    argv = [arg.format(tmp=tmp_path) for arg in argv or ()]
     if config is not None:
         path = tmp_path / "bad.conf"
         path.write_text(config)
-        argv = ["sweep", "--config", str(path), "--outdir", str(tmp_path / "o")]
+        argv = ["sweep", "--config", str(path), "--outdir",
+                str(tmp_path / "o"), *argv]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: ") and named in err

@@ -20,10 +20,10 @@ from multiwell.crossings import (PAIRED_ROWS, REFERENCE_DELTAS_ALPHA4,
                                  tune_maximal_degeneracy)
 from multiwell.polynomial import (ParameterError, Polynomial, bracket_scan,
                                   brent_root)
-from multiwell.spectrum import (SolverConfig, classify_levels, solve_numerical,
-                                well_weights)
+from multiwell.spectrum import (SolverConfig, classify_levels, resolve_solver,
+                                solve_numerical, well_weights)
 from multiwell.wells import (PerturbationRangeError, WellShape, build_symmetric,
-                             critical_points, triple_well)
+                             critical_points, tilted_double_well, triple_well)
 
 
 def harmonic_residual(delta, m, n, alpha=4.0):
@@ -226,6 +226,28 @@ class TestNumericalSearch:
         with pytest.warns(UserWarning, match="outside the widened harmonic cell"):
             sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
         assert sol.delta == pytest.approx(expected.delta, abs=1e-8)
+
+    def test_several_harmonic_cells_warn_and_take_the_root_nearest_zero(
+            self, monkeypatch):
+        monkeypatch.setattr(crossings, "_harmonic_residual",
+                            lambda d, m, n, a: (d - 0.01) * (d + 0.03))
+        with pytest.warns(UserWarning, match="multiple residual sign changes"):
+            sol = solve_crossing(AlcQuery(0, 0, 4.0))
+        assert sol.delta == pytest.approx(0.01, abs=1e-8)
+
+    def test_newton_giving_up_falls_back_to_brent(self, monkeypatch):
+        # half the true slope doubles every Newton step, so each overshoots
+        # and _newton stops after six evaluations without converging
+        expected = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+        true_residual = crossings._numeric_residual
+
+        def half_slope(d, q, cfg):
+            r, slope = true_residual(d, q, cfg)
+            return r, 0.5 * slope
+        monkeypatch.setattr(crossings, "_numeric_residual", half_slope)
+        sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+        assert sol.delta == pytest.approx(expected.delta, abs=1e-8)
+        assert sol.evaluations > 6
 
     def test_numerical_solve_does_not_import_scipy_optimize(self):
         code = ("import sys\n"
@@ -545,6 +567,16 @@ class TestTiltScan:
         assert weights[-1] - weights[0] > 0.5
         mid = weights[len(weights) // 2]
         assert mid == pytest.approx(0.5, abs=0.02)
+
+    def test_tilt_below_roundoff_scale_is_not_symmetrized(self):
+        # |b| = 1e-11 is below 1e-12 times the largest coefficient (2*s1 =
+        # 16): a parity test with a relative tolerance of that size would
+        # solve the tilted well as a symmetric one, at w_left = 0.5
+        cfg = resolve_solver(tilted_double_well(8.0, -1e-9), 1)
+        rows = tilt_scan(8.0, (-2e-11, 2e-11), 5, cfg)
+        weights = [r.w_left for r in rows]
+        assert all(a < b for a, b in zip(weights, weights[1:]))
+        assert abs(weights[1] - 0.5) > 0.4 and abs(weights[3] - 0.5) > 0.4
 
     def test_grid_point_on_the_edge_counts_half_to_each_side(self):
         # x = 0 is a grid point: half of psi(0)^2 h goes to each side, so
