@@ -85,6 +85,11 @@ class Polynomial:
     def is_zero(self) -> bool:
         return self.coeffs == (0.0,)
 
+    @property
+    def is_even(self) -> bool:
+        """Every odd coefficient exactly 0: a tilt of any size breaks parity."""
+        return not any(self.coeffs[1::2])
+
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)})"
 
@@ -344,6 +349,10 @@ def real_roots(p: Polynomial, lo: float, hi: float,
                 f"failed to isolate {count} roots in [{xa:.6g}, {xb:.6g}] "
                 f"within {max_depth} subdivisions")
         mid = 0.5 * (xa + xb)
+        if _horner(chain[-1], mid) == 0.0:
+            # a root of gcd(p, p'), a multiple root of p: every chain member
+            # vanishes there and the count reads 0, so split beside it
+            mid = 0.5 * (mid + xb)
         vm = _sign_changes(chain, mid)
         work.append((xa, mid, va, vm, depth + 1))
         work.append((mid, xb, vm, vb, depth + 1))

@@ -3,19 +3,19 @@
 Two routes: closed-form harmonic estimates per well family (level spacing
 2*lam*sqrt(V''/2)), and a second-order finite-difference discretization on
 a symmetric grid with Dirichlet boundaries.  A tridiagonal block that needs
-one level is solved by shift-and-invert on LAPACK dpttrf/dpttrs, every shift
-certified by the signs of the factor's pivots; any other block by LAPACK
-bisection on the Sturm count plus inverse iteration (stebz/stein).  Both
-reach stebz's absolute tolerance, ulp * max |Gershgorin end|.  A
-reflection-symmetric potential is solved as separate even and odd blocks on
-the half grid x >= 0, so its levels have exact parity.  Each numerical level
-carries error_estimate, the first-order correction of its O(h^2)
-discretization error (Paine, de Hoog & Anderssen, Computing 26, 123
-(1981)), computed from the eigenvector at no extra solve: energy +
-error_estimate is accurate to O(h^4).  Wavefunctions and region weights
-stay O(h^2).  Both routes name the wells by one map (harmonic_families);
-classify_levels labels each numerical level by the family that holds most
-of its weight.
+one level is solved by shift-and-invert on LAPACK dpttrf/dpttrs from a
+harmonic first shift, every shift certified by the signs of the factor's
+pivots; any other block by LAPACK bisection on the Sturm count plus inverse
+iteration (stebz/stein).  Both reach stebz's absolute tolerance, ulp * max
+|Gershgorin end|.  A reflection-symmetric potential is solved as separate
+even and odd blocks on the half grid x >= 0, so its levels have exact
+parity.  Each numerical level carries error_estimate, the first-order
+correction of its O(h^2) discretization error (Paine, de Hoog & Anderssen,
+Computing 26, 123 (1981)), computed from the eigenvector at no extra solve:
+energy + error_estimate is accurate to O(h^4).  Wavefunctions and region
+weights stay O(h^2).  Both routes name the wells by one map
+(harmonic_families); classify_levels labels each numerical level by the
+family that holds most of its weight.
 
 The four LAPACK routines come from SciPy's f2py extension
 scipy.linalg._flapack, loaded from its file on the first numerical solve
@@ -248,11 +248,6 @@ def resolve_solver(p: Polynomial, num_levels: int, lam: float = 1.0, *,
                         num_levels=num_levels, lam=lam)
 
 
-def _is_symmetric(p: Polynomial) -> bool:
-    """Every odd coefficient exactly 0: a tilt of any size breaks parity."""
-    return not any(p.coeffs[1::2])
-
-
 # LAPACK routines, bound by _load_lapack on the first numerical solve.
 # Module globals read at call time, so tests can patch them; _lapack, the
 # module they came from, is the guard, and no test patches it.
@@ -304,6 +299,34 @@ def _load_flapack() -> ModuleType | None:
 
 
 _GROUND_ROUNDS = 60    # shift rounds of _ground before it gives up
+_GUESS_MARGIN = 0.01   # share of the zero-point energy the guess stays below
+
+
+def _harmonic_guess(diag: np.ndarray, off: np.ndarray) -> float:
+    """The lowest harmonic ground level over the grid wells of the block
+    T = (diag, off), less _GUESS_MARGIN of its zero-point energy: a first
+    shift of _ground close below the lowest eigenvalue, not a bound on it.
+
+    With t = -off[-1] = lam^2/h^2 and V = diag - 2t, each grid local
+    minimum i of V gets the parabola through V[i-1], V[i], V[i+1] (index 0
+    mirrored, V[-1] = V[1], as x = 0 of a parity block): its vertex value
+    v and second difference d2 give the level v + sqrt(t * d2 / 2), which
+    is v + lam * sqrt(V''/2) with V'' = d2 / h^2.
+    """
+    t = -float(off[-1])
+    v = diag - 2.0 * t
+    left = np.concatenate((v[1:2], v[:-2]))
+    mid, right = v[:-1], v[1:]
+    wells = ((mid <= left) & (mid <= right)).nonzero()[0]
+    if wells.size == 0:
+        return float(np.min(v))
+    left, mid, right = left[wells], mid[wells], right[wells]
+    d2 = left - 2.0 * mid + right
+    slope = right - left
+    vertex = mid - slope * slope / (8.0 * np.where(d2 > 0.0, d2, 1.0))
+    zpe = np.sqrt(t * 0.5 * d2)
+    j = int(np.argmin(vertex + zpe))
+    return float(vertex[j] + (1.0 - _GUESS_MARGIN) * zpe[j])
 
 
 def _ground(diag: np.ndarray, off: np.ndarray
@@ -316,18 +339,26 @@ def _ground(diag: np.ndarray, off: np.ndarray
     lo is a certified lower bound on the lowest eigenvalue, hi an upper one.
     T - s*I has LDL^T pivots all positive exactly when no eigenvalue lies at
     or below s (the pivots of stebz's Sturm count), so a shift that factors
-    raises lo; a Rayleigh quotient lowers hi.  The rounds stop when hi - lo
-    is within stebz's own absolute tolerance, ulp * max |Gershgorin end|.
+    raises lo, and one that does not lowers hi, as does a Rayleigh
+    quotient.  The rounds stop when hi - lo is within stebz's own absolute
+    tolerance, ulp * max |Gershgorin end|, and the returned Rayleigh
+    quotient must lie within twice that tolerance of lo: a vector that
+    converged to an excited level gives None.
+
+    The first shift is _harmonic_guess, usually just below the lowest
+    eigenvalue, so a solve takes about 5 factorizations (8 from min V).  A
+    guess that does not factor is a certified hi, and the rounds restart
+    from min V, which lies below every level: the Dirichlet difference
+    Laplacian is positive definite, and each level of a parity block is
+    one of the full operator.
     """
     reach = np.abs(off)
     reach = np.concatenate((reach, [0.0])) + np.concatenate(([0.0], reach))
     tol = np.finfo(float).eps * max(abs(float(np.min(diag - reach))),
                                     abs(float(np.max(diag + reach))))
     lo, hi = -math.inf, math.inf
-    # the first shift is min V (off[-1] is the unscaled -lam^2/h^2), below
-    # every level: the Dirichlet difference Laplacian is positive definite,
-    # and each level of a parity block is one of the full operator
-    shift, factor = float(np.min(diag) + 2.0 * off[-1]), None
+    floor = float(np.min(diag) + 2.0 * off[-1])    # min V
+    shift, factor = _harmonic_guess(diag, off), None
     u = np.ones(diag.size)    # the ground vector is positive: off < 0
 
     def invert(u: np.ndarray) -> np.ndarray:
@@ -351,13 +382,19 @@ def _ground(diag: np.ndarray, off: np.ndarray
             rho, residual = rayleigh(u)
             hi = min(hi, rho)
             shift = rho - residual
-        elif factor is None:
-            return None
+        elif factor is None:    # the guess, or min V, lies above a level
+            if shift <= floor:
+                return None
+            hi, shift = shift, floor
+            continue
         else:
             hi = shift
         if hi - lo <= tol:
             u = invert(invert(u))    # as stein's two extra iterations
-            return np.array([rayleigh(u)[0]]), u[:, None]
+            rho = rayleigh(u)[0]
+            if rho - lo > 2.0 * tol:
+                return None
+            return np.array([rho]), u[:, None]
         if not lo < shift < hi:
             shift = 0.5 * (lo + hi)
     return None
@@ -421,7 +458,7 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     x = cfg.grid()
     h = cfg.step
     off = -cfg.lam * cfg.lam / (h * h)
-    if _is_symmetric(p):
+    if p.is_even:
         c = (n - 1) // 2    # x[c] = 0
         diag = p(x[c:-1]) - 2.0 * off
         even_off = np.full(c - 1, off)
@@ -515,7 +552,7 @@ def _well_families(p: Polynomial, points: list[CriticalPoint]
         return sum(hi <= x < 0.0 or 0.0 < x <= lo for x in edges[1:-1]), lo
 
     last = len(regions) - 1
-    if _is_symmetric(p):    # mirror pairs (i, last - i), keyed by the x > 0 one
+    if p.is_even:    # mirror pairs (i, last - i), keyed by the x > 0 one
         groups = [(i, last - i) if last - i < i else (i,)
                   for i in range(len(regions) // 2, len(regions))]
     else:

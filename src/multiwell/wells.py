@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .polynomial import ParameterError, Polynomial, real_roots
+from .polynomial import ParameterError, Polynomial, Root, real_roots
 
 __all__ = [
     "WellShape", "HarmonicWell", "CriticalPoint", "QuadWellForms",
@@ -243,17 +243,24 @@ def closed_form_n3(alpha: float, beta: float, gamma: float) -> QuadWellForms:
 def stationary_window(p: Polynomial) -> float:
     """The Cauchy bound on the roots of V', plus 1 (3 when V' is constant):
     every real stationary point lies inside it with a margin of 1, and
-    critical_points isolates on it whatever window its caller gives."""
+    critical_points isolates on it, whatever window its caller gives,
+    unless V' = x * q(x^2) lets it isolate the roots of q instead."""
     dv = p.derivative()
     if dv.degree < 1:
         return 3.0
-    return 1.0 + max(abs(c) for c in dv.coeffs[:-1]) / abs(dv.coeffs[-1]) + 1.0
+    return _cauchy_bound(dv) + 1.0
+
+
+def _cauchy_bound(p: Polynomial) -> float:
+    """1 + max |c_k / c_n| over k < n: every root of p lies inside it."""
+    return 1.0 + max((abs(c) for c in p.coeffs[:-1]),
+                     default=0.0) / abs(p.coeffs[-1])
 
 
 def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
     """All stationary points of p, classified and sorted.
 
-    The roots of V' are isolated on the Cauchy bound stationary_window(p),
+    The roots of V' are isolated within a Cauchy bound on them (below),
     so none is missed; one beyond +-window by more than the tolerance
     1e-11 * max(1, window) raises ValueError naming the outermost.
     Points where |V''| falls below 1e-9 of its local term magnitude are
@@ -262,6 +269,13 @@ def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
     steps on V' (its curvature is safely nonzero), so x, value and
     curvature are good to full precision, and region edges at maxima sit
     on the root.
+
+    An even p with a nonzero x^2 coefficient has V'(x) = x * q(x^2), with
+    x = 0 a simple root, at half the degree: the roots y of q are isolated
+    on (0, Y], Y the Cauchy bound on the roots of q, and only x = 0 and
+    each +sqrt(y) are classified and polished; the points at x < 0 are
+    their exact mirror images.  Any other p has the roots of V' isolated
+    on [-B, B], B = stationary_window(p).
     """
     if not (window > 0.0):
         raise ParameterError(f"window must be positive, got {window!r}")
@@ -270,8 +284,15 @@ def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
         raise ParameterError("constant potential has no stationary structure")
     ddv = dv.derivative()
     tol = 1e-11 * max(1.0, window)
-    bound = stationary_window(p)
-    roots = real_roots(dv, -bound, bound, tol=tol)
+    mirrored = p.is_even and p.coeffs[2] != 0.0
+    if mirrored:
+        q = Polynomial(dv.coeffs[1::2])
+        roots = [Root(0.0, False)] + [
+            Root(math.sqrt(r.x), r.flagged)
+            for r in real_roots(q, 0.0, _cauchy_bound(q), tol=tol) if r.x > 0.0]
+    else:
+        bound = stationary_window(p)
+        roots = real_roots(dv, -bound, bound, tol=tol)
     outside = [r.x for r in roots if abs(r.x) > window + tol]
     if outside:
         raise ValueError(f"window={window:g} too small: stationary point at "
@@ -289,6 +310,9 @@ def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
                 x -= dv(x) / ddv(x)
             curv = ddv(x)
         points.append(CriticalPoint(x, p(x), curv, kind))
+    if mirrored:    # p, V'' even: the mirror images are exact
+        points = [CriticalPoint(-cp.x, cp.value, cp.curvature, cp.kind)
+                  for cp in points[:0:-1]] + points
     return points
 
 

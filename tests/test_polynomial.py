@@ -47,6 +47,19 @@ class TestEvaluate:
             assert p(x) == pytest.approx(naive, rel=1e-14)
 
 
+@pytest.mark.parametrize("coeffs, even", [
+    ([0.0, 0.0, 2304.0, 0.0, -96.0, 0.0, 1.0], True),
+    ([3.0], True),
+    ([0.0], True),
+    ([1.0, 0.0, 1.0, 0.0], True),      # a trailing zero is normalized away
+    ([0.0, 1e-300, 1.0], False),       # a tilt of any size breaks parity
+    ([0.0, 0.0, 1.0, -5e-324, 1.0], False),
+    ([0.0, 1.0], False),
+])
+def test_is_even(coeffs, even):
+    assert Polynomial(coeffs).is_even is even
+
+
 class TestDerivative:
     def test_zero(self):
         assert Polynomial([0.0]).derivative() == Polynomial([0.0])
@@ -126,6 +139,15 @@ class TestRealRoots:
         assert not roots[0].flagged
         assert roots[1].x == pytest.approx(1.0, abs=1e-6)
         assert roots[1].flagged
+
+    def test_multiple_root_at_a_bisection_midpoint(self):
+        # 6x^5 - 12x^3 = 6x^3 (x^2 - 2) on [-4, 4]: the first midpoint is the
+        # triple root 0, where every Sturm chain member vanishes; counted
+        # there, the root at +sqrt(2) went missing
+        roots = real_roots(Polynomial([0.0, 0.0, 0.0, -12.0, 0.0, 6.0]),
+                           -4.0, 4.0, tol=1e-11)
+        assert [r.x for r in roots] == pytest.approx(
+            [-math.sqrt(2.0), 0.0, math.sqrt(2.0)], abs=1e-10)
 
     def test_triple_root_flagged(self):
         roots = real_roots(Polynomial([0.0, 0.0, 0.0, 1.0]), -2.0, 2.0)

@@ -476,14 +476,10 @@ def _single_level_cases() -> list:
     return cases
 
 
-@pytest.mark.parametrize("p, cfg, sizes", _single_level_cases())
-def test_single_level_route_matches_stebz(monkeypatch, p, cfg, sizes):
-    # each one-level block is certified shift-and-invert, which agrees with
-    # bisection (stebz) on the same block to twice stebz's own tolerance,
-    # brackets its energy E by E -+ that tolerance, and gives the same
-    # region weights
-    calls = _spy_ground(monkeypatch)
-    pairs = solve_numerical(p, cfg)
+def _assert_certified(calls: list, sizes: list) -> None:
+    """Each spied _ground call agrees with bisection (stebz) on the same
+    block to twice stebz's own tolerance, and brackets its energy E by
+    E -+ that tolerance."""
     assert [diag.size for diag, _, _ in calls] == sizes
     for diag, off, (energy, _) in calls:
         tol = np.finfo(float).eps * _tnorm(diag, off)
@@ -492,6 +488,15 @@ def test_single_level_route_matches_stebz(monkeypatch, p, cfg, sizes):
         assert abs(energy[0] - want[0]) <= 2.0 * tol
         assert dpttrf(diag - (energy[0] - tol), off)[2] == 0
         assert dpttrf(diag - (energy[0] + tol), off)[2] != 0
+
+
+@pytest.mark.parametrize("p, cfg, sizes", _single_level_cases())
+def test_single_level_route_matches_stebz(monkeypatch, p, cfg, sizes):
+    # each one-level block is certified shift-and-invert, which agrees with
+    # stebz and gives the same region weights
+    calls = _spy_ground(monkeypatch)
+    pairs = solve_numerical(p, cfg)
+    _assert_certified(calls, sizes)
     monkeypatch.setattr(spectrum, "_ground", lambda diag, off: None)
     for pair, ref in zip(pairs, solve_numerical(p, cfg), strict=True):
         for got, want in zip(well_weights(pair, p), well_weights(ref, p),
@@ -499,15 +504,67 @@ def test_single_level_route_matches_stebz(monkeypatch, p, cfg, sizes):
             assert abs(got.weight - want.weight) <= 1e-8
 
 
+def _above_ground(diag: np.ndarray, off: np.ndarray) -> float:
+    return float(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
+                                  lapack_driver="stebz")[0][0]) + 1.0
+
+
+def _below_min_v(diag: np.ndarray, off: np.ndarray) -> float:
+    return float(np.min(diag) + 2.0 * off[-1]) - 1.0
+
+
+@pytest.mark.parametrize("guess", [_above_ground, _below_min_v])
+@pytest.mark.parametrize("p, cfg, sizes", _single_level_cases())
+def test_single_level_route_certifies_any_first_shift(monkeypatch, guess, p,
+                                                      cfg, sizes):
+    # the harmonic guess is a candidate only: one above the ground level
+    # does not factor and the rounds restart from min V, one below min V
+    # factors and is a certified lower bound
+    monkeypatch.setattr(spectrum, "_harmonic_guess", guess)
+    calls = _spy_ground(monkeypatch)
+    solve_numerical(p, cfg)
+    _assert_certified(calls, sizes)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.0026])
+def test_harmonic_guess_lies_just_below_the_ground_level(delta):
+    # the parabola through the grid well plus 99% of its zero-point energy
+    # lies below E0 by less than 2% of E0 - min V; min V, the first shift
+    # before it, lay below by all of it
+    p = triple_well(4.0, delta)
+    cfg = resolve_solver(p, 1)
+    off = -1.0 / cfg.step ** 2
+    diag = p(cfg.grid()[(cfg.grid_points - 1) // 2:-1]) - 2.0 * off
+    block_off = np.full(diag.size - 1, off)
+    block_off[0] *= math.sqrt(2.0)    # the even block of solve_numerical
+    e0 = eigh_tridiagonal(diag, block_off, select="i", select_range=(0, 0),
+                          lapack_driver="stebz")[0][0]
+    height = e0 - float(np.min(diag) + 2.0 * off)
+    guess = spectrum._harmonic_guess(diag, block_off)
+    assert e0 - 0.02 * height < guess < e0
+
+
 def _refuse(d, e):
     return d, e, 1
 
 
+def _excited(d, e, b):
+    """dpttrs that returns the first excited vector of the factored block
+    (T - s*I = L D L^T, with D = d and the subdiagonal of L = e)."""
+    diag = d.copy()
+    diag[1:] += e * e * d[:-1]
+    vector = eigh_tridiagonal(diag, e * d[:-1], select="i",
+                              select_range=(1, 1), lapack_driver="stebz")[1]
+    return vector[:, 0], 0
+
+
 @pytest.mark.parametrize("name, value", [("_GROUND_ROUNDS", 1),
-                                         ("dpttrf", _refuse)])
+                                         ("dpttrf", _refuse),
+                                         ("dpttrs", _excited)])
 def test_single_level_route_falls_back_to_stebz(monkeypatch, name, value):
-    # out of rounds, or refused the first factorization, _ground gives up
-    # and the block takes the stebz route
+    # out of rounds, refused the first factorization, or handed an excited
+    # vector, whose Rayleigh quotient lies far above the certified lower
+    # bound, _ground gives up and the block takes the stebz route
     calls = _spy_ground(monkeypatch)
     cfg = SolverConfig(9.0, 1801)
     solve_numerical(triple_well(4.0, 0.0026), cfg)

@@ -1,6 +1,7 @@
 """Well-shape builders, closed forms, critical points, and perturbation shifts."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,8 @@ from multiwell.polynomial import Polynomial
 from multiwell.wells import (DegenerateWellError, PerturbationRangeError,
                              WellShape, build_symmetric, closed_form_n2,
                              closed_form_n3, critical_points, harmonic_wells,
-                             perturbed_extrema_n2, tilted_well_minimum,
-                             triple_well)
+                             perturbed_extrema_n2, stationary_window,
+                             tilted_well_minimum, triple_well)
 
 widths = st.floats(0.3, 4.0)
 
@@ -142,12 +143,80 @@ class TestClosedForms:
                                            abs=1e-11 * dscale)
 
 
+def _random_even_potentials(count: int, seed: int) -> list[Polynomial]:
+    """Half with random even coefficients up to degree 8, half with V' =
+    k x prod (x^2 - s_j), some s_j < 0 (no real root), some close (an
+    ill-conditioned pair of stationary points)."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        if i % 2:
+            coeffs = [0.0] * (2 * rng.randint(1, 4) + 1)
+            coeffs[0::2] = [rng.uniform(-10.0, 10.0) for _ in coeffs[0::2]]
+            coeffs[-1] = rng.uniform(0.1, 2.0)
+            out.append(Polynomial(coeffs))
+        else:
+            dv = Polynomial([0.0, rng.uniform(0.5, 8.0)])
+            for _ in range(rng.randint(1, 3)):
+                dv = dv * Polynomial([-rng.uniform(-20.0, 60.0), 0.0, 1.0])
+            out.append(dv.antiderivative()
+                       + Polynomial([rng.uniform(-5.0, 5.0)]))
+    return out
+
+
 class TestCriticalPoints:
     def test_pure_quartic_degenerate(self):
         pts = critical_points(Polynomial([0.0, 0.0, 0.0, 0.0, 1.0]), 2.0)
         assert len(pts) == 1
         assert pts[0].x == 0.0
         assert pts[0].kind == "degenerate"
+
+    def test_even_without_a_quadratic_term_flags_the_origin(self):
+        # x^6 - 3x^4: V' = 6x^3 (x^2 - 2), a triple root at 0 and minima at
+        # +-sqrt(2); with no x^2 term V'/x vanishes at 0, so the general
+        # isolation runs and flags the origin
+        pts = critical_points(Polynomial([0.0, 0.0, 0.0, 0.0, -3.0, 0.0, 1.0]),
+                              3.0)
+        assert [c.kind for c in pts] == ["min", "degenerate", "min"]
+        assert abs(pts[1].x) <= 3e-11    # unpolished: the isolation tolerance
+        assert [pts[0].x, pts[2].x] == pytest.approx(
+            [-math.sqrt(2.0), math.sqrt(2.0)], abs=1e-15)
+
+    @pytest.mark.parametrize("p", [triple_well(4.0, 0.0),
+                                   triple_well(3.5, 0.0026),
+                                   build_symmetric(WellShape((1.0, 2.0, 3.0))),
+                                   Polynomial([0.0, 0.0, -1.0, 0.0, 1.0]),
+                                   Polynomial([0.0, 0.0, 1.0])])
+    def test_even_potential_gives_exact_mirror_pairs(self, p):
+        # V'(x) = x q(x^2) on the parity path: the points at x < 0 are the
+        # bit-exact mirrors of those at x > 0 (the general isolation put
+        # the barrier tops of triple_well(4, 0) at -4.0 and 4.000000000000001)
+        pts = critical_points(p, 9.0)
+        assert len(pts) % 2 == 1 and pts[len(pts) // 2].x == 0.0
+        for a, b in zip(pts, reversed(pts)):
+            assert (a.x, a.value, a.curvature, a.kind) == \
+                (-b.x, b.value, b.curvature, b.kind)
+        if p == triple_well(4.0, 0.0):
+            assert [c.x for c in pts if c.kind == "max"] == [-4.0, 4.0]
+
+    def test_parity_path_agrees_with_the_general_path(self, monkeypatch):
+        # same count and kinds on 2,000 random even potentials (6,138
+        # points, none degenerate); x within 2 ulps, or within twice the
+        # rounding noise eps * |V'|_terms / |V''| of an ill-conditioned
+        # root, where both paths' Newton steps stop at an arbitrary point
+        # of that noise band
+        potentials = _random_even_potentials(2000, seed=2021)
+        parity = [critical_points(p, stationary_window(p)) for p in potentials]
+        monkeypatch.setattr(Polynomial, "is_even", property(lambda p: False))
+        eps = 2.0 ** -52
+        for p, got in zip(potentials, parity):
+            want = critical_points(p, stationary_window(p))
+            assert [c.kind for c in got] == [c.kind for c in want], p
+            dv = p.derivative()
+            for a, b in zip(got, want):
+                noise = eps * dv.magnitude_at(b.x) / abs(b.curvature)
+                assert abs(a.x - b.x) <= max(2.0 * math.ulp(b.x),
+                                             2.0 * noise), (p, a, b)
 
     def test_triple_well_classification(self):
         p = build_symmetric(WellShape((16.0, 48.0)))
