@@ -318,8 +318,11 @@ def real_roots(p: Polynomial, lo: float, hi: float,
 
     Isolation subdivides on Sturm-sequence root counts; refinement is
     Brent's method on the chain's head, the unit-scaled p whose roots the
-    counts describe.  Near-multiple roots (derivative sign ambiguous within
-    tol) come back flagged.  Raises RootIsolationError if subdivision
+    counts describe.  Near-multiple roots come back flagged: the
+    derivative's sign is ambiguous within tol, or the isolating interval
+    holds a root of the chain's last member, the float gcd(p, p') whose
+    roots are the multiple roots of p (a root of odd multiplicity keeps
+    p' of one sign around it).  Raises RootIsolationError if subdivision
     exceeds max_depth without isolating.
     """
     if not (lo < hi):
@@ -361,11 +364,16 @@ def real_roots(p: Polynomial, lo: float, hi: float,
     # flush a subnormal coefficient to zero, and then only the head has the
     # roots the Sturm counts describe
     scaled = functools.partial(_horner, chain[0])
+    # Sturm chain of gcd(p, p'), when p has multiple roots
+    common = _sturm_chain(Polynomial(chain[-1])) if len(chain[-1]) > 1 \
+        else None
     roots: list[Root] = []
     for xa, xb, count in leaves:
         if count > 1:  # unresolvable cluster narrower than tol
             roots.append(Root(0.5 * (xa + xb), True))
             continue
+        multiple = common is not None and \
+            _sign_changes(common, xa) > _sign_changes(common, xb)
         fa, fb = scaled(xa), scaled(xb)
         if fa == 0.0:
             # the count covers (xa, xb]: a zero at xa belongs to the
@@ -380,7 +388,7 @@ def real_roots(p: Polynomial, lo: float, hi: float,
             r = _even_multiplicity_root(p, dp, xa, xb, tol)
             roots.append(Root(r, True))
             continue
-        roots.append(Root(r, _is_ambiguous(dp, r, tol)))
+        roots.append(Root(r, multiple or _is_ambiguous(dp, r, tol)))
 
     roots.sort()
     merged: list[Root] = []

@@ -5,17 +5,20 @@ Two routes: closed-form harmonic estimates per well family (level spacing
 a symmetric grid with Dirichlet boundaries.  A tridiagonal block that needs
 one level is solved by shift-and-invert on LAPACK dpttrf/dpttrs from a
 harmonic first shift, every shift certified by the signs of the factor's
-pivots; any other block by LAPACK bisection on the Sturm count plus inverse
-iteration (stebz/stein).  Both reach stebz's absolute tolerance, ulp * max
-|Gershgorin end|.  A reflection-symmetric potential is solved as separate
-even and odd blocks on the half grid x >= 0, so its levels have exact
-parity.  Each numerical level carries error_estimate, the first-order
-correction of its O(h^2) discretization error (Paine, de Hoog & Anderssen,
-Computing 26, 123 (1981)), computed from the eigenvector at no extra solve:
-energy + error_estimate is accurate to O(h^4).  Wavefunctions and region
-weights stay O(h^2).  Both routes name the wells by one map
-(harmonic_families); classify_levels labels each numerical level by the
-family that holds most of its weight.
+pivots; any other block by LAPACK bisection on the Sturm count to a loose
+tolerance plus inverse iteration (stebz/stein), then the Rayleigh quotient
+of each vector, certified by its residual and the gaps between the
+levels.  Both reach stebz's absolute tolerance, ulp * max |Gershgorin
+end|; a block either route cannot certify (clustered levels, say) takes
+bisection to that tolerance.  A reflection-symmetric potential is solved
+as separate even and odd blocks on the half grid x >= 0, so its levels
+have exact parity.  Each numerical level carries error_estimate, the
+first-order correction of its O(h^2) discretization error (Paine, de Hoog
+& Anderssen, Computing 26, 123 (1981)), computed from the eigenvector at
+no extra solve: energy + error_estimate is accurate to O(h^4).
+Wavefunctions and region weights stay O(h^2).  Both routes name the wells
+by one map (harmonic_families); classify_levels labels each numerical
+level by the family that holds most of its weight.
 
 The four LAPACK routines come from SciPy's f2py extension
 scipy.linalg._flapack, loaded from its file on the first numerical solve
@@ -300,6 +303,28 @@ def _load_flapack() -> ModuleType | None:
 
 _GROUND_ROUNDS = 60    # shift rounds of _ground before it gives up
 _GUESS_MARGIN = 0.01   # share of the zero-point energy the guess stays below
+_LOCATE_TOL = 1e-4     # stebz's absolute tolerance on the route of _located
+
+
+def _tolerance(diag: np.ndarray, off: np.ndarray) -> float:
+    """stebz's own absolute tolerance on the tridiagonal T = (diag, off):
+    ulp * max |Gershgorin end|."""
+    reach = np.abs(off)
+    reach = np.concatenate((reach, [0.0])) + np.concatenate(([0.0], reach))
+    return np.finfo(float).eps * max(abs(float(np.min(diag - reach))),
+                                     abs(float(np.max(diag + reach))))
+
+
+def _rayleigh(diag: np.ndarray, off: np.ndarray, u: np.ndarray
+              ) -> tuple[float, float]:
+    """u^T T u and the residual norm |T u - rho u| of a unit vector u, T =
+    (diag, off)."""
+    tu = diag * u
+    tu[1:] += off * u[:-1]
+    tu[:-1] += off * u[1:]
+    rho = float(u @ tu)
+    tu -= rho * u
+    return rho, float(np.linalg.norm(tu))
 
 
 def _harmonic_guess(diag: np.ndarray, off: np.ndarray) -> float:
@@ -352,10 +377,7 @@ def _ground(diag: np.ndarray, off: np.ndarray
     Laplacian is positive definite, and each level of a parity block is
     one of the full operator.
     """
-    reach = np.abs(off)
-    reach = np.concatenate((reach, [0.0])) + np.concatenate(([0.0], reach))
-    tol = np.finfo(float).eps * max(abs(float(np.min(diag - reach))),
-                                    abs(float(np.max(diag + reach))))
+    tol = _tolerance(diag, off)
     lo, hi = -math.inf, math.inf
     floor = float(np.min(diag) + 2.0 * off[-1])    # min V
     shift, factor = _harmonic_guess(diag, off), None
@@ -365,21 +387,12 @@ def _ground(diag: np.ndarray, off: np.ndarray
         u = dpttrs(*factor, u)[0]
         return u / np.linalg.norm(u)
 
-    def rayleigh(u: np.ndarray) -> tuple[float, float]:
-        """u^T T u and the residual norm |T u - rho u| of a unit u."""
-        tu = diag * u
-        tu[1:] += off * u[:-1]
-        tu[:-1] += off * u[1:]
-        rho = float(u @ tu)
-        tu -= rho * u
-        return rho, float(np.linalg.norm(tu))
-
     for _ in range(_GROUND_ROUNDS):
         d, e, info = dpttrf(diag - shift, off)
         if info == 0:
             lo, factor = shift, (d, e)
             u = invert(u)
-            rho, residual = rayleigh(u)
+            rho, residual = _rayleigh(diag, off, u)
             hi = min(hi, rho)
             shift = rho - residual
         elif factor is None:    # the guess, or min V, lies above a level
@@ -391,7 +404,7 @@ def _ground(diag: np.ndarray, off: np.ndarray
             hi = shift
         if hi - lo <= tol:
             u = invert(invert(u))    # as stein's two extra iterations
-            rho = rayleigh(u)[0]
+            rho = _rayleigh(diag, off, u)[0]
             if rho - lo > 2.0 * tol:
                 return None
             return np.array([rho]), u[:, None]
@@ -400,16 +413,80 @@ def _ground(diag: np.ndarray, off: np.ndarray
     return None
 
 
+def _located(diag: np.ndarray, off: np.ndarray, k: int
+             ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lowest k eigenpairs of the tridiagonal T = (diag, off) from loose
+    bisection and certified Rayleigh quotients; None when the levels are
+    not isolated at the loose tolerance or a level is not certified.
+
+    stebz locates levels 1..k+1 to within a = _LOCATE_TOL, so each level
+    lambda_j lies within a of its w_j, and g_j, the distance from w_j to
+    its nearest neighbour among the k + 1 less 2a, is at most the distance
+    from lambda_j to every other level (those above level k + 1 lie
+    farther still).  stein's vector u_j has Rayleigh quotient rho_j and
+    residual r_j; some level lies within r_j of rho_j, and it is lambda_j
+    when |rho_j - w_j| <= a + r_j and r_j < g_j / 2.  The other levels
+    then lie at least g_j - r_j from rho_j, and the Kato-Temple bound
+    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, sec. 10.5)
+    gives |lambda_j - rho_j| <= r_j^2 / (g_j - r_j), which must be within
+    stebz's own tolerance tol (_tolerance).  Bisection to a stops about
+    seven decades short of tol; the Rayleigh quotient supplies those
+    digits.
+
+    u_j is within the angle r_j / (g_j - r_j) of its eigenvector (Davis &
+    Kahan, SIAM J. Numer. Anal. 7, 1 (1970)), which Kato-Temple alone
+    lets reach sqrt(tol / g_j) at a near doublet.  When some r_j exceeds
+    tol, stein runs again from the certified rho, within tol of the
+    levels, as on the full-precision route.
+    """
+    if diag.size <= k:
+        return None
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, k + 1,
+                                        _LOCATE_TOL, "B")
+    if info != 0:
+        return None
+    w = w[:m]
+    apart = np.abs(w[:, None] - w)
+    np.fill_diagonal(apart, math.inf)
+    gap = apart.min(axis=1) - 2.0 * _LOCATE_TOL
+    if not np.all(gap > 0.0):
+        return None
+    # level k + 1 only bounds the gap: move it behind the k that stein
+    # reads, keeping their block order
+    top = int(np.argmax(w))
+    order = np.r_[:top, top + 1:diag.size, top]
+    located, gap, iblock = w[order[:k]], gap[order[:k]], iblock[order]
+    vectors, info = dstein(diag, off, located, iblock, isplit)
+    if info != 0:
+        return None
+    # one column at a time: a vectorized form costs _ground, which calls
+    # this for one vector per round, more than it saves here
+    rho, residual = np.array([_rayleigh(diag, off, u) for u in vectors.T]).T
+    tol = _tolerance(diag, off)
+    if not np.all((np.abs(rho - located) <= _LOCATE_TOL + residual)
+                  & (residual < 0.5 * gap)
+                  & (residual * residual <= tol * (gap - residual))):
+        return None
+    if np.any(residual > tol):
+        vectors, info = dstein(diag, off, rho, iblock, isplit)
+        if info != 0:
+            return None
+    order = np.argsort(rho)
+    return rho[order], vectors[:, order]
+
+
 def _lowest(diag: np.ndarray, off: np.ndarray, k: int,
             cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of a symmetric tridiagonal matrix with negative
-    off-diagonal: _ground for k == 1, else (and when _ground gives up)
-    LAPACK bisection on the Sturm count plus inverse iteration (stebz)."""
+    off-diagonal: _ground for k == 1, _located for k >= 2, and when either
+    gives up (a cluster below the loose tolerance, say) LAPACK bisection
+    on the Sturm count to stebz's full precision plus inverse iteration
+    (stebz/stein), which also raises ConvergenceError on a LAPACK
+    failure."""
     _load_lapack()
-    if k == 1:
-        ground = _ground(diag, off)
-        if ground is not None:
-            return ground
+    found = _ground(diag, off) if k == 1 else _located(diag, off, k)
+    if found is not None:
+        return found
     # the calls eigh_tridiagonal(select="i", lapack_driver="stebz") makes:
     # levels 1..k by index (range 2; vl, vu unused) at stebz's default
     # tolerance (abstol 0), ordered by block ("B") as stein needs them
@@ -436,10 +513,12 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     Second-order central differences, diagonal V(x_i) + 2*lam^2/h^2,
     off-diagonal -lam^2/h^2, Dirichlet boundaries.  A block solved for one
     level takes certified shift-and-invert (dpttrf/dpttrs), any other block
-    bisection on the Sturm count plus inverse iteration (stebz/stein), both
-    to stebz's tolerance (see _lowest); wavefunctions are returned L2-normalized (sum psi^2 * h = 1) with
-    deterministic sign (the leftmost largest |psi| is positive).  Each
-    level's error_estimate is h^2/(12 lam^2) * sum (V - E)^2 psi^2 h.
+    loose bisection plus inverse iteration (stebz/stein) and certified
+    Rayleigh quotients, both to stebz's tolerance, with full-precision
+    bisection as their fallback (see _lowest); wavefunctions are returned
+    L2-normalized (sum psi^2 * h = 1) with deterministic sign (the leftmost
+    largest |psi| is positive).  Each level's error_estimate is
+    h^2/(12 lam^2) * sum (V - E)^2 psi^2 h.
 
     A reflection-symmetric potential is solved as two half-grid blocks on
     x >= 0: an even block (psi(0) free; its unknown at x = 0 is
@@ -471,7 +550,7 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
         if k > 1:
             energies[1::2], half[1:, 1::2] = _lowest(
                 diag[1:], np.full(c - 2, off), k // 2, cfg)
-        # the blocks are bisected separately, each to about ulp * |T|: a
+        # the blocks are solved separately, each to about ulp * |T|: a
         # doublet split below that may come out with its odd member lower
         energies = np.maximum.accumulate(energies)
         vectors = np.empty((n - 2, k))

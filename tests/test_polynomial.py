@@ -149,6 +149,14 @@ class TestRealRoots:
         assert [r.x for r in roots] == pytest.approx(
             [-math.sqrt(2.0), 0.0, math.sqrt(2.0)], abs=1e-10)
 
+    def test_odd_multiplicity_root_flagged(self):
+        # 6x^3 (x^2 - 2): p' = 6x^2 (5x^2 - 6) keeps its sign around the
+        # triple root 0, which is a root of the chain's last member,
+        # gcd(p, p') ~ x^2; the simple roots +-sqrt(2) are not
+        roots = real_roots(Polynomial([0.0, 0.0, 0.0, -12.0, 0.0, 6.0]),
+                           -4.0, 4.0, tol=1e-11)
+        assert [r.flagged for r in roots] == [False, True, False]
+
     def test_triple_root_flagged(self):
         roots = real_roots(Polynomial([0.0, 0.0, 0.0, 1.0]), -2.0, 2.0)
         assert len(roots) == 1

@@ -1,5 +1,6 @@
 """Harmonic estimates, the finite-difference eigensolver, and level labeling."""
 
+import dataclasses
 import importlib.machinery
 import importlib.util
 import math
@@ -578,12 +579,124 @@ def test_single_level_route_falls_back_to_stebz(monkeypatch, name, value):
     assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
 
 
+def _spy_located(monkeypatch) -> list:
+    """Record (diag, off, k, result) of every call of spectrum._located."""
+    calls = []
+    located = spectrum._located
+
+    def spy(diag, off, k):
+        calls.append((diag, off, k, located(diag, off, k)))
+        return calls[-1][3]
+    monkeypatch.setattr(spectrum, "_located", spy)
+    return calls
+
+
+def _stebz(diag: np.ndarray, off: np.ndarray, k: int):
+    """The k lowest eigenpairs by bisection to stebz's full precision."""
+    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+                            lapack_driver="stebz")
+
+
+def test_multi_level_route_matches_stebz(monkeypatch):
+    # the one-level cases re-run at k = 2..7, then a strongly tilted double
+    # well, one full-grid block: every block certified by loose bisection
+    # and Rayleigh quotients agrees with bisection to full precision,
+    # energies within stebz's tolerance, vectors to 1e-12 in |<v, v_ref>|
+    # (also at the near doublets of the tilted double wells, whose vectors
+    # stein recomputes from the certified energies); the doublets split
+    # below the loose tolerance fall back
+    calls = _spy_located(monkeypatch)
+    for p, cfg, _ in _single_level_cases():
+        for k in range(2, 8):
+            solve_numerical(p, dataclasses.replace(cfg, num_levels=k))
+    certified = [call for call in calls if call[3] is not None]
+    assert len(certified) > len(calls) // 2
+    tilted = tilted_double_well(4.0, 0.5)
+    cfg = resolve_solver(tilted, 7)
+    solve_numerical(tilted, cfg)
+    assert calls[-1][0].size == cfg.grid_points - 2
+    assert calls[-1][3] is not None
+    certified.append(calls[-1])
+    for diag, off, k, (energy, vector) in certified:
+        want_e, want_v = _stebz(diag, off, k)
+        tol = spectrum._tolerance(diag, off)
+        assert np.all(np.abs(energy - want_e) <= tol)
+        assert np.all(np.abs(np.einsum("ij,ij->j", vector, want_v))
+                      >= 1.0 - 1e-12)
+
+
+def test_multi_level_route_falls_back_on_a_cluster(monkeypatch):
+    # at the finite-difference crossing of central-0 and the even member of
+    # offcentral-0 the even block's two lowest levels lie 5.9e-11 apart,
+    # unresolved at the loose tolerance: the block takes the full-precision
+    # route and gives its very eigenpairs
+    calls = _spy_located(monkeypatch)
+    p = triple_well(4.0, 0.0026010433800040303)
+    solve_numerical(p, resolve_solver(p, 6))
+    (diag, off, k, result), odd = calls
+    assert (k, result) == (3, None) and odd[3] is not None
+    energy, vector = spectrum._lowest(diag, off, k, SolverConfig(1.0, 401))
+    want_e, want_v = _stebz(diag, off, k)
+    assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
+
+
+def _neighbour(vectors: np.ndarray) -> np.ndarray:
+    """The next level's vector in place of the lowest one."""
+    return vectors[:, 1]
+
+
+def _mixed(vectors: np.ndarray) -> np.ndarray:
+    """The lowest vector turned by 1e-3 towards the next one."""
+    mixed = vectors[:, 0] + 1e-3 * vectors[:, 1]
+    return mixed / np.linalg.norm(mixed)
+
+
+@pytest.mark.parametrize("corrupt", [_neighbour, _mixed])
+def test_multi_level_route_rejects_a_wrong_vector(monkeypatch, corrupt):
+    # stein handing back the next level's vector in place of the lowest
+    # one (whose Rayleigh quotient is that level's energy), or the lowest
+    # one turned by 1e-3 (whose residual is far above the Kato-Temple
+    # bound), fails certification, and the block takes the full-precision
+    # route
+    spectrum._load_lapack()
+    stein, calls = spectrum.dstein, []
+
+    def corrupted(*args):
+        vectors, info = stein(*args)
+        if not calls:
+            vectors[:, 0] = corrupt(vectors)
+        calls.append(args)
+        return vectors, info
+    monkeypatch.setattr(spectrum, "dstein", corrupted)
+    located = _spy_located(monkeypatch)
+    diag, off = np.linspace(2.0, 3.0, 401), np.full(400, -1.0)
+    energy, vector = spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401))
+    assert len(calls) == 2 and located[0][3] is None
+    want_e, want_v = _stebz(diag, off, 3)
+    assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
+
+
+def test_multi_level_route_needs_a_level_above(monkeypatch, capfd):
+    # a block of k points has no level k + 1 to bound the gap above level
+    # k: it takes the full-precision route without asking stebz for it
+    # (LAPACK would print that the index is out of range)
+    calls = _spy_located(monkeypatch)
+    diag, off = np.array([2.0, 3.0, 5.0]), np.array([-1.0, -1.0])
+    energy, vector = spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401))
+    assert calls[0][3] is None
+    assert capfd.readouterr().out == ""
+    want_e, want_v = _stebz(diag, off, 3)
+    assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
+
+
 def test_lowest_called_first_binds_lapack():
     # _lowest is the one entry to LAPACK: called before any solve in a fresh
     # interpreter, it binds the routines itself, on both of its routes,
     # without importing scipy.linalg; imported after it, scipy.linalg binds
-    # the very same routines, and the solves repeat bit for bit.  The
-    # Gershgorin ends are 0 and 5, so stebz's tolerance is 5 ulp
+    # the very same routines, and the solves repeat bit for bit.  Both
+    # routes agree with stebz within its tolerance, 5 ulp here (the
+    # Gershgorin ends are 0 and 5): the three levels come from certified
+    # Rayleigh quotients, not from bisection to that tolerance
     code = ("import sys\n"
             "import numpy as np\n"
             "from multiwell import spectrum\n"
@@ -602,9 +715,10 @@ def test_lowest_called_first_binds_lapack():
             " for a, b in zip((e1, v1, e3, v3), again)))\n"
             "want_e, want_v = scipy.linalg.eigh_tridiagonal(diag, off,"
             " select='i', select_range=(0, 2), lapack_driver='stebz')\n"
-            "tol = 8.0 * np.finfo(float).eps * 5.0\n"
-            "print(abs(e1[0] - want_e[0]) <= tol, np.array_equal(e3, want_e)"
-            " and np.array_equal(v3, want_v))\n")
+            "tol = 5.0 * np.finfo(float).eps\n"
+            "print(abs(e1[0] - want_e[0]) <= 8.0 * tol,"
+            " bool(np.all(np.abs(e3 - want_e) <= tol)) and bool(np.all("
+            "np.abs(np.einsum('ij,ij->j', v3, want_v)) >= 1.0 - 1e-12)))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
