@@ -28,6 +28,7 @@ then refines the root in the sign-change cell on float evaluations.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -44,7 +45,7 @@ __all__ = [
     "AlcQuery", "AlcSolution", "AsymLocusPoint", "PairGap",
     "DegeneracyFit", "ScanRow", "ScanResult", "TiltRow",
     "LabelsUnresolvedError", "NewtonError",
-    "TABLE_PAIRS", "PAIRED_ROWS", "REFERENCE_DELTAS_ALPHA4",
+    "TABLE_PAIRS", "PAIRED_ROWS", "REFERENCE_DELTAS_ALPHA4", "CROSSING_STEP",
     "solve_crossing", "crossing_table", "pairing_gaps",
     "tune_maximal_degeneracy", "linearized_shift", "asym_locus_linearized",
     "asym_locus_cubic",
@@ -59,17 +60,6 @@ class LabelsUnresolvedError(RuntimeError):
 class NewtonError(RuntimeError):
     """Damped Newton iteration failed to converge."""
 
-
-# The twelve (m, n) index pairs of the reference crossing search, and the
-# (m, n) ~ (m+1, n+2) near-degenerate pairing they exhibit.
-TABLE_PAIRS: tuple[tuple[int, int], ...] = (
-    (1, 3), (0, 1), (0, 0), (1, 2), (1, 1), (2, 3),
-    (1, 0), (2, 2), (2, 1), (3, 3), (2, 0), (3, 2),
-)
-PAIRED_ROWS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = (
-    ((0, 1), (1, 3)), ((0, 0), (1, 2)), ((1, 1), (2, 3)),
-    ((1, 0), (2, 2)), ((2, 1), (3, 3)), ((2, 0), (3, 2)),
-)
 
 # Independently published reference values of delta(m, n) at alpha = 4
 # (5 printed decimals); embedded as comparison data for the CLI --compare.
@@ -87,6 +77,12 @@ REFERENCE_DELTAS_ALPHA4: dict[tuple[int, int], float] = {
     (2, 0): 0.02332,
     (3, 2): 0.02338,
 }
+# The twelve (m, n) index pairs of the reference crossing search, and the
+# (m, n) ~ (m+1, n+2) near-degenerate pairing they exhibit.
+TABLE_PAIRS: tuple[tuple[int, int], ...] = tuple(REFERENCE_DELTAS_ALPHA4)
+PAIRED_ROWS: tuple[tuple[tuple[int, int], tuple[int, int]], ...] = tuple(
+    ((m, n), (m + 1, n + 2)) for m, n in TABLE_PAIRS
+    if (m + 1, n + 2) in TABLE_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -515,12 +511,15 @@ def relocalization_scan(alpha: float, delta_range: tuple[float, float],
     Lattice points are independent; jobs > 1 distributes them over
     processes and merges in lattice order; LAPACK is loaded before they
     start, so that forked workers inherit it rather than each importing it.
+    The pool has at most one process per lattice point and per CPU: more
+    cannot speed up a CPU-bound scan, and the pool forks them all at start.
     """
     tasks = [(alpha, d, cfg) for d in _lattice("delta", delta_range, steps)]
-    if jobs > 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         _load_lapack()
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_point, tasks))
     else:
         rows = [_scan_point(t) for t in tasks]

@@ -2,23 +2,24 @@
 
 Two routes: closed-form harmonic estimates per well family (level spacing
 2*lam*sqrt(V''/2)), and a second-order finite-difference discretization on
-a symmetric grid with Dirichlet boundaries.  A tridiagonal block that needs
-one level is solved by shift-and-invert on LAPACK dpttrf/dpttrs from a
-harmonic first shift, every shift certified by the signs of the factor's
-pivots; any other block by LAPACK bisection on the Sturm count to a loose
-tolerance plus inverse iteration (stebz/stein), then the Rayleigh quotient
-of each vector, certified by its residual and the gaps between the
-levels.  Both reach stebz's absolute tolerance, ulp * max |Gershgorin
-end|; a block either route cannot certify (clustered levels, say) takes
-bisection to that tolerance.  A reflection-symmetric potential is solved
-as separate even and odd blocks on the half grid x >= 0, so its levels
-have exact parity.  Each numerical level carries error_estimate, the
-first-order correction of its O(h^2) discretization error (Paine, de Hoog
-& Anderssen, Computing 26, 123 (1981)), computed from the eigenvector at
-no extra solve: energy + error_estimate is accurate to O(h^4).
-Wavefunctions and region weights stay O(h^2).  Both routes name the wells
-by one map (harmonic_families); classify_levels labels each numerical
-level by the family that holds most of its weight.
+a symmetric grid with Dirichlet boundaries.  A tridiagonal block that
+needs one level is solved by shift-and-invert on LAPACK dpttrf/dpttrs from
+a harmonic first shift and min V as its first lower bound, every shift
+certified by the signs of the factor's pivots; any other block by LAPACK
+bisection on the Sturm count to a loose tolerance plus inverse iteration
+(stebz/stein), then the Rayleigh quotient of each vector, certified by its
+residual and the gaps between the levels.  Both reach stebz's absolute
+tolerance, ulp * max |Gershgorin end|; a block either route cannot certify
+(clustered levels, say) takes bisection to that tolerance.  A
+reflection-symmetric potential is solved as separate even and odd blocks
+on the half grid x >= 0, so its levels have exact parity.  Each numerical
+level carries error_estimate, the first-order correction of its O(h^2)
+discretization error (Paine, de Hoog & Anderssen, Computing 26, 123
+(1981)), computed from the eigenvector at no extra solve: energy +
+error_estimate is accurate to O(h^4).  Wavefunctions and region weights
+stay O(h^2).  Both routes name the wells by one map (harmonic_families);
+classify_levels labels each numerical level by the family that holds most
+of its weight.
 
 The four LAPACK routines come from SciPy's f2py extension
 scipy.linalg._flapack, loaded from its file on the first numerical solve
@@ -46,8 +47,8 @@ __all__ = [
     "SolverConfig", "Eigenpair", "HarmonicSpectrum", "RegionWeight",
     "LabeledLevel", "ConvergenceError", "DomainEstimateError",
     "harmonic_families", "harmonic_spectrum_n2", "choose_domain",
-    "grid_points_for", "resolve_solver", "solve_numerical", "well_weights",
-    "classify_levels",
+    "grid_points_for", "DEFAULT_STEP", "resolve_solver", "solve_numerical",
+    "well_weights", "classify_levels",
 ]
 
 
@@ -370,16 +371,15 @@ def _ground(diag: np.ndarray, off: np.ndarray
     quotient must lie within twice that tolerance of lo: a vector that
     converged to an excited level gives None.
 
-    The first shift is _harmonic_guess, usually just below the lowest
-    eigenvalue, so a solve takes about 5 factorizations (8 from min V).  A
-    guess that does not factor is a certified hi, and the rounds restart
-    from min V, which lies below every level: the Dirichlet difference
-    Laplacian is positive definite, and each level of a parity block is
-    one of the full operator.
+    lo starts at min V, which lies below every level: the Dirichlet
+    difference Laplacian is positive definite, and each level of a parity
+    block is one of the full operator.  The first shift is _harmonic_guess,
+    usually just below the lowest eigenvalue, so a solve takes about 5
+    factorizations (8 from min V).  A guess that does not factor is a
+    certified hi, and the rounds bisect between min V and it.
     """
     tol = _tolerance(diag, off)
-    lo, hi = -math.inf, math.inf
-    floor = float(np.min(diag) + 2.0 * off[-1])    # min V
+    lo, hi = float(np.min(diag) + 2.0 * off[-1]), math.inf    # min V
     shift, factor = _harmonic_guess(diag, off), None
     u = np.ones(diag.size)    # the ground vector is positive: off < 0
 
@@ -395,14 +395,9 @@ def _ground(diag: np.ndarray, off: np.ndarray
             rho, residual = _rayleigh(diag, off, u)
             hi = min(hi, rho)
             shift = rho - residual
-        elif factor is None:    # the guess, or min V, lies above a level
-            if shift <= floor:
-                return None
-            hi, shift = shift, floor
-            continue
         else:
             hi = shift
-        if hi - lo <= tol:
+        if factor is not None and hi - lo <= tol:
             u = invert(invert(u))    # as stein's two extra iterations
             rho = _rayleigh(diag, off, u)[0]
             if rho - lo > 2.0 * tol:

@@ -660,7 +660,7 @@ def test_memory_error_exits_2(capsys, monkeypatch):
 
 
 # No command imports the scipy package or the process pool (only a scan
-# with jobs > 1 starts one).  A closed-form command loads no LAPACK; a
+# with more than one worker starts one).  A closed-form command loads no LAPACK; a
 # numerical one loads SciPy's LAPACK extension alone, on its first solve.
 @pytest.mark.parametrize("argv, loaded", [
     (["table1"], []),

@@ -1,6 +1,7 @@
 """Crossing conditions, degeneracy tuning, asymmetric locus, scans."""
 
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -515,6 +516,34 @@ class TestRelocalizationScan:
         cfg = SolverConfig(half_width=9.0, grid_points=1201, num_levels=1)
         with pytest.raises(ValueError):
             relocalization_scan(4.0, (0.0, 0.005), 2, cfg)
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (10 ** 6, 4, 4), (10 ** 6, 64, 5), (3, 64, 3), (8, None, None)])
+    def test_pool_size_is_capped(self, monkeypatch, jobs, cpus, workers):
+        # at most one process per lattice point and per CPU, and none when
+        # that leaves one; a fake pool records its size and maps in-process
+        import concurrent.futures
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            FakePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = SolverConfig(half_width=9.0, grid_points=1201, num_levels=1)
+        scan = relocalization_scan(4.0, (0.0, 0.005), 5, cfg, jobs=jobs)
+        assert sizes == ([] if workers is None else [workers])
+        assert scan == relocalization_scan(4.0, (0.0, 0.005), 5, cfg)
 
     def test_parallel_scan_loads_lapack_in_the_parent(self):
         # the first numerical call of a fresh interpreter: the parent loads

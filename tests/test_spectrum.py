@@ -519,8 +519,8 @@ def _below_min_v(diag: np.ndarray, off: np.ndarray) -> float:
 def test_single_level_route_certifies_any_first_shift(monkeypatch, guess, p,
                                                       cfg, sizes):
     # the harmonic guess is a candidate only: one above the ground level
-    # does not factor and the rounds restart from min V, one below min V
-    # factors and is a certified lower bound
+    # does not factor and the rounds bisect between min V and it, one below
+    # min V factors and is a certified lower bound
     monkeypatch.setattr(spectrum, "_harmonic_guess", guess)
     calls = _spy_ground(monkeypatch)
     solve_numerical(p, cfg)
