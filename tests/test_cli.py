@@ -1,5 +1,6 @@
 """CLI surface: formats, exit codes, determinism, config handling."""
 
+import csv
 import importlib.util
 import json
 import math
@@ -542,11 +543,46 @@ class TestEntryPoint:
     ("table1_alpha3.5.csv", ["table1", "--alpha", "3.5", "--format", "csv"]),
     ("table1_alpha7.25.csv",
      ["table1", "--alpha", "7.25", "--format", "csv"]),
+    # a sweep writes <name>.csv into --outdir, name set by its config
+    ("sweep_alc_alpha4.csv",
+     ["sweep", "--config", "{data}/sweep_alc_alpha4.conf", "--outdir", "{tmp}"]),
 ])
-def test_golden_csv_bytes(capsys, name, argv):
-    code, out, _ = run_cli(capsys, *argv)
+def test_golden_csv_bytes(capsys, tmp_path, name, argv):
+    code, out, _ = run_cli(capsys, *(arg.format(data=DATA, tmp=tmp_path)
+                                     for arg in argv))
     assert code == EXIT_OK
+    if argv[0] == "sweep":
+        out = (tmp_path / name).read_text(encoding="utf-8")
     assert out.encode("utf-8") == (DATA / name).read_bytes()
+
+
+# Reference CSVs of sweeps that solve numerically, on the grid the resolver
+# sizes.  The solver block comes from closed forms and Sturm isolation, and
+# the lattice and the labels do not depend on the last bits of a level, so
+# they are pinned exactly; E0 and the weights come from LAPACK, whose last
+# bits vary by machine, and are pinned to 1e-9.
+@pytest.mark.parametrize("name, exact, solver", [
+    ("sweep_relocalization_alpha4", {"delta", "label"},
+     {"half_width": 9.5, "grid_points": 3801, "num_levels": 2, "lam": 1.0}),
+    ("sweep_tilt_s1_8", {"tilt"},
+     {"half_width": 5.5, "grid_points": 2201, "num_levels": 1, "lam": 1.0}),
+])
+def test_golden_sweep_columns(capsys, tmp_path, name, exact, solver):
+    code, _, _ = run_cli(capsys, "sweep", "--config", str(DATA / f"{name}.conf"),
+                         "--outdir", str(tmp_path))
+    assert code == EXIT_OK
+    manifest = json.loads((tmp_path / f"{name}_manifest.json").read_text())
+    assert manifest["solver"] == solver
+    got, want = ((path / f"{name}.csv").read_text().splitlines()
+                 for path in (tmp_path, DATA))
+    assert got[0] == want[0] and len(got) == len(want)
+    for row, ref in zip(csv.DictReader(got), csv.DictReader(want)):
+        for column, value in ref.items():
+            if column in exact:
+                assert row[column] == value
+            else:
+                assert float(row[column]) == pytest.approx(
+                    float(value), rel=1e-9, abs=1e-9)
 
 
 # Bad input exits 64 whichever layer rejects it: the library raises
