@@ -23,7 +23,8 @@ from .crossings import (REFERENCE_DELTAS_ALPHA4, TABLE_PAIRS, AlcQuery,
                         LabelsUnresolvedError, NewtonError, asym_locus_cubic,
                         crossing_table, linearized_shift, pairing_gaps,
                         relocalization_scan, solve_crossing, tilt_scan)
-from .polynomial import ParameterError, Polynomial, RootIsolationError
+from .polynomial import (ParameterError, Polynomial, RootIsolationError,
+                         lattice)
 from .spectrum import (ConvergenceError, classify_levels, harmonic_families,
                        resolve_solver, solve_numerical, well_weights)
 from .svgfig import line_plot
@@ -281,8 +282,7 @@ def _cmd_locus(args) -> str:
     if not (args.eps_min < args.eps_max):
         raise ParameterError("need eps-min < eps-max")
     records = []
-    for i in range(args.steps):
-        eps = args.eps_min + (args.eps_max - args.eps_min) * i / (args.steps - 1)
+    for eps in lattice(args.eps_min, args.eps_max, args.steps).tolist():
         d_lin = linearized_shift(eps, args.alpha) + 0.0
         d_cubic = asym_locus_cubic(eps, args.alpha).delta
         records.append({"epsilon": eps, "delta_lin": d_lin,
@@ -346,22 +346,20 @@ def _cfg_get(cfg: dict[str, str], key: str, cast, default=_REQUIRED):
         raise ParameterError(f"config key {key!r}: {exc}") from exc
 
 
-def _sweep_grid(cfg: dict[str, str], widest: Polynomial, levels: int):
+def _sweep_grid(cfg: dict, widest: Polynomial, levels: int):
     """The resolved grid of a lattice sweep's widest potential; half_width,
     grid_step and lambda keys override the resolver's defaults."""
-    return resolve_solver(widest, levels, _cfg_get(cfg, "lambda", float, 1.0),
-                          half_width=_cfg_get(cfg, "half_width", float, None),
-                          step=_cfg_get(cfg, "grid_step", float, None))
+    return resolve_solver(widest, levels, cfg["lambda"],
+                          half_width=cfg["half_width"], step=cfg["grid_step"])
 
 
-def _sweep_relocalization(cfg: dict[str, str], jobs: int):
-    alpha = _cfg_get(cfg, "alpha", float)
-    lo = _cfg_get(cfg, "delta_min", float)
-    hi = _cfg_get(cfg, "delta_max", float)
-    steps = _cfg_get(cfg, "steps", int)
-    solver = _sweep_grid(cfg, triple_well(alpha, hi),
-                         _cfg_get(cfg, "levels", int, 1))
-    result = relocalization_scan(alpha, (lo, hi), steps, solver, jobs=jobs)
+def _sweep_relocalization(cfg: dict):
+    if cfg["jobs"] < 1:
+        raise ParameterError("jobs must be at least 1")
+    alpha, hi = cfg["alpha"], cfg["delta_max"]
+    solver = _sweep_grid(cfg, triple_well(alpha, hi), cfg["levels"])
+    result = relocalization_scan(alpha, (cfg["delta_min"], hi), cfg["steps"],
+                                 solver, jobs=cfg["jobs"])
     records = [{"delta": r.delta, "E0": r.e0, "w_central": r.w_central,
                 "w_outer": r.w_outer, "label": r.label} for r in result.rows]
     return ["delta", "E0", "w_central", "w_outer", "label"], records, {
@@ -369,43 +367,34 @@ def _sweep_relocalization(cfg: dict[str, str], jobs: int):
         "crossing_bracket": result.bracket}
 
 
-def _sweep_tilt(cfg: dict[str, str], jobs: int):
+def _sweep_tilt(cfg: dict):
     """Double-well contrast demo: the left-weight response to a linear tilt
     is smooth, unlike the triple-well relocalization jump."""
-    del jobs
-    s1 = _cfg_get(cfg, "s1", float)
-    lo = _cfg_get(cfg, "tilt_min", float)
-    hi = _cfg_get(cfg, "tilt_max", float)
-    steps = _cfg_get(cfg, "steps", int)
+    s1, lo, hi = cfg["s1"], cfg["tilt_min"], cfg["tilt_max"]
     # tilts +-b mirror each other, so the symmetric grid of -|b| serves both;
     # at -|b| the deeper well, which holds the ground state, lies at x > 0
     solver = _sweep_grid(cfg, tilted_double_well(s1, -max(abs(lo), abs(hi))), 1)
     records = [{"tilt": r.tilt, "E0": r.e0, "w_left": r.w_left,
                 "w_right": r.w_right}
-               for r in tilt_scan(s1, (lo, hi), steps, solver)]
+               for r in tilt_scan(s1, (lo, hi), cfg["steps"], solver)]
     return ["tilt", "E0", "w_left", "w_right"], records, {
         "solver": asdict(solver), "crossing": None}
 
 
-def _sweep_alc(cfg: dict[str, str], jobs: int):
-    del jobs  # each root-find is sequential; pairs are few
-    alpha = _cfg_get(cfg, "alpha", float)
-    backend = _cfg_get(cfg, "backend", str, "harmonic")
-    lo = _cfg_get(cfg, "bracket_lo", float, -0.05)
-    hi = _cfg_get(cfg, "bracket_hi", float, 0.05)
-    pairs_text = _cfg_get(cfg, "pairs", str, "all")
-    if pairs_text.strip().lower() == "all":
+def _sweep_alc(cfg: dict):
+    if cfg["pairs"].strip().lower() == "all":
         pairs = list(TABLE_PAIRS)
     else:
         pairs = []
-        for tok in pairs_text.split(","):
+        for tok in cfg["pairs"].split(","):
             m_str, _, n_str = tok.strip().partition(":")
             try:
                 pairs.append((int(m_str), int(n_str)))
             except ValueError as exc:
                 raise ParameterError(f"bad pairs entry {tok!r}: {exc}") from exc
-    sols = [solve_crossing(AlcQuery(m, n, alpha, bracket=(lo, hi),
-                                    backend=backend))
+    bracket = (cfg["bracket_lo"], cfg["bracket_hi"])
+    sols = [solve_crossing(AlcQuery(m, n, cfg["alpha"], bracket=bracket,
+                                    backend=cfg["backend"]))
             for m, n in pairs]
     sols.sort(key=lambda s: s.delta)
     records = [{"m": s.m, "n": s.n, "delta": s.delta, "residual": s.residual,
@@ -414,13 +403,20 @@ def _sweep_alc(cfg: dict[str, str], jobs: int):
     return ["m", "n", "delta", "residual"], records, {"crossing": None}
 
 
-# each sweep kind's runner and config keys, besides kind, name and jobs
-_GRID_KEYS = {"half_width", "grid_step", "lambda"}
+# sweep kind: (runner, its keys besides kind and name as {key: (cast,
+# default)}, (cast,) if required); the runner gets one dict of typed values
+_GRID_KEYS = {"half_width": (float, None), "grid_step": (float, None),
+              "lambda": (float, 1.0)}
 _SWEEPS = {
-    "relocalization": (_sweep_relocalization, {"alpha", "delta_min", "delta_max",
-                                               "steps", "levels"} | _GRID_KEYS),
-    "alc": (_sweep_alc, {"alpha", "backend", "bracket_lo", "bracket_hi", "pairs"}),
-    "tilt": (_sweep_tilt, {"s1", "tilt_min", "tilt_max", "steps"} | _GRID_KEYS),
+    "relocalization": (_sweep_relocalization, {
+        "alpha": (float,), "delta_min": (float,), "delta_max": (float,),
+        "steps": (int,), "levels": (int, 1), "jobs": (int, 1), **_GRID_KEYS}),
+    "alc": (_sweep_alc, {
+        "alpha": (float,), "backend": (str, "harmonic"), "pairs": (str, "all"),
+        "bracket_lo": (float, -0.05), "bracket_hi": (float, 0.05)}),
+    "tilt": (_sweep_tilt, {
+        "s1": (float,), "tilt_min": (float,), "tilt_max": (float,),
+        "steps": (int,), **_GRID_KEYS}),
 }
 
 
@@ -430,16 +426,18 @@ def _cmd_sweep(args) -> str:
     if kind not in _SWEEPS:
         raise ParameterError(f"unknown sweep kind {kind!r} "
                              "(expected 'relocalization', 'alc', or 'tilt')")
-    sweep, keys = _SWEEPS[kind]
-    unknown = sorted(set(cfg) - keys - {"kind", "name", "jobs"})
+    sweep, spec = _SWEEPS[kind]
+    unknown = sorted(set(cfg) - set(spec) - {"kind", "name"})
     if unknown:
         raise ParameterError(f"unknown config key for sweep kind {kind!r}: "
                              + ", ".join(map(repr, unknown)))
-    jobs = args.jobs if args.jobs is not None else _cfg_get(cfg, "jobs", int, 1)
-    if jobs < 1:
-        raise ParameterError("jobs must be at least 1")
+    if args.jobs is not None and "jobs" not in spec:
+        raise ParameterError(f"--jobs does not apply to sweep kind {kind!r}")
+    params = {key: _cfg_get(cfg, key, *spec[key]) for key in spec}
+    if args.jobs is not None:
+        params["jobs"] = args.jobs
     name = cfg.get("name", kind)
-    columns, records, summary = sweep(cfg, jobs)
+    columns, records, summary = sweep(params)
     outdir = Path(args.outdir)
     csv_path = outdir / f"{name}.csv"
     manifest_path = outdir / f"{name}_manifest.json"
@@ -518,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--config", required=True)
     sw.add_argument("--outdir", default="out")
     sw.add_argument("--jobs", type=int, default=None,
-                    help="parallel workers for lattice points")
+                    help="parallel workers of a relocalization sweep")
     sw.set_defaults(func=_cmd_sweep, output=None)
     return parser
 

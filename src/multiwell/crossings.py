@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polynomial import ParameterError, bracket_scan, brent_root
+from .polynomial import ParameterError, bracket_scan, brent_root, lattice
 from .spectrum import (SolverConfig, _load_lapack, _n2_closed_form,
                        _region_weights, classify_levels, harmonic_families,
                        resolve_solver, solve_numerical)
@@ -285,7 +285,7 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
         return wrapped
 
     harmonic = counted(lambda d: _harmonic_residual(d, q.m, q.n, q.alpha))
-    cells = bracket_scan(harmonic, *q.bracket, 33)
+    cells = bracket_scan(harmonic, *q.bracket)
     if len(cells) > 1:
         warnings.warn("multiple residual sign changes in bracket; "
                       "taking the root nearest zero", stacklevel=2)
@@ -325,9 +325,9 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
                        evaluations=evaluations, harmonic_delta=harmonic_delta)
 
 
-def crossing_table(alpha: float, delta_tol: float = 1e-12) -> list[AlcSolution]:
+def crossing_table(alpha: float) -> list[AlcSolution]:
     """All twelve reference (m, n) crossings, harmonic backend, sorted by delta."""
-    sols = [solve_crossing(AlcQuery(m, n, alpha), delta_tol=delta_tol)
+    sols = [solve_crossing(AlcQuery(m, n, alpha), delta_tol=1e-12)
             for m, n in TABLE_PAIRS]
     return sorted(sols, key=lambda s: s.delta)
 
@@ -347,8 +347,10 @@ def _inequivalent_ground_energies(shape: WellShape) -> list[float]:
     return [w.level(0) for _, w in harmonic_families(build_symmetric(shape))]
 
 
-def tune_maximal_degeneracy(shape: WellShape, tol: float,
-                            max_iter: int = 50) -> DegeneracyFit:
+_TUNE_ITERATIONS = 50  # Newton steps of tune_maximal_degeneracy
+
+
+def tune_maximal_degeneracy(shape: WellShape, tol: float) -> DegeneracyFit:
     """Adjust the last floor((N+1)/2) increments until every inequivalent
     well has the same ground-state harmonic energy v + sqrt(g), within tol.
 
@@ -371,28 +373,27 @@ def tune_maximal_degeneracy(shape: WellShape, tol: float,
     j = (n + 1) // 2
     free = list(range(n - j, n))
 
-    def residuals(inc: list[float]) -> np.ndarray:
+    def ground(inc: list[float]) -> tuple[list[float], np.ndarray]:
         energies = _inequivalent_ground_energies(WellShape(tuple(inc)))
-        return np.array([e - energies[0] for e in energies[1:]])
+        return energies, np.array([e - energies[0] for e in energies[1:]])
 
     def valid(inc: list[float]) -> bool:
         return inc[0] > 0.0 and all(b > a for a, b in zip(inc, inc[1:]))
 
     inc = list(shape.increments)
-    res = residuals(inc)
-    for iteration in range(1, max_iter + 1):
+    energies, res = ground(inc)
+    for iteration in range(1, _TUNE_ITERATIONS + 1):
         norm = float(np.max(np.abs(res)))
         if norm <= tol:
-            energies = tuple(_inequivalent_ground_energies(WellShape(tuple(inc))))
-            spread = max(energies) - min(energies)
-            return DegeneracyFit(WellShape(tuple(inc)), spread, energies,
-                                 iteration - 1)
+            return DegeneracyFit(WellShape(tuple(inc)),
+                                 max(energies) - min(energies),
+                                 tuple(energies), iteration - 1)
         jac = np.zeros((len(res), len(free)))
         for col, idx in enumerate(free):
             step = 1e-6 * max(1.0, inc[idx])
             trial = list(inc)
             trial[idx] += step
-            jac[:, col] = (residuals(trial) - res) / step
+            jac[:, col] = (ground(trial)[1] - res) / step
         dx, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         scale = 1.0
         for _ in range(10):
@@ -400,17 +401,17 @@ def tune_maximal_degeneracy(shape: WellShape, tol: float,
             for col, idx in enumerate(free):
                 trial[idx] += scale * float(dx[col])
             if valid(trial):
-                trial_res = residuals(trial)
+                trial_energies, trial_res = ground(trial)
                 if float(np.max(np.abs(trial_res))) < norm:
-                    inc, res = trial, trial_res
+                    inc, energies, res = trial, trial_energies, trial_res
                     break
             scale *= 0.5
         else:
             raise NewtonError(
                 f"damped Newton stalled at iteration {iteration}; "
                 f"residuals {res.tolist()}")
-    raise NewtonError(
-        f"no convergence in {max_iter} iterations; residuals {res.tolist()}")
+    raise NewtonError(f"no convergence in {_TUNE_ITERATIONS} iterations; "
+                      f"residuals {res.tolist()}")
 
 
 def linearized_shift(epsilon: float, alpha: float) -> float:
@@ -488,7 +489,7 @@ def _lattice(name: str, value_range: tuple[float, float],
     if not (lo < hi):
         raise ParameterError(f"{name} range must satisfy lo < hi, "
                              f"got {tuple(value_range)}")
-    return [lo + (hi - lo) * i / (steps - 1) for i in range(steps)]
+    return lattice(lo, hi, steps).tolist()
 
 
 def _scan_point(args: tuple[float, float, SolverConfig]) -> ScanRow:

@@ -17,13 +17,15 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 __all__ = ["Polynomial", "Root", "ParameterError", "RootIsolationError",
-           "real_roots", "brent_root", "bracket_scan"]
+           "real_roots", "brent_root", "lattice", "bracket_scan"]
 
 # relative threshold below which a remainder coefficient is treated as an
 # exact zero when building the Sturm chain
 _CHAIN_EPS = 1e-13
 _EPS = 2.0 ** -52  # float64 unit roundoff, Brent's relative step floor
 _TINY = 5e-324  # smallest subnormal, Brent's absolute step floor at 0
+_MAX_DEPTH = 64  # subdivisions real_roots makes before it gives up
+_SCAN_SAMPLES = 33  # lattice points of bracket_scan
 
 
 class ParameterError(ValueError):
@@ -270,16 +272,19 @@ def brent_root(f, a: float, b: float, fa: float, fb: float,
             d = e = b - a
 
 
-def bracket_scan(f, lo: float, hi: float,
-                 samples: int) -> list[tuple[float, float, float]]:
-    """Evaluate f once on the evenly spaced lattice of [lo, hi], passed as
-    one numpy array, so f must accept arrays; return every cell
-    (a, b, f(a)) where f(a) == 0 or f changes sign, in lattice order, as
-    Python floats.  The points are bit-equal to lo + (hi - lo) * i /
-    (samples - 1).  Overflow and invalid-operation warnings are off during
-    the call: as in Python float arithmetic, values turn into inf or nan
-    silently."""
-    xs = lo + (hi - lo) * np.arange(samples) / (samples - 1)
+def lattice(lo: float, hi: float, n: int) -> np.ndarray:
+    """The n >= 2 evenly spaced points lo + (hi - lo) * i / (n - 1), 0 <= i
+    < n, each bit-equal to that expression in Python floats."""
+    return lo + (hi - lo) * np.arange(n) / (n - 1)
+
+
+def bracket_scan(f, lo: float, hi: float) -> list[tuple[float, float, float]]:
+    """Evaluate f once on the 33-point lattice of [lo, hi], passed as one
+    numpy array, so f must accept arrays; return every cell (a, b, f(a))
+    where f(a) == 0 or f changes sign, in lattice order, as Python floats.
+    Overflow and invalid-operation warnings are off during the call: as in
+    Python float arithmetic, values turn into inf or nan silently."""
+    xs = lattice(lo, hi, _SCAN_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):
         fs = f(xs)
     neg = fs < 0.0
@@ -298,7 +303,7 @@ def _is_ambiguous(dp: Polynomial, r: float, tol: float) -> bool:
 def _even_multiplicity_root(p: Polynomial, dp: Polynomial,
                             a: float, b: float, tol: float) -> float:
     """Locate a root with no sign change (even multiplicity) via the extremum."""
-    cells = bracket_scan(dp, a, b, 33)
+    cells = bracket_scan(dp, a, b)
     if not cells:
         raise RootIsolationError(
             f"counted a root in [{a:.6g}, {b:.6g}] but found no sign change "
@@ -313,7 +318,7 @@ def _even_multiplicity_root(p: Polynomial, dp: Polynomial,
 
 
 def real_roots(p: Polynomial, lo: float, hi: float,
-               tol: float = 1e-10, max_depth: int = 64) -> list[Root]:
+               tol: float = 1e-10) -> list[Root]:
     """All real roots of p in [lo, hi], each accurate to tol.
 
     Isolation subdivides on Sturm-sequence root counts; refinement is
@@ -323,7 +328,7 @@ def real_roots(p: Polynomial, lo: float, hi: float,
     holds a root of the chain's last member, the float gcd(p, p') whose
     roots are the multiple roots of p (a root of odd multiplicity keeps
     p' of one sign around it).  Raises RootIsolationError if subdivision
-    exceeds max_depth without isolating.
+    exceeds _MAX_DEPTH levels without isolating.
     """
     if not (lo < hi):
         raise ParameterError(f"need lo < hi, got [{lo}, {hi}]")
@@ -347,10 +352,10 @@ def real_roots(p: Polynomial, lo: float, hi: float,
         if count == 1 or xb - xa <= tol:
             leaves.append((xa, xb, count))
             continue
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise RootIsolationError(
                 f"failed to isolate {count} roots in [{xa:.6g}, {xb:.6g}] "
-                f"within {max_depth} subdivisions")
+                f"within {_MAX_DEPTH} subdivisions")
         mid = 0.5 * (xa + xb)
         if _horner(chain[-1], mid) == 0.0:
             # a root of gcd(p, p'), a multiple root of p: every chain member

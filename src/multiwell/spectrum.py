@@ -166,12 +166,13 @@ def _n2_closed_form(alpha: float, beta):
             a2 ** 3 + 1.5 * a2 * a2 * b2 - 0.5 * b2 ** 3)
 
 
-def harmonic_spectrum_n2(alpha: float, beta: float, n_max: int, m_max: int,
-                         lam: float = 1.0) -> HarmonicSpectrum:
-    """Closed-form spectrum of the triple well with widths (alpha, beta)."""
+def harmonic_spectrum_n2(alpha: float, beta: float, n_max: int,
+                         m_max: int) -> HarmonicSpectrum:
+    """Closed-form spectrum of the triple well with widths (alpha, beta),
+    at lam = 1."""
     spring_c, spring_o, v_outer = _n2_closed_form(alpha, beta)
-    central = tuple((2 * n + 1) * lam * spring_c for n in range(n_max + 1))
-    off = tuple(v_outer + (2 * m + 1) * lam * spring_o for m in range(m_max + 1))
+    central = tuple((2 * n + 1) * spring_c for n in range(n_max + 1))
+    off = tuple(v_outer + (2 * m + 1) * spring_o for m in range(m_max + 1))
     return HarmonicSpectrum(central, off, spring_c, spring_o)
 
 
@@ -181,20 +182,17 @@ def choose_domain(p: Polynomial, e_max: float) -> float:
     Climbs the lattice until V(+-L) >= 2*e_max and L exceeds the outermost
     stationary point by 2, then takes one more lattice step of margin.
     """
-    return _domain(p, e_max, None)
+    points = critical_points(p, stationary_window(p))
+    return _domain(p, e_max, max((abs(cp.x) for cp in points), default=0.0))
 
 
-def _domain(p: Polynomial, e_max: float,
-            points: list[CriticalPoint] | None) -> float:
-    """choose_domain, given critical_points(p, stationary_window(p)) when
-    already in hand."""
+def _domain(p: Polynomial, e_max: float, reach: float) -> float:
+    """choose_domain, given the reach max |x| of the stationary points."""
     if p.degree < 2 or p.degree % 2 != 0 or p.coeffs[-1] <= 0.0:
         raise ParameterError("potential must be confining: even degree >= 2, "
                              "positive leading coefficient")
-    if points is None:
-        points = critical_points(p, stationary_window(p))
     level = 2.0 * e_max
-    min_l = max((abs(cp.x) for cp in points), default=0.0) + 2.0
+    min_l = reach + 2.0
     half = 0.5
     while not (half >= min_l and p(half) >= level and p(-half) >= level):
         half += 0.5
@@ -232,21 +230,22 @@ def resolve_solver(p: Polynomial, num_levels: int, lam: float = 1.0, *,
 
     The step is `step` (positive, finite) or DEFAULT_STEP.  Without a
     half_width, L is choose_domain(p, E_max), E_max being the highest
-    harmonic estimate of index num_levels - 1 over every well of p; a
-    potential without a well raises DomainEstimateError.
+    harmonic estimate of index num_levels - 1 over the wells of
+    harmonic_families(p), which reach as far as the stationary points of a
+    confining p (its outermost one is a minimum, and a mirror pair's wells
+    lie at equal |x|); a potential without a well raises DomainEstimateError.
     """
     step = DEFAULT_STEP if step is None else step
     if not 0.0 < step < math.inf:
         raise ParameterError(f"step must be positive and finite, got {step!r}")
     if half_width is None:
-        points = critical_points(p, stationary_window(p))
-        estimates = [w.level(num_levels - 1, lam)
-                     for _, w in _family_wells(p, points)]
-        if not estimates:
+        wells = [w for _, w in harmonic_families(p)]
+        if not wells:
             raise DomainEstimateError("cannot estimate a domain for this "
                                       "potential (no harmonic well); give a "
                                       "half-width")
-        half_width = _domain(p, max(estimates), points)
+        e_max = max(w.level(num_levels - 1, lam) for w in wells)
+        half_width = _domain(p, e_max, max(abs(w.x) for w in wells))
     return SolverConfig(half_width=half_width,
                         grid_points=grid_points_for(half_width, step),
                         num_levels=num_levels, lam=lam)
@@ -639,15 +638,6 @@ def _well_families(p: Polynomial, points: list[CriticalPoint]
     return edges, [("central", g) for g in central] + list(zip(names, off))
 
 
-def _family_wells(p: Polynomial, points: list[CriticalPoint]
-                  ) -> list[tuple[str, HarmonicWell]]:
-    """harmonic_families, given critical_points(p, window)."""
-    edges, families = _well_families(p, points)
-    wells = harmonic_wells_from(p, points)
-    return [(name, w) for name, group in families for w in wells
-            if edges[group[0]] < w.x < edges[group[0] + 1]]
-
-
 def harmonic_families(p: Polynomial) -> list[tuple[str, HarmonicWell]]:
     """The harmonic well of every well family of p, as (family, well) pairs.
 
@@ -662,7 +652,11 @@ def harmonic_families(p: Polynomial) -> list[tuple[str, HarmonicWell]]:
     harmonic level of a family is well.level(m, lam).  Raises
     DegenerateWellError when a stationary point has vanishing curvature.
     """
-    return _family_wells(p, critical_points(p, stationary_window(p)))
+    points = critical_points(p, stationary_window(p))
+    edges, families = _well_families(p, points)
+    wells = harmonic_wells_from(p, points)
+    return [(name, w) for name, group in families for w in wells
+            if edges[group[0]] < w.x < edges[group[0] + 1]]
 
 
 def classify_levels(pairs: list[Eigenpair], p: Polynomial) -> list[LabeledLevel]:

@@ -11,15 +11,17 @@ from typing import Iterable, Sequence
 
 __all__ = ["line_plot"]
 
+_WIDTH, _HEIGHT = 720.0, 440.0
 _MARGIN = {"left": 62.0, "right": 18.0, "top": 34.0, "bottom": 46.0}
+_TICKS = 6  # ticks _ticks aims for on each axis
 _REGION_FILLS = ("#dbe9f6", "#fdeacc", "#dff0da", "#f6dbe9")
 
 
-def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
     if span <= 0.0 or not math.isfinite(span):
         return [lo]
-    raw = span / max(target - 1, 1)
+    raw = span / (_TICKS - 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -40,9 +42,8 @@ def _fmt(v: float) -> str:
 
 def line_plot(xs: Sequence[float], ys: Sequence[float], *,
               title: str = "", xlabel: str = "", ylabel: str = "",
-              width: float = 720.0, height: float = 440.0,
               regions: Iterable[tuple[float, float, str]] | None = None) -> str:
-    """Render one curve as a standalone SVG document string.
+    """Render one curve as a standalone _WIDTH x _HEIGHT SVG document.
 
     regions: optional (lo, hi, label) bands shaded behind the curve; the
     label is drawn near the top of the band.  Infinite band edges are
@@ -57,8 +58,8 @@ def line_plot(xs: Sequence[float], ys: Sequence[float], *,
     pad = 0.05 * (y_hi - y_lo)
     y_lo -= pad
     y_hi += pad
-    box_w = width - _MARGIN["left"] - _MARGIN["right"]
-    box_h = height - _MARGIN["top"] - _MARGIN["bottom"]
+    box_w = _WIDTH - _MARGIN["left"] - _MARGIN["right"]
+    box_h = _HEIGHT - _MARGIN["top"] - _MARGIN["bottom"]
 
     def px(x: float) -> float:
         return _MARGIN["left"] + (x - x_lo) / (x_hi - x_lo) * box_w
@@ -68,9 +69,9 @@ def line_plot(xs: Sequence[float], ys: Sequence[float], *,
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">',
-        f'<rect x="0" y="0" width="{width:.0f}" height="{height:.0f}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH:.0f}" '
+        f'height="{_HEIGHT:.0f}" viewBox="0 0 {_WIDTH:.0f} {_HEIGHT:.0f}">',
+        f'<rect x="0" y="0" width="{_WIDTH:.0f}" height="{_HEIGHT:.0f}" fill="white"/>',
     ]
     if regions:
         for i, (lo, hi, label) in enumerate(regions):
@@ -106,11 +107,11 @@ def line_plot(xs: Sequence[float], ys: Sequence[float], *,
     parts.append(f'<polyline points="{points}" fill="none" '
                  f'stroke="#1f5fa8" stroke-width="1.6"/>')
     if title:
-        parts.append(f'<text x="{width / 2:.2f}" y="20" font-size="14" '
+        parts.append(f'<text x="{_WIDTH / 2:.2f}" y="20" font-size="14" '
                      f'text-anchor="middle">{title}</text>')
     if xlabel:
         parts.append(f'<text x="{_MARGIN["left"] + box_w / 2:.2f}" '
-                     f'y="{height - 10:.2f}" font-size="12" '
+                     f'y="{_HEIGHT - 10:.2f}" font-size="12" '
                      f'text-anchor="middle">{xlabel}</text>')
     if ylabel:
         cx, cy = 16.0, _MARGIN["top"] + box_h / 2

@@ -589,6 +589,7 @@ def test_golden_sweep_columns(capsys, tmp_path, name, exact, solver):
 # ParameterError for its own arguments, and the CLI maps that one type.
 _RELOC = "kind = relocalization\nalpha = 4\ndelta_max = 0.005\n"
 _ALC = "kind = alc\nalpha = 4\npairs = 0:0\n"
+_TILT = "kind = tilt\ns1 = 2\ntilt_min = -0.3\ntilt_max = 0.3\nsteps = 3\n"
 
 
 @pytest.mark.parametrize("argv, config, named", [
@@ -623,8 +624,8 @@ _ALC = "kind = alc\nalpha = 4\npairs = 0:0\n"
                  "alpha=1e+200 is too large", id="locus-alpha-overflow"),
     pytest.param(None, _ALC + "bracket_hi = 1e300\n",
                  "alpha=4.0 is too large", id="sweep-bracket-overflow"),
-    pytest.param(None, "kind = tilt\ns1 = nan\ntilt_min = -0.3\n"
-                       "tilt_max = 0.3\nsteps = 3\n", "nan", id="sweep-s1"),
+    pytest.param(None, _TILT.replace("s1 = 2", "s1 = nan"), "nan",
+                 id="sweep-s1"),
     pytest.param(None, _RELOC + "delta_min = nan\nsteps = 5\n",
                  "got (nan, 0.005)", id="sweep-delta-min"),
     pytest.param(None, _RELOC + "delta_min = 0\nsteps = 2\n",
@@ -637,6 +638,23 @@ _ALC = "kind = alc\nalpha = 4\npairs = 0:0\n"
                  "bracket must lie above delta = -2", id="sweep-bracket-lo"),
     pytest.param(None, _RELOC + "delta_min = 0\nsteps = 5\ngrid_stpe = 0.5\n",
                  "'grid_stpe'", id="sweep-key-typo"),
+    # only a relocalization sweep runs its lattice points in parallel
+    pytest.param(None, _RELOC + "delta_min = 0\nsteps = 5\njobs = 0\n",
+                 "jobs must be at least 1", id="sweep-jobs-key-zero"),
+    pytest.param(["--jobs", "0"], _RELOC + "delta_min = 0\nsteps = 5\n",
+                 "jobs must be at least 1", id="sweep-jobs-option-zero"),
+    pytest.param(None, _ALC + "jobs = 1\n",
+                 "unknown config key for sweep kind 'alc': 'jobs'",
+                 id="sweep-jobs-key-alc"),
+    pytest.param(None, _TILT + "jobs = 1\n",
+                 "unknown config key for sweep kind 'tilt': 'jobs'",
+                 id="sweep-jobs-key-tilt"),
+    pytest.param(["--jobs", "1"], _ALC,
+                 "--jobs does not apply to sweep kind 'alc'",
+                 id="sweep-jobs-option-alc"),
+    pytest.param(["--jobs", "1"], _TILT,
+                 "--jobs does not apply to sweep kind 'tilt'",
+                 id="sweep-jobs-option-tilt"),
     pytest.param(["table1", "--output", "{tmp}/missing/table.txt"], None,
                  "cannot write", id="table1-output-directory-missing"),
     # the last --outdir wins: the config file itself, an existing file

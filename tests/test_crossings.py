@@ -168,7 +168,7 @@ class TestNumericalSearch:
             cfg = crossings._default_numeric_config(q)
             a, b, _ = bracket_scan(
                 lambda d: crossings._harmonic_residual(d, m, n, 4.0),
-                -0.05, 0.05, 33)[0]
+                -0.05, 0.05)[0]
             width = b - a
             a, b = max(-0.05, a - width), min(0.05, b + width)
 
@@ -326,7 +326,7 @@ def test_array_scan_finds_the_scalar_cells(alpha, m, n, lo, hi):
     fs = [residual(x) for x in xs]
     expected = [(xs[i], xs[i + 1], fs[i]) for i in range(32)
                 if fs[i] == 0.0 or (fs[i] < 0.0) != (fs[i + 1] < 0.0)]
-    got = bracket_scan(residual, lo, hi, 33)
+    got = bracket_scan(residual, lo, hi)
     assert [(a.hex(), b.hex()) for a, b, _ in got] == \
         [(a.hex(), b.hex()) for a, b, _ in expected]
     for (_, _, fa), (_, _, ea) in zip(got, expected):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from multiwell import polynomial
 from multiwell.polynomial import (Polynomial, Root, RootIsolationError,
                                  brent_root, real_roots)
 
@@ -162,10 +163,32 @@ class TestRealRoots:
         assert len(roots) == 1
         assert roots[0] == Root(0.0, True)
 
-    def test_depth_budget_failure(self):
+    def test_depth_budget_failure(self, monkeypatch):
+        monkeypatch.setattr(polynomial, "_MAX_DEPTH", 1)
         p = poly_from_roots([-2.0, -1.0, 0.0, 1.0, 2.0])
         with pytest.raises(RootIsolationError):
-            real_roots(p, -10.0, 10.0, tol=1e-10, max_depth=1)
+            real_roots(p, -10.0, 10.0, tol=1e-10)
+
+    @pytest.mark.parametrize("pair", [(0.7, 0.7004), (1.37, 1.3701)])
+    def test_roots_closer_than_tol_come_back_as_one_flagged_root(self, pair):
+        # at tol = 1e-3, 0.7 and 0.7004 share one subdivision leaf until it
+        # is narrower than tol, an unresolved cluster (p at its extremum,
+        # -4e-8, is too deep for a double root); 1.37 and 1.3701 land in
+        # two leaves, and their two roots, within 2 tol, are merged
+        roots = real_roots(poly_from_roots(pair), -3.0, 3.0, tol=1e-3)
+        assert len(roots) == 1 and roots[0].flagged
+        assert all(abs(roots[0].x - r) <= 1e-3 for r in pair)
+
+    @pytest.mark.parametrize("lo, hi, message", [
+        (1.0, 2.0, "no sign change"), (-1.0, 1.0, "does not touch zero")])
+    def test_even_multiplicity_root_refuses_a_miscount(self, lo, hi, message):
+        # x^2 + 1 has no root: a count that claims one in [lo, hi] is
+        # refused, whether p' keeps its sign there or p at p's extremum
+        # lies above 0
+        p = Polynomial([1.0, 0.0, 1.0])
+        with pytest.raises(RootIsolationError, match=message):
+            polynomial._even_multiplicity_root(p, p.derivative(), lo, hi,
+                                               1e-10)
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):

@@ -545,6 +545,17 @@ def test_harmonic_guess_lies_just_below_the_ground_level(delta):
     assert e0 - 0.02 * height < guess < e0
 
 
+def test_harmonic_guess_without_a_grid_well(monkeypatch):
+    # V = -5x falls across the whole grid, so no grid point is a local
+    # minimum: the guess is min V itself, and the block still certifies
+    calls = _spy_ground(monkeypatch)
+    solve_numerical(Polynomial([0.0, -5.0]), SolverConfig(3.0, 601))
+    diag, off, _ = calls[0]
+    assert spectrum._harmonic_guess(diag, off) == \
+        float(np.min(diag) + 2.0 * off[-1])
+    _assert_certified(calls, [599])
+
+
 def _refuse(d, e):
     return d, e, 1
 
@@ -673,6 +684,29 @@ def test_multi_level_route_rejects_a_wrong_vector(monkeypatch, corrupt):
     energy, vector = spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401))
     assert len(calls) == 2 and located[0][3] is None
     want_e, want_v = _stebz(diag, off, 3)
+    assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
+
+
+def test_multi_level_route_falls_back_when_the_stein_rerun_fails(monkeypatch):
+    # the near doublet of a slightly tilted double well certifies with a
+    # residual above stebz's tolerance, so stein runs again from the
+    # certified energies; when that rerun reports failure, the block takes
+    # the full-precision route
+    located = _spy_located(monkeypatch)
+    p = tilted_double_well(4.0, 1e-6)
+    cfg = resolve_solver(p, 3)
+    solve_numerical(p, cfg)
+    diag, off, k, _ = located[0]
+    stein, calls = spectrum.dstein, []
+
+    def failing_rerun(*args):
+        calls.append(args)
+        vectors, info = stein(*args)
+        return vectors, 1 if len(calls) == 2 else info
+    monkeypatch.setattr(spectrum, "dstein", failing_rerun)
+    energy, vector = spectrum._lowest(diag, off, k, cfg)
+    assert len(calls) == 3 and located[-1][3] is None
+    want_e, want_v = _stebz(diag, off, k)
     assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
 
 
