@@ -17,7 +17,9 @@ error_estimate, which are accurate to O(h^4); that lets its default grid
 use the step CROSSING_STEP = 0.01, twice the default of the wavefunction
 consumers (sweeps, densities, spectra).  V is linear in delta, so each
 level's exact slope is a Hellmann-Feynman sum over its eigenvector; Newton's
-method on it from the harmonic root takes about two eigensolves.
+method on it from the harmonic root takes about two eigensolves, each after
+the first started warm from the eigenpairs of the one before (the start of
+solve_numerical).
 
 Both backends find the harmonic root first.  The closed-form residual
 (_harmonic_residual) takes a float or a numpy array, so bracket_scan
@@ -35,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomial import ParameterError, bracket_scan, brent_root, lattice
-from .spectrum import (SolverConfig, _load_lapack, _n2_closed_form,
-                       _region_weights, classify_levels, harmonic_families,
-                       resolve_solver, solve_numerical)
+from .spectrum import (Eigenpair, SolverConfig, _load_lapack,
+                       _n2_closed_form, _region_weights, classify_levels,
+                       harmonic_families, resolve_solver, solve_numerical)
 from .wells import (PerturbationRangeError, WellShape, build_symmetric,
                     require_alpha, tilted_double_well, triple_well)
 
@@ -205,14 +207,16 @@ def _default_numeric_config(q: AlcQuery) -> SolverConfig:
                           2 * (q.m + 1) + q.n + 3, step=CROSSING_STEP)
 
 
-def _numeric_residual(delta: float, q: AlcQuery,
-                      cfg: SolverConfig) -> tuple[float, float]:
+def _numeric_residual(delta: float, q: AlcQuery, cfg: SolverConfig,
+                      start: list[Eigenpair] | None = None
+                      ) -> tuple[float, float, list[Eigenpair]]:
     """Mean corrected energy of doublet m minus corrected central level n,
-    and its delta-slope from the Hellmann-Feynman slopes sum psi^2 dV h of
-    the grid energies, dV/ddelta = alpha^2 (3 alpha^2 x^2 - 1.5 x^4) exactly
-    (the slope leaves out d(error_estimate)/ddelta; nan when r is +-inf)."""
+    its delta-slope from the Hellmann-Feynman slopes sum psi^2 dV h of the
+    grid energies, dV/ddelta = alpha^2 (3 alpha^2 x^2 - 1.5 x^4) exactly
+    (the slope leaves out d(error_estimate)/ddelta; nan when r is +-inf),
+    and the eigenpairs, solved from start (solve_numerical) when given."""
     p = triple_well(q.alpha, delta)
-    pairs = solve_numerical(p, cfg)
+    pairs = solve_numerical(p, cfg, start=start)
     labeled = classify_levels(pairs, p)
     a2, x2 = q.alpha * q.alpha, pairs[0].x ** 2
     dv = a2 * x2 * (3.0 * a2 - 1.5 * x2)
@@ -221,14 +225,15 @@ def _numeric_residual(delta: float, q: AlcQuery,
                          for lv, pair in zip(labeled, pairs) if lv.label == name]
                         for name in (f"central-{q.n}", f"offcentral-{q.m}"))
     if central and doublet:  # (energy, slope) of the doublet mean - central
-        return tuple(sum(v) / len(doublet) - c
-                     for v, c in zip(zip(*doublet), central[0]))
+        r, slope = (sum(v) / len(doublet) - c
+                    for v, c in zip(zip(*doublet), central[0]))
+        return r, slope, pairs
     # a family missing from the solved window still fixes the residual sign:
     # the absent level lies above every computed one
     if central:
-        return math.inf, math.nan
+        return math.inf, math.nan, pairs
     if doublet:
-        return -math.inf, math.nan
+        return -math.inf, math.nan, pairs
     raise LabelsUnresolvedError(
         f"labels unresolved at delta={delta:.8g}: neither central-{q.n} nor "
         f"offcentral-{q.m} found in {[lv.label for lv in labeled]}")
@@ -269,19 +274,20 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     energies on q.solver, or else on the grid resolve_solver gives the
     bracket's widest triple well at step CROSSING_STEP.  Newton's method,
     with the Hellmann-Feynman slope, runs from the harmonic root within
-    near: about two eigensolves.  Without a harmonic root, or when Newton
+    near: about two eigensolves, each after the first started from the
+    eigenpairs of the one before.  Without a harmonic root, or when Newton
     fails (_newton), Brent's method runs on near, then on q.bracket if
-    wider; a root outside near draws a warning.
+    wider, with cold eigensolves; a root outside near draws a warning.
 
     Raises ValueError when no window brackets a crossing.
     """
     evaluations = 0
 
     def counted(f):
-        def wrapped(d):
+        def wrapped(d, *args):
             nonlocal evaluations
             evaluations += d.size if isinstance(d, np.ndarray) else 1
-            return f(d)
+            return f(d, *args)
         return wrapped
 
     harmonic = counted(lambda d: _harmonic_residual(d, q.m, q.n, q.alpha))
@@ -301,9 +307,16 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     if q.backend == "numerical":
         cfg = q.solver if q.solver is not None else _default_numeric_config(q)
         evaluations = 0  # from here on, eigensolves only
-        residual = counted(lambda d: _numeric_residual(d, q, cfg))
+        residual = counted(lambda d, start=None:
+                           _numeric_residual(d, q, cfg, start))
         if solved is not None:
-            solved = _newton(residual, solved[0], *near, delta_tol)
+            pairs = None
+
+            def warm(d):    # each Newton solve starts from the last one's
+                nonlocal pairs
+                r, slope, pairs = residual(d, pairs)
+                return r, slope
+            solved = _newton(warm, solved[0], *near, delta_tol)
         if solved is None:  # Brent's method on near, then on a wider bracket
             for a, b in dict.fromkeys((near, (lo, hi))):
                 fa, fb = residual(a)[0], residual(b)[0]

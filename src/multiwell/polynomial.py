@@ -382,8 +382,16 @@ def real_roots(p: Polynomial, lo: float, hi: float,
         fa, fb = scaled(xa), scaled(xb)
         if fa == 0.0:
             # the count covers (xa, xb]: a zero at xa belongs to the
-            # neighboring leaf, so step inside before bracketing
-            xa += min(tol, 1e-3 * (xb - xa))
+            # neighboring leaf, so step inside before bracketing, by less
+            # while the step passes this leaf's own root; a root closer to
+            # xa than any step joins it as one flagged root
+            step, vb = min(tol, 1e-3 * (xb - xa)), _sign_changes(chain, xb)
+            while xa + step > xa and _sign_changes(chain, xa + step) != vb + 1:
+                step *= 0.5
+            if not xa + step > xa:
+                roots.append(Root(xa, True))
+                continue
+            xa += step
             fa = scaled(xa)
         if fb == 0.0:
             r = xb

@@ -8,10 +8,14 @@ a harmonic first shift and min V as its first lower bound, every shift
 certified by the signs of the factor's pivots; any other block by LAPACK
 bisection on the Sturm count to a loose tolerance plus inverse iteration
 (stebz/stein), then the Rayleigh quotient of each vector, certified by its
-residual and the gaps between the levels.  Both reach stebz's absolute
-tolerance, ulp * max |Gershgorin end|; a block either route cannot certify
-(clustered levels, say) takes bisection to that tolerance.  A
-reflection-symmetric potential is solved as separate even and odd blocks
+residual and the gaps between the levels.  A solve given the eigenpairs
+of a nearby solve on its grid (a step along a parameter path) first runs
+Rayleigh-quotient iteration on LAPACK dgttrf/dgttrs from the old vectors,
+certified by one Sturm count and the same residual-and-gap bound.  All
+reach stebz's absolute tolerance, ulp * max |Gershgorin end|; a block the
+warm route cannot certify takes the cold one, and a block the cold route
+cannot certify (clustered levels, say) takes bisection to that tolerance.
+A reflection-symmetric potential is solved as separate even and odd blocks
 on the half grid x >= 0, so its levels have exact parity.  Each numerical
 level carries error_estimate, the first-order correction of its O(h^2)
 discretization error (Paine, de Hoog & Anderssen, Computing 26, 123
@@ -21,7 +25,7 @@ stay O(h^2).  Both routes name the wells by one map (harmonic_families);
 classify_levels labels each numerical level by the family that holds most
 of its weight.
 
-The four LAPACK routines come from SciPy's f2py extension
+The six LAPACK routines come from SciPy's f2py extension
 scipy.linalg._flapack, loaded from its file on the first numerical solve
 (_load_lapack): a closed-form run never touches SciPy, and a numerical one
 loads that one extension, not scipy.linalg.
@@ -254,13 +258,14 @@ def resolve_solver(p: Polynomial, num_levels: int, lam: float = 1.0, *,
 # LAPACK routines, bound by _load_lapack on the first numerical solve.
 # Module globals read at call time, so tests can patch them; _lapack, the
 # module they came from, is the guard, and no test patches it.
-_lapack = dpttrf = dpttrs = dstebz = dstein = None
+_lapack = dpttrf = dpttrs = dgttrf = dgttrs = dstebz = dstein = None
 _FLAPACK = "scipy.linalg._flapack"
 
 
 def _load_lapack() -> None:
-    """Bind dpttrf, dpttrs, dstebz and dstein from SciPy's f2py LAPACK
-    extension, scipy.linalg._flapack; a no-op once they are bound.
+    """Bind dpttrf, dpttrs, dgttrf, dgttrs, dstebz and dstein from SciPy's
+    f2py LAPACK extension, scipy.linalg._flapack; a no-op once they are
+    bound.
 
     The extension is loaded from its file, under its own name, so that
     scipy/linalg/__init__.py never runs: that import costs about 0.3 s, the
@@ -271,13 +276,14 @@ def _load_lapack() -> None:
     scipy.linalg.lapack instead: the same objects, at the import's cost.
     Raises ImportError when SciPy is not installed.
     """
-    global _lapack, dpttrf, dpttrs, dstebz, dstein
+    global _lapack, dpttrf, dpttrs, dgttrf, dgttrs, dstebz, dstein
     if _lapack is not None:
         return
     module = sys.modules.get(_FLAPACK) or _load_flapack()
     if module is None:
         from scipy.linalg import lapack as module
     dpttrf, dpttrs = module.dpttrf, module.dpttrs
+    dgttrf, dgttrs = module.dgttrf, module.dgttrs
     dstebz, dstein = module.dstebz, module.dstein
     _lapack = module
 
@@ -304,6 +310,7 @@ def _load_flapack() -> ModuleType | None:
 _GROUND_ROUNDS = 60    # shift rounds of _ground before it gives up
 _GUESS_MARGIN = 0.01   # share of the zero-point energy the guess stays below
 _LOCATE_TOL = 1e-4     # stebz's absolute tolerance on the route of _located
+_WARM_ROUNDS = 4       # Rayleigh-quotient rounds per level of _warm
 
 
 def _tolerance(diag: np.ndarray, off: np.ndarray) -> float:
@@ -327,34 +334,43 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, u: np.ndarray
     return rho, float(np.linalg.norm(tu))
 
 
-def _harmonic_guess(diag: np.ndarray, off: np.ndarray) -> float:
+def _harmonic_guess(diag: np.ndarray, off: np.ndarray,
+                    left: float | None = None) -> float:
     """The lowest harmonic ground level over the grid wells of the block
     T = (diag, off), less _GUESS_MARGIN of its zero-point energy: a first
     shift of _ground close below the lowest eigenvalue, not a bound on it.
 
     With t = -off[-1] = lam^2/h^2 and V = diag - 2t, each grid local
-    minimum i of V gets the parabola through V[i-1], V[i], V[i+1] (index 0
-    mirrored, V[-1] = V[1], as x = 0 of a parity block): its vertex value
-    v and second difference d2 give the level v + sqrt(t * d2 / 2), which
-    is v + lam * sqrt(V''/2) with V'' = d2 / h^2.
+    minimum i of V gets the parabola through V[i-1], V[i], V[i+1]: its
+    vertex value v and second difference d2 give the level
+    v + sqrt(t * d2 / 2), which is v + lam * sqrt(V''/2) with V'' = d2 / h^2.
+    V[-1] is left, the potential at the grid point left of the block, or
+    when left is None V[1], the mirror image at x = -h of the even block's
+    first point x = 0.  The odd block's left is V(0); when V(0) <= V(h),
+    x = 0 is the bottom of a well that holds the block's vectors' node, and
+    its lowest odd level, the harmonic n = 1 one, V(0) + 3 sqrt(t (V(h) -
+    V(0))), is a candidate too, less _GUESS_MARGIN of its height above V(0).
     """
     t = -float(off[-1])
     v = diag - 2.0 * t
-    left = np.concatenate((v[1:2], v[:-2]))
+    neighbour = np.concatenate((v[1:2] if left is None else [left], v[:-2]))
     mid, right = v[:-1], v[1:]
-    wells = ((mid <= left) & (mid <= right)).nonzero()[0]
-    if wells.size == 0:
-        return float(np.min(v))
-    left, mid, right = left[wells], mid[wells], right[wells]
-    d2 = left - 2.0 * mid + right
-    slope = right - left
+    wells = ((mid <= neighbour) & (mid <= right)).nonzero()[0]
+    neighbour, mid, right = neighbour[wells], mid[wells], right[wells]
+    d2 = neighbour - 2.0 * mid + right
+    slope = right - neighbour
     vertex = mid - slope * slope / (8.0 * np.where(d2 > 0.0, d2, 1.0))
     zpe = np.sqrt(t * 0.5 * d2)
+    if left is not None and left <= v[0]:
+        vertex = np.append(vertex, left)
+        zpe = np.append(zpe, 3.0 * math.sqrt(t * (v[0] - left)))
+    if vertex.size == 0:
+        return float(np.min(v))
     j = int(np.argmin(vertex + zpe))
     return float(vertex[j] + (1.0 - _GUESS_MARGIN) * zpe[j])
 
 
-def _ground(diag: np.ndarray, off: np.ndarray
+def _ground(diag: np.ndarray, off: np.ndarray, left: float | None = None
             ) -> tuple[np.ndarray, np.ndarray] | None:
     """Lowest eigenpair of the tridiagonal T = (diag, off), off < 0, by
     shift-and-invert with shifts certified by Sylvester inertia (Parlett,
@@ -372,14 +388,15 @@ def _ground(diag: np.ndarray, off: np.ndarray
 
     lo starts at min V, which lies below every level: the Dirichlet
     difference Laplacian is positive definite, and each level of a parity
-    block is one of the full operator.  The first shift is _harmonic_guess,
-    usually just below the lowest eigenvalue, so a solve takes about 5
-    factorizations (8 from min V).  A guess that does not factor is a
-    certified hi, and the rounds bisect between min V and it.
+    block is one of the full operator.  The first shift is _harmonic_guess
+    (left is its neighbour of the block's first point), usually just below
+    the lowest eigenvalue, so a solve takes about 5 factorizations (8 from
+    min V).  A guess that does not factor is a certified hi, and the rounds
+    bisect between min V and it.
     """
     tol = _tolerance(diag, off)
     lo, hi = float(np.min(diag) + 2.0 * off[-1]), math.inf    # min V
-    shift, factor = _harmonic_guess(diag, off), None
+    shift, factor = _harmonic_guess(diag, off, left), None
     u = np.ones(diag.size)    # the ground vector is positive: off < 0
 
     def invert(u: np.ndarray) -> np.ndarray:
@@ -469,16 +486,86 @@ def _located(diag: np.ndarray, off: np.ndarray, k: int
     return rho[order], vectors[:, order]
 
 
-def _lowest(diag: np.ndarray, off: np.ndarray, k: int,
-            cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
+    """The number of eigenvalues of T = (diag, off) at or below x: stebz's
+    Sturm count on (lo, x], lo below min V and so below every level, with
+    an absolute tolerance so loose that it bisects nothing; -1 when stebz
+    reports failure."""
+    lo = float(np.min(diag) + 2.0 * off[-1])
+    m, _, _, _, info = dstebz(diag, off, 1, lo - 1.0 - abs(lo), x, 0, 0,
+                              1e300, "B")
+    return m if info == 0 else -1
+
+
+def _warm(diag: np.ndarray, off: np.ndarray, start: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Lowest k eigenpairs of the tridiagonal T = (diag, off) from start, an
+    (n, k) matrix whose column j is near the eigenvector of level j (the
+    block's vectors at a nearby parameter), by Rayleigh-quotient iteration
+    certified by one Sturm count; None when a factorization fails, a level
+    does not converge in _WARM_ROUNDS rounds or the certificate fails.
+
+    Column j starts at its Rayleigh quotient rho_j on T (for T linear in
+    the parameter, the old level plus its Hellmann-Feynman shift) and
+    repeats u <- (T - rho_j I)^-1 u on dgttrf/dgttrs until its residual
+    r_j = |T u - rho_j u| is within stebz's tolerance tol (_tolerance), a
+    vector as accurate as stein's.  Let p_j be the midpoint of rho_j and
+    rho_{j+1}, p_0 = -inf and p_k = rho_k + 2 _LOCATE_TOL, and g_j =
+    min(rho_j - p_{j-1}, p_j - rho_j), negative unless the quotients ascend
+    with j (a start with its columns out of level order is refused).  When
+    r_j < g_j / 2, some level lies within r_j of rho_j, inside (p_{j-1},
+    p_j], so the Sturm count (_count) at p_k is at least k.  When it is
+    exactly k (Sylvester inertia, Parlett, The Symmetric Eigenvalue
+    Problem, SIAM 1998, ch. 4), each interval holds one level, the j-th, as
+    counts at every p_j would show, and the other levels lie at least g_j
+    from rho_j.  Kato-Temple (sec. 10.5) then bounds |lambda_j - rho_j| by
+    r_j^2 / (g_j - r_j), which must be within tol, as on the route of
+    _located.
+    """
+    tol = _tolerance(diag, off)
+    k = start.shape[1]
+    rho, residual, vectors = np.empty(k), np.empty(k), np.empty(start.shape)
+    for j in range(k):
+        u = start[:, j] / np.linalg.norm(start[:, j])
+        rho[j], residual[j] = _rayleigh(diag, off, u)
+        for _ in range(_WARM_ROUNDS):
+            if residual[j] <= tol:
+                break
+            dl, d, du, du2, ipiv, info = dgttrf(off, diag - rho[j], off)
+            if info != 0:
+                return None
+            u = dgttrs(dl, d, du, du2, ipiv, u)[0]
+            u /= np.linalg.norm(u)
+            rho[j], residual[j] = _rayleigh(diag, off, u)
+        if residual[j] > tol:
+            return None
+        vectors[:, j] = u
+    points = np.append(0.5 * (rho[:-1] + rho[1:]), rho[-1] + 2.0 * _LOCATE_TOL)
+    gap = np.minimum(rho - np.append(-math.inf, points[:-1]), points - rho)
+    if not np.all((residual < 0.5 * gap)
+                  & (residual * residual <= tol * (gap - residual))):
+        return None
+    if _count(diag, off, points[-1]) != k:
+        return None
+    return rho, vectors
+
+
+def _lowest(diag: np.ndarray, off: np.ndarray, k: int, cfg: SolverConfig,
+            start: np.ndarray | None = None, left: float | None = None
+            ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of a symmetric tridiagonal matrix with negative
-    off-diagonal: _ground for k == 1, _located for k >= 2, and when either
-    gives up (a cluster below the loose tolerance, say) LAPACK bisection
+    off-diagonal.  With start, the (n, k) vectors of the same block at a
+    nearby parameter, the warm route _warm runs first; without it, or when
+    it gives up, _ground for k == 1 and _located for k >= 2; when those
+    give up (a cluster below the loose tolerance, say), LAPACK bisection
     on the Sturm count to stebz's full precision plus inverse iteration
     (stebz/stein), which also raises ConvergenceError on a LAPACK
     failure."""
     _load_lapack()
-    found = _ground(diag, off) if k == 1 else _located(diag, off, k)
+    found = None if start is None else _warm(diag, off, start)
+    if found is None:
+        found = _ground(diag, off, left) if k == 1 else \
+            _located(diag, off, k)
     if found is not None:
         return found
     # the calls eigh_tridiagonal(select="i", lapack_driver="stebz") makes:
@@ -501,7 +588,8 @@ def _check_info(routine: str, info: int, cfg: SolverConfig) -> None:
             f"lam={cfg.lam:g})")
 
 
-def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
+def solve_numerical(p: Polynomial, cfg: SolverConfig, *,
+                    start: list[Eigenpair] | None = None) -> list[Eigenpair]:
     """Lowest cfg.num_levels eigenpairs of the discretized operator.
 
     Second-order central differences, diagonal V(x_i) + 2*lam^2/h^2,
@@ -513,6 +601,13 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     L2-normalized (sum psi^2 * h = 1) with deterministic sign (the leftmost
     largest |psi| is positive).  Each level's error_estimate is
     h^2/(12 lam^2) * sum (V - E)^2 psi^2 h.
+
+    start, the result of a solve on the same config at a nearby potential
+    (a step along a parameter path), makes each block try Rayleigh-quotient
+    iteration from its old vectors first, certified by a Sturm count and
+    Kato-Temple to the same tolerance (_warm); a block it cannot certify
+    takes the cold route.  Without start the result does not depend on
+    any earlier solve.
 
     A reflection-symmetric potential is solved as two half-grid blocks on
     x >= 0: an even block (psi(0) free; its unknown at x = 0 is
@@ -528,22 +623,32 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     if k > n - 2:
         raise ParameterError(f"requested {k} levels on a grid with "
                              f"{n - 2} interior points")
+    old = even = odd = None
+    if start is not None:
+        if len(start) != k or any(pair.psi.size != n for pair in start):
+            raise ParameterError(f"start must hold {k} levels on {n} grid "
+                                 "points, as solved on this config")
+        old = np.column_stack([pair.psi for pair in start])
     x = cfg.grid()
     h = cfg.step
     off = -cfg.lam * cfg.lam / (h * h)
     if p.is_even:
         c = (n - 1) // 2    # x[c] = 0
+        if old is not None:
+            even, odd = old[c:-1, 0::2], old[c + 1:-1, 1::2]
+            even[0] /= math.sqrt(2.0)
         diag = p(x[c:-1]) - 2.0 * off
         even_off = np.full(c - 1, off)
         even_off[0] *= math.sqrt(2.0)
         energies = np.empty(k)
         half = np.zeros((c, k))    # psi on x[c:-1], one column per level
         energies[0::2], half[:, 0::2] = _lowest(
-            diag, even_off, (k + 1) // 2, cfg)
+            diag, even_off, (k + 1) // 2, cfg, even)
         half[0, 0::2] *= math.sqrt(2.0)
         if k > 1:
             energies[1::2], half[1:, 1::2] = _lowest(
-                diag[1:], np.full(c - 2, off), k // 2, cfg)
+                diag[1:], np.full(c - 2, off), k // 2, cfg, odd,
+                diag[0] + 2.0 * off)
         # the blocks are solved separately, each to about ulp * |T|: a
         # doublet split below that may come out with its odd member lower
         energies = np.maximum.accumulate(energies)
@@ -554,7 +659,8 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
         v = np.concatenate((v[:0:-1], v))
     else:
         v = p(x[1:-1])
-        energies, vectors = _lowest(v - 2.0 * off, np.full(n - 3, off), k, cfg)
+        energies, vectors = _lowest(v - 2.0 * off, np.full(n - 3, off), k, cfg,
+                                    None if old is None else old[1:-1])
     # the grid operator is the continuum one minus (lam^2 h^2 / 12) d4/dx4
     # + O(h^4); to first order that shifts E by (lam^2 h^2 / 12) |psi''|^2,
     # with lam^2 psi'' = (V - E) psi

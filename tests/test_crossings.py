@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from multiwell import crossings
+from multiwell import crossings, spectrum
 from multiwell.crossings import (PAIRED_ROWS, REFERENCE_DELTAS_ALPHA4,
                                  TABLE_PAIRS, AlcQuery, LabelsUnresolvedError,
                                  NewtonError,
@@ -135,9 +135,9 @@ class TestNumericalSearch:
 
     def test_ground_pair_takes_few_eigensolves(self, monkeypatch):
         calls = []
-        def counting(p, cfg):
+        def counting(p, cfg, start=None):
             calls.append(cfg)
-            return solve_numerical(p, cfg)
+            return solve_numerical(p, cfg, start=start)
         monkeypatch.setattr(crossings, "solve_numerical", counting)
         sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
         assert len(calls) <= 3
@@ -152,7 +152,7 @@ class TestNumericalSearch:
         q = AlcQuery(m, n, alpha, backend="numerical")
         cfg = crossings._default_numeric_config(q)
         delta = solve_crossing(q).delta
-        _, slope = crossings._numeric_residual(delta, q, cfg)
+        _, slope, _ = crossings._numeric_residual(delta, q, cfg)
         h = 1e-5
         up, down = (crossings._numeric_residual(delta + s, q, cfg)[0]
                     for s in (h, -h))
@@ -181,9 +181,10 @@ class TestNumericalSearch:
 
     def test_nan_slope_falls_back_to_brent(self, monkeypatch):
         true_residual = crossings._numeric_residual
-        monkeypatch.setattr(crossings, "_numeric_residual",
-                            lambda d, q, cfg: (true_residual(d, q, cfg)[0],
-                                               math.nan))
+        def no_slope(d, q, cfg, start=None):
+            r, _, pairs = true_residual(d, q, cfg, start)
+            return r, math.nan, pairs
+        monkeypatch.setattr(crossings, "_numeric_residual", no_slope)
         sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
         assert sol.delta == pytest.approx(2.601628516e-3, abs=1e-8)
         # one eigensolve finds the slope unusable, then the bracket ends and
@@ -242,13 +243,50 @@ class TestNumericalSearch:
         expected = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
         true_residual = crossings._numeric_residual
 
-        def half_slope(d, q, cfg):
-            r, slope = true_residual(d, q, cfg)
-            return r, 0.5 * slope
+        def half_slope(d, q, cfg, start=None):
+            r, slope, pairs = true_residual(d, q, cfg, start)
+            return r, 0.5 * slope, pairs
         monkeypatch.setattr(crossings, "_numeric_residual", half_slope)
         sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
         assert sol.delta == pytest.approx(expected.delta, abs=1e-8)
         assert sol.evaluations > 6
+
+    def test_newton_solves_start_from_the_last_one(self, monkeypatch):
+        # each Newton eigensolve after the first starts from the eigenpairs
+        # of the one before
+        calls = []
+        def recording(p, cfg, start=None):
+            calls.append((start, solve_numerical(p, cfg, start=start)))
+            return calls[-1][1]
+        monkeypatch.setattr(crossings, "solve_numerical", recording)
+        solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+        assert len(calls) >= 2 and calls[0][0] is None
+        for (_, before), (start, _) in zip(calls, calls[1:]):
+            assert start is before
+
+    def test_brent_fallback_solves_cold(self, monkeypatch):
+        starts = []
+        true_residual = crossings._numeric_residual
+        def no_slope(d, q, cfg, start=None):
+            starts.append(start)
+            r, _, pairs = true_residual(d, q, cfg, start)
+            return r, math.nan, pairs
+        monkeypatch.setattr(crossings, "_numeric_residual", no_slope)
+        solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+        assert len(starts) > 3 and all(start is None for start in starts)
+
+    def test_warm_solves_move_no_menu_crossing(self, monkeypatch):
+        # the 48 menu crossings (the table pairs at alpha in {3.5, 4, 5, 6})
+        # with warm Newton solves and with every solve cold: delta within
+        # 1e-14, and the same eigensolve count
+        queries = [AlcQuery(m, n, alpha, backend="numerical")
+                   for alpha in (3.5, 4.0, 5.0, 6.0) for m, n in TABLE_PAIRS]
+        warm = [solve_crossing(q) for q in queries]
+        monkeypatch.setattr(spectrum, "_warm", lambda diag, off, start: None)
+        for q, sol in zip(queries, warm):
+            cold = solve_crossing(q)
+            assert abs(sol.delta - cold.delta) <= 1e-14, (q.m, q.n, q.alpha)
+            assert sol.evaluations == cold.evaluations
 
     def test_numerical_solve_does_not_import_scipy_optimize(self):
         code = ("import sys\n"

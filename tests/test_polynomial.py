@@ -179,6 +179,17 @@ class TestRealRoots:
         assert len(roots) == 1 and roots[0].flagged
         assert all(abs(roots[0].x - r) <= 1e-3 for r in pair)
 
+    @pytest.mark.parametrize("lo", [-3.0, -2.9])
+    def test_leaf_starting_on_a_root_keeps_its_own_root(self, lo):
+        # x^2 - 1e-4 x, roots 0 and 1e-4, at tol = 1e-3: on [-3, 3] the first
+        # midpoint is the root 0, and the leaf (0, 3.001] starts on it; a
+        # step of tol inside passed the leaf's own root, and isolation
+        # failed.  The step now shrinks until the leaf keeps its root, and
+        # both intervals give the pair as one flagged root
+        roots = real_roots(Polynomial([0.0, -1e-4, 1.0]), lo, 3.0, tol=1e-3)
+        assert len(roots) == 1 and roots[0].flagged
+        assert all(abs(roots[0].x - r) <= 1e-3 for r in (0.0, 1e-4))
+
     @pytest.mark.parametrize("lo, hi, message", [
         (1.0, 2.0, "no sign change"), (-1.0, 1.0, "does not touch zero")])
     def test_even_multiplicity_root_refuses_a_miscount(self, lo, hi, message):

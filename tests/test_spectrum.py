@@ -442,8 +442,8 @@ def _spy_ground(monkeypatch) -> list:
     calls = []
     ground = spectrum._ground
 
-    def spy(diag, off):
-        calls.append((diag, off, ground(diag, off)))
+    def spy(diag, off, left=None):
+        calls.append((diag, off, ground(diag, off, left)))
         return calls[-1][2]
     monkeypatch.setattr(spectrum, "_ground", spy)
     return calls
@@ -498,19 +498,19 @@ def test_single_level_route_matches_stebz(monkeypatch, p, cfg, sizes):
     calls = _spy_ground(monkeypatch)
     pairs = solve_numerical(p, cfg)
     _assert_certified(calls, sizes)
-    monkeypatch.setattr(spectrum, "_ground", lambda diag, off: None)
+    monkeypatch.setattr(spectrum, "_ground", lambda diag, off, left: None)
     for pair, ref in zip(pairs, solve_numerical(p, cfg), strict=True):
         for got, want in zip(well_weights(pair, p), well_weights(ref, p),
                              strict=True):
             assert abs(got.weight - want.weight) <= 1e-8
 
 
-def _above_ground(diag: np.ndarray, off: np.ndarray) -> float:
+def _above_ground(diag: np.ndarray, off: np.ndarray, left=None) -> float:
     return float(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
                                   lapack_driver="stebz")[0][0]) + 1.0
 
 
-def _below_min_v(diag: np.ndarray, off: np.ndarray) -> float:
+def _below_min_v(diag: np.ndarray, off: np.ndarray, left=None) -> float:
     return float(np.min(diag) + 2.0 * off[-1]) - 1.0
 
 
@@ -543,6 +543,26 @@ def test_harmonic_guess_lies_just_below_the_ground_level(delta):
     height = e0 - float(np.min(diag) + 2.0 * off)
     guess = spectrum._harmonic_guess(diag, block_off)
     assert e0 - 0.02 * height < guess < e0
+
+
+@pytest.mark.parametrize("delta", [-0.1, 0.0, 0.0026, 0.1])
+def test_odd_block_guess_lies_just_below_its_lowest_level(delta):
+    # the odd block's first point is x = h, its neighbour x = 0 with V(0):
+    # a central well holds the block's lowest level as its n = 1 level
+    # (delta <= 0), the outer wells as their ground level (delta > 0), and
+    # the guess lies below by less than 2% of that level less min V; with
+    # V(2h) in place of V(0), a central parabola of three times the true
+    # curvature put it 14% below at delta = 0
+    p = triple_well(4.0, delta)
+    cfg = resolve_solver(p, 2)
+    off = -1.0 / cfg.step ** 2
+    v = p(cfg.grid()[(cfg.grid_points - 1) // 2:-1])
+    diag, block_off = v[1:] - 2.0 * off, np.full(v.size - 2, off)
+    e1 = eigh_tridiagonal(diag, block_off, select="i", select_range=(0, 0),
+                          lapack_driver="stebz")[0][0]
+    height = e1 - float(np.min(v[1:]))
+    guess = spectrum._harmonic_guess(diag, block_off, float(v[0]))
+    assert e1 - 0.02 * height < guess < e1
 
 
 def test_harmonic_guess_without_a_grid_well(monkeypatch):
@@ -723,6 +743,162 @@ def test_multi_level_route_needs_a_level_above(monkeypatch, capfd):
     assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
 
 
+def _spy_warm(monkeypatch) -> list:
+    """Record (diag, off, start, result) of every call of spectrum._warm."""
+    calls = []
+    warm = spectrum._warm
+
+    def spy(diag, off, start):
+        calls.append((diag, off, start, warm(diag, off, start)))
+        return calls[-1][3]
+    monkeypatch.setattr(spectrum, "_warm", spy)
+    return calls
+
+
+def _golden_solves() -> list:
+    """(p, cfg) of solves on the grids of the golden sweeps and spectra:
+    the relocalization sweep (2 levels) and the five-level spectrum at
+    alpha = 4, the alc sweep's crossing grid, the tilt sweep at s1 = 8, and
+    a tilted double well, one full-grid block."""
+    reloc = SolverConfig(9.5, 3801, 2)
+    alc = crossings._default_numeric_config(AlcQuery(0, 0, 4.0,
+                                                     backend="numerical"))
+    tilt = SolverConfig(5.5, 2201, 1)
+    tilted = tilted_double_well(4.0, 0.5)
+    return ([(triple_well(4.0, d), reloc) for d in (0.0, 0.0025, 0.005)]
+            + [(triple_well(4.0, 0.0), dataclasses.replace(reloc,
+                                                           num_levels=5))]
+            + [(triple_well(4.0, d), alc) for d in (-0.01, 0.0026, 0.01)]
+            + [(tilted_double_well(8.0, b), tilt) for b in (-0.3, 1e-3)]
+            + [(tilted, resolve_solver(tilted, 7))])
+
+
+def _bits(pairs) -> bytes:
+    return b"".join(np.float64(pair.energy).tobytes() + pair.psi.tobytes()
+                    for pair in pairs)
+
+
+def test_solve_without_a_start_never_runs_the_warm_route(monkeypatch):
+    # a solve without start takes the cold routes alone, so its energies
+    # and vectors are those of the routes before the warm one, bit for
+    # bit, and a warm solve made before it does not change them
+    calls = _spy_warm(monkeypatch)
+    cold = [_bits(solve_numerical(p, cfg)) for p, cfg in _golden_solves()]
+    assert calls == []
+    for (p, cfg), want in zip(_golden_solves(), cold):
+        solve_numerical(p, cfg, start=solve_numerical(p, cfg))
+        assert _bits(solve_numerical(p, cfg)) == want
+    assert len(calls) > len(cold)
+
+
+def test_warm_route_certifies_every_menu_block(monkeypatch):
+    # each Newton solve after the first starts from the last one's vectors:
+    # every block of the 48 menu crossings (the table pairs at alpha in
+    # {3.5, 4, 5, 6}) is certified, and agrees with bisection to full
+    # precision, energies within stebz's tolerance and vectors to 1e-12 in
+    # |<v, v_ref>|
+    calls = _spy_warm(monkeypatch)
+    for alpha in (3.5, 4.0, 5.0, 6.0):
+        for m, n in crossings.TABLE_PAIRS:
+            solve_crossing(AlcQuery(m, n, alpha, backend="numerical"))
+    assert len(calls) == 112 and all(call[3] is not None for call in calls)
+    for diag, off, start, (energy, vector) in calls:
+        want_e, want_v = _stebz(diag, off, start.shape[1])
+        assert np.all(np.abs(energy - want_e)
+                      <= spectrum._tolerance(diag, off))
+        assert np.all(np.abs(np.einsum("ij,ij->j", vector, want_v))
+                      >= 1.0 - 1e-12)
+
+
+def _warm_case(start_delta: float = 0.00499):
+    """(cfg, start, target) on the alc grid at alpha = 4: the eigenpairs
+    at start_delta and the triple well at delta = 0.005."""
+    cfg = crossings._default_numeric_config(AlcQuery(0, 0, 4.0,
+                                                     backend="numerical"))
+    return (cfg, solve_numerical(triple_well(4.0, start_delta), cfg),
+            triple_well(4.0, 0.005))
+
+
+def _swapped(pairs: list) -> list:
+    """The levels with 0 and 2 (even block) and 1 and 3 (odd) exchanged."""
+    return [pairs[i] for i in (2, 3, 0, 1, 4)]
+
+
+def _refuse_count(diag, off, x):
+    return -1
+
+
+def _fail_dgttrf(*args):
+    return (*spectrum._lapack.dgttrf(*args)[:-1], 1)
+
+
+@pytest.mark.parametrize("start, name, value", [
+    (_swapped, None, None),
+    (lambda pairs: _warm_case(-0.05)[1], None, None),
+    (None, "_count", _refuse_count),
+    (None, "dgttrf", _fail_dgttrf),
+])
+def test_warm_route_falls_back_to_the_cold_result(monkeypatch, start, name,
+                                                  value):
+    # a start with its columns out of level order, a start from a far
+    # delta, a Sturm count that disagrees and a factorization that reports
+    # failure each refuse both blocks, which take _located and give the
+    # very eigenpairs of a solve without a start
+    cfg, pairs, target = _warm_case()
+    want = _bits(solve_numerical(target, cfg))
+    if start is not None:
+        pairs = start(pairs)
+    if name is not None:
+        spectrum._load_lapack()
+        monkeypatch.setattr(spectrum, name, value)
+    warm = _spy_warm(monkeypatch)
+    located = _spy_located(monkeypatch)
+    got = solve_numerical(target, cfg, start=pairs)
+    assert [call[3] for call in warm] == [None, None]
+    assert [call[3] is not None for call in located] == [True, True]
+    assert _bits(got) == want
+
+
+@pytest.mark.parametrize("start_delta, certified", [
+    (-0.05, False), (-0.005, False), (0.0, False), (0.004, True),
+    (0.0049, True), (0.00499, True), (0.006, True), (0.015, False),
+    (0.05, False)])
+def test_warm_route_is_right_whenever_it_certifies(monkeypatch, start_delta,
+                                                   certified):
+    # from near and far starts alike, a block the warm route certifies
+    # agrees with bisection to full precision, energies within stebz's
+    # tolerance and vectors to 1e-12 in |<v, v_ref>|; from a start within
+    # 1e-3 of delta both blocks are certified
+    calls = _spy_warm(monkeypatch)
+    cfg, pairs, target = _warm_case(start_delta)
+    solve_numerical(target, cfg, start=pairs)
+    assert len(calls) == 2
+    if certified:
+        assert all(found is not None for *_, found in calls)
+    for diag, off, start, found in calls:
+        if found is not None:
+            want_e, want_v = _stebz(diag, off, start.shape[1])
+            assert np.all(np.abs(found[0] - want_e)
+                          <= spectrum._tolerance(diag, off))
+            assert np.all(np.abs(np.einsum("ij,ij->j", found[1], want_v))
+                          >= 1.0 - 1e-12)
+
+
+def _one_level_short(pairs: list) -> list:
+    return pairs[:-1]
+
+
+def _one_point_short(pairs: list) -> list:
+    return [dataclasses.replace(pair, psi=pair.psi[1:]) for pair in pairs]
+
+
+@pytest.mark.parametrize("cut", [_one_level_short, _one_point_short])
+def test_start_from_another_config_rejected(cut):
+    cfg, pairs, target = _warm_case()
+    with pytest.raises(ParameterError, match="start must hold 5 levels"):
+        solve_numerical(target, cfg, start=cut(pairs))
+
+
 def test_lowest_called_first_binds_lapack():
     # _lowest is the one entry to LAPACK: called before any solve in a fresh
     # interpreter, it binds the routines itself, on both of its routes,
@@ -742,7 +918,8 @@ def test_lowest_called_first_binds_lapack():
             "import scipy.linalg\n"
             "print(all(getattr(scipy.linalg.lapack, name)"
             " is getattr(spectrum, name)"
-            " for name in ('dpttrf', 'dpttrs', 'dstebz', 'dstein')))\n"
+            " for name in ('dpttrf', 'dpttrs', 'dgttrf', 'dgttrs', 'dstebz',"
+            " 'dstein')))\n"
             "again = spectrum._lowest(diag, off, 1, cfg)"
             " + spectrum._lowest(diag, off, 3, cfg)\n"
             "print(all(np.array_equal(a, b)"
@@ -771,7 +948,8 @@ def test_lowest_raises_when_a_routine_reports_failure(fail_lapack, routine):
 
 def _unbind_lapack(monkeypatch):
     """Reset spectrum's LAPACK globals for this test only."""
-    for name in ("_lapack", "dpttrf", "dpttrs", "dstebz", "dstein"):
+    for name in ("_lapack", "dpttrf", "dpttrs", "dgttrf", "dgttrs", "dstebz",
+                 "dstein"):
         monkeypatch.setattr(spectrum, name, None)
     monkeypatch.delitem(sys.modules, spectrum._FLAPACK, raising=False)
 
