@@ -437,6 +437,9 @@ def _cmd_sweep(args) -> str:
     if args.jobs is not None:
         params["jobs"] = args.jobs
     name = cfg.get("name", kind)
+    if name in (".", "..") or "\0" in name or Path(name).name != name:
+        raise ParameterError(f"sweep name must be a file name, not a path: "
+                             f"{name!r}")
     columns, records, summary = sweep(params)
     outdir = Path(args.outdir)
     csv_path = outdir / f"{name}.csv"

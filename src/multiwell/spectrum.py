@@ -5,16 +5,13 @@ Two routes: closed-form harmonic estimates per well family (level spacing
 a symmetric grid with Dirichlet boundaries.  A tridiagonal block that
 needs one level is solved by shift-and-invert on LAPACK dpttrf/dpttrs from
 a harmonic first shift and min V as its first lower bound, every shift
-certified by the signs of the factor's pivots; any other block by LAPACK
-bisection on the Sturm count to a loose tolerance plus inverse iteration
-(stebz/stein), then the Rayleigh quotient of each vector, certified by its
-residual and the gaps between the levels.  A solve given the eigenpairs
-of a nearby solve on its grid (a step along a parameter path) first runs
-Rayleigh-quotient iteration on LAPACK dgttrf/dgttrs from the old vectors,
-certified by one Sturm count and the same residual-and-gap bound.  All
-reach stebz's absolute tolerance, ulp * max |Gershgorin end|; a block the
-warm route cannot certify takes the cold one, and a block the cold route
-cannot certify (clustered levels, say) takes bisection to that tolerance.
+certified by the signs of the factor's pivots.  Any other block runs
+Rayleigh-quotient iteration on LAPACK dgttrf/dgttrs, certified by one
+Sturm count and a residual-and-gap bound (_refined), from the vectors of
+a nearby solve on its grid (a step along a parameter path) or else from
+loose bisection plus inverse iteration (stebz/stein).  All reach stebz's
+absolute tolerance, ulp * max |Gershgorin end|; a block neither start
+certifies (clustered levels, say) takes bisection to that tolerance.
 A reflection-symmetric potential is solved as separate even and odd blocks
 on the half grid x >= 0, so its levels have exact parity.  Each numerical
 level carries error_estimate, the first-order correction of its O(h^2)
@@ -309,8 +306,8 @@ def _load_flapack() -> ModuleType | None:
 
 _GROUND_ROUNDS = 60    # shift rounds of _ground before it gives up
 _GUESS_MARGIN = 0.01   # share of the zero-point energy the guess stays below
-_LOCATE_TOL = 1e-4     # stebz's absolute tolerance on the route of _located
-_WARM_ROUNDS = 4       # Rayleigh-quotient rounds per level of _warm
+_LOCATE_TOL = 1e-4     # stebz's tolerance in _located; _refined's least gap
+_RQI_ROUNDS = 4        # Rayleigh-quotient rounds per level of _refined
 
 
 def _tolerance(diag: np.ndarray, off: np.ndarray) -> float:
@@ -426,64 +423,18 @@ def _ground(diag: np.ndarray, off: np.ndarray, left: float | None = None
 
 def _located(diag: np.ndarray, off: np.ndarray, k: int
              ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Lowest k eigenpairs of the tridiagonal T = (diag, off) from loose
-    bisection and certified Rayleigh quotients; None when the levels are
-    not isolated at the loose tolerance or a level is not certified.
-
-    stebz locates levels 1..k+1 to within a = _LOCATE_TOL, so each level
-    lambda_j lies within a of its w_j, and g_j, the distance from w_j to
-    its nearest neighbour among the k + 1 less 2a, is at most the distance
-    from lambda_j to every other level (those above level k + 1 lie
-    farther still).  stein's vector u_j has Rayleigh quotient rho_j and
-    residual r_j; some level lies within r_j of rho_j, and it is lambda_j
-    when |rho_j - w_j| <= a + r_j and r_j < g_j / 2.  The other levels
-    then lie at least g_j - r_j from rho_j, and the Kato-Temple bound
-    (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998, sec. 10.5)
-    gives |lambda_j - rho_j| <= r_j^2 / (g_j - r_j), which must be within
-    stebz's own tolerance tol (_tolerance).  Bisection to a stops about
-    seven decades short of tol; the Rayleigh quotient supplies those
-    digits.
-
-    u_j is within the angle r_j / (g_j - r_j) of its eigenvector (Davis &
-    Kahan, SIAM J. Numer. Anal. 7, 1 (1970)), which Kato-Temple alone
-    lets reach sqrt(tol / g_j) at a near doublet.  When some r_j exceeds
-    tol, stein runs again from the certified rho, within tol of the
-    levels, as on the full-precision route.
-    """
-    if diag.size <= k:
-        return None
-    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, k + 1,
+    """Lowest k eigenpairs of the tridiagonal T = (diag, off): stebz
+    bisects levels 1..k to _LOCATE_TOL, about seven decades short of its
+    own tolerance, stein computes their vectors, and _refined supplies the
+    missing digits and the certificate; None when any of them fails."""
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, k,
                                         _LOCATE_TOL, "B")
     if info != 0:
         return None
-    w = w[:m]
-    apart = np.abs(w[:, None] - w)
-    np.fill_diagonal(apart, math.inf)
-    gap = apart.min(axis=1) - 2.0 * _LOCATE_TOL
-    if not np.all(gap > 0.0):
-        return None
-    # level k + 1 only bounds the gap: move it behind the k that stein
-    # reads, keeping their block order
-    top = int(np.argmax(w))
-    order = np.r_[:top, top + 1:diag.size, top]
-    located, gap, iblock = w[order[:k]], gap[order[:k]], iblock[order]
-    vectors, info = dstein(diag, off, located, iblock, isplit)
+    vectors, info = dstein(diag, off, w[:m], iblock, isplit)
     if info != 0:
         return None
-    # one column at a time: a vectorized form costs _ground, which calls
-    # this for one vector per round, more than it saves here
-    rho, residual = np.array([_rayleigh(diag, off, u) for u in vectors.T]).T
-    tol = _tolerance(diag, off)
-    if not np.all((np.abs(rho - located) <= _LOCATE_TOL + residual)
-                  & (residual < 0.5 * gap)
-                  & (residual * residual <= tol * (gap - residual))):
-        return None
-    if np.any(residual > tol):
-        vectors, info = dstein(diag, off, rho, iblock, isplit)
-        if info != 0:
-            return None
-    order = np.argsort(rho)
-    return rho[order], vectors[:, order]
+    return _refined(diag, off, vectors[:, np.argsort(w[:m])])
 
 
 def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
@@ -497,30 +448,35 @@ def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     return m if info == 0 else -1
 
 
-def _warm(diag: np.ndarray, off: np.ndarray, start: np.ndarray
-          ) -> tuple[np.ndarray, np.ndarray] | None:
+def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray] | None:
     """Lowest k eigenpairs of the tridiagonal T = (diag, off) from start, an
-    (n, k) matrix whose column j is near the eigenvector of level j (the
-    block's vectors at a nearby parameter), by Rayleigh-quotient iteration
-    certified by one Sturm count; None when a factorization fails, a level
-    does not converge in _WARM_ROUNDS rounds or the certificate fails.
+    (n, k) matrix whose column j is near the eigenvector of level j (stein's
+    vectors from loose bisection, or the block's vectors at a nearby
+    parameter), by Rayleigh-quotient iteration certified by one Sturm count;
+    None when a factorization fails, a level does not converge in
+    _RQI_ROUNDS rounds or the certificate fails.
 
-    Column j starts at its Rayleigh quotient rho_j on T (for T linear in
-    the parameter, the old level plus its Hellmann-Feynman shift) and
-    repeats u <- (T - rho_j I)^-1 u on dgttrf/dgttrs until its residual
-    r_j = |T u - rho_j u| is within stebz's tolerance tol (_tolerance), a
-    vector as accurate as stein's.  Let p_j be the midpoint of rho_j and
-    rho_{j+1}, p_0 = -inf and p_k = rho_k + 2 _LOCATE_TOL, and g_j =
-    min(rho_j - p_{j-1}, p_j - rho_j), negative unless the quotients ascend
-    with j (a start with its columns out of level order is refused).  When
-    r_j < g_j / 2, some level lies within r_j of rho_j, inside (p_{j-1},
-    p_j], so the Sturm count (_count) at p_k is at least k.  When it is
-    exactly k (Sylvester inertia, Parlett, The Symmetric Eigenvalue
-    Problem, SIAM 1998, ch. 4), each interval holds one level, the j-th, as
-    counts at every p_j would show, and the other levels lie at least g_j
-    from rho_j.  Kato-Temple (sec. 10.5) then bounds |lambda_j - rho_j| by
-    r_j^2 / (g_j - r_j), which must be within tol, as on the route of
-    _located.
+    Column j starts at its Rayleigh quotient rho_j on T (for a start at a
+    nearby parameter and T linear in it, the old level plus its
+    Hellmann-Feynman shift) and repeats u <- (T - rho_j I)^-1 u on
+    dgttrf/dgttrs until its residual r_j = |T u - rho_j u| is within stebz's
+    tolerance tol (_tolerance), a vector as accurate as stein's.  Let p_j
+    be the midpoint of rho_j and rho_{j+1}, p_0 = -inf and p_k = rho_k +
+    2a, a = _LOCATE_TOL, and g_j = min(rho_j - p_{j-1}, p_j - rho_j), which
+    must exceed a: the quotients ascend with j, neighbours more than 2a
+    apart (a start with its columns out of level order, or two columns on
+    one level, is refused).  When r_j < g_j / 2, some level lies within
+    r_j of rho_j, inside (p_{j-1}, p_j], so the Sturm count (_count) at p_k
+    is at least k.  When it is exactly k (Sylvester inertia, Parlett, The
+    Symmetric Eigenvalue Problem, SIAM 1998, ch. 4), each interval holds
+    one level, the j-th, as counts at every p_j would show, and the other
+    levels lie at least g_j from rho_j.  Kato-Temple (sec. 10.5) then
+    bounds |lambda_j - rho_j| by r_j^2 / (g_j - r_j), which must be within
+    tol, and u_j lies within the angle r_j / (g_j - r_j) <= tol / (a - tol)
+    of its eigenvector (Davis & Kahan, SIAM J. Numer. Anal. 7, 1 (1970)).
+    Without the 2a rule g_j could shrink to the splitting of a near
+    doublet, and that angle grow with tol / g_j.
     """
     tol = _tolerance(diag, off)
     k = start.shape[1]
@@ -528,7 +484,7 @@ def _warm(diag: np.ndarray, off: np.ndarray, start: np.ndarray
     for j in range(k):
         u = start[:, j] / np.linalg.norm(start[:, j])
         rho[j], residual[j] = _rayleigh(diag, off, u)
-        for _ in range(_WARM_ROUNDS):
+        for _ in range(_RQI_ROUNDS):
             if residual[j] <= tol:
                 break
             dl, d, du, du2, ipiv, info = dgttrf(off, diag - rho[j], off)
@@ -542,7 +498,7 @@ def _warm(diag: np.ndarray, off: np.ndarray, start: np.ndarray
         vectors[:, j] = u
     points = np.append(0.5 * (rho[:-1] + rho[1:]), rho[-1] + 2.0 * _LOCATE_TOL)
     gap = np.minimum(rho - np.append(-math.inf, points[:-1]), points - rho)
-    if not np.all((residual < 0.5 * gap)
+    if not np.all((gap > _LOCATE_TOL) & (residual < 0.5 * gap)
                   & (residual * residual <= tol * (gap - residual))):
         return None
     if _count(diag, off, points[-1]) != k:
@@ -555,14 +511,14 @@ def _lowest(diag: np.ndarray, off: np.ndarray, k: int, cfg: SolverConfig,
             ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of a symmetric tridiagonal matrix with negative
     off-diagonal.  With start, the (n, k) vectors of the same block at a
-    nearby parameter, the warm route _warm runs first; without it, or when
-    it gives up, _ground for k == 1 and _located for k >= 2; when those
-    give up (a cluster below the loose tolerance, say), LAPACK bisection
-    on the Sturm count to stebz's full precision plus inverse iteration
-    (stebz/stein), which also raises ConvergenceError on a LAPACK
-    failure."""
+    nearby parameter, _refined runs from them first; without it, or when it
+    gives up, _ground for k == 1 and _located (loose stebz/stein, then
+    _refined) for k >= 2; when those give up (a cluster below the loose
+    tolerance, say), LAPACK bisection on the Sturm count to stebz's full
+    precision plus inverse iteration (stebz/stein), which also raises
+    ConvergenceError on a LAPACK failure."""
     _load_lapack()
-    found = None if start is None else _warm(diag, off, start)
+    found = None if start is None else _refined(diag, off, start)
     if found is None:
         found = _ground(diag, off, left) if k == 1 else \
             _located(diag, off, k)
@@ -595,19 +551,18 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig, *,
     Second-order central differences, diagonal V(x_i) + 2*lam^2/h^2,
     off-diagonal -lam^2/h^2, Dirichlet boundaries.  A block solved for one
     level takes certified shift-and-invert (dpttrf/dpttrs), any other block
-    loose bisection plus inverse iteration (stebz/stein) and certified
-    Rayleigh quotients, both to stebz's tolerance, with full-precision
-    bisection as their fallback (see _lowest); wavefunctions are returned
-    L2-normalized (sum psi^2 * h = 1) with deterministic sign (the leftmost
-    largest |psi| is positive).  Each level's error_estimate is
-    h^2/(12 lam^2) * sum (V - E)^2 psi^2 h.
+    loose bisection plus inverse iteration (stebz/stein) refined by
+    certified Rayleigh-quotient iteration (_refined), both to stebz's
+    tolerance, with full-precision bisection as their fallback (see
+    _lowest); wavefunctions are returned L2-normalized (sum psi^2 * h = 1)
+    with deterministic sign (the leftmost largest |psi| is positive).  Each
+    level's error_estimate is h^2/(12 lam^2) * sum (V - E)^2 psi^2 h.
 
     start, the result of a solve on the same config at a nearby potential
-    (a step along a parameter path), makes each block try Rayleigh-quotient
-    iteration from its old vectors first, certified by a Sturm count and
-    Kato-Temple to the same tolerance (_warm); a block it cannot certify
-    takes the cold route.  Without start the result does not depend on
-    any earlier solve.
+    (a step along a parameter path), makes each block run _refined from its
+    old vectors first, with the same certificate as the multi-level cold
+    route; a block it cannot certify takes the cold route.  Without start
+    the result does not depend on any earlier solve.
 
     A reflection-symmetric potential is solved as two half-grid blocks on
     x >= 0: an even block (psi(0) free; its unknown at x = 0 is

@@ -1,7 +1,15 @@
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
+
+# the tests' subprocesses import the package from this checkout, as the
+# tests do through pyproject's pythonpath
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+_PATHS = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+if _SRC not in _PATHS:
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, *_PATHS]))
 
 settings.register_profile("ci", max_examples=300, deadline=None)
 settings.register_profile("dev", max_examples=25, deadline=None)

@@ -660,6 +660,14 @@ _TILT = "kind = tilt\ns1 = 2\ntilt_min = -0.3\ntilt_max = 0.3\nsteps = 3\n"
     # the last --outdir wins: the config file itself, an existing file
     pytest.param(["--outdir", "{tmp}/bad.conf"], _ALC, "cannot write",
                  id="sweep-outdir-is-a-file"),
+    # a sweep name must be one file name: a path would write outside outdir
+    pytest.param(None, _ALC + "name = ../escaped\n", "'../escaped'",
+                 id="sweep-name-parent"),
+    pytest.param(None, _ALC + "name = sub/escaped\n", "'sub/escaped'",
+                 id="sweep-name-separator"),
+    pytest.param(None, _ALC + "name = ..\n", "'..'", id="sweep-name-dotdot"),
+    pytest.param(None, _ALC + "name = a\0b\n", "'a\\x00b'",
+                 id="sweep-name-nul"),
 ])
 def test_bad_input_exits_64(capsys, tmp_path, argv, config, named):
     argv = [arg.format(tmp=tmp_path) for arg in argv or ()]
@@ -672,6 +680,7 @@ def test_bad_input_exits_64(capsys, tmp_path, argv, config, named):
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: ") and named in err
     assert not (tmp_path / "o").exists()
+    assert list(tmp_path.iterdir()) in ([], [tmp_path / "bad.conf"])
 
 
 @pytest.mark.parametrize("argv", [["table1", "--alpha", "1e51"],

@@ -685,10 +685,10 @@ def _mixed(vectors: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("corrupt", [_neighbour, _mixed])
 def test_multi_level_route_rejects_a_wrong_vector(monkeypatch, corrupt):
     # stein handing back the next level's vector in place of the lowest
-    # one (whose Rayleigh quotient is that level's energy), or the lowest
-    # one turned by 1e-3 (whose residual is far above the Kato-Temple
-    # bound), fails certification, and the block takes the full-precision
-    # route
+    # one (whose Rayleigh quotient is that level's energy, on the next
+    # column's level) fails certification, and the block takes the
+    # full-precision route; the lowest one turned by 1e-3 is not returned
+    # either: Rayleigh-quotient iteration repairs it, to stebz's tolerance
     spectrum._load_lapack()
     stein, calls = spectrum.dstein, []
 
@@ -702,56 +702,71 @@ def test_multi_level_route_rejects_a_wrong_vector(monkeypatch, corrupt):
     located = _spy_located(monkeypatch)
     diag, off = np.linspace(2.0, 3.0, 401), np.full(400, -1.0)
     energy, vector = spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401))
-    assert len(calls) == 2 and located[0][3] is None
     want_e, want_v = _stebz(diag, off, 3)
-    assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
+    if corrupt is _neighbour:
+        assert len(calls) == 2 and located[0][3] is None
+        assert np.array_equal(energy, want_e)
+        assert np.array_equal(vector, want_v)
+    else:
+        assert len(calls) == 1 and located[0][3] is not None
+        assert np.all(np.abs(energy - want_e)
+                      <= spectrum._tolerance(diag, off))
+        assert np.all(np.abs(np.einsum("ij,ij->j", vector, want_v))
+                      >= 1.0 - 1e-12)
 
 
-def test_multi_level_route_falls_back_when_the_stein_rerun_fails(monkeypatch):
-    # the near doublet of a slightly tilted double well certifies with a
-    # residual above stebz's tolerance, so stein runs again from the
-    # certified energies; when that rerun reports failure, the block takes
-    # the full-precision route
+def test_multi_level_route_falls_back_when_a_factorization_fails(
+        monkeypatch):
+    # stein's vectors of the near doublet of a slightly tilted double well
+    # need Rayleigh-quotient iteration to reach stebz's tolerance; when its
+    # factorization reports failure, the block takes the full-precision
+    # route
     located = _spy_located(monkeypatch)
     p = tilted_double_well(4.0, 1e-6)
     cfg = resolve_solver(p, 3)
     solve_numerical(p, cfg)
     diag, off, k, _ = located[0]
-    stein, calls = spectrum.dstein, []
+    calls = []
 
-    def failing_rerun(*args):
+    def failing(*args):
         calls.append(args)
-        vectors, info = stein(*args)
-        return vectors, 1 if len(calls) == 2 else info
-    monkeypatch.setattr(spectrum, "dstein", failing_rerun)
+        return _fail_dgttrf(*args)
+    monkeypatch.setattr(spectrum, "dgttrf", failing)
     energy, vector = spectrum._lowest(diag, off, k, cfg)
-    assert len(calls) == 3 and located[-1][3] is None
+    assert len(calls) == 1 and located[-1][3] is None
     want_e, want_v = _stebz(diag, off, k)
     assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
 
 
 def test_multi_level_route_needs_a_level_above(monkeypatch, capfd):
-    # a block of k points has no level k + 1 to bound the gap above level
-    # k: it takes the full-precision route without asking stebz for it
-    # (LAPACK would print that the index is out of range)
+    # a block of k points has no level k + 1, and needs none: the count at
+    # the top quotient plus 2e-4 bounds the gap above level k, so the block
+    # certifies without asking stebz for a level out of range (LAPACK would
+    # print that the index is out of range)
     calls = _spy_located(monkeypatch)
     diag, off = np.array([2.0, 3.0, 5.0]), np.array([-1.0, -1.0])
     energy, vector = spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401))
-    assert calls[0][3] is None
+    assert calls[0][3] is not None
     assert capfd.readouterr().out == ""
     want_e, want_v = _stebz(diag, off, 3)
-    assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
+    assert np.all(np.abs(energy - want_e) <= spectrum._tolerance(diag, off))
+    assert np.all(np.abs(np.einsum("ij,ij->j", vector, want_v))
+                  >= 1.0 - 1e-12)
 
 
 def _spy_warm(monkeypatch) -> list:
-    """Record (diag, off, start, result) of every call of spectrum._warm."""
+    """Record (diag, off, start, result) of every warm call of
+    spectrum._refined: the one _lowest makes from a solve's start, not
+    those of the cold route _located."""
     calls = []
-    warm = spectrum._warm
+    refined = spectrum._refined
 
     def spy(diag, off, start):
-        calls.append((diag, off, start, warm(diag, off, start)))
-        return calls[-1][3]
-    monkeypatch.setattr(spectrum, "_warm", spy)
+        found = refined(diag, off, start)
+        if sys._getframe(1).f_code.co_name == "_lowest":
+            calls.append((diag, off, start, found))
+        return found
+    monkeypatch.setattr(spectrum, "_refined", spy)
     return calls
 
 
@@ -842,20 +857,23 @@ def test_warm_route_falls_back_to_the_cold_result(monkeypatch, start, name,
                                                   value):
     # a start with its columns out of level order, a start from a far
     # delta, a Sturm count that disagrees and a factorization that reports
-    # failure each refuse both blocks, which take _located and give the
-    # very eigenpairs of a solve without a start
+    # failure each refuse both blocks, which take the cold route and give
+    # the very eigenpairs of a solve without a start: _located certifies
+    # stein's vectors, which need no factorization here, unless the count
+    # disagrees there too, and then both blocks take full-precision stebz
     cfg, pairs, target = _warm_case()
-    want = _bits(solve_numerical(target, cfg))
     if start is not None:
         pairs = start(pairs)
     if name is not None:
         spectrum._load_lapack()
         monkeypatch.setattr(spectrum, name, value)
+    want = _bits(solve_numerical(target, cfg))
     warm = _spy_warm(monkeypatch)
     located = _spy_located(monkeypatch)
     got = solve_numerical(target, cfg, start=pairs)
     assert [call[3] for call in warm] == [None, None]
-    assert [call[3] is not None for call in located] == [True, True]
+    assert [call[3] is not None for call in located] == \
+        [name != "_count"] * 2
     assert _bits(got) == want
 
 
@@ -882,6 +900,28 @@ def test_warm_route_is_right_whenever_it_certifies(monkeypatch, start_delta,
                           <= spectrum._tolerance(diag, off))
             assert np.all(np.abs(np.einsum("ij,ij->j", found[1], want_v))
                           >= 1.0 - 1e-12)
+
+
+def test_warm_route_refuses_a_near_doublet(monkeypatch):
+    # the two lowest levels of a double well tilted by 1e-8 lie far closer
+    # than 2e-4: a start from the tilt 1.01e-8 reaches residuals within
+    # stebz's tolerance, but the gap of the doublet leaves its vectors
+    # unresolved, so the warm route refuses them and the block takes the
+    # full-precision route; every vector within 1e-12 in |<v, v_ref>| of
+    # stebz's, every energy within its tolerance
+    calls = _spy_warm(monkeypatch)
+    p = tilted_double_well(6.0, 1e-8)
+    cfg = resolve_solver(p, 2)
+    start = solve_numerical(tilted_double_well(6.0, 1.01e-8), cfg)
+    got = solve_numerical(p, cfg, start=start)
+    assert len(calls) == 1 and calls[0][3] is None
+    diag, off, _, _ = calls[0]
+    want_e, want_v = _stebz(diag, off, 2)
+    psi = np.column_stack([pair.psi[1:-1] for pair in got])
+    psi /= np.linalg.norm(psi, axis=0)
+    assert np.all(np.abs([pair.energy for pair in got] - want_e)
+                  <= spectrum._tolerance(diag, off))
+    assert np.all(1.0 - np.abs(np.einsum("ij,ij->j", psi, want_v)) <= 1e-12)
 
 
 def _one_level_short(pairs: list) -> list:
