@@ -37,11 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomial import ParameterError, bracket_scan, brent_root, lattice
-from .spectrum import (Eigenpair, SolverConfig, _load_lapack,
-                       _n2_closed_form, _region_weights, classify_levels,
-                       harmonic_families, resolve_solver, solve_numerical)
-from .wells import (PerturbationRangeError, WellShape, build_symmetric,
-                    require_alpha, tilted_double_well, triple_well)
+from .spectrum import (Eigenpair, SolverConfig, _labels, _load_lapack,
+                       _n2_closed_form, _region_weights, _well_families,
+                       classify_levels, harmonic_families, resolve_solver,
+                       solve_numerical)
+from .wells import (PerturbationRangeError, WellShape, _isolation_tol,
+                    build_symmetric, critical_points, require_alpha,
+                    tilted_double_well, triple_well)
 
 __all__ = [
     "AlcQuery", "AlcSolution", "AsymLocusPoint", "PairGap",
@@ -505,12 +507,38 @@ def _lattice(name: str, value_range: tuple[float, float],
     return lattice(lo, hi, steps).tolist()
 
 
-def _scan_point(args: tuple[float, float, SolverConfig]) -> ScanRow:
-    alpha, delta, cfg = args
-    p = triple_well(alpha, delta)
-    ground = classify_levels(solve_numerical(p, cfg), p)[0]
+_WellMap = tuple[list[float], list[tuple[str, tuple[int, ...]]]]
+
+
+def _scan_point(args: tuple[float, float, SolverConfig, _WellMap]) -> ScanRow:
+    alpha, delta, cfg, well_map = args
+    ground = _labels(solve_numerical(triple_well(alpha, delta), cfg),
+                     *well_map)[0]
     return ScanRow(delta, ground.energy, ground.w_central,
                    1.0 - ground.w_central, ground.label)
+
+
+def _scan_map(alpha: float, deltas: list[float], cfg: SolverConfig) -> _WellMap:
+    """The one well map (_well_families) of every triple well on the lattice.
+
+    V' = 6x(x^2 - alpha^2)(x^2 - (3 + delta) alpha^2), so for delta > -2
+    the maxima sit at +-alpha and the map does not depend on delta; the
+    maps of the two ends are compared to check it.  They agree when their
+    families are equal and each edge of one lies within the isolation
+    tolerance of the other's, the tolerance within which _region_weights
+    treats a grid point as on an edge; otherwise ParameterError.
+    """
+    (e0, f0), (e1, f1) = [
+        _well_families(p, critical_points(p, cfg.half_width))
+        for p in (triple_well(alpha, d) for d in (deltas[0], deltas[-1]))]
+    near = _isolation_tol(cfg.half_width)
+    if f0 != f1 or not all(math.isclose(a, b, rel_tol=0.0, abs_tol=near)
+                           for a, b in zip(e0, e1)):
+        raise ParameterError(
+            f"the well maps at delta = {deltas[0]:.6g} and {deltas[-1]:.6g} "
+            "differ: the maxima at +-alpha degenerate as delta approaches "
+            "-2, and a scan needs delta_min further above it")
+    return e0, f0
 
 
 def relocalization_scan(alpha: float, delta_range: tuple[float, float],
@@ -522,13 +550,21 @@ def relocalization_scan(alpha: float, delta_range: tuple[float, float],
     interpolation between lattice points), or None when w_c never crosses,
     and the bracket of the two lattice deltas that straddle it: the
     crossing is known to one lattice step.
+    Every point is labelled with one well map, found at the two ends of
+    the lattice (_scan_map), so the stationary points are isolated twice
+    per scan; a lattice whose ends have different maps (delta_min at or
+    within roundoff of -2, where the maxima degenerate) raises
+    ParameterError.  The rows equal those of classify_levels on each
+    point's own solve.
     Lattice points are independent; jobs > 1 distributes them over
     processes and merges in lattice order; LAPACK is loaded before they
     start, so that forked workers inherit it rather than each importing it.
     The pool has at most one process per lattice point and per CPU: more
     cannot speed up a CPU-bound scan, and the pool forks them all at start.
     """
-    tasks = [(alpha, d, cfg) for d in _lattice("delta", delta_range, steps)]
+    deltas = _lattice("delta", delta_range, steps)
+    well_map = _scan_map(alpha, deltas, cfg)
+    tasks = [(alpha, d, cfg, well_map) for d in deltas]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -41,8 +41,8 @@ from types import ModuleType
 import numpy as np
 
 from .polynomial import ParameterError, Polynomial
-from .wells import (CriticalPoint, HarmonicWell, critical_points,
-                    harmonic_wells_from, stationary_window)
+from .wells import (CriticalPoint, HarmonicWell, _isolation_tol,
+                    critical_points, harmonic_wells_from, stationary_window)
 
 __all__ = [
     "SolverConfig", "Eigenpair", "HarmonicSpectrum", "RegionWeight",
@@ -644,11 +644,17 @@ def _region_edges(points: list[CriticalPoint]) -> list[float]:
 
 
 def _region_weights(pair: Eigenpair, edges: list[float]) -> list[RegionWeight]:
-    """Weights between consecutive ascending edges, one slice each; a grid
-    point exactly on an edge counts half to each side."""
+    """Weights between consecutive ascending edges, one slice each.
+
+    A grid point within critical_points' isolation tolerance on the grid's
+    half-width of an edge lies on it and counts half to each side, so a
+    maximum polished to one ulp either side of a grid point splits it the
+    same way.
+    """
     rho = pair.psi ** 2 * pair.h
-    first = np.searchsorted(pair.x, edges, side="left")
-    past = np.searchsorted(pair.x, edges, side="right")
+    near = _isolation_tol(float(pair.x[-1]))
+    first = np.searchsorted(pair.x, np.subtract(edges, near), side="left")
+    past = np.searchsorted(pair.x, np.add(edges, near), side="right")
     half = [0.5 * rho[a:b].sum() for a, b in zip(first, past)]
     return [RegionWeight(edges[j], edges[j + 1], float(
         rho[past[j]:first[j + 1]].sum() + half[j] + half[j + 1]))
@@ -723,14 +729,26 @@ def harmonic_families(p: Polynomial) -> list[tuple[str, HarmonicWell]]:
 def classify_levels(pairs: list[Eigenpair], p: Polynomial) -> list[LabeledLevel]:
     """Label each eigenpair by the well family that holds most of its weight.
 
-    The families and their names are those of harmonic_families.  Within
-    a family the levels are counted by energy; the members of a parity
-    doublet of a mirrored family share one index.
+    The families and their names are those of harmonic_families, found on
+    the pairs' grid; _labels does the labelling.
     """
     if not pairs:
         return []
-    edges, families = _well_families(
-        p, critical_points(p, float(pairs[0].x[-1])))
+    return _labels(pairs, *_well_families(
+        p, critical_points(p, float(pairs[0].x[-1]))))
+
+
+def _labels(pairs: list[Eigenpair], edges: list[float],
+            families: list[tuple[str, tuple[int, ...]]]) -> list[LabeledLevel]:
+    """Label each eigenpair by the family, of a well map (edges, families)
+    from _well_families, that holds most of its region weight.
+
+    Within a family the levels are counted by energy; the members of a
+    parity doublet of a mirrored family share one index.  A map serves
+    every potential whose edges lie within the isolation tolerance of its
+    own (see _region_weights) and whose families are the same, with
+    identical labels and weights.
+    """
     counts = [0] * len(families)
     labeled: list[LabeledLevel | None] = [None] * len(pairs)
     for i in sorted(range(len(pairs)), key=lambda i: pairs[i].energy):

@@ -257,6 +257,11 @@ def _cauchy_bound(p: Polynomial) -> float:
                      default=0.0) / abs(p.coeffs[-1])
 
 
+def _isolation_tol(window: float) -> float:
+    """The isolation tolerance of critical_points on +-window."""
+    return 1e-11 * max(1.0, window)
+
+
 def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
     """All stationary points of p, classified and sorted.
 
@@ -283,7 +288,7 @@ def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
     if dv.is_zero:
         raise ParameterError("constant potential has no stationary structure")
     ddv = dv.derivative()
-    tol = 1e-11 * max(1.0, window)
+    tol = _isolation_tol(window)
     mirrored = p.is_even and p.coeffs[2] != 0.0
     if mirrored:
         q = Polynomial(dv.coeffs[1::2])

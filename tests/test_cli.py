@@ -630,6 +630,9 @@ _TILT = "kind = tilt\ns1 = 2\ntilt_min = -0.3\ntilt_max = 0.3\nsteps = 3\n"
                  "got (nan, 0.005)", id="sweep-delta-min"),
     pytest.param(None, _RELOC + "delta_min = 0\nsteps = 2\n",
                  "steps must be at least 3, got 2", id="sweep-steps"),
+    pytest.param(None, _RELOC + "delta_min = -2\nsteps = 5\n",
+                 "well maps at delta = -2 and 0.005 differ",
+                 id="sweep-delta-min-degenerate"),
     pytest.param(None, _ALC + "backend = numeric\n",
                  "unknown backend 'numeric'", id="sweep-backend"),
     pytest.param(None, _ALC + "bracket_lo = 0.05\nbracket_hi = -0.05\n",

@@ -512,6 +512,29 @@ def scan():
     return relocalization_scan(4.0, (0.0, 0.005), 11, cfg)
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """ProcessPoolExecutor replaced by a pool that records its size and maps
+    in-process; returns the recorded sizes."""
+    import concurrent.futures
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
 class TestRelocalizationScan:
     def test_crossing_in_expected_window(self, scan):
         assert scan.crossing is not None
@@ -560,31 +583,62 @@ class TestRelocalizationScan:
 
     @pytest.mark.parametrize("jobs, cpus, workers", [
         (10 ** 6, 4, 4), (10 ** 6, 64, 5), (3, 64, 3), (8, None, None)])
-    def test_pool_size_is_capped(self, monkeypatch, jobs, cpus, workers):
+    def test_pool_size_is_capped(self, monkeypatch, fake_pool, jobs, cpus,
+                                 workers):
         # at most one process per lattice point and per CPU, and none when
-        # that leaves one; a fake pool records its size and maps in-process
-        import concurrent.futures
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            FakePool)
+        # that leaves one
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         cfg = SolverConfig(half_width=9.0, grid_points=1201, num_levels=1)
         scan = relocalization_scan(4.0, (0.0, 0.005), 5, cfg, jobs=jobs)
-        assert sizes == ([] if workers is None else [workers])
+        assert fake_pool == ([] if workers is None else [workers])
         assert scan == relocalization_scan(4.0, (0.0, 0.005), 5, cfg)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("alpha, delta_range", [
+        (1.5, (-0.35, 0.5)), (3.5, (0.0, 0.008)), (4.0, (0.0, 0.005)),
+        (5.0, (0.0, 0.004)), (6.0, (0.0, 0.003))])
+    def test_rows_equal_per_point_labels(self, monkeypatch, fake_pool, jobs,
+                                         levels, alpha, delta_range):
+        # one well map per scan labels every point as classify_levels does
+        # on the point's own solve and its own stationary points, bit for bit
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = resolve_solver(triple_well(alpha, delta_range[1]), levels)
+        scan = relocalization_scan(alpha, delta_range, 5, cfg, jobs=jobs)
+        assert fake_pool == ([2] if jobs > 1 else [])
+        assert {r.label[:7] for r in scan.rows} == {"central", "offcent"}
+        for row in scan.rows:
+            p = triple_well(alpha, row.delta)
+            ground = classify_levels(solve_numerical(p, cfg), p)[0]
+            assert row == crossings.ScanRow(
+                row.delta, ground.energy, ground.w_central,
+                1.0 - ground.w_central, ground.label)
+
+    @pytest.mark.parametrize("steps", [3, 11, 41])
+    def test_stationary_points_found_twice_per_scan(self, monkeypatch, steps):
+        # once at each end of the lattice, whatever its size
+        calls = []
+
+        def counting(poly, window):
+            calls.append(window)
+            return critical_points(poly, window)
+
+        from multiwell import spectrum
+        monkeypatch.setattr(crossings, "critical_points", counting)
+        monkeypatch.setattr(spectrum, "critical_points", counting)
+        cfg = SolverConfig(half_width=9.0, grid_points=1201, num_levels=1)
+        scan = relocalization_scan(4.0, (0.0, 0.005), steps, cfg)
+        assert len(scan.rows) == steps
+        assert calls == [9.0, 9.0]
+
+    @pytest.mark.parametrize("delta_min", [-2.0, math.nextafter(-2.0, 0.0),
+                                           -1.9999999])
+    def test_degenerate_end_raises(self, delta_min):
+        # at delta = -2 the maxima at +-alpha meet the outer minima: the
+        # low end has one region, the high end three
+        cfg = resolve_solver(triple_well(4.0, -1.9), 1)
+        with pytest.raises(ParameterError, match="well maps at delta"):
+            relocalization_scan(4.0, (delta_min, -1.9), 3, cfg)
 
     def test_parallel_scan_loads_lapack_in_the_parent(self):
         # the first numerical call of a fresh interpreter: the parent loads
@@ -611,8 +665,9 @@ def _origin_weight(pair, p):
 @settings(max_examples=10, deadline=None)
 @given(st.floats(3.5, 6.0), st.floats(0.0026 - 0.01, 0.0026 + 0.01))
 def test_level_weights_match_well_weights(alpha, delta):
-    # classify_levels and the scan find the region edges once per call;
-    # every weight must still equal well_weights' central region bit for bit
+    # classify_levels finds the region edges once per call and the scan
+    # once per scan; every weight must still equal well_weights' central
+    # region bit for bit
     half = 0.5 * math.ceil(2.0 * (math.sqrt(3.2) * alpha + 2.5))
     cfg = SolverConfig(half_width=half, grid_points=801, num_levels=5)
     p = triple_well(alpha, delta)

@@ -1075,6 +1075,18 @@ class TestWellWeights:
             assert got == pytest.approx(expected, abs=1e-15)
             assert got[0] == expected[0] and got[-1] == expected[-1]
 
+    def test_edge_an_ulp_off_a_grid_point_splits_it_alike(self):
+        # the polish puts a maximum on alpha or an ulp either side; a grid
+        # point on alpha must count half to each side either way
+        alpha = 1.5
+        cfg = SolverConfig(half_width=5.5, grid_points=2201, num_levels=2)
+        for pair in solve_numerical(triple_well(alpha, -0.35), cfg):
+            assert alpha in pair.x
+            weights = [[r.weight for r in spectrum._region_weights(
+                pair, [-math.inf, -alpha, edge, math.inf])]
+                for edge in (alpha, math.nextafter(alpha, math.inf))]
+            assert weights[0] == weights[1]
+
 
 class TestClassifyLevels:
     def test_below_crossing_ground_is_central(self):
