@@ -231,7 +231,7 @@ def _cmd_spectrum(args) -> str:
         # error_estimate goes to JSON only: the CSV columns stay fixed
         r = {"label": lv.label, "family": lv.family, "index": lv.index,
              "energy": lv.energy, "error_estimate": pair.error_estimate,
-             "w_central": lv.w_central, "w_outer": 1.0 - lv.w_central}
+             "w_central": lv.w_central, "w_outer": lv.w_outer}
         if args.compare:
             r["energy_harmonic"] = harm.get(lv.label, math.nan)
             r["diff"] = lv.energy - r["energy_harmonic"]

@@ -18,8 +18,9 @@ use the step CROSSING_STEP = 0.01, twice the default of the wavefunction
 consumers (sweeps, densities, spectra).  V is linear in delta, so each
 level's exact slope is a Hellmann-Feynman sum over its eigenvector; Newton's
 method on it from the harmonic root takes about two eigensolves, each after
-the first started warm from the eigenpairs of the one before (the start of
-solve_numerical).
+the first started warm from the eigenpairs of the one before.  A crossing's
+bracket and a scan's lattice are delta-lines, each labelled by one well map
+found at its two ends (_line_map, _line_solve).
 
 Both backends find the harmonic root first.  The closed-form residual
 (_harmonic_residual) takes a float or a numpy array, so bracket_scan
@@ -29,6 +30,7 @@ then refines the root in the sign-change cell on float evaluations.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -37,9 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomial import ParameterError, bracket_scan, brent_root, lattice
-from .spectrum import (Eigenpair, SolverConfig, _labels, _load_lapack,
-                       _n2_closed_form, _region_weights, _well_families,
-                       classify_levels, harmonic_families, resolve_solver,
+from .spectrum import (Eigenpair, LabeledLevel, SolverConfig, _labels,
+                       _load_lapack, _n2_closed_form, _region_weights,
+                       _well_families, harmonic_families, resolve_solver,
                        solve_numerical)
 from .wells import (PerturbationRangeError, WellShape, _isolation_tol,
                     build_symmetric, critical_points, require_alpha,
@@ -209,17 +211,49 @@ def _default_numeric_config(q: AlcQuery) -> SolverConfig:
                           2 * (q.m + 1) + q.n + 3, step=CROSSING_STEP)
 
 
+def _line_map(alpha: float, lo: float, hi: float, window: float
+              ) -> tuple[list[float], list[tuple[str, tuple[int, ...]]]]:
+    """The one well map (_well_families) of every triple well on the
+    delta-line [lo, hi], its stationary points isolated on [-window, window].
+
+    V' = 6x(x^2 - alpha^2)(x^2 - (3 + delta) alpha^2), so for delta > -2
+    the maxima sit at +-alpha and the map does not depend on delta; the
+    maps of the two ends are compared to check it.  They agree when their
+    families are equal and each edge of one lies within the isolation
+    tolerance of the other's, the tolerance within which _region_weights
+    treats a grid point as on an edge; otherwise ParameterError.
+    """
+    (e0, f0), (e1, f1) = [
+        _well_families(p, critical_points(p, window))
+        for p in (triple_well(alpha, lo), triple_well(alpha, hi))]
+    near = _isolation_tol(window)
+    if f0 != f1 or not all(math.isclose(a, b, rel_tol=0.0, abs_tol=near)
+                           for a, b in zip(e0, e1)):
+        raise ParameterError(
+            f"the well maps at delta = {lo:.6g} and {hi:.6g} differ: the "
+            "maxima at +-alpha degenerate as delta approaches -2, and a "
+            "delta range needs its low end further above it")
+    return e0, f0
+
+
+def _line_solve(alpha: float, delta: float, cfg: SolverConfig,
+                well_map: tuple, start: list[Eigenpair] | None = None
+                ) -> tuple[list[Eigenpair], list[LabeledLevel]]:
+    """The eigenpairs of triple_well(alpha, delta) on cfg, from start when
+    given, and their labels by a _line_map."""
+    pairs = solve_numerical(triple_well(alpha, delta), cfg, start=start)
+    return pairs, _labels(pairs, *well_map)
+
+
 def _numeric_residual(delta: float, q: AlcQuery, cfg: SolverConfig,
-                      start: list[Eigenpair] | None = None
+                      well_map: tuple, start: list[Eigenpair] | None = None
                       ) -> tuple[float, float, list[Eigenpair]]:
     """Mean corrected energy of doublet m minus corrected central level n,
     its delta-slope from the Hellmann-Feynman slopes sum psi^2 dV h of the
     grid energies, dV/ddelta = alpha^2 (3 alpha^2 x^2 - 1.5 x^4) exactly
     (the slope leaves out d(error_estimate)/ddelta; nan when r is +-inf),
-    and the eigenpairs, solved from start (solve_numerical) when given."""
-    p = triple_well(q.alpha, delta)
-    pairs = solve_numerical(p, cfg, start=start)
-    labeled = classify_levels(pairs, p)
+    and the eigenpairs, solved and labelled by _line_solve."""
+    pairs, labeled = _line_solve(q.alpha, delta, cfg, well_map, start)
     a2, x2 = q.alpha * q.alpha, pairs[0].x ** 2
     dv = a2 * x2 * (3.0 * a2 - 1.5 * x2)
     central, doublet = ([(pair.energy + pair.error_estimate,
@@ -274,25 +308,24 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
 
     The numerical backend counts eigensolves of one residual: the corrected
     energies on q.solver, or else on the grid resolve_solver gives the
-    bracket's widest triple well at step CROSSING_STEP.  Newton's method,
-    with the Hellmann-Feynman slope, runs from the harmonic root within
-    near: about two eigensolves, each after the first started from the
-    eigenpairs of the one before.  Without a harmonic root, or when Newton
-    fails (_newton), Brent's method runs on near, then on q.bracket if
-    wider, with cold eigensolves; a root outside near draws a warning.
+    bracket's widest triple well at step CROSSING_STEP, labelled by the
+    bracket's well map (_line_map), each eigensolve after the first started
+    from the eigenpairs of the one before.  Newton's method, with the
+    Hellmann-Feynman slope, runs from the harmonic root within near: about
+    two eigensolves.  Without a harmonic root, or when Newton fails
+    (_newton), Brent's method runs on near, then on q.bracket if wider; a
+    root outside near draws a warning.
 
-    Raises ValueError when no window brackets a crossing.
+    Raises ValueError when no window brackets a crossing; the numerical
+    backend raises ParameterError when the bracket's ends have different
+    well maps.
     """
     evaluations = 0
 
-    def counted(f):
-        def wrapped(d, *args):
-            nonlocal evaluations
-            evaluations += d.size if isinstance(d, np.ndarray) else 1
-            return f(d, *args)
-        return wrapped
-
-    harmonic = counted(lambda d: _harmonic_residual(d, q.m, q.n, q.alpha))
+    def harmonic(d):
+        nonlocal evaluations
+        evaluations += d.size if isinstance(d, np.ndarray) else 1
+        return _harmonic_residual(d, q.m, q.n, q.alpha)
     cells = bracket_scan(harmonic, *q.bracket)
     if len(cells) > 1:
         warnings.warn("multiple residual sign changes in bracket; "
@@ -308,17 +341,16 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     harmonic_delta = solved[0] if solved is not None else None
     if q.backend == "numerical":
         cfg = q.solver if q.solver is not None else _default_numeric_config(q)
-        evaluations = 0  # from here on, eigensolves only
-        residual = counted(lambda d, start=None:
-                           _numeric_residual(d, q, cfg, start))
-        if solved is not None:
-            pairs = None
+        well_map = _line_map(q.alpha, lo, hi, cfg.half_width)
+        evaluations, pairs = 0, None  # from here on, eigensolves only
 
-            def warm(d):    # each Newton solve starts from the last one's
-                nonlocal pairs
-                r, slope, pairs = residual(d, pairs)
-                return r, slope
-            solved = _newton(warm, solved[0], *near, delta_tol)
+        def residual(d):    # each eigensolve starts from the last one's pairs
+            nonlocal evaluations, pairs
+            evaluations += 1
+            r, slope, pairs = _numeric_residual(d, q, cfg, well_map, pairs)
+            return r, slope
+        if solved is not None:
+            solved = _newton(residual, solved[0], *near, delta_tol)
         if solved is None:  # Brent's method on near, then on a wider bracket
             for a, b in dict.fromkeys((near, (lo, hi))):
                 fa, fb = residual(a)[0], residual(b)[0]
@@ -507,38 +539,11 @@ def _lattice(name: str, value_range: tuple[float, float],
     return lattice(lo, hi, steps).tolist()
 
 
-_WellMap = tuple[list[float], list[tuple[str, tuple[int, ...]]]]
-
-
-def _scan_point(args: tuple[float, float, SolverConfig, _WellMap]) -> ScanRow:
-    alpha, delta, cfg, well_map = args
-    ground = _labels(solve_numerical(triple_well(alpha, delta), cfg),
-                     *well_map)[0]
-    return ScanRow(delta, ground.energy, ground.w_central,
-                   1.0 - ground.w_central, ground.label)
-
-
-def _scan_map(alpha: float, deltas: list[float], cfg: SolverConfig) -> _WellMap:
-    """The one well map (_well_families) of every triple well on the lattice.
-
-    V' = 6x(x^2 - alpha^2)(x^2 - (3 + delta) alpha^2), so for delta > -2
-    the maxima sit at +-alpha and the map does not depend on delta; the
-    maps of the two ends are compared to check it.  They agree when their
-    families are equal and each edge of one lies within the isolation
-    tolerance of the other's, the tolerance within which _region_weights
-    treats a grid point as on an edge; otherwise ParameterError.
-    """
-    (e0, f0), (e1, f1) = [
-        _well_families(p, critical_points(p, cfg.half_width))
-        for p in (triple_well(alpha, d) for d in (deltas[0], deltas[-1]))]
-    near = _isolation_tol(cfg.half_width)
-    if f0 != f1 or not all(math.isclose(a, b, rel_tol=0.0, abs_tol=near)
-                           for a, b in zip(e0, e1)):
-        raise ParameterError(
-            f"the well maps at delta = {deltas[0]:.6g} and {deltas[-1]:.6g} "
-            "differ: the maxima at +-alpha degenerate as delta approaches "
-            "-2, and a scan needs delta_min further above it")
-    return e0, f0
+def _scan_point(alpha: float, cfg: SolverConfig, well_map: tuple,
+                delta: float) -> ScanRow:
+    ground = _line_solve(alpha, delta, cfg, well_map)[1][0]
+    return ScanRow(delta, ground.energy, ground.w_central, ground.w_outer,
+                   ground.label)
 
 
 def relocalization_scan(alpha: float, delta_range: tuple[float, float],
@@ -551,9 +556,8 @@ def relocalization_scan(alpha: float, delta_range: tuple[float, float],
     and the bracket of the two lattice deltas that straddle it: the
     crossing is known to one lattice step.
     Every point is labelled with one well map, found at the two ends of
-    the lattice (_scan_map), so the stationary points are isolated twice
-    per scan; a lattice whose ends have different maps (delta_min at or
-    within roundoff of -2, where the maxima degenerate) raises
+    the lattice (_line_map); ends with different maps (delta_min at or
+    within roundoff of -2, where the maxima degenerate) raise
     ParameterError.  The rows equal those of classify_levels on each
     point's own solve.
     Lattice points are independent; jobs > 1 distributes them over
@@ -563,16 +567,16 @@ def relocalization_scan(alpha: float, delta_range: tuple[float, float],
     cannot speed up a CPU-bound scan, and the pool forks them all at start.
     """
     deltas = _lattice("delta", delta_range, steps)
-    well_map = _scan_map(alpha, deltas, cfg)
-    tasks = [(alpha, d, cfg, well_map) for d in deltas]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    point = functools.partial(_scan_point, alpha, cfg, _line_map(
+        alpha, deltas[0], deltas[-1], cfg.half_width))
+    workers = min(jobs, len(deltas), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         _load_lapack()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_point, tasks))
+            rows = list(pool.map(point, deltas))
     else:
-        rows = [_scan_point(t) for t in tasks]
+        rows = list(map(point, deltas))
     for a, b in zip(rows, rows[1:]):
         if a.w_central > 0.5 >= b.w_central:
             frac = (a.w_central - 0.5) / (a.w_central - b.w_central)
@@ -593,6 +597,6 @@ def tilt_scan(s1: float, tilt_range: tuple[float, float], steps: int,
     rows = []
     for b in _lattice("tilt", tilt_range, steps):
         ground = solve_numerical(tilted_double_well(s1, b), cfg)[0]
-        w_left = _region_weights(ground, [-math.inf, 0.0, math.inf])[0].weight
-        rows.append(TiltRow(b, ground.energy, w_left, 1.0 - w_left))
+        left, right = _region_weights(ground, [-math.inf, 0.0, math.inf])
+        rows.append(TiltRow(b, ground.energy, left.weight, right.weight))
     return rows

@@ -102,16 +102,10 @@ class Polynomial:
         return hash(self.coeffs)
 
     def __call__(self, x):
-        """Evaluate by Horner's scheme, highest degree first.
-
-        Works elementwise when ``x`` is a numpy array.
-        """
+        """Evaluate by Horner's scheme (_horner), elementwise on an array."""
         if len(self.coeffs) == 1:
             return self.coeffs[0] + x * 0.0 if hasattr(x, "shape") else self.coeffs[0]
-        result = self.coeffs[-1]
-        for c in self.coeffs[-2::-1]:
-            result = result * x + c
-        return result
+        return _horner(self.coeffs, x)
 
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
@@ -153,7 +147,8 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # Sturm-chain machinery (operates on raw ascending coefficient lists)
 
-def _horner(cs: list[float], x: float) -> float:
+def _horner(cs, x):
+    """cs[0] + cs[1] x + ... by Horner's scheme; x a float or an array."""
     result = cs[-1]
     for c in cs[-2::-1]:
         result = result * x + c

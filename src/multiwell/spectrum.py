@@ -4,14 +4,15 @@ Two routes: closed-form harmonic estimates per well family (level spacing
 2*lam*sqrt(V''/2)), and a second-order finite-difference discretization on
 a symmetric grid with Dirichlet boundaries.  A tridiagonal block that
 needs one level is solved by shift-and-invert on LAPACK dpttrf/dpttrs from
-a harmonic first shift and min V as its first lower bound, every shift
-certified by the signs of the factor's pivots.  Any other block runs
-Rayleigh-quotient iteration on LAPACK dgttrf/dgttrs, certified by one
-Sturm count and a residual-and-gap bound (_refined), from the vectors of
-a nearby solve on its grid (a step along a parameter path) or else from
-loose bisection plus inverse iteration (stebz/stein).  All reach stebz's
-absolute tolerance, ulp * max |Gershgorin end|; a block neither start
-certifies (clustered levels, say) takes bisection to that tolerance.
+a harmonic first shift (one rule, _harmonic_guess, for every block) and
+min V as its first lower bound, every shift certified by the signs of the
+factor's pivots.  Any other block runs Rayleigh-quotient iteration on
+LAPACK dgttrf/dgttrs, certified by one Sturm count and a residual-and-gap
+bound (_refined), from the vectors of a nearby solve on its grid (a step
+along a parameter path) or else from loose bisection plus inverse
+iteration (stebz/stein).  All reach stebz's absolute tolerance, ulp * max
+|Gershgorin end|; a block neither start certifies (clustered levels, say)
+takes bisection to that tolerance.
 A reflection-symmetric potential is solved as separate even and odd blocks
 on the half grid x >= 0, so its levels have exact parity.  Each numerical
 level carries error_estimate, the first-order correction of its O(h^2)
@@ -20,7 +21,7 @@ discretization error (Paine, de Hoog & Anderssen, Computing 26, 123
 error_estimate is accurate to O(h^4).  Wavefunctions and region weights
 stay O(h^2).  Both routes name the wells by one map (harmonic_families);
 classify_levels labels each numerical level by the family that holds most
-of its weight.
+of its weight; every family's weight is a sum over its own regions.
 
 The six LAPACK routines come from SciPy's f2py extension
 scipy.linalg._flapack, loaded from its file on the first numerical solve
@@ -146,7 +147,8 @@ class LabeledLevel:
     index counts the family's levels by energy; the two members of a
     parity doublet of a mirrored family share one index.  label is
     '<family>-<index>', e.g. 'central-0' or 'offcentral-1'.  w_central is
-    the weight of the central family, 0 when the origin is not a well.
+    the weight of the central family, 0 when the origin is not a well, and
+    w_outer the sum of the other families' weights, never a complement.
     """
 
     energy: float
@@ -154,6 +156,7 @@ class LabeledLevel:
     index: int
     label: str
     w_central: float
+    w_outer: float
 
 
 def _n2_closed_form(alpha: float, beta):
@@ -331,8 +334,7 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, u: np.ndarray
     return rho, float(np.linalg.norm(tu))
 
 
-def _harmonic_guess(diag: np.ndarray, off: np.ndarray,
-                    left: float | None = None) -> float:
+def _harmonic_guess(diag: np.ndarray, off: np.ndarray) -> float:
     """The lowest harmonic ground level over the grid wells of the block
     T = (diag, off), less _GUESS_MARGIN of its zero-point energy: a first
     shift of _ground close below the lowest eigenvalue, not a bound on it.
@@ -341,16 +343,13 @@ def _harmonic_guess(diag: np.ndarray, off: np.ndarray,
     minimum i of V gets the parabola through V[i-1], V[i], V[i+1]: its
     vertex value v and second difference d2 give the level
     v + sqrt(t * d2 / 2), which is v + lam * sqrt(V''/2) with V'' = d2 / h^2.
-    V[-1] is left, the potential at the grid point left of the block, or
-    when left is None V[1], the mirror image at x = -h of the even block's
-    first point x = 0.  The odd block's left is V(0); when V(0) <= V(h),
-    x = 0 is the bottom of a well that holds the block's vectors' node, and
-    its lowest odd level, the harmonic n = 1 one, V(0) + 3 sqrt(t (V(h) -
-    V(0))), is a candidate too, less _GUESS_MARGIN of its height above V(0).
+    V[-1] is V[1], the mirror image at x = -h of the even block's first
+    point x = 0; on the odd block, which starts at x = h, the same rule
+    gives a looser guess.
     """
     t = -float(off[-1])
     v = diag - 2.0 * t
-    neighbour = np.concatenate((v[1:2] if left is None else [left], v[:-2]))
+    neighbour = np.concatenate((v[1:2], v[:-2]))
     mid, right = v[:-1], v[1:]
     wells = ((mid <= neighbour) & (mid <= right)).nonzero()[0]
     neighbour, mid, right = neighbour[wells], mid[wells], right[wells]
@@ -358,16 +357,13 @@ def _harmonic_guess(diag: np.ndarray, off: np.ndarray,
     slope = right - neighbour
     vertex = mid - slope * slope / (8.0 * np.where(d2 > 0.0, d2, 1.0))
     zpe = np.sqrt(t * 0.5 * d2)
-    if left is not None and left <= v[0]:
-        vertex = np.append(vertex, left)
-        zpe = np.append(zpe, 3.0 * math.sqrt(t * (v[0] - left)))
     if vertex.size == 0:
         return float(np.min(v))
     j = int(np.argmin(vertex + zpe))
     return float(vertex[j] + (1.0 - _GUESS_MARGIN) * zpe[j])
 
 
-def _ground(diag: np.ndarray, off: np.ndarray, left: float | None = None
+def _ground(diag: np.ndarray, off: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray] | None:
     """Lowest eigenpair of the tridiagonal T = (diag, off), off < 0, by
     shift-and-invert with shifts certified by Sylvester inertia (Parlett,
@@ -385,15 +381,14 @@ def _ground(diag: np.ndarray, off: np.ndarray, left: float | None = None
 
     lo starts at min V, which lies below every level: the Dirichlet
     difference Laplacian is positive definite, and each level of a parity
-    block is one of the full operator.  The first shift is _harmonic_guess
-    (left is its neighbour of the block's first point), usually just below
-    the lowest eigenvalue, so a solve takes about 5 factorizations (8 from
-    min V).  A guess that does not factor is a certified hi, and the rounds
-    bisect between min V and it.
+    block is one of the full operator.  The first shift is _harmonic_guess,
+    usually just below the lowest eigenvalue, so a solve takes about 5
+    factorizations (8 from min V).  A guess that does not factor is a
+    certified hi, and the rounds bisect between min V and it.
     """
     tol = _tolerance(diag, off)
     lo, hi = float(np.min(diag) + 2.0 * off[-1]), math.inf    # min V
-    shift, factor = _harmonic_guess(diag, off, left), None
+    shift, factor = _harmonic_guess(diag, off), None
     u = np.ones(diag.size)    # the ground vector is positive: off < 0
 
     def invert(u: np.ndarray) -> np.ndarray:
@@ -507,7 +502,7 @@ def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray
 
 
 def _lowest(diag: np.ndarray, off: np.ndarray, k: int, cfg: SolverConfig,
-            start: np.ndarray | None = None, left: float | None = None
+            start: np.ndarray | None = None
             ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of a symmetric tridiagonal matrix with negative
     off-diagonal.  With start, the (n, k) vectors of the same block at a
@@ -520,7 +515,7 @@ def _lowest(diag: np.ndarray, off: np.ndarray, k: int, cfg: SolverConfig,
     _load_lapack()
     found = None if start is None else _refined(diag, off, start)
     if found is None:
-        found = _ground(diag, off, left) if k == 1 else \
+        found = _ground(diag, off) if k == 1 else \
             _located(diag, off, k)
     if found is not None:
         return found
@@ -602,8 +597,7 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig, *,
         half[0, 0::2] *= math.sqrt(2.0)
         if k > 1:
             energies[1::2], half[1:, 1::2] = _lowest(
-                diag[1:], np.full(c - 2, off), k // 2, cfg, odd,
-                diag[0] + 2.0 * off)
+                diag[1:], np.full(c - 2, off), k // 2, cfg, odd)
         # the blocks are solved separately, each to about ulp * |T|: a
         # doublet split below that may come out with its odd member lower
         energies = np.maximum.accumulate(energies)
@@ -750,6 +744,7 @@ def _labels(pairs: list[Eigenpair], edges: list[float],
     identical labels and weights.
     """
     counts = [0] * len(families)
+    central = families[0][0] == "central"
     labeled: list[LabeledLevel | None] = [None] * len(pairs)
     for i in sorted(range(len(pairs)), key=lambda i: pairs[i].energy):
         regions = _region_weights(pairs[i], edges)
@@ -758,7 +753,8 @@ def _labels(pairs: list[Eigenpair], edges: list[float],
         name, group = families[k]
         index = counts[k] // len(group)
         counts[k] += 1
-        w_central = weights[0] if families[0][0] == "central" else 0.0
         labeled[i] = LabeledLevel(pairs[i].energy, name, index,
-                                  f"{name}-{index}", w_central)
+                                  f"{name}-{index}",
+                                  weights[0] if central else 0.0,
+                                  sum(weights[1:] if central else weights))
     return labeled

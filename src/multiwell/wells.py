@@ -271,9 +271,11 @@ def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
     Points where |V''| falls below 1e-9 of its local term magnitude are
     flagged 'degenerate' rather than classified; cusp-like shapes produce
     them legitimately.  Every other point is polished by three Newton
-    steps on V' (its curvature is safely nonzero), so x, value and
-    curvature are good to full precision, and region edges at maxima sit
-    on the root.
+    steps on V' (its curvature is safely nonzero) to the roundoff floor of
+    V', where more steps only oscillate: x lies within about ulp *
+    dv.magnitude_at(x) / |V''(x)| of the root, dv = V'.  That is full
+    precision where V'' is large, but 8.7e-12 at the maxima of
+    triple_well(4, -1.99999), which lie beside minima.
 
     An even p with a nonzero x^2 coefficient has V'(x) = x * q(x^2), with
     x = 0 a simple root, at half the degree: the roots y of q are isolated
@@ -325,10 +327,9 @@ def harmonic_wells(p: Polynomial, window: float) -> list[HarmonicWell]:
     """One HarmonicWell per non-degenerate minimum of p; critical_points
     raises when a stationary point lies beyond +-window.
 
-    critical_points polishes the minima to machine precision, so x, v and
-    g are good to full precision.  Raises DegenerateWellError when any
-    stationary point has vanishing curvature: the harmonic model is
-    refused there.
+    critical_points polishes the minima to the roundoff floor of V'.
+    Raises DegenerateWellError when any stationary point has vanishing
+    curvature: the harmonic model is refused there.
     """
     return harmonic_wells_from(p, critical_points(p, window))
 

@@ -633,6 +633,9 @@ _TILT = "kind = tilt\ns1 = 2\ntilt_min = -0.3\ntilt_max = 0.3\nsteps = 3\n"
     pytest.param(None, _RELOC + "delta_min = -2\nsteps = 5\n",
                  "well maps at delta = -2 and 0.005 differ",
                  id="sweep-delta-min-degenerate"),
+    pytest.param(None, _ALC + "backend = numerical\nbracket_lo = -1.9999999\n",
+                 "well maps at delta = -2 and 0.05 differ",
+                 id="sweep-bracket-near-minus-two"),
     pytest.param(None, _ALC + "backend = numeric\n",
                  "unknown backend 'numeric'", id="sweep-backend"),
     pytest.param(None, _ALC + "bracket_lo = 0.05\nbracket_hi = -0.05\n",

@@ -106,6 +106,12 @@ class TestSolveCrossing:
             AlcQuery(0, 0, 4.0, bracket=(0.1, -0.1))
 
 
+def _residual(delta, q, cfg):
+    """_numeric_residual at delta, labelled by the well map of q.bracket."""
+    well_map = crossings._line_map(q.alpha, *q.bracket, cfg.half_width)
+    return crossings._numeric_residual(delta, q, cfg, well_map)
+
+
 class TestNumericalSearch:
     @pytest.mark.parametrize("m,n", [(0, 0), (3, 3), (1, 3)])
     def test_residual_changes_sign_once_on_default_bracket(self, m, n):
@@ -114,8 +120,7 @@ class TestNumericalSearch:
         # makes that safe at alpha = 4
         q = AlcQuery(m, n, 4.0, backend="numerical")
         cfg = crossings._default_numeric_config(q)
-        values = [crossings._numeric_residual(-0.05 + 0.1 * i / 8, q, cfg)[0]
-                  for i in range(9)]
+        values = [_residual(-0.05 + 0.1 * i / 8, q, cfg)[0] for i in range(9)]
         changes = sum((a < 0.0) != (b < 0.0) for a, b in zip(values, values[1:]))
         assert changes == 1
         assert 0.0 not in values
@@ -152,10 +157,9 @@ class TestNumericalSearch:
         q = AlcQuery(m, n, alpha, backend="numerical")
         cfg = crossings._default_numeric_config(q)
         delta = solve_crossing(q).delta
-        _, slope, _ = crossings._numeric_residual(delta, q, cfg)
+        _, slope, _ = _residual(delta, q, cfg)
         h = 1e-5
-        up, down = (crossings._numeric_residual(delta + s, q, cfg)[0]
-                    for s in (h, -h))
+        up, down = (_residual(delta + s, q, cfg)[0] for s in (h, -h))
         difference = (up - down) / (2 * h)
         assert slope == pytest.approx(difference, rel=1e-3)
 
@@ -173,7 +177,7 @@ class TestNumericalSearch:
             a, b = max(-0.05, a - width), min(0.05, b + width)
 
             def residual(d):
-                return crossings._numeric_residual(d, q, cfg)[0]
+                return _residual(d, q, cfg)[0]
             reference = brent_root(residual, a, b, residual(a), residual(b),
                                    tol)[0]
             assert solve_crossing(q, delta_tol=tol).delta == \
@@ -181,8 +185,8 @@ class TestNumericalSearch:
 
     def test_nan_slope_falls_back_to_brent(self, monkeypatch):
         true_residual = crossings._numeric_residual
-        def no_slope(d, q, cfg, start=None):
-            r, _, pairs = true_residual(d, q, cfg, start)
+        def no_slope(d, q, cfg, well_map, start=None):
+            r, _, pairs = true_residual(d, q, cfg, well_map, start)
             return r, math.nan, pairs
         monkeypatch.setattr(crossings, "_numeric_residual", no_slope)
         sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
@@ -243,8 +247,8 @@ class TestNumericalSearch:
         expected = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
         true_residual = crossings._numeric_residual
 
-        def half_slope(d, q, cfg, start=None):
-            r, slope, pairs = true_residual(d, q, cfg, start)
+        def half_slope(d, q, cfg, well_map, start=None):
+            r, slope, pairs = true_residual(d, q, cfg, well_map, start)
             return r, 0.5 * slope, pairs
         monkeypatch.setattr(crossings, "_numeric_residual", half_slope)
         sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
@@ -264,16 +268,62 @@ class TestNumericalSearch:
         for (_, before), (start, _) in zip(calls, calls[1:]):
             assert start is before
 
-    def test_brent_fallback_solves_cold(self, monkeypatch):
-        starts = []
+    def test_brent_fallback_matches_cold_solves(self, monkeypatch):
+        # with no usable slope, Brent's method takes over after the first
+        # solve; each of its solves starts from the pairs of the one before,
+        # and delta stays within 1e-14 of the same search solved all cold,
+        # at the same eigensolve count
         true_residual = crossings._numeric_residual
-        def no_slope(d, q, cfg, start=None):
-            starts.append(start)
-            r, _, pairs = true_residual(d, q, cfg, start)
-            return r, math.nan, pairs
-        monkeypatch.setattr(crossings, "_numeric_residual", no_slope)
-        solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
-        assert len(starts) > 3 and all(start is None for start in starts)
+        starts = []
+
+        def no_slope(cold):
+            def residual(d, q, cfg, well_map, start=None):
+                starts.append(start)
+                r, _, pairs = true_residual(d, q, cfg, well_map,
+                                            None if cold else start)
+                return r, math.nan, pairs
+            return residual
+        for m, n, alpha in ((0, 0, 4.0), (3, 2, 3.5), (1, 3, 6.0)):
+            q = AlcQuery(m, n, alpha, backend="numerical")
+            monkeypatch.setattr(crossings, "_numeric_residual",
+                                no_slope(cold=False))
+            warm = solve_crossing(q)
+            assert warm.evaluations > 3 and starts[0] is None
+            assert all(start is not None for start in starts[1:])
+            monkeypatch.setattr(crossings, "_numeric_residual",
+                                no_slope(cold=True))
+            cold = solve_crossing(q)
+            assert abs(warm.delta - cold.delta) <= 1e-14, (m, n, alpha)
+            assert warm.evaluations == cold.evaluations
+            starts.clear()
+
+    def test_one_well_map_per_crossing(self, monkeypatch):
+        # the resolver isolates the stationary points once and the well map
+        # of the bracket once per end; no eigensolve is labelled by a fresh
+        # classify_levels
+        from multiwell import spectrum
+        calls, classified = [], []
+
+        def counting(poly, window):
+            calls.append(window)
+            return critical_points(poly, window)
+        monkeypatch.setattr(crossings, "critical_points", counting)
+        monkeypatch.setattr(spectrum, "critical_points", counting)
+        monkeypatch.setattr(spectrum, "classify_levels",
+                            lambda *args: classified.append(args))
+        sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+        assert sol.evaluations >= 2
+        assert len(calls) == 3 and classified == []
+        assert not hasattr(crossings, "classify_levels")
+
+    def test_bracket_near_minus_two_raises(self):
+        # as delta approaches -2 the maxima at +-alpha degenerate, and the
+        # well maps of the bracket's two ends differ
+        q = AlcQuery(0, 0, 4.0, bracket=(-1.9999999, 0.05),
+                     backend="numerical")
+        with pytest.raises(ParameterError,
+                           match="well maps at delta = -2 and 0.05 differ"):
+            solve_crossing(q)
 
     def test_warm_solves_move_no_menu_crossing(self, monkeypatch):
         # the 48 menu crossings (the table pairs at alpha in {3.5, 4, 5, 6})
@@ -284,8 +334,8 @@ class TestNumericalSearch:
         warm = [solve_crossing(q) for q in queries]
         true_residual = crossings._numeric_residual
         monkeypatch.setattr(crossings, "_numeric_residual",
-                            lambda d, q, cfg, start=None:
-                            true_residual(d, q, cfg))
+                            lambda d, q, cfg, well_map, start=None:
+                            true_residual(d, q, cfg, well_map))
         for q, sol in zip(queries, warm):
             cold = solve_crossing(q)
             assert abs(sol.delta - cold.delta) <= 1e-14, (q.m, q.n, q.alpha)
@@ -611,8 +661,8 @@ class TestRelocalizationScan:
             p = triple_well(alpha, row.delta)
             ground = classify_levels(solve_numerical(p, cfg), p)[0]
             assert row == crossings.ScanRow(
-                row.delta, ground.energy, ground.w_central,
-                1.0 - ground.w_central, ground.label)
+                row.delta, ground.energy, ground.w_central, ground.w_outer,
+                ground.label)
 
     @pytest.mark.parametrize("steps", [3, 11, 41])
     def test_stationary_points_found_twice_per_scan(self, monkeypatch, steps):
@@ -639,6 +689,13 @@ class TestRelocalizationScan:
         cfg = resolve_solver(triple_well(4.0, -1.9), 1)
         with pytest.raises(ParameterError, match="well maps at delta"):
             relocalization_scan(4.0, (delta_min, -1.9), 3, cfg)
+
+    def test_outer_weight_is_never_negative(self):
+        # w_outer sums the outer regions: as 1 - w_central it read
+        # -2.2e-16 on six rows of this scan, the first at delta = 0.0002
+        cfg = resolve_solver(triple_well(3.5, 0.006), 1)
+        scan = relocalization_scan(3.5, (0.0, 0.006), 61, cfg)
+        assert all(r.w_outer >= 0.0 for r in scan.rows)
 
     def test_parallel_scan_loads_lapack_in_the_parent(self):
         # the first numerical call of a fresh interpreter: the parent loads
@@ -712,6 +769,17 @@ class TestTiltScan:
         assert rows[2].w_left == pytest.approx(0.5, abs=1e-9)
         for row, mirror in zip(rows, reversed(rows)):
             assert row.w_left == pytest.approx(mirror.w_right, abs=1e-9)
+
+    def test_mirror_tilts_print_equal_weights(self):
+        # V(x; b) = V(-x; -b) and each half's weight is its own region sum,
+        # so rows j and 6 - j swap their weights to all ten printed digits;
+        # as 1 - w_left, w_right(0.3) read 2.2426505097e-14 against
+        # w_left(-0.3) = 2.2677614449e-14
+        cfg = resolve_solver(tilted_double_well(8.0, -0.3), 1)
+        rows = tilt_scan(8.0, (-0.3, 0.3), 7, cfg)
+        for row, mirror in zip(rows, reversed(rows)):
+            assert f"{row.w_right:.10e}" == f"{mirror.w_left:.10e}"
+            assert row.w_left >= 0.0 and row.w_right >= 0.0
 
     @pytest.mark.parametrize("tilt_range", [(0.5, -0.5), (0.2, 0.2)])
     def test_empty_tilt_range_rejected(self, tilt_range):

@@ -442,8 +442,8 @@ def _spy_ground(monkeypatch) -> list:
     calls = []
     ground = spectrum._ground
 
-    def spy(diag, off, left=None):
-        calls.append((diag, off, ground(diag, off, left)))
+    def spy(diag, off):
+        calls.append((diag, off, ground(diag, off)))
         return calls[-1][2]
     monkeypatch.setattr(spectrum, "_ground", spy)
     return calls
@@ -498,19 +498,19 @@ def test_single_level_route_matches_stebz(monkeypatch, p, cfg, sizes):
     calls = _spy_ground(monkeypatch)
     pairs = solve_numerical(p, cfg)
     _assert_certified(calls, sizes)
-    monkeypatch.setattr(spectrum, "_ground", lambda diag, off, left: None)
+    monkeypatch.setattr(spectrum, "_ground", lambda diag, off: None)
     for pair, ref in zip(pairs, solve_numerical(p, cfg), strict=True):
         for got, want in zip(well_weights(pair, p), well_weights(ref, p),
                              strict=True):
             assert abs(got.weight - want.weight) <= 1e-8
 
 
-def _above_ground(diag: np.ndarray, off: np.ndarray, left=None) -> float:
+def _above_ground(diag: np.ndarray, off: np.ndarray) -> float:
     return float(eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
                                   lapack_driver="stebz")[0][0]) + 1.0
 
 
-def _below_min_v(diag: np.ndarray, off: np.ndarray, left=None) -> float:
+def _below_min_v(diag: np.ndarray, off: np.ndarray) -> float:
     return float(np.min(diag) + 2.0 * off[-1]) - 1.0
 
 
@@ -543,26 +543,6 @@ def test_harmonic_guess_lies_just_below_the_ground_level(delta):
     height = e0 - float(np.min(diag) + 2.0 * off)
     guess = spectrum._harmonic_guess(diag, block_off)
     assert e0 - 0.02 * height < guess < e0
-
-
-@pytest.mark.parametrize("delta", [-0.1, 0.0, 0.0026, 0.1])
-def test_odd_block_guess_lies_just_below_its_lowest_level(delta):
-    # the odd block's first point is x = h, its neighbour x = 0 with V(0):
-    # a central well holds the block's lowest level as its n = 1 level
-    # (delta <= 0), the outer wells as their ground level (delta > 0), and
-    # the guess lies below by less than 2% of that level less min V; with
-    # V(2h) in place of V(0), a central parabola of three times the true
-    # curvature put it 14% below at delta = 0
-    p = triple_well(4.0, delta)
-    cfg = resolve_solver(p, 2)
-    off = -1.0 / cfg.step ** 2
-    v = p(cfg.grid()[(cfg.grid_points - 1) // 2:-1])
-    diag, block_off = v[1:] - 2.0 * off, np.full(v.size - 2, off)
-    e1 = eigh_tridiagonal(diag, block_off, select="i", select_range=(0, 0),
-                          lapack_driver="stebz")[0][0]
-    height = e1 - float(np.min(v[1:]))
-    guess = spectrum._harmonic_guess(diag, block_off, float(v[0]))
-    assert e1 - 0.02 * height < guess < e1
 
 
 def test_harmonic_guess_without_a_grid_well(monkeypatch):

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from multiwell.polynomial import Polynomial
 from multiwell.wells import (DegenerateWellError, PerturbationRangeError,
-                             WellShape, build_symmetric, closed_form_n2,
-                             closed_form_n3, critical_points, harmonic_wells,
-                             perturbed_extrema_n2, stationary_window,
-                             tilted_well_minimum, triple_well)
+                             WellShape, _isolation_tol, build_symmetric,
+                             closed_form_n2, closed_form_n3, critical_points,
+                             harmonic_wells, perturbed_extrema_n2,
+                             stationary_window, tilted_well_minimum,
+                             triple_well)
 
 widths = st.floats(0.3, 4.0)
 
@@ -291,6 +292,25 @@ class TestCriticalPoints:
                                              + 1.0) if c.kind == "max"]
         assert len(tops) == 2
         assert all(abs(abs(x) - alpha) <= 8 * math.ulp(alpha) for x in tops)
+
+    @pytest.mark.parametrize("delta, error", [
+        (-1.99999, 8.7e-12), (-1.999, 7.3e-13), (-1.9, 4.5e-15)])
+    def test_maxima_beside_minima_reach_the_roundoff_floor(self, delta,
+                                                           error):
+        # near delta = -2 the outer minima close in on the maxima at +-4,
+        # V'' shrinks there, and the polished maxima stop at the roundoff
+        # floor ulp * |V'|(x) / |V''(x)| the docstring states, still inside
+        # the isolation tolerance that region edges allow
+        p = triple_well(4.0, delta)
+        dv = p.derivative()
+        tops = [c for c in critical_points(p, 10.0) if c.kind == "max"]
+        assert len(tops) == 2
+        for top in tops:
+            off = abs(abs(top.x) - 4.0)
+            assert off <= error
+            assert off <= math.ulp(1.0) * dv.magnitude_at(top.x) / abs(
+                top.curvature)
+            assert off <= _isolation_tol(10.0)
 
     def test_harmonic_wells_read_the_polished_minima(self):
         p = build_symmetric(WellShape((16.0, 48.0)))
