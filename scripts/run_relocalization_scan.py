@@ -38,7 +38,6 @@ if __name__ == "__main__":
     ap.add_argument("--half-width", type=float, default=None)
     ap.add_argument("--grid-step", type=float, default=None)
     ap.add_argument("--outdir", default="out")
-    ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args()
 
     outdir = Path(args.outdir)
@@ -46,5 +45,4 @@ if __name__ == "__main__":
     config = outdir / "relocalization.conf"
     config.write_text(build_config(args), encoding="utf-8")
     raise SystemExit(cli_main(["sweep", "--config", str(config),
-                               "--outdir", str(outdir),
-                               "--jobs", str(args.jobs)]))
+                               "--outdir", str(outdir)]))

@@ -30,9 +30,7 @@ then refines the root in the sign-change cell on float evaluations.
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -40,9 +38,8 @@ import numpy as np
 
 from .polynomial import ParameterError, bracket_scan, brent_root, lattice
 from .spectrum import (Eigenpair, LabeledLevel, SolverConfig, _labels,
-                       _load_lapack, _n2_closed_form, _region_weights,
-                       _well_families, harmonic_families, resolve_solver,
-                       solve_numerical)
+                       _n2_closed_form, _region_weights, _well_families,
+                       harmonic_families, resolve_solver, solve_numerical)
 from .wells import (PerturbationRangeError, WellShape, _isolation_tol,
                     build_symmetric, critical_points, require_alpha,
                     tilted_double_well, triple_well)
@@ -539,16 +536,8 @@ def _lattice(name: str, value_range: tuple[float, float],
     return lattice(lo, hi, steps).tolist()
 
 
-def _scan_point(alpha: float, cfg: SolverConfig, well_map: tuple,
-                delta: float) -> ScanRow:
-    ground = _line_solve(alpha, delta, cfg, well_map)[1][0]
-    return ScanRow(delta, ground.energy, ground.w_central, ground.w_outer,
-                   ground.label)
-
-
 def relocalization_scan(alpha: float, delta_range: tuple[float, float],
-                        steps: int, cfg: SolverConfig,
-                        jobs: int = 1) -> ScanResult:
+                        steps: int, cfg: SolverConfig) -> ScanResult:
     """Ground-state central weight w_c over a delta lattice.
 
     Reports the crossing delta* where w_c first drops through 0.5 (linear
@@ -559,24 +548,16 @@ def relocalization_scan(alpha: float, delta_range: tuple[float, float],
     the lattice (_line_map); ends with different maps (delta_min at or
     within roundoff of -2, where the maxima degenerate) raise
     ParameterError.  The rows equal those of classify_levels on each
-    point's own solve.
-    Lattice points are independent; jobs > 1 distributes them over
-    processes and merges in lattice order; LAPACK is loaded before they
-    start, so that forked workers inherit it rather than each importing it.
-    The pool has at most one process per lattice point and per CPU: more
-    cannot speed up a CPU-bound scan, and the pool forks them all at start.
+    point's own solve.  The points are solved in lattice order in the
+    calling process.
     """
     deltas = _lattice("delta", delta_range, steps)
-    point = functools.partial(_scan_point, alpha, cfg, _line_map(
-        alpha, deltas[0], deltas[-1], cfg.half_width))
-    workers = min(jobs, len(deltas), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        _load_lapack()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(point, deltas))
-    else:
-        rows = list(map(point, deltas))
+    well_map = _line_map(alpha, deltas[0], deltas[-1], cfg.half_width)
+    rows = []
+    for delta in deltas:
+        ground = _line_solve(alpha, delta, cfg, well_map)[1][0]
+        rows.append(ScanRow(delta, ground.energy, ground.w_central,
+                            ground.w_outer, ground.label))
     for a, b in zip(rows, rows[1:]):
         if a.w_central > 0.5 >= b.w_central:
             frac = (a.w_central - 0.5) / (a.w_central - b.w_central)

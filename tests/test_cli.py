@@ -494,6 +494,18 @@ class TestSweep:
         assert code == EXIT_USAGE
         assert "alpha" in err
 
+    def test_jobs_other_than_one_exits_64(self, capsys, tmp_path):
+        # sweeps run in one process; --jobs keeps 1 for the benchmark harness
+        config = self.write_config(tmp_path, "\n".join([
+            "kind = relocalization", "alpha = 4", "delta_min = 0.0",
+            "delta_max = 0.005", "steps = 5"]))
+        code, out, err = run_cli(capsys, "sweep", "--config", config,
+                                 "--outdir", str(tmp_path / "out"),
+                                 "--jobs", "2")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--jobs: invalid choice: 2" in err
+        assert not (tmp_path / "out").exists()
+
     def test_numeric_failure_exit(self, capsys, tmp_path):
         # bracket excludes every crossing -> solver failure -> exit 2
         config = self.write_config(tmp_path, "\n".join([
@@ -560,7 +572,8 @@ def test_golden_csv_bytes(capsys, tmp_path, name, argv):
 # sizes.  The solver block comes from closed forms and Sturm isolation, and
 # the lattice and the labels do not depend on the last bits of a level, so
 # they are pinned exactly; E0 and the weights come from LAPACK, whose last
-# bits vary by machine, and are pinned to 1e-9.
+# bits vary by machine, and are pinned to 1e-9 relative, with no absolute
+# floor: a weight of 1e-100 is checked as closely as one of 0.5.
 @pytest.mark.parametrize("name, exact, solver", [
     ("sweep_relocalization_alpha4", {"delta", "label"},
      {"half_width": 9.5, "grid_points": 3801, "num_levels": 2, "lam": 1.0}),
@@ -582,7 +595,7 @@ def test_golden_sweep_columns(capsys, tmp_path, name, exact, solver):
                 assert row[column] == value
             else:
                 assert float(row[column]) == pytest.approx(
-                    float(value), rel=1e-9, abs=1e-9)
+                    float(value), rel=1e-9, abs=0.0)
 
 
 # Bad input exits 64 whichever layer rejects it: the library raises
@@ -644,23 +657,16 @@ _TILT = "kind = tilt\ns1 = 2\ntilt_min = -0.3\ntilt_max = 0.3\nsteps = 3\n"
                  "bracket must lie above delta = -2", id="sweep-bracket-lo"),
     pytest.param(None, _RELOC + "delta_min = 0\nsteps = 5\ngrid_stpe = 0.5\n",
                  "'grid_stpe'", id="sweep-key-typo"),
-    # only a relocalization sweep runs its lattice points in parallel
-    pytest.param(None, _RELOC + "delta_min = 0\nsteps = 5\njobs = 0\n",
-                 "jobs must be at least 1", id="sweep-jobs-key-zero"),
-    pytest.param(["--jobs", "0"], _RELOC + "delta_min = 0\nsteps = 5\n",
-                 "jobs must be at least 1", id="sweep-jobs-option-zero"),
+    # sweeps run in one process: jobs is a config key of no sweep kind
+    pytest.param(None, _RELOC + "delta_min = 0\nsteps = 5\njobs = 2\n",
+                 "unknown config key for sweep kind 'relocalization': 'jobs'",
+                 id="sweep-jobs-key-relocalization"),
     pytest.param(None, _ALC + "jobs = 1\n",
                  "unknown config key for sweep kind 'alc': 'jobs'",
                  id="sweep-jobs-key-alc"),
     pytest.param(None, _TILT + "jobs = 1\n",
                  "unknown config key for sweep kind 'tilt': 'jobs'",
                  id="sweep-jobs-key-tilt"),
-    pytest.param(["--jobs", "1"], _ALC,
-                 "--jobs does not apply to sweep kind 'alc'",
-                 id="sweep-jobs-option-alc"),
-    pytest.param(["--jobs", "1"], _TILT,
-                 "--jobs does not apply to sweep kind 'tilt'",
-                 id="sweep-jobs-option-tilt"),
     pytest.param(["table1", "--output", "{tmp}/missing/table.txt"], None,
                  "cannot write", id="table1-output-directory-missing"),
     # the last --outdir wins: the config file itself, an existing file
@@ -728,17 +734,22 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     assert err.startswith("error: grid of ")
 
 
-# No command imports the scipy package or the process pool (only a scan
-# with more than one worker starts one).  A closed-form command loads no LAPACK; a
-# numerical one loads SciPy's LAPACK extension alone, on its first solve.
+# No command imports the scipy package or a process pool: every command,
+# a relocalization sweep too, runs in the calling process.  A closed-form
+# command loads no LAPACK; a numerical one loads SciPy's LAPACK extension
+# alone, on its first solve.
 @pytest.mark.parametrize("argv, loaded", [
     (["table1"], []),
     (["table1", "--compare"], []),
     (["locus", "--alpha", "4"], []),
     (["spectrum", "--alpha", "4"], []),
     (["spectrum", "--alpha", "4", "--backend", "numerical"], []),
+    (["sweep", "--config", "{tmp}/reloc.conf", "--outdir", "{tmp}/out"], []),
 ])
-def test_closed_form_commands_do_not_import_scipy(argv, loaded):
+def test_closed_form_commands_do_not_import_scipy(tmp_path, argv, loaded):
+    (tmp_path / "reloc.conf").write_text(
+        _RELOC + "delta_min = 0\nsteps = 5\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     code = ("import sys\n"
             "from multiwell.cli import main\n"
             f"code = main({argv!r})\n"

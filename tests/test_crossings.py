@@ -1,7 +1,6 @@
 """Crossing conditions, degeneracy tuning, asymmetric locus, scans."""
 
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -562,29 +561,6 @@ def scan():
     return relocalization_scan(4.0, (0.0, 0.005), 11, cfg)
 
 
-@pytest.fixture
-def fake_pool(monkeypatch):
-    """ProcessPoolExecutor replaced by a pool that records its size and maps
-    in-process; returns the recorded sizes."""
-    import concurrent.futures
-    sizes = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    return sizes
-
-
 class TestRelocalizationScan:
     def test_crossing_in_expected_window(self, scan):
         assert scan.crossing is not None
@@ -619,43 +595,20 @@ class TestRelocalizationScan:
         assert result.crossing is None
         assert result.bracket is None
 
-    def test_parallel_matches_serial(self, scan):
-        cfg = SolverConfig(half_width=9.0, grid_points=1801, num_levels=1)
-        par = relocalization_scan(4.0, (0.0, 0.005), 11, cfg, jobs=2)
-        assert [r.delta for r in par.rows] == [r.delta for r in scan.rows]
-        assert [r.w_central for r in par.rows] == \
-            [r.w_central for r in scan.rows]
-
     def test_step_validation(self):
         cfg = SolverConfig(half_width=9.0, grid_points=1201, num_levels=1)
         with pytest.raises(ValueError):
             relocalization_scan(4.0, (0.0, 0.005), 2, cfg)
 
-    @pytest.mark.parametrize("jobs, cpus, workers", [
-        (10 ** 6, 4, 4), (10 ** 6, 64, 5), (3, 64, 3), (8, None, None)])
-    def test_pool_size_is_capped(self, monkeypatch, fake_pool, jobs, cpus,
-                                 workers):
-        # at most one process per lattice point and per CPU, and none when
-        # that leaves one
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        cfg = SolverConfig(half_width=9.0, grid_points=1201, num_levels=1)
-        scan = relocalization_scan(4.0, (0.0, 0.005), 5, cfg, jobs=jobs)
-        assert fake_pool == ([] if workers is None else [workers])
-        assert scan == relocalization_scan(4.0, (0.0, 0.005), 5, cfg)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("levels", [1, 2])
     @pytest.mark.parametrize("alpha, delta_range", [
         (1.5, (-0.35, 0.5)), (3.5, (0.0, 0.008)), (4.0, (0.0, 0.005)),
         (5.0, (0.0, 0.004)), (6.0, (0.0, 0.003))])
-    def test_rows_equal_per_point_labels(self, monkeypatch, fake_pool, jobs,
-                                         levels, alpha, delta_range):
+    def test_rows_equal_per_point_labels(self, levels, alpha, delta_range):
         # one well map per scan labels every point as classify_levels does
         # on the point's own solve and its own stationary points, bit for bit
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cfg = resolve_solver(triple_well(alpha, delta_range[1]), levels)
-        scan = relocalization_scan(alpha, delta_range, 5, cfg, jobs=jobs)
-        assert fake_pool == ([2] if jobs > 1 else [])
+        scan = relocalization_scan(alpha, delta_range, 5, cfg)
         assert {r.label[:7] for r in scan.rows} == {"central", "offcent"}
         for row in scan.rows:
             p = triple_well(alpha, row.delta)
@@ -696,24 +649,6 @@ class TestRelocalizationScan:
         cfg = resolve_solver(triple_well(3.5, 0.006), 1)
         scan = relocalization_scan(3.5, (0.0, 0.006), 61, cfg)
         assert all(r.w_outer >= 0.0 for r in scan.rows)
-
-    def test_parallel_scan_loads_lapack_in_the_parent(self):
-        # the first numerical call of a fresh interpreter: the parent loads
-        # the LAPACK extension before the pool starts, so forked workers
-        # inherit its bound routines
-        code = ("import sys\n"
-                "from multiwell.crossings import relocalization_scan\n"
-                "from multiwell.spectrum import SolverConfig\n"
-                "cfg = SolverConfig(half_width=9.0, grid_points=1201)\n"
-                "par = relocalization_scan(4.0, (0.0, 0.005), 5, cfg, jobs=2)\n"
-                "print('scipy.linalg._flapack' in sys.modules)\n"
-                "ser = relocalization_scan(4.0, (0.0, 0.005), 5, cfg)\n"
-                "print(par.rows == ser.rows)\n")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["True", "True"]
-
 
 def _origin_weight(pair, p):
     return [r.weight for r in well_weights(pair, p) if r.contains_origin][0]
