@@ -16,16 +16,17 @@ The numerical backend equates the levels' corrected energies, energy +
 error_estimate, which are accurate to O(h^4); that lets its default grid
 use the step CROSSING_STEP = 0.01, twice the default of the wavefunction
 consumers (sweeps, densities, spectra).  V is linear in delta, so each
-level's exact slope is a Hellmann-Feynman sum over its eigenvector; Newton's
-method on it from the harmonic root takes about two eigensolves, each after
-the first started warm from the eigenpairs of the one before.  A crossing's
-bracket and a scan's lattice are delta-lines, each labelled by one well map
-found at its two ends (_line_map, _line_solve).
+level's exact slope is a Hellmann-Feynman sum over its eigenvector.  Newton's
+method on it starts from the second-order root (_anharmonic_residual), at
+least 84 times closer to the converged crossings than the harmonic root, and
+takes 1-2 eigensolves, each after the first started warm from the eigenpairs
+of the one before.  A crossing's bracket and a scan's lattice are delta-lines,
+each labelled by one well map found at its two ends (_line_map, _line_solve).
 
 Both backends find the harmonic root first.  The closed-form residual
 (_harmonic_residual) takes a float or a numpy array, so bracket_scan
 evaluates its 33-point sign-change lattice as one array; Brent's method
-then refines the root in the sign-change cell on float evaluations.
+then refines that root, and the second-order one, on float evaluations.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ import numpy as np
 
 from .polynomial import ParameterError, bracket_scan, brent_root, lattice
 from .spectrum import (Eigenpair, LabeledLevel, SolverConfig, _labels,
-                       _n2_closed_form, _region_weights, _well_families,
-                       harmonic_families, resolve_solver, solve_numerical)
+                       _n2_closed_form, _n2_second_order, _region_weights,
+                       _well_families, harmonic_families, resolve_solver,
+                       solve_numerical)
 from .wells import (PerturbationRangeError, WellShape, _isolation_tol,
                     build_symmetric, critical_points, require_alpha,
                     tilted_double_well, triple_well)
@@ -193,6 +195,12 @@ def _harmonic_residual(delta, m: int, n: int, alpha: float):
     return v_outer + (2 * m + 1) * spring_o - (2 * n + 1) * spring_c
 
 
+def _anharmonic_residual(delta, m: int, n: int, alpha: float):
+    """Outer level m minus central level n of _n2_second_order."""
+    central, outer = _n2_second_order(alpha, delta, n, m)
+    return outer - central
+
+
 # Grid step of the default numerical crossing config.  The corrected
 # energies leave delta within 3e-7 of the converged values at this step for
 # the twelve table pairs at alpha in 3.5..6; the O(h^2) wavefunctions only
@@ -308,10 +316,12 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     bracket's widest triple well at step CROSSING_STEP, labelled by the
     bracket's well map (_line_map), each eigensolve after the first started
     from the eigenpairs of the one before.  Newton's method, with the
-    Hellmann-Feynman slope, runs from the harmonic root within near: about
-    two eigensolves.  Without a harmonic root, or when Newton fails
-    (_newton), Brent's method runs on near, then on q.bracket if wider; a
-    root outside near draws a warning.
+    Hellmann-Feynman slope, runs within near from the root of the
+    second-order residual (_anharmonic_residual), which Brent's method
+    finds on near, or from the harmonic root when near shows that residual
+    no sign change: 1-2 eigensolves.  Without a harmonic root, or when
+    Newton fails (_newton), Brent's method runs on near, then on q.bracket
+    if wider; a root outside near draws a warning.
 
     Raises ValueError when no window brackets a crossing; the numerical
     backend raises ParameterError when the bracket's ends have different
@@ -346,7 +356,11 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
             evaluations += 1
             r, slope, pairs = _numeric_residual(d, q, cfg, well_map, pairs)
             return r, slope
-        if solved is not None:
+        if solved is not None:  # from the second-order root when near has one
+            fa, fb = (_anharmonic_residual(d, q.m, q.n, q.alpha) for d in near)
+            if (fa < 0.0) != (fb < 0.0):
+                solved = brent_root(lambda d: _anharmonic_residual(
+                    d, q.m, q.n, q.alpha), *near, fa, fb, delta_tol)
             solved = _newton(residual, solved[0], *near, delta_tol)
         if solved is None:  # Brent's method on near, then on a wider bracket
             for a, b in dict.fromkeys((near, (lo, hi))):
@@ -578,6 +592,6 @@ def tilt_scan(s1: float, tilt_range: tuple[float, float], steps: int,
     rows = []
     for b in _lattice("tilt", tilt_range, steps):
         ground = solve_numerical(tilted_double_well(s1, b), cfg)[0]
-        left, right = _region_weights(ground, [-math.inf, 0.0, math.inf])
-        rows.append(TiltRow(b, ground.energy, left.weight, right.weight))
+        left, right = _region_weights([ground], [-math.inf, 0.0, math.inf])[0]
+        rows.append(TiltRow(b, ground.energy, left, right))
     return rows

@@ -170,6 +170,26 @@ def _n2_closed_form(alpha: float, beta):
             a2 ** 3 + 1.5 * a2 * a2 * b2 - 0.5 * b2 ** 3)
 
 
+def _n2_second_order(alpha: float, delta, n: int, m: int):
+    """(central level n, outer level m) of triple_well(alpha, delta), a float
+    or a numpy array, at lam = 1 to second order (Landau & Lifshitz, QM 38):
+    with V0 and the derivatives V2..V4 at a well, w = sqrt(2 V2), s = 1/w,
+    a = V3/6, b = V4/24, E_k = V0 + w(k+1/2) + b s^2 (6k^2+6k+3)
+    - (a^2/w) s^3 (30k^2+30k+11)."""
+    sqrt = np.sqrt if isinstance(delta, np.ndarray) else math.sqrt
+    s1 = alpha * alpha
+    s2 = (3.0 + delta) * s1   # V = x^6 - 1.5(s1+s2)x^4 + 3 s1 s2 x^2
+
+    def level(v0, v2, v3, v4, k):
+        w = sqrt(2.0 * v2)
+        s = 1.0 / w
+        return (v0 + w * (k + 0.5) + v4 / 24.0 * s * s * (6 * k * k + 6 * k + 3)
+                - (v3 / 6.0) ** 2 / w * s ** 3 * (30 * k * k + 30 * k + 11))
+    return (level(0.0, 6.0 * s1 * s2, 0.0, -36.0 * (s1 + s2), n),
+            level(1.5 * s1 * s2 * s2 - 0.5 * s2 ** 3, 12.0 * s2 * (s2 - s1),
+                  sqrt(s2) * (84.0 * s2 - 36.0 * s1), 324.0 * s2 - 36.0 * s1, m))
+
+
 def harmonic_spectrum_n2(alpha: float, beta: float, n_max: int,
                          m_max: int) -> HarmonicSpectrum:
     """Closed-form spectrum of the triple well with widths (alpha, beta),
@@ -637,22 +657,27 @@ def _region_edges(points: list[CriticalPoint]) -> list[float]:
     return [-math.inf] + sorted(maxima) + [math.inf]
 
 
-def _region_weights(pair: Eigenpair, edges: list[float]) -> list[RegionWeight]:
-    """Weights between consecutive ascending edges, one slice each.
+def _region_weights(pairs: list[Eigenpair], edges: list[float]
+                    ) -> list[list[float]]:
+    """Each pair's weights between consecutive ascending edges, one row per
+    pair, all pairs on one grid: slices of one (pairs, points) density.
 
     A grid point within critical_points' isolation tolerance on the grid's
     half-width of an edge lies on it and counts half to each side, so a
     maximum polished to one ulp either side of a grid point splits it the
     same way.
     """
-    rho = pair.psi ** 2 * pair.h
-    near = _isolation_tol(float(pair.x[-1]))
-    first = np.searchsorted(pair.x, np.subtract(edges, near), side="left")
-    past = np.searchsorted(pair.x, np.add(edges, near), side="right")
-    half = [0.5 * rho[a:b].sum() for a, b in zip(first, past)]
-    return [RegionWeight(edges[j], edges[j + 1], float(
-        rho[past[j]:first[j + 1]].sum() + half[j] + half[j + 1]))
-        for j in range(len(edges) - 1)]
+    x = pairs[0].x
+    rho = (pairs[0].psi[None] if len(pairs) == 1 else
+           np.array([pair.psi for pair in pairs])) ** 2 * pairs[0].h
+    near = _isolation_tol(float(x[-1]))
+    first = np.searchsorted(x, np.subtract(edges, near), side="left").tolist()
+    past = np.searchsorted(x, np.add(edges, near), side="right").tolist()
+    row_sum = np.add.reduce   # pairwise along each row, as on one pair
+    half = [0.5 * row_sum(rho[:, a:b], 1) if a < b else 0.0
+            for a, b in zip(first, past)]
+    return np.transpose([row_sum(rho[:, a:b], 1) + h0 + h1 for a, b, h0, h1 in
+                         zip(past, first[1:], half, half[1:])]).tolist()
 
 
 def well_weights(pair: Eigenpair, p: Polynomial) -> list[RegionWeight]:
@@ -661,8 +686,9 @@ def well_weights(pair: Eigenpair, p: Polynomial) -> list[RegionWeight]:
     A single-well potential (no interior maxima) yields one region of
     weight 1.  Weights sum to the normalization (1 within 1e-9).
     """
-    return _region_weights(
-        pair, _region_edges(critical_points(p, float(pair.x[-1]))))
+    edges = _region_edges(critical_points(p, float(pair.x[-1])))
+    return [RegionWeight(lo, hi, w) for lo, hi, w in
+            zip(edges, edges[1:], _region_weights([pair], edges)[0])]
 
 
 def _well_families(p: Polynomial, points: list[CriticalPoint]
@@ -746,9 +772,9 @@ def _labels(pairs: list[Eigenpair], edges: list[float],
     counts = [0] * len(families)
     central = families[0][0] == "central"
     labeled: list[LabeledLevel | None] = [None] * len(pairs)
+    rows = _region_weights(pairs, edges)
     for i in sorted(range(len(pairs)), key=lambda i: pairs[i].energy):
-        regions = _region_weights(pairs[i], edges)
-        weights = [sum(regions[j].weight for j in group) for _, group in families]
+        weights = [sum(rows[i][j] for j in group) for _, group in families]
         k = max(range(len(families)), key=weights.__getitem__)
         name, group = families[k]
         index = counts[k] // len(group)

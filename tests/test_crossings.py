@@ -1,16 +1,18 @@
 """Crossing conditions, degeneracy tuning, asymmetric locus, scans."""
 
+import json
 import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from multiwell import crossings
+from multiwell import crossings, spectrum
 from multiwell.crossings import (PAIRED_ROWS, REFERENCE_DELTAS_ALPHA4,
                                  TABLE_PAIRS, AlcQuery, LabelsUnresolvedError,
                                  NewtonError,
@@ -24,6 +26,10 @@ from multiwell.spectrum import (SolverConfig, classify_levels, resolve_solver,
                                 solve_numerical, well_weights)
 from multiwell.wells import (PerturbationRangeError, WellShape, build_symmetric,
                              critical_points, tilted_double_well, triple_well)
+
+
+REFERENCE_DELTAS = (Path(__file__).parent.parent / "benchmarks"
+                    / "reference_deltas.json")
 
 
 def harmonic_residual(delta, m, n, alpha=4.0):
@@ -262,7 +268,9 @@ class TestNumericalSearch:
             calls.append((start, solve_numerical(p, cfg, start=start)))
             return calls[-1][1]
         monkeypatch.setattr(crossings, "solve_numerical", recording)
-        solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+        # (0, 0) at alpha = 3.5 still takes two Newton solves from its
+        # second-order start; at alpha = 4 the first solve ends it
+        solve_crossing(AlcQuery(0, 0, 3.5, backend="numerical"))
         assert len(calls) >= 2 and calls[0][0] is None
         for (_, before), (start, _) in zip(calls, calls[1:]):
             assert start is before
@@ -311,7 +319,7 @@ class TestNumericalSearch:
         monkeypatch.setattr(spectrum, "classify_levels",
                             lambda *args: classified.append(args))
         sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
-        assert sol.evaluations >= 2
+        assert sol.evaluations >= 1
         assert len(calls) == 3 and classified == []
         assert not hasattr(crossings, "classify_levels")
 
@@ -340,6 +348,37 @@ class TestNumericalSearch:
             assert abs(sol.delta - cold.delta) <= 1e-14, (q.m, q.n, q.alpha)
             assert sol.evaluations == cold.evaluations
 
+    def test_menu_crossings_take_at_most_88_eigensolves(self):
+        # Newton from the second-order root: 88 eigensolves over the 48
+        # menu crossings (104 from the harmonic root), the same count on
+        # every run
+        queries = [AlcQuery(m, n, alpha, backend="numerical")
+                   for alpha in (3.5, 4.0, 5.0, 6.0) for m, n in TABLE_PAIRS]
+        counts = [[solve_crossing(q).evaluations for q in queries]
+                  for _ in range(2)]
+        assert sum(counts[0]) <= 88 and counts[0] == counts[1]
+
+    def test_newton_starts_at_the_second_order_root(self, monkeypatch):
+        # the first eigensolve lies at the second-order root; with no sign
+        # change of that residual in the window, at the harmonic root
+        seen = []
+        true_residual = crossings._numeric_residual
+
+        def recording(d, *args):
+            seen.append(d)
+            return true_residual(d, *args)
+        monkeypatch.setattr(crossings, "_numeric_residual", recording)
+        q = AlcQuery(0, 0, 4.0, backend="numerical")
+        solve_crossing(q)
+        assert seen[0] == pytest.approx(_second_order_root(0, 0, 4.0),
+                                        abs=1e-8)
+        seen.clear()
+        monkeypatch.setattr(crossings, "_anharmonic_residual",
+                            lambda d, m, n, a: 1.0)
+        sol = solve_crossing(q)
+        assert seen[0] == sol.harmonic_delta
+        assert sol.delta == pytest.approx(2.601628516e-3, abs=1e-8)
+
     def test_numerical_solve_does_not_import_scipy_optimize(self):
         code = ("import sys\n"
                 "from multiwell.crossings import AlcQuery, solve_crossing\n"
@@ -349,6 +388,60 @@ class TestNumericalSearch:
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+
+def _second_order_root(m, n, alpha, residual=None):
+    """The root of the second-order residual (or of residual) on the
+    default bracket, by Brent's method to 1e-13."""
+    def f(d):
+        return (residual or crossings._anharmonic_residual)(d, m, n, alpha)
+    return brent_root(f, -0.05, 0.05, f(-0.05), f(0.05), 1e-13)[0]
+
+
+def _taylor_level(p, x0, k):
+    """Level k of the well of p at x0 to second order, from p's derivatives:
+    w = sqrt(2 V''), s = 1/w, a = V'''/6, b = V''''/24."""
+    d = [p]
+    for _ in range(4):
+        d.append(d[-1].derivative())
+    v0, v2, v3, v4 = (float(d[i](x0)) for i in (0, 2, 3, 4))
+    w = math.sqrt(2.0 * v2)
+    s, a, b = 1.0 / w, v3 / 6.0, v4 / 24.0
+    return (v0 + w * (k + 0.5) + b * s * s * (6 * k * k + 6 * k + 3)
+            - a * a / w * s ** 3 * (30 * k * k + 30 * k + 11))
+
+
+class TestSecondOrderLevels:
+    @pytest.mark.parametrize("alpha,delta", [(1.5, -0.3), (4.0, 0.0026),
+                                             (6.0, 0.05)])
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_closed_form_matches_the_polynomial_derivatives(self, alpha,
+                                                            delta, k):
+        p = triple_well(alpha, delta)
+        central, outer = spectrum._n2_second_order(alpha, delta, k, k)
+        assert math.isclose(central, _taylor_level(p, 0.0, k), rel_tol=1e-12)
+        assert math.isclose(outer, _taylor_level(
+            p, alpha * math.sqrt(3.0 + delta), k), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("m,n,alpha", [(0, 0, 4.0), (3, 2, 3.5),
+                                           (1, 3, 6.0)])
+    def test_array_and_float_residuals_agree_in_sign(self, m, n, alpha):
+        deltas = np.linspace(-0.05, 0.05, 401)
+        values = crossings._anharmonic_residual(deltas, m, n, alpha)
+        assert [v < 0.0 for v in values] == \
+            [crossings._anharmonic_residual(float(d), m, n, alpha) < 0.0
+             for d in deltas]
+
+    def test_second_order_root_is_50_times_closer_than_the_harmonic(self):
+        # against the 48 converged reference deltas of the benchmark
+        entries = json.loads(REFERENCE_DELTAS.read_text())["entries"]
+        assert len(entries) == 48
+        for e in entries:
+            key = (e["m"], e["n"], e["alpha"])
+            harmonic = _second_order_root(*key, crossings._harmonic_residual)
+            second = _second_order_root(*key)
+            assert abs(e["delta_ref"] - second) <= \
+                abs(e["delta_ref"] - harmonic) / 50, key
 
 
 class TestCrossingTable:

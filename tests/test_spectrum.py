@@ -796,7 +796,7 @@ def test_warm_route_certifies_every_menu_block(monkeypatch):
     for alpha in (3.5, 4.0, 5.0, 6.0):
         for m, n in crossings.TABLE_PAIRS:
             solve_crossing(AlcQuery(m, n, alpha, backend="numerical"))
-    assert len(calls) == 112 and all(call[3] is not None for call in calls)
+    assert len(calls) == 80 and all(call[3] is not None for call in calls)
     for diag, off, start, (energy, vector) in calls:
         want_e, want_v = _stebz(diag, off, start.shape[1])
         assert np.all(np.abs(energy - want_e)
@@ -1051,9 +1051,37 @@ class TestWellWeights:
             expected = [rho[(x > lo) & (x < hi)].sum()
                         + 0.5 * rho[(x == lo) | (x == hi)].sum()
                         for lo, hi in zip(edges, edges[1:])]
-            got = [r.weight for r in spectrum._region_weights(pair, edges)]
+            got = spectrum._region_weights([pair], edges)[0]
             assert got == pytest.approx(expected, abs=1e-15)
             assert got[0] == expected[0] and got[-1] == expected[-1]
+
+    @pytest.mark.parametrize("alpha", [3.5, 4.0, 6.0])
+    def test_batched_weights_equal_the_per_pair_slices(self, alpha):
+        # the rows of one density matrix against each pair's own slices,
+        # and the labelled weights summed from them, bit for bit, over one-
+        # and nine-level solves along a crossing bracket
+        def slices(pair, edges):
+            rho = pair.psi ** 2 * pair.h
+            near = wells._isolation_tol(float(pair.x[-1]))
+            first = np.searchsorted(pair.x, np.subtract(edges, near), "left")
+            past = np.searchsorted(pair.x, np.add(edges, near), "right")
+            half = [0.5 * rho[a:b].sum() for a, b in zip(first, past)]
+            return [float(rho[past[j]:first[j + 1]].sum() + half[j]
+                          + half[j + 1]) for j in range(len(edges) - 1)]
+        cfg = crossings._default_numeric_config(
+            AlcQuery(3, 2, alpha, backend="numerical"))
+        edges, families = crossings._line_map(alpha, -0.05, 0.05,
+                                              cfg.half_width)
+        for k in (1, 9):
+            solver = dataclasses.replace(cfg, num_levels=k)
+            for delta in np.linspace(-0.05, 0.05, 9):
+                pairs = solve_numerical(triple_well(alpha, delta), solver)
+                rows = [slices(pair, edges) for pair in pairs]
+                assert spectrum._region_weights(pairs, edges) == rows
+                for lv, row in zip(spectrum._labels(pairs, edges, families),
+                                   rows):
+                    fam = [sum(row[j] for j in g) for _, g in families]
+                    assert (lv.w_central, lv.w_outer) == (fam[0], sum(fam[1:]))
 
     def test_edge_an_ulp_off_a_grid_point_splits_it_alike(self):
         # the polish puts a maximum on alpha or an ulp either side; a grid
@@ -1062,8 +1090,8 @@ class TestWellWeights:
         cfg = SolverConfig(half_width=5.5, grid_points=2201, num_levels=2)
         for pair in solve_numerical(triple_well(alpha, -0.35), cfg):
             assert alpha in pair.x
-            weights = [[r.weight for r in spectrum._region_weights(
-                pair, [-math.inf, -alpha, edge, math.inf])]
+            weights = [spectrum._region_weights(
+                [pair], [-math.inf, -alpha, edge, math.inf])[0]
                 for edge in (alpha, math.nextafter(alpha, math.inf))]
             assert weights[0] == weights[1]
 
