@@ -397,7 +397,8 @@ def _sweep_alc(cfg: dict):
     sols.sort(key=lambda s: s.delta)
     records = [{"m": s.m, "n": s.n, "delta": s.delta, "residual": s.residual,
                 "evaluations": s.evaluations,
-                "harmonic_delta": s.harmonic_delta} for s in sols]
+                "harmonic_delta": s.harmonic_delta,
+                "newton_step": s.newton_step} for s in sols]
     return ["m", "n", "delta", "residual"], records, {"crossing": None}
 
 

@@ -19,9 +19,12 @@ consumers (sweeps, densities, spectra).  V is linear in delta, so each
 level's exact slope is a Hellmann-Feynman sum over its eigenvector.  Newton's
 method on it starts from the second-order root (_anharmonic_residual), at
 least 84 times closer to the converged crossings than the harmonic root, and
-takes 1-2 eigensolves, each after the first started warm from the eigenpairs
-of the one before.  A crossing's bracket and a scan's lattice are delta-lines,
-each labelled by one well map found at its two ends (_line_map, _line_solve).
+takes a step without another eigensolve once it is short enough for the
+slope's error to leave it within tolerance: one eigensolve per crossing of
+the benchmark menu.  A longer path starts each eigensolve after the first
+warm from the eigenpairs of the one before.  A
+crossing's bracket and a scan's lattice are delta-lines, each labelled by
+one well map found at its two ends (_line_map, _line_solve).
 
 Both backends find the harmonic root first.  The closed-form residual
 (_harmonic_residual) takes a float or a numpy array, so bracket_scan
@@ -126,6 +129,9 @@ class AlcSolution:
     delta: float
     mu: float
     beta: float
+    # the residual at delta - (newton_step or 0): at delta on the harmonic
+    # backend and after Brent's method, else at the last eigensolve, from
+    # which Newton's method took newton_step
     residual: float
     backend: str
     # backend residual evaluations, bracket ends included: points, so the
@@ -134,6 +140,9 @@ class AlcSolution:
     # the closed-form root refined in the lattice's sign-change cell (delta
     # itself on the harmonic backend), None when the lattice has no cell
     harmonic_delta: float | None
+    # the Newton step delta - (delta of the last eigensolve); None on
+    # the harmonic backend and after Brent's fallback
+    newton_step: float | None
 
 
 @dataclass(frozen=True)
@@ -280,22 +289,31 @@ def _numeric_residual(delta: float, q: AlcQuery, cfg: SolverConfig,
         f"offcentral-{q.m} found in {[lv.label for lv in labeled]}")
 
 
+# Relative error of the Hellmann-Feynman slope, the bound its test against a
+# central difference allows: a Newton step s taken on it is off by at most
+# |s| * _SLOPE_REL_ERR (Newton's own O(s^2) error is far smaller at the
+# steps accepted), so _newton accepts a step that keeps this within tol.
+_SLOPE_REL_ERR = 1e-3
+
+
 def _newton(f, x: float, a: float, b: float,
-            tol: float) -> tuple[float, float] | None:
-    """Newton's method on f(x) -> (r, dr/dx) from x in [a, b]: (x, r) at the
-    first step of at most tol (the rtsafe stopping rule, Numerical Recipes
-    9.4), else None once a step leaves [a, b], r or the slope is not finite
-    or the slope is 0, or after six evaluations."""
+            tol: float) -> tuple[float, float, float] | None:
+    """Newton's method on f(x) -> (r, dr/dx) from x in [a, b]: (x + step, r,
+    step) at the first step -r/(dr/dx) whose own error under a slope off by
+    _SLOPE_REL_ERR, |step| * _SLOPE_REL_ERR, is at most tol, with r the
+    residual at x; the step is taken without evaluating f again.  None once
+    a step leaves [a, b], r or the slope is not finite or the slope is 0,
+    or after six evaluations."""
     for _ in range(6):
         r, slope = f(x)
         if not (math.isfinite(r) and math.isfinite(slope)) or slope == 0.0:
             return None
-        step = r / slope
-        if abs(step) <= tol:
-            return x, r
-        x -= step
+        step = -r / slope
+        x += step
         if not a <= x <= b:
             return None
+        if abs(step) * _SLOPE_REL_ERR <= tol:
+            return x, r, step
     return None
 
 
@@ -319,9 +337,10 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     Hellmann-Feynman slope, runs within near from the root of the
     second-order residual (_anharmonic_residual), which Brent's method
     finds on near, or from the harmonic root when near shows that residual
-    no sign change: 1-2 eigensolves.  Without a harmonic root, or when
-    Newton fails (_newton), Brent's method runs on near, then on q.bracket
-    if wider; a root outside near draws a warning.
+    no sign change, and takes its last step without another eigensolve:
+    one eigensolve on each of the 48 menu crossings.  Without a harmonic
+    root, or when Newton fails (_newton), Brent's method runs on near, then
+    on q.bracket if wider; a root outside near draws a warning.
 
     Raises ValueError when no window brackets a crossing; the numerical
     backend raises ParameterError when the bracket's ends have different
@@ -346,6 +365,7 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
                             delta_tol)
         near = (max(lo, a - (b - a)), min(hi, b + (b - a)))
     harmonic_delta = solved[0] if solved is not None else None
+    newton_step = None
     if q.backend == "numerical":
         cfg = q.solver if q.solver is not None else _default_numeric_config(q)
         well_map = _line_map(q.alpha, lo, hi, cfg.half_width)
@@ -362,6 +382,8 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
                 solved = brent_root(lambda d: _anharmonic_residual(
                     d, q.m, q.n, q.alpha), *near, fa, fb, delta_tol)
             solved = _newton(residual, solved[0], *near, delta_tol)
+            if solved is not None:
+                *solved, newton_step = solved
         if solved is None:  # Brent's method on near, then on a wider bracket
             for a, b in dict.fromkeys((near, (lo, hi))):
                 fa, fb = residual(a)[0], residual(b)[0]
@@ -380,7 +402,8 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     return AlcSolution(q.m, q.n, delta, mu=math.sqrt(2.0 + delta),
                        beta=q.alpha * math.sqrt(2.0 + delta),
                        residual=value, backend=q.backend,
-                       evaluations=evaluations, harmonic_delta=harmonic_delta)
+                       evaluations=evaluations, harmonic_delta=harmonic_delta,
+                       newton_step=newton_step)
 
 
 def crossing_table(alpha: float) -> list[AlcSolution]:

@@ -419,12 +419,30 @@ class TestSweep:
                                                               abs=1e-5)
         manifest = json.loads((outdir / "alc_manifest.json").read_text())
         # the manifest rounds delta to the CSV's 11 significant digits
-        got = [(r["delta"], r["evaluations"], r["harmonic_delta"])
-               for r in manifest["results"]]
+        got = [(r["delta"], r["evaluations"], r["harmonic_delta"],
+                r["newton_step"]) for r in manifest["results"]]
         expected = [solve_crossing(AlcQuery(m, n, 4.0)) for m, n in [(0, 0), (1, 2)]]
-        # on the harmonic backend the harmonic delta is the solution itself
+        # on the harmonic backend the harmonic delta is the solution itself,
+        # and no Newton step is taken
         assert got == [(float(f"{s.delta:.10e}"), s.evaluations,
-                        float(f"{s.delta:.10e}")) for s in expected]
+                        float(f"{s.delta:.10e}"), None) for s in expected]
+
+    def test_numerical_alc_sweep_records_the_newton_step(self, capsys,
+                                                         tmp_path):
+        config = self.write_config(tmp_path, "\n".join([
+            "kind = alc", "alpha = 4", "pairs = 0:0", "backend = numerical",
+        ]))
+        outdir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "sweep", "--config", config,
+                             "--outdir", str(outdir))
+        assert code == EXIT_OK
+        lines = (outdir / "alc.csv").read_text().strip().splitlines()
+        assert lines[0] == "m,n,delta,residual"
+        (record,) = json.loads(
+            (outdir / "alc_manifest.json").read_text())["results"]
+        sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+        assert record["evaluations"] == sol.evaluations == 1
+        assert record["newton_step"] == float(f"{sol.newton_step:.10e}")
 
     def test_tilt_sweep_smooth_contrast(self, capsys, tmp_path):
         config = self.write_config(tmp_path, "\n".join([

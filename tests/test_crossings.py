@@ -156,7 +156,11 @@ class TestNumericalSearch:
         # the O(h^2)-shifted crossing of the raw grid energies
         assert sol.delta == pytest.approx(2.601628516e-3, abs=1e-8)
 
-    @pytest.mark.parametrize("m,n,alpha", [(0, 0, 4.0), (3, 3, 3.5), (1, 3, 6.0)])
+    # the three first cases, then the rest of alpha = 3.5, where the menu's
+    # Newton steps are longest
+    @pytest.mark.parametrize("m,n,alpha", list(dict.fromkeys(
+        [(0, 0, 4.0), (3, 3, 3.5), (1, 3, 6.0)]
+        + [(m, n, 3.5) for m, n in TABLE_PAIRS])))
     def test_hellmann_feynman_slope_matches_central_difference(self, m, n,
                                                                alpha):
         q = AlcQuery(m, n, alpha, backend="numerical")
@@ -247,18 +251,23 @@ class TestNumericalSearch:
         assert sol.delta == pytest.approx(0.01, abs=1e-8)
 
     def test_newton_giving_up_falls_back_to_brent(self, monkeypatch):
-        # half the true slope doubles every Newton step, so each overshoots
-        # and _newton stops after six evaluations without converging
-        expected = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+        # a slope of the wrong sign doubles the distance to the root at
+        # every Newton step; from the harmonic root of (3, 3), 1.2e-4 away,
+        # no step is short enough to accept before one leaves the window,
+        # and Brent's method takes over
+        q = AlcQuery(3, 3, 4.0, backend="numerical")
+        expected = solve_crossing(q)
         true_residual = crossings._numeric_residual
 
-        def half_slope(d, q, cfg, well_map, start=None):
+        def wrong_sign(d, q, cfg, well_map, start=None):
             r, slope, pairs = true_residual(d, q, cfg, well_map, start)
-            return r, 0.5 * slope, pairs
-        monkeypatch.setattr(crossings, "_numeric_residual", half_slope)
-        sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
+            return r, -slope, pairs
+        monkeypatch.setattr(crossings, "_numeric_residual", wrong_sign)
+        monkeypatch.setattr(crossings, "_anharmonic_residual",
+                            lambda d, m, n, a: 1.0)
+        sol = solve_crossing(q)
         assert sol.delta == pytest.approx(expected.delta, abs=1e-8)
-        assert sol.evaluations > 6
+        assert sol.newton_step is None and sol.evaluations > 6
 
     def test_newton_solves_start_from_the_last_one(self, monkeypatch):
         # each Newton eigensolve after the first starts from the eigenpairs
@@ -268,9 +277,11 @@ class TestNumericalSearch:
             calls.append((start, solve_numerical(p, cfg, start=start)))
             return calls[-1][1]
         monkeypatch.setattr(crossings, "solve_numerical", recording)
-        # (0, 0) at alpha = 3.5 still takes two Newton solves from its
-        # second-order start; at alpha = 4 the first solve ends it
-        solve_crossing(AlcQuery(0, 0, 3.5, backend="numerical"))
+        # from its second-order root every menu crossing takes one solve;
+        # from the harmonic root, 1.2e-4 away, (3, 3) takes two
+        monkeypatch.setattr(crossings, "_anharmonic_residual",
+                            lambda d, m, n, a: 1.0)
+        solve_crossing(AlcQuery(3, 3, 4.0, backend="numerical"))
         assert len(calls) >= 2 and calls[0][0] is None
         for (_, before), (start, _) in zip(calls, calls[1:]):
             assert start is before
@@ -335,10 +346,15 @@ class TestNumericalSearch:
     def test_warm_solves_move_no_menu_crossing(self, monkeypatch):
         # the 48 menu crossings (the table pairs at alpha in {3.5, 4, 5, 6})
         # with warm Newton solves and with every solve cold: delta within
-        # 1e-14, and the same eigensolve count
+        # 1e-14, and the same eigensolve count.  From the second-order root
+        # each takes one, cold, solve; from the harmonic root 25 of them
+        # take a second, warm, one
+        monkeypatch.setattr(crossings, "_anharmonic_residual",
+                            lambda d, m, n, a: 1.0)
         queries = [AlcQuery(m, n, alpha, backend="numerical")
                    for alpha in (3.5, 4.0, 5.0, 6.0) for m, n in TABLE_PAIRS]
         warm = [solve_crossing(q) for q in queries]
+        assert sum(sol.evaluations for sol in warm) == 48 + 25
         true_residual = crossings._numeric_residual
         monkeypatch.setattr(crossings, "_numeric_residual",
                             lambda d, q, cfg, well_map, start=None:
@@ -348,15 +364,35 @@ class TestNumericalSearch:
             assert abs(sol.delta - cold.delta) <= 1e-14, (q.m, q.n, q.alpha)
             assert sol.evaluations == cold.evaluations
 
-    def test_menu_crossings_take_at_most_88_eigensolves(self):
-        # Newton from the second-order root: 88 eigensolves over the 48
-        # menu crossings (104 from the harmonic root), the same count on
+    def test_menu_crossings_take_48_eigensolves(self):
+        # Newton from the second-order root: one eigensolve per menu
+        # crossing, whose step is taken without another, the same count on
         # every run
         queries = [AlcQuery(m, n, alpha, backend="numerical")
                    for alpha in (3.5, 4.0, 5.0, 6.0) for m, n in TABLE_PAIRS]
         counts = [[solve_crossing(q).evaluations for q in queries]
                   for _ in range(2)]
-        assert sum(counts[0]) <= 88 and counts[0] == counts[1]
+        assert sum(counts[0]) == 48 and counts[0] == counts[1]
+
+    @pytest.mark.parametrize("m,n", TABLE_PAIRS)
+    def test_one_step_lands_within_its_slope_error_of_the_root(self, m, n):
+        # at alpha = 3.5, the menu's longest steps (up to 4.8e-6): delta,
+        # one step from the first eigensolve, lies within 2e-4 of that step
+        # of the root of the same residual refined by Brent's method to
+        # 1e-14 over the widened harmonic cell (8.3e-5 of it is measured)
+        q = AlcQuery(m, n, 3.5, backend="numerical")
+        sol = solve_crossing(q)
+        assert sol.evaluations == 1 and sol.newton_step is not None
+        cfg = crossings._default_numeric_config(q)
+        a, b, _ = bracket_scan(
+            lambda d: crossings._harmonic_residual(d, m, n, 3.5),
+            -0.05, 0.05)[0]
+        a, b = a - (b - a), b + (b - a)
+
+        def residual(d):
+            return _residual(d, q, cfg)[0]
+        root = brent_root(residual, a, b, residual(a), residual(b), 1e-14)[0]
+        assert abs(sol.delta - root) <= 2e-4 * abs(sol.newton_step)
 
     def test_newton_starts_at_the_second_order_root(self, monkeypatch):
         # the first eigensolve lies at the second-order root; with no sign

@@ -110,7 +110,7 @@ def test_readme_library_tour():
     assert [lv.label for lv in namespace["levels"][:3]] == \
         ["central-0", "offcentral-0", "offcentral-0"]
     assert namespace["harmonic"].delta == pytest.approx(0.0026042, abs=5e-8)
-    assert namespace["numerical"].delta == pytest.approx(0.00260163, abs=5e-9)
+    assert namespace["numerical"].delta == pytest.approx(0.00260162, abs=5e-9)
     assert len(namespace["table"]) == 12
 
 
