@@ -21,10 +21,9 @@ method on it starts from the second-order root (_anharmonic_residual), at
 least 84 times closer to the converged crossings than the harmonic root, and
 takes a step without another eigensolve once it is short enough for the
 slope's error to leave it within tolerance: one eigensolve per crossing of
-the benchmark menu.  A longer path starts each eigensolve after the first
-warm from the eigenpairs of the one before.  A
-crossing's bracket and a scan's lattice are delta-lines, each labelled by
-one well map found at its two ends (_line_map, _line_solve).
+the benchmark menu.  A crossing's bracket and a scan's lattice are
+delta-lines, each labelled by one well map found at its two ends
+(_line_map, _line_solve).
 
 Both backends find the harmonic root first.  The closed-form residual
 (_harmonic_residual) takes a float or a numpy array, so bracket_scan
@@ -251,23 +250,22 @@ def _line_map(alpha: float, lo: float, hi: float, window: float
 
 
 def _line_solve(alpha: float, delta: float, cfg: SolverConfig,
-                well_map: tuple, start: list[Eigenpair] | None = None
+                well_map: tuple
                 ) -> tuple[list[Eigenpair], list[LabeledLevel]]:
-    """The eigenpairs of triple_well(alpha, delta) on cfg, from start when
-    given, and their labels by a _line_map."""
-    pairs = solve_numerical(triple_well(alpha, delta), cfg, start=start)
+    """The eigenpairs of triple_well(alpha, delta) on cfg and their labels
+    by a _line_map."""
+    pairs = solve_numerical(triple_well(alpha, delta), cfg)
     return pairs, _labels(pairs, *well_map)
 
 
 def _numeric_residual(delta: float, q: AlcQuery, cfg: SolverConfig,
-                      well_map: tuple, start: list[Eigenpair] | None = None
-                      ) -> tuple[float, float, list[Eigenpair]]:
+                      well_map: tuple) -> tuple[float, float]:
     """Mean corrected energy of doublet m minus corrected central level n,
-    its delta-slope from the Hellmann-Feynman slopes sum psi^2 dV h of the
-    grid energies, dV/ddelta = alpha^2 (3 alpha^2 x^2 - 1.5 x^4) exactly
+    and its delta-slope from the Hellmann-Feynman slopes sum psi^2 dV h of
+    the grid energies, dV/ddelta = alpha^2 (3 alpha^2 x^2 - 1.5 x^4) exactly
     (the slope leaves out d(error_estimate)/ddelta; nan when r is +-inf),
-    and the eigenpairs, solved and labelled by _line_solve."""
-    pairs, labeled = _line_solve(q.alpha, delta, cfg, well_map, start)
+    on the eigenpairs solved and labelled by _line_solve."""
+    pairs, labeled = _line_solve(q.alpha, delta, cfg, well_map)
     a2, x2 = q.alpha * q.alpha, pairs[0].x ** 2
     dv = a2 * x2 * (3.0 * a2 - 1.5 * x2)
     central, doublet = ([(pair.energy + pair.error_estimate,
@@ -277,13 +275,13 @@ def _numeric_residual(delta: float, q: AlcQuery, cfg: SolverConfig,
     if central and doublet:  # (energy, slope) of the doublet mean - central
         r, slope = (sum(v) / len(doublet) - c
                     for v, c in zip(zip(*doublet), central[0]))
-        return r, slope, pairs
+        return r, slope
     # a family missing from the solved window still fixes the residual sign:
     # the absent level lies above every computed one
     if central:
-        return math.inf, math.nan, pairs
+        return math.inf, math.nan
     if doublet:
-        return -math.inf, math.nan, pairs
+        return -math.inf, math.nan
     raise LabelsUnresolvedError(
         f"labels unresolved at delta={delta:.8g}: neither central-{q.n} nor "
         f"offcentral-{q.m} found in {[lv.label for lv in labeled]}")
@@ -332,8 +330,7 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     The numerical backend counts eigensolves of one residual: the corrected
     energies on q.solver, or else on the grid resolve_solver gives the
     bracket's widest triple well at step CROSSING_STEP, labelled by the
-    bracket's well map (_line_map), each eigensolve after the first started
-    from the eigenpairs of the one before.  Newton's method, with the
+    bracket's well map (_line_map).  Newton's method, with the
     Hellmann-Feynman slope, runs within near from the root of the
     second-order residual (_anharmonic_residual), which Brent's method
     finds on near, or from the harmonic root when near shows that residual
@@ -369,13 +366,12 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     if q.backend == "numerical":
         cfg = q.solver if q.solver is not None else _default_numeric_config(q)
         well_map = _line_map(q.alpha, lo, hi, cfg.half_width)
-        evaluations, pairs = 0, None  # from here on, eigensolves only
+        evaluations = 0  # from here on, eigensolves only
 
-        def residual(d):    # each eigensolve starts from the last one's pairs
-            nonlocal evaluations, pairs
+        def residual(d):
+            nonlocal evaluations
             evaluations += 1
-            r, slope, pairs = _numeric_residual(d, q, cfg, well_map, pairs)
-            return r, slope
+            return _numeric_residual(d, q, cfg, well_map)
         if solved is not None:  # from the second-order root when near has one
             fa, fb = (_anharmonic_residual(d, q.m, q.n, q.alpha) for d in near)
             if (fa < 0.0) != (fb < 0.0):

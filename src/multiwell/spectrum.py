@@ -7,12 +7,11 @@ needs one level is solved by shift-and-invert on LAPACK dpttrf/dpttrs from
 a harmonic first shift (one rule, _harmonic_guess, for every block) and
 min V as its first lower bound, every shift certified by the signs of the
 factor's pivots.  Any other block runs Rayleigh-quotient iteration on
-LAPACK dgttrf/dgttrs, certified by one Sturm count and a residual-and-gap
-bound (_refined), from the vectors of a nearby solve on its grid (a step
-along a parameter path) or else from loose bisection plus inverse
-iteration (stebz/stein).  All reach stebz's absolute tolerance, ulp * max
-|Gershgorin end|; a block neither start certifies (clustered levels, say)
-takes bisection to that tolerance.
+LAPACK dgttrf/dgttrs from loose bisection plus inverse iteration
+(stebz/stein), certified by one Sturm count and a residual-and-gap bound
+(_refined).  All reach stebz's absolute tolerance, ulp * max |Gershgorin
+end|; a block neither route certifies (clustered levels, say) takes
+bisection to that tolerance.
 A reflection-symmetric potential is solved as separate even and odd blocks
 on the half grid x >= 0, so its levels have exact parity.  Each numerical
 level carries error_estimate, the first-order correction of its O(h^2)
@@ -467,29 +466,27 @@ def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray] | None:
     """Lowest k eigenpairs of the tridiagonal T = (diag, off) from start, an
     (n, k) matrix whose column j is near the eigenvector of level j (stein's
-    vectors from loose bisection, or the block's vectors at a nearby
-    parameter), by Rayleigh-quotient iteration certified by one Sturm count;
-    None when a factorization fails, a level does not converge in
-    _RQI_ROUNDS rounds or the certificate fails.
+    vectors from loose bisection), by Rayleigh-quotient iteration certified
+    by one Sturm count; None when a factorization fails, a level does not
+    converge in _RQI_ROUNDS rounds or the certificate fails.
 
-    Column j starts at its Rayleigh quotient rho_j on T (for a start at a
-    nearby parameter and T linear in it, the old level plus its
-    Hellmann-Feynman shift) and repeats u <- (T - rho_j I)^-1 u on
-    dgttrf/dgttrs until its residual r_j = |T u - rho_j u| is within stebz's
-    tolerance tol (_tolerance), a vector as accurate as stein's.  Let p_j
-    be the midpoint of rho_j and rho_{j+1}, p_0 = -inf and p_k = rho_k +
-    2a, a = _LOCATE_TOL, and g_j = min(rho_j - p_{j-1}, p_j - rho_j), which
-    must exceed a: the quotients ascend with j, neighbours more than 2a
-    apart (a start with its columns out of level order, or two columns on
-    one level, is refused).  When r_j < g_j / 2, some level lies within
-    r_j of rho_j, inside (p_{j-1}, p_j], so the Sturm count (_count) at p_k
-    is at least k.  When it is exactly k (Sylvester inertia, Parlett, The
-    Symmetric Eigenvalue Problem, SIAM 1998, ch. 4), each interval holds
-    one level, the j-th, as counts at every p_j would show, and the other
-    levels lie at least g_j from rho_j.  Kato-Temple (sec. 10.5) then
-    bounds |lambda_j - rho_j| by r_j^2 / (g_j - r_j), which must be within
-    tol, and u_j lies within the angle r_j / (g_j - r_j) <= tol / (a - tol)
-    of its eigenvector (Davis & Kahan, SIAM J. Numer. Anal. 7, 1 (1970)).
+    Column j starts at its Rayleigh quotient rho_j on T and repeats
+    u <- (T - rho_j I)^-1 u on dgttrf/dgttrs until its residual
+    r_j = |T u - rho_j u| is within stebz's tolerance tol (_tolerance), a
+    vector as accurate as stein's.  Let p_j be the midpoint of rho_j and
+    rho_{j+1}, p_0 = -inf and p_k = rho_k + 2a, a = _LOCATE_TOL, and
+    g_j = min(rho_j - p_{j-1}, p_j - rho_j), which must exceed a: the
+    quotients ascend with j, neighbours more than 2a apart (a start with
+    its columns out of level order, or two columns on one level, is
+    refused).  When r_j < g_j / 2, some level lies within r_j of rho_j,
+    inside (p_{j-1}, p_j], so the Sturm count (_count) at p_k is at least
+    k.  When it is exactly k (Sylvester inertia, Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998, ch. 4), each interval holds one level,
+    the j-th, as counts at every p_j would show, and the other levels lie
+    at least g_j from rho_j.  Kato-Temple (sec. 10.5) then bounds
+    |lambda_j - rho_j| by r_j^2 / (g_j - r_j), which must be within tol,
+    and u_j lies within the angle r_j / (g_j - r_j) <= tol / (a - tol) of
+    its eigenvector (Davis & Kahan, SIAM J. Numer. Anal. 7, 1 (1970)).
     Without the 2a rule g_j could shrink to the splitting of a near
     doublet, and that angle grow with tol / g_j.
     """
@@ -521,22 +518,16 @@ def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray
     return rho, vectors
 
 
-def _lowest(diag: np.ndarray, off: np.ndarray, k: int, cfg: SolverConfig,
-            start: np.ndarray | None = None
+def _lowest(diag: np.ndarray, off: np.ndarray, k: int, cfg: SolverConfig
             ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of a symmetric tridiagonal matrix with negative
-    off-diagonal.  With start, the (n, k) vectors of the same block at a
-    nearby parameter, _refined runs from them first; without it, or when it
-    gives up, _ground for k == 1 and _located (loose stebz/stein, then
+    off-diagonal: _ground for k == 1 and _located (loose stebz/stein, then
     _refined) for k >= 2; when those give up (a cluster below the loose
     tolerance, say), LAPACK bisection on the Sturm count to stebz's full
     precision plus inverse iteration (stebz/stein), which also raises
     ConvergenceError on a LAPACK failure."""
     _load_lapack()
-    found = None if start is None else _refined(diag, off, start)
-    if found is None:
-        found = _ground(diag, off) if k == 1 else \
-            _located(diag, off, k)
+    found = _ground(diag, off) if k == 1 else _located(diag, off, k)
     if found is not None:
         return found
     # the calls eigh_tridiagonal(select="i", lapack_driver="stebz") makes:
@@ -559,8 +550,7 @@ def _check_info(routine: str, info: int, cfg: SolverConfig) -> None:
             f"lam={cfg.lam:g})")
 
 
-def solve_numerical(p: Polynomial, cfg: SolverConfig, *,
-                    start: list[Eigenpair] | None = None) -> list[Eigenpair]:
+def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     """Lowest cfg.num_levels eigenpairs of the discretized operator.
 
     Second-order central differences, diagonal V(x_i) + 2*lam^2/h^2,
@@ -572,12 +562,6 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig, *,
     _lowest); wavefunctions are returned L2-normalized (sum psi^2 * h = 1)
     with deterministic sign (the leftmost largest |psi| is positive).  Each
     level's error_estimate is h^2/(12 lam^2) * sum (V - E)^2 psi^2 h.
-
-    start, the result of a solve on the same config at a nearby potential
-    (a step along a parameter path), makes each block run _refined from its
-    old vectors first, with the same certificate as the multi-level cold
-    route; a block it cannot certify takes the cold route.  Without start
-    the result does not depend on any earlier solve.
 
     A reflection-symmetric potential is solved as two half-grid blocks on
     x >= 0: an even block (psi(0) free; its unknown at x = 0 is
@@ -593,31 +577,22 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig, *,
     if k > n - 2:
         raise ParameterError(f"requested {k} levels on a grid with "
                              f"{n - 2} interior points")
-    old = even = odd = None
-    if start is not None:
-        if len(start) != k or any(pair.psi.size != n for pair in start):
-            raise ParameterError(f"start must hold {k} levels on {n} grid "
-                                 "points, as solved on this config")
-        old = np.column_stack([pair.psi for pair in start])
     x = cfg.grid()
     h = cfg.step
     off = -cfg.lam * cfg.lam / (h * h)
     if p.is_even:
         c = (n - 1) // 2    # x[c] = 0
-        if old is not None:
-            even, odd = old[c:-1, 0::2], old[c + 1:-1, 1::2]
-            even[0] /= math.sqrt(2.0)
         diag = p(x[c:-1]) - 2.0 * off
         even_off = np.full(c - 1, off)
         even_off[0] *= math.sqrt(2.0)
         energies = np.empty(k)
         half = np.zeros((c, k))    # psi on x[c:-1], one column per level
         energies[0::2], half[:, 0::2] = _lowest(
-            diag, even_off, (k + 1) // 2, cfg, even)
+            diag, even_off, (k + 1) // 2, cfg)
         half[0, 0::2] *= math.sqrt(2.0)
         if k > 1:
             energies[1::2], half[1:, 1::2] = _lowest(
-                diag[1:], np.full(c - 2, off), k // 2, cfg, odd)
+                diag[1:], np.full(c - 2, off), k // 2, cfg)
         # the blocks are solved separately, each to about ulp * |T|: a
         # doublet split below that may come out with its odd member lower
         energies = np.maximum.accumulate(energies)
@@ -628,8 +603,7 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig, *,
         v = np.concatenate((v[:0:-1], v))
     else:
         v = p(x[1:-1])
-        energies, vectors = _lowest(v - 2.0 * off, np.full(n - 3, off), k, cfg,
-                                    None if old is None else old[1:-1])
+        energies, vectors = _lowest(v - 2.0 * off, np.full(n - 3, off), k, cfg)
     # the grid operator is the continuum one minus (lam^2 h^2 / 12) d4/dx4
     # + O(h^4); to first order that shifts E by (lam^2 h^2 / 12) |psi''|^2,
     # with lam^2 psi'' = (V - E) psi

@@ -145,12 +145,12 @@ class TestNumericalSearch:
 
     def test_ground_pair_takes_few_eigensolves(self, monkeypatch):
         calls = []
-        def counting(p, cfg, start=None):
+        def counting(p, cfg):
             calls.append(cfg)
-            return solve_numerical(p, cfg, start=start)
+            return solve_numerical(p, cfg)
         monkeypatch.setattr(crossings, "solve_numerical", counting)
         sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
-        assert len(calls) <= 3
+        assert len(calls) == 1
         assert sol.evaluations == len(calls)
         # the corrected energies put delta at the converged value, not at
         # the O(h^2)-shifted crossing of the raw grid energies
@@ -166,7 +166,7 @@ class TestNumericalSearch:
         q = AlcQuery(m, n, alpha, backend="numerical")
         cfg = crossings._default_numeric_config(q)
         delta = solve_crossing(q).delta
-        _, slope, _ = _residual(delta, q, cfg)
+        _, slope = _residual(delta, q, cfg)
         h = 1e-5
         up, down = (_residual(delta + s, q, cfg)[0] for s in (h, -h))
         difference = (up - down) / (2 * h)
@@ -194,9 +194,8 @@ class TestNumericalSearch:
 
     def test_nan_slope_falls_back_to_brent(self, monkeypatch):
         true_residual = crossings._numeric_residual
-        def no_slope(d, q, cfg, well_map, start=None):
-            r, _, pairs = true_residual(d, q, cfg, well_map, start)
-            return r, math.nan, pairs
+        def no_slope(d, q, cfg, well_map):
+            return true_residual(d, q, cfg, well_map)[0], math.nan
         monkeypatch.setattr(crossings, "_numeric_residual", no_slope)
         sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
         assert sol.delta == pytest.approx(2.601628516e-3, abs=1e-8)
@@ -259,9 +258,9 @@ class TestNumericalSearch:
         expected = solve_crossing(q)
         true_residual = crossings._numeric_residual
 
-        def wrong_sign(d, q, cfg, well_map, start=None):
-            r, slope, pairs = true_residual(d, q, cfg, well_map, start)
-            return r, -slope, pairs
+        def wrong_sign(d, q, cfg, well_map):
+            r, slope = true_residual(d, q, cfg, well_map)
+            return r, -slope
         monkeypatch.setattr(crossings, "_numeric_residual", wrong_sign)
         monkeypatch.setattr(crossings, "_anharmonic_residual",
                             lambda d, m, n, a: 1.0)
@@ -269,51 +268,20 @@ class TestNumericalSearch:
         assert sol.delta == pytest.approx(expected.delta, abs=1e-8)
         assert sol.newton_step is None and sol.evaluations > 6
 
-    def test_newton_solves_start_from_the_last_one(self, monkeypatch):
-        # each Newton eigensolve after the first starts from the eigenpairs
-        # of the one before
-        calls = []
-        def recording(p, cfg, start=None):
-            calls.append((start, solve_numerical(p, cfg, start=start)))
-            return calls[-1][1]
-        monkeypatch.setattr(crossings, "solve_numerical", recording)
-        # from its second-order root every menu crossing takes one solve;
-        # from the harmonic root, 1.2e-4 away, (3, 3) takes two
-        monkeypatch.setattr(crossings, "_anharmonic_residual",
-                            lambda d, m, n, a: 1.0)
-        solve_crossing(AlcQuery(3, 3, 4.0, backend="numerical"))
-        assert len(calls) >= 2 and calls[0][0] is None
-        for (_, before), (start, _) in zip(calls, calls[1:]):
-            assert start is before
-
     def test_brent_fallback_matches_cold_solves(self, monkeypatch):
         # with no usable slope, Brent's method takes over after the first
-        # solve; each of its solves starts from the pairs of the one before,
-        # and delta stays within 1e-14 of the same search solved all cold,
-        # at the same eigensolve count
+        # solve and lands within delta_tol of Newton's delta
+        queries = [AlcQuery(m, n, alpha, backend="numerical")
+                   for m, n, alpha in ((0, 0, 4.0), (3, 2, 3.5), (1, 3, 6.0))]
+        newton = [solve_crossing(q) for q in queries]
         true_residual = crossings._numeric_residual
-        starts = []
-
-        def no_slope(cold):
-            def residual(d, q, cfg, well_map, start=None):
-                starts.append(start)
-                r, _, pairs = true_residual(d, q, cfg, well_map,
-                                            None if cold else start)
-                return r, math.nan, pairs
-            return residual
-        for m, n, alpha in ((0, 0, 4.0), (3, 2, 3.5), (1, 3, 6.0)):
-            q = AlcQuery(m, n, alpha, backend="numerical")
-            monkeypatch.setattr(crossings, "_numeric_residual",
-                                no_slope(cold=False))
-            warm = solve_crossing(q)
-            assert warm.evaluations > 3 and starts[0] is None
-            assert all(start is not None for start in starts[1:])
-            monkeypatch.setattr(crossings, "_numeric_residual",
-                                no_slope(cold=True))
-            cold = solve_crossing(q)
-            assert abs(warm.delta - cold.delta) <= 1e-14, (m, n, alpha)
-            assert warm.evaluations == cold.evaluations
-            starts.clear()
+        monkeypatch.setattr(crossings, "_numeric_residual",
+                            lambda d, q, cfg, well_map:
+                            (true_residual(d, q, cfg, well_map)[0], math.nan))
+        for q, want in zip(queries, newton):
+            sol = solve_crossing(q)
+            assert sol.evaluations > 3 and sol.newton_step is None
+            assert abs(sol.delta - want.delta) <= 1e-8, (q.m, q.n, q.alpha)
 
     def test_one_well_map_per_crossing(self, monkeypatch):
         # the resolver isolates the stationary points once and the well map
@@ -345,24 +313,18 @@ class TestNumericalSearch:
 
     def test_warm_solves_move_no_menu_crossing(self, monkeypatch):
         # the 48 menu crossings (the table pairs at alpha in {3.5, 4, 5, 6})
-        # with warm Newton solves and with every solve cold: delta within
-        # 1e-14, and the same eigensolve count.  From the second-order root
-        # each takes one, cold, solve; from the harmonic root 25 of them
-        # take a second, warm, one
-        monkeypatch.setattr(crossings, "_anharmonic_residual",
-                            lambda d, m, n, a: 1.0)
+        # with Newton started at the harmonic root, not the second-order
+        # one: 25 of them take a second eigensolve, and every delta lies
+        # within 1e-9 of the default one-solve delta (3.9e-10 is measured)
         queries = [AlcQuery(m, n, alpha, backend="numerical")
                    for alpha in (3.5, 4.0, 5.0, 6.0) for m, n in TABLE_PAIRS]
-        warm = [solve_crossing(q) for q in queries]
-        assert sum(sol.evaluations for sol in warm) == 48 + 25
-        true_residual = crossings._numeric_residual
-        monkeypatch.setattr(crossings, "_numeric_residual",
-                            lambda d, q, cfg, well_map, start=None:
-                            true_residual(d, q, cfg, well_map))
-        for q, sol in zip(queries, warm):
-            cold = solve_crossing(q)
-            assert abs(sol.delta - cold.delta) <= 1e-14, (q.m, q.n, q.alpha)
-            assert sol.evaluations == cold.evaluations
+        default = [solve_crossing(q).delta for q in queries]
+        monkeypatch.setattr(crossings, "_anharmonic_residual",
+                            lambda d, m, n, a: 1.0)
+        sols = [solve_crossing(q) for q in queries]
+        assert sum(sol.evaluations for sol in sols) == 48 + 25
+        for q, sol, delta in zip(queries, sols, default):
+            assert abs(sol.delta - delta) <= 1e-9, (q.m, q.n, q.alpha)
 
     def test_menu_crossings_take_48_eigensolves(self):
         # Newton from the second-order root: one eigensolve per menu

@@ -734,93 +734,61 @@ def test_multi_level_route_needs_a_level_above(monkeypatch, capfd):
                   >= 1.0 - 1e-12)
 
 
-def _spy_warm(monkeypatch) -> list:
-    """Record (diag, off, start, result) of every warm call of
-    spectrum._refined: the one _lowest makes from a solve's start, not
-    those of the cold route _located."""
+def _blocks(p, cfg) -> list:
+    """(diag, off, (energies, vectors)) of each tridiagonal block that
+    solve_numerical(p, cfg) solves: the even and odd half-grid blocks of a
+    symmetric potential, or its one full-grid block."""
     calls = []
-    refined = spectrum._refined
+    lowest = spectrum._lowest
 
-    def spy(diag, off, start):
-        found = refined(diag, off, start)
-        if sys._getframe(1).f_code.co_name == "_lowest":
-            calls.append((diag, off, start, found))
-        return found
-    monkeypatch.setattr(spectrum, "_refined", spy)
+    def spy(diag, off, k, cfg):
+        calls.append((diag, off, lowest(diag, off, k, cfg)))
+        return calls[-1][2]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "_lowest", spy)
+        solve_numerical(p, cfg)
     return calls
 
 
-def _golden_solves() -> list:
-    """(p, cfg) of solves on the grids of the golden sweeps and spectra:
-    the relocalization sweep (2 levels) and the five-level spectrum at
-    alpha = 4, the alc sweep's crossing grid, the tilt sweep at s1 = 8, and
-    a tilted double well, one full-grid block."""
-    reloc = SolverConfig(9.5, 3801, 2)
-    alc = crossings._default_numeric_config(AlcQuery(0, 0, 4.0,
-                                                     backend="numerical"))
-    tilt = SolverConfig(5.5, 2201, 1)
-    tilted = tilted_double_well(4.0, 0.5)
-    return ([(triple_well(4.0, d), reloc) for d in (0.0, 0.0025, 0.005)]
-            + [(triple_well(4.0, 0.0), dataclasses.replace(reloc,
-                                                           num_levels=5))]
-            + [(triple_well(4.0, d), alc) for d in (-0.01, 0.0026, 0.01)]
-            + [(tilted_double_well(8.0, b), tilt) for b in (-0.3, 1e-3)]
-            + [(tilted, resolve_solver(tilted, 7))])
-
-
-def _bits(pairs) -> bytes:
-    return b"".join(np.float64(pair.energy).tobytes() + pair.psi.tobytes()
-                    for pair in pairs)
-
-
-def test_solve_without_a_start_never_runs_the_warm_route(monkeypatch):
-    # a solve without start takes the cold routes alone, so its energies
-    # and vectors are those of the routes before the warm one, bit for
-    # bit, and a warm solve made before it does not change them
-    calls = _spy_warm(monkeypatch)
-    cold = [_bits(solve_numerical(p, cfg)) for p, cfg in _golden_solves()]
-    assert calls == []
-    for (p, cfg), want in zip(_golden_solves(), cold):
-        solve_numerical(p, cfg, start=solve_numerical(p, cfg))
-        assert _bits(solve_numerical(p, cfg)) == want
-    assert len(calls) > len(cold)
-
-
 def test_warm_route_certifies_every_menu_block(monkeypatch):
-    # each Newton solve after the first starts from the last one's vectors:
-    # every block of the 48 menu crossings (the table pairs at alpha in
-    # {3.5, 4, 5, 6}) is certified, and agrees with bisection to full
+    # every multi-level block of the 48 menu crossings (the table pairs at
+    # alpha in {3.5, 4, 5, 6}) is certified by _refined on the vectors of
+    # loose bisection (_located), and agrees with bisection to full
     # precision, energies within stebz's tolerance and vectors to 1e-12 in
-    # |<v, v_ref>|.  From the second-order root each crossing takes one
-    # solve, so Newton starts at the harmonic root, where 25 crossings take
-    # a second, warm, solve of two blocks
+    # |<v, v_ref>|: the 96 blocks of the one solve per crossing from the
+    # second-order root, and those of the 73 solves from the harmonic root
+    calls = _spy_located(monkeypatch)
+    queries = [AlcQuery(m, n, alpha, backend="numerical")
+               for alpha in (3.5, 4.0, 5.0, 6.0)
+               for m, n in crossings.TABLE_PAIRS]
+    for q in queries:
+        solve_crossing(q)
+    assert len(calls) == 2 * 48
     monkeypatch.setattr(crossings, "_anharmonic_residual",
                         lambda d, m, n, a: 1.0)
-    calls = _spy_warm(monkeypatch)
-    for alpha in (3.5, 4.0, 5.0, 6.0):
-        for m, n in crossings.TABLE_PAIRS:
-            solve_crossing(AlcQuery(m, n, alpha, backend="numerical"))
-    assert len(calls) == 50 and all(call[3] is not None for call in calls)
-    for diag, off, start, (energy, vector) in calls:
-        want_e, want_v = _stebz(diag, off, start.shape[1])
+    for q in queries:
+        solve_crossing(q)
+    assert len(calls) == 2 * (48 + 73)
+    assert all(call[3] is not None for call in calls)
+    for diag, off, k, (energy, vector) in calls:
+        want_e, want_v = _stebz(diag, off, k)
         assert np.all(np.abs(energy - want_e)
                       <= spectrum._tolerance(diag, off))
         assert np.all(np.abs(np.einsum("ij,ij->j", vector, want_v))
                       >= 1.0 - 1e-12)
 
 
-def _warm_case(start_delta: float = 0.00499):
-    """(cfg, start, target) on the alc grid at alpha = 4: the eigenpairs
-    at start_delta and the triple well at delta = 0.005."""
+def _alc_blocks(delta: float) -> list:
+    """_blocks of the triple well at alpha = 4 and delta on the alc grid:
+    an even block of three levels and an odd one of two."""
     cfg = crossings._default_numeric_config(AlcQuery(0, 0, 4.0,
                                                      backend="numerical"))
-    return (cfg, solve_numerical(triple_well(4.0, start_delta), cfg),
-            triple_well(4.0, 0.005))
+    return _blocks(triple_well(4.0, delta), cfg)
 
 
-def _swapped(pairs: list) -> list:
-    """The levels with 0 and 2 (even block) and 1 and 3 (odd) exchanged."""
-    return [pairs[i] for i in (2, 3, 0, 1, 4)]
+def _swapped(vectors: np.ndarray) -> np.ndarray:
+    """The block's two lowest vectors exchanged."""
+    return vectors[:, [1, 0, *range(2, vectors.shape[1])]]
 
 
 def _refuse_count(diag, off, x):
@@ -833,51 +801,50 @@ def _fail_dgttrf(*args):
 
 @pytest.mark.parametrize("start, name, value", [
     (_swapped, None, None),
-    (lambda pairs: _warm_case(-0.05)[1], None, None),
     (None, "_count", _refuse_count),
     (None, "dgttrf", _fail_dgttrf),
 ])
 def test_warm_route_falls_back_to_the_cold_result(monkeypatch, start, name,
                                                   value):
-    # a start with its columns out of level order, a start from a far
-    # delta, a Sturm count that disagrees and a factorization that reports
-    # failure each refuse both blocks, which take the cold route and give
-    # the very eigenpairs of a solve without a start: _located certifies
-    # stein's vectors, which need no factorization here, unless the count
-    # disagrees there too, and then both blocks take full-precision stebz
-    cfg, pairs, target = _warm_case()
+    # _refined refuses a start with its columns out of level order; in a
+    # solve, a Sturm count that disagrees refuses both blocks of _located,
+    # and they take full-precision stebz, its very eigenpairs, while a
+    # factorization that reports failure changes nothing: _located
+    # certifies stein's vectors, which need no factorization here
+    want = _alc_blocks(0.005)
     if start is not None:
-        pairs = start(pairs)
-    if name is not None:
+        near = _alc_blocks(0.00499)
+        assert [spectrum._refined(diag, off, start(found[1]))
+                for (diag, off, _), (*_, found) in zip(want, near)] == \
+            [None, None]
+    else:
         spectrum._load_lapack()
         monkeypatch.setattr(spectrum, name, value)
-    want = _bits(solve_numerical(target, cfg))
-    warm = _spy_warm(monkeypatch)
-    located = _spy_located(monkeypatch)
-    got = solve_numerical(target, cfg, start=pairs)
-    assert [call[3] for call in warm] == [None, None]
-    assert [call[3] is not None for call in located] == \
-        [name != "_count"] * 2
-    assert _bits(got) == want
+        located = _spy_located(monkeypatch)
+        got = _alc_blocks(0.005)
+        assert [call[3] is not None for call in located] == \
+            [name != "_count"] * 2
+        for (diag, off, found), (*_, cold) in zip(got, want):
+            if name == "_count":
+                cold = _stebz(diag, off, found[1].shape[1])
+            assert all(np.array_equal(a, b) for a, b in zip(found, cold))
 
 
 @pytest.mark.parametrize("start_delta, certified", [
     (-0.05, False), (-0.005, False), (0.0, False), (0.004, True),
     (0.0049, True), (0.00499, True), (0.006, True), (0.015, False),
     (0.05, False)])
-def test_warm_route_is_right_whenever_it_certifies(monkeypatch, start_delta,
-                                                   certified):
-    # from near and far starts alike, a block the warm route certifies
+def test_warm_route_is_right_whenever_it_certifies(start_delta, certified):
+    # _refined on the even and odd blocks at delta = 0.005, started from
+    # the block vectors at a near or a far delta: whatever it certifies
     # agrees with bisection to full precision, energies within stebz's
     # tolerance and vectors to 1e-12 in |<v, v_ref>|; from a start within
     # 1e-3 of delta both blocks are certified
-    calls = _spy_warm(monkeypatch)
-    cfg, pairs, target = _warm_case(start_delta)
-    solve_numerical(target, cfg, start=pairs)
-    assert len(calls) == 2
-    if certified:
-        assert all(found is not None for *_, found in calls)
-    for diag, off, start, found in calls:
+    for (diag, off, _), (*_, (_, start)) in zip(_alc_blocks(0.005),
+                                               _alc_blocks(start_delta)):
+        found = spectrum._refined(diag, off, start)
+        if certified:
+            assert found is not None
         if found is not None:
             want_e, want_v = _stebz(diag, off, start.shape[1])
             assert np.all(np.abs(found[0] - want_e)
@@ -886,41 +853,22 @@ def test_warm_route_is_right_whenever_it_certifies(monkeypatch, start_delta,
                           >= 1.0 - 1e-12)
 
 
-def test_warm_route_refuses_a_near_doublet(monkeypatch):
+def test_warm_route_refuses_a_near_doublet():
     # the two lowest levels of a double well tilted by 1e-8 lie far closer
-    # than 2e-4: a start from the tilt 1.01e-8 reaches residuals within
-    # stebz's tolerance, but the gap of the doublet leaves its vectors
-    # unresolved, so the warm route refuses them and the block takes the
+    # than 2e-4: from the vectors at the tilt 1.01e-8 _refined reaches
+    # residuals within stebz's tolerance, but the gap of the doublet leaves
+    # its vectors unresolved, so it refuses them, and the solve takes the
     # full-precision route; every vector within 1e-12 in |<v, v_ref>| of
     # stebz's, every energy within its tolerance
-    calls = _spy_warm(monkeypatch)
     p = tilted_double_well(6.0, 1e-8)
     cfg = resolve_solver(p, 2)
-    start = solve_numerical(tilted_double_well(6.0, 1.01e-8), cfg)
-    got = solve_numerical(p, cfg, start=start)
-    assert len(calls) == 1 and calls[0][3] is None
-    diag, off, _, _ = calls[0]
+    ((*_, (_, start)),) = _blocks(tilted_double_well(6.0, 1.01e-8), cfg)
+    ((diag, off, (energy, vector)),) = _blocks(p, cfg)
+    assert spectrum._refined(diag, off, start) is None
     want_e, want_v = _stebz(diag, off, 2)
-    psi = np.column_stack([pair.psi[1:-1] for pair in got])
-    psi /= np.linalg.norm(psi, axis=0)
-    assert np.all(np.abs([pair.energy for pair in got] - want_e)
-                  <= spectrum._tolerance(diag, off))
-    assert np.all(1.0 - np.abs(np.einsum("ij,ij->j", psi, want_v)) <= 1e-12)
-
-
-def _one_level_short(pairs: list) -> list:
-    return pairs[:-1]
-
-
-def _one_point_short(pairs: list) -> list:
-    return [dataclasses.replace(pair, psi=pair.psi[1:]) for pair in pairs]
-
-
-@pytest.mark.parametrize("cut", [_one_level_short, _one_point_short])
-def test_start_from_another_config_rejected(cut):
-    cfg, pairs, target = _warm_case()
-    with pytest.raises(ParameterError, match="start must hold 5 levels"):
-        solve_numerical(target, cfg, start=cut(pairs))
+    assert np.all(np.abs(energy - want_e) <= spectrum._tolerance(diag, off))
+    assert np.all(1.0 - np.abs(np.einsum("ij,ij->j", vector, want_v))
+                  <= 1e-12)
 
 
 def test_lowest_called_first_binds_lapack():
