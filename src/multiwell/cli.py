@@ -10,6 +10,7 @@ byte-identical data files; only the sweep manifest carries a timestamp.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -520,10 +521,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first call of main and kept for
+    the process: parse_args leaves a parser as it found it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:

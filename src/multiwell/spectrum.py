@@ -21,6 +21,10 @@ error_estimate is accurate to O(h^4).  Wavefunctions and region weights
 stay O(h^2).  Both routes name the wells by one map (harmonic_families);
 classify_levels labels each numerical level by the family that holds most
 of its weight; every family's weight is a sum over its own regions.
+What a solve's points share is built once per config and kept read-only:
+the grid, one array per (half_width, grid_points) that every Eigenpair on
+it holds as x, the blocks' off-diagonals, and the grid indices of the
+region edges.
 
 The six LAPACK routines come from SciPy's f2py extension
 scipy.linalg._flapack, loaded from its file on the first numerical solve
@@ -30,6 +34,7 @@ loads that one extension, not scipy.linalg.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -95,7 +100,34 @@ class SolverConfig:
         return 2.0 * self.half_width / (self.grid_points - 1)
 
     def grid(self) -> np.ndarray:
-        return np.linspace(-self.half_width, self.half_width, self.grid_points)
+        """The grid points: one shared read-only array per (half_width,
+        grid_points)."""
+        return _grid(self.half_width, self.grid_points)
+
+
+# A scan or a crossing solves every point on one config; these caches hold
+# what its solves share, for the last _CACHED configs (under 1 MB on grids
+# of 10^4 points).
+_CACHED = 8
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=_CACHED)
+def _grid(half_width: float, grid_points: int) -> np.ndarray:
+    return _read_only(np.linspace(-half_width, half_width, grid_points))
+
+
+@functools.lru_cache(maxsize=_CACHED)
+def _off_diagonal(size: int, off: float, first: float) -> np.ndarray:
+    """size entries off, the first times `first`: a block's off-diagonal,
+    read-only."""
+    a = np.full(size, off)
+    a[0] *= first
+    return _read_only(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +137,8 @@ class Eigenpair:
     energy is the eigenvalue of the discretized operator, accurate to
     O(h^2).  error_estimate is the first-order estimate of that
     discretization error, signed so that energy + error_estimate is the
-    continuum level to O(h^4).
+    continuum level to O(h^4).  x is the grid, one shared read-only array
+    per grid (SolverConfig.grid); psi is the pair's own.
     """
 
     energy: float
@@ -336,21 +369,24 @@ def _tolerance(diag: np.ndarray, off: np.ndarray) -> float:
     """stebz's own absolute tolerance on the tridiagonal T = (diag, off):
     ulp * max |Gershgorin end|."""
     reach = np.abs(off)
-    reach = np.concatenate((reach, [0.0])) + np.concatenate(([0.0], reach))
-    return np.finfo(float).eps * max(abs(float(np.min(diag - reach))),
-                                     abs(float(np.max(diag + reach))))
+    total = np.empty(diag.size)    # |off[i - 1]| + |off[i]|
+    np.add(reach[:-1], reach[1:], out=total[1:-1])
+    total[0], total[-1] = reach[0], reach[-1]
+    return np.finfo(float).eps * max(abs(float((diag - total).min())),
+                                     abs(float((diag + total).max())))
 
 
-def _rayleigh(diag: np.ndarray, off: np.ndarray, u: np.ndarray
-              ) -> tuple[float, float]:
+def _rayleigh(diag: np.ndarray, off: np.ndarray, u: np.ndarray,
+              work: np.ndarray) -> tuple[float, float]:
     """u^T T u and the residual norm |T u - rho u| of a unit vector u, T =
-    (diag, off)."""
-    tu = diag * u
-    tu[1:] += off * u[:-1]
-    tu[:-1] += off * u[1:]
+    (diag, off); work is a (2, n) scratch array."""
+    tu, term = work
+    np.multiply(diag, u, out=tu)
+    tu[1:] += np.multiply(off, u[:-1], out=term[1:])
+    tu[:-1] += np.multiply(off, u[1:], out=term[:-1])
     rho = float(u @ tu)
-    tu -= rho * u
-    return rho, float(np.linalg.norm(tu))
+    tu -= np.multiply(rho, u, out=term)
+    return rho, math.sqrt(tu @ tu)
 
 
 def _harmonic_guess(diag: np.ndarray, off: np.ndarray) -> float:
@@ -406,27 +442,29 @@ def _ground(diag: np.ndarray, off: np.ndarray
     certified hi, and the rounds bisect between min V and it.
     """
     tol = _tolerance(diag, off)
-    lo, hi = float(np.min(diag) + 2.0 * off[-1]), math.inf    # min V
+    lo, hi = float(diag.min() + 2.0 * off[-1]), math.inf    # min V
     shift, factor = _harmonic_guess(diag, off), None
     u = np.ones(diag.size)    # the ground vector is positive: off < 0
+    work = np.empty((2, diag.size))
 
     def invert(u: np.ndarray) -> np.ndarray:
-        u = dpttrs(*factor, u)[0]
-        return u / np.linalg.norm(u)
+        u = dpttrs(*factor, u, overwrite_b=1)[0]
+        u /= math.sqrt(u @ u)
+        return u
 
     for _ in range(_GROUND_ROUNDS):
-        d, e, info = dpttrf(diag - shift, off)
+        d, e, info = dpttrf(diag - shift, off, overwrite_d=1)
         if info == 0:
             lo, factor = shift, (d, e)
             u = invert(u)
-            rho, residual = _rayleigh(diag, off, u)
+            rho, residual = _rayleigh(diag, off, u, work)
             hi = min(hi, rho)
             shift = rho - residual
         else:
             hi = shift
         if factor is not None and hi - lo <= tol:
             u = invert(invert(u))    # as stein's two extra iterations
-            rho = _rayleigh(diag, off, u)[0]
+            rho = _rayleigh(diag, off, u, work)[0]
             if rho - lo > 2.0 * tol:
                 return None
             return np.array([rho]), u[:, None]
@@ -493,9 +531,10 @@ def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray
     tol = _tolerance(diag, off)
     k = start.shape[1]
     rho, residual, vectors = np.empty(k), np.empty(k), np.empty(start.shape)
+    work = np.empty((2, diag.size))
     for j in range(k):
         u = start[:, j] / np.linalg.norm(start[:, j])
-        rho[j], residual[j] = _rayleigh(diag, off, u)
+        rho[j], residual[j] = _rayleigh(diag, off, u, work)
         for _ in range(_RQI_ROUNDS):
             if residual[j] <= tol:
                 break
@@ -504,7 +543,7 @@ def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray
                 return None
             u = dgttrs(dl, d, du, du2, ipiv, u)[0]
             u /= np.linalg.norm(u)
-            rho[j], residual[j] = _rayleigh(diag, off, u)
+            rho[j], residual[j] = _rayleigh(diag, off, u, work)
         if residual[j] > tol:
             return None
         vectors[:, j] = u
@@ -583,16 +622,14 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     if p.is_even:
         c = (n - 1) // 2    # x[c] = 0
         diag = p(x[c:-1]) - 2.0 * off
-        even_off = np.full(c - 1, off)
-        even_off[0] *= math.sqrt(2.0)
         energies = np.empty(k)
         half = np.zeros((c, k))    # psi on x[c:-1], one column per level
         energies[0::2], half[:, 0::2] = _lowest(
-            diag, even_off, (k + 1) // 2, cfg)
+            diag, _off_diagonal(c - 1, off, math.sqrt(2.0)), (k + 1) // 2, cfg)
         half[0, 0::2] *= math.sqrt(2.0)
         if k > 1:
             energies[1::2], half[1:, 1::2] = _lowest(
-                diag[1:], np.full(c - 2, off), k // 2, cfg)
+                diag[1:], _off_diagonal(c - 2, off, 1.0), k // 2, cfg)
         # the blocks are solved separately, each to about ulp * |T|: a
         # doublet split below that may come out with its odd member lower
         energies = np.maximum.accumulate(energies)
@@ -603,7 +640,8 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
         v = np.concatenate((v[:0:-1], v))
     else:
         v = p(x[1:-1])
-        energies, vectors = _lowest(v - 2.0 * off, np.full(n - 3, off), k, cfg)
+        energies, vectors = _lowest(
+            v - 2.0 * off, _off_diagonal(n - 3, off, 1.0), k, cfg)
     # the grid operator is the continuum one minus (lam^2 h^2 / 12) d4/dx4
     # + O(h^4); to first order that shifts E by (lam^2 h^2 / 12) |psi''|^2,
     # with lam^2 psi'' = (V - E) psi
@@ -631,6 +669,27 @@ def _region_edges(points: list[CriticalPoint]) -> list[float]:
     return [-math.inf] + sorted(maxima) + [math.inf]
 
 
+_EDGE_INDICES: dict = {}    # (id(x), edges) -> (x, first, past)
+
+
+def _edge_indices(x: np.ndarray, edges: tuple[float, ...]
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """For each edge, the first grid index at or past it and the first
+    index beyond it, a grid point within the isolation tolerance of an
+    edge being on it (see _region_weights); cached per grid and edges.
+    An entry holds its grid, so no other array can take the id in its key.
+    """
+    key = (id(x), edges)
+    if key not in _EDGE_INDICES:
+        if len(_EDGE_INDICES) == _CACHED:
+            del _EDGE_INDICES[next(iter(_EDGE_INDICES))]
+        near = _isolation_tol(float(x[-1]))
+        first = np.searchsorted(x, np.subtract(edges, near), side="left")
+        past = np.searchsorted(x, np.add(edges, near), side="right")
+        _EDGE_INDICES[key] = (x, tuple(first.tolist()), tuple(past.tolist()))
+    return _EDGE_INDICES[key][1:]
+
+
 def _region_weights(pairs: list[Eigenpair], edges: list[float]
                     ) -> list[list[float]]:
     """Each pair's weights between consecutive ascending edges, one row per
@@ -641,12 +700,9 @@ def _region_weights(pairs: list[Eigenpair], edges: list[float]
     maximum polished to one ulp either side of a grid point splits it the
     same way.
     """
-    x = pairs[0].x
     rho = (pairs[0].psi[None] if len(pairs) == 1 else
            np.array([pair.psi for pair in pairs])) ** 2 * pairs[0].h
-    near = _isolation_tol(float(x[-1]))
-    first = np.searchsorted(x, np.subtract(edges, near), side="left").tolist()
-    past = np.searchsorted(x, np.add(edges, near), side="right").tolist()
+    first, past = _edge_indices(pairs[0].x, tuple(edges))
     row_sum = np.add.reduce   # pairwise along each row, as on one pair
     half = [0.5 * row_sum(rho[:, a:b], 1) if a < b else 0.0
             for a, b in zip(first, past)]

@@ -551,6 +551,27 @@ class TestEntryPoint:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == EXIT_USAGE
 
+    def test_main_keeps_one_parser(self, capsys):
+        # main builds its parser once per process; a call leaves nothing
+        # behind for the next: help, version and usage errors come out as
+        # from a fresh build_parser(), and defaults stay defaults
+        assert cli._parser() is cli._parser()
+
+        def fresh(*argv):
+            with pytest.raises(SystemExit) as exit_:
+                cli.build_parser().parse_args(list(argv))
+            captured = capsys.readouterr()
+            return exit_.value.code or EXIT_OK, captured.out, captured.err
+        for argv in (["--help"], ["sweep", "--help"], ["--version"],
+                     ["locus", "--steps", "3"], ["frobnicate"]):
+            assert run_cli(capsys, *argv) == fresh(*argv)
+        code, out, _ = run_cli(capsys, "locus", "--alpha", "4", "--steps",
+                               "3", "--format", "csv")
+        assert code == EXIT_OK and out.startswith("epsilon,")
+        code, out, _ = run_cli(capsys, "locus", "--alpha", "4", "--steps",
+                               "3")
+        assert code == EXIT_OK and not out.startswith("epsilon,")
+
 
 # Reference CSVs written by an earlier version of the CLI.  None of these
 # commands calls LAPACK, so their bytes do not depend on the machine; a

@@ -556,13 +556,14 @@ def test_harmonic_guess_without_a_grid_well(monkeypatch):
     _assert_certified(calls, [599])
 
 
-def _refuse(d, e):
+def _refuse(d, e, **overwrite):
     return d, e, 1
 
 
-def _excited(d, e, b):
+def _excited(d, e, b, **overwrite):
     """dpttrs that returns the first excited vector of the factored block
-    (T - s*I = L D L^T, with D = d and the subdiagonal of L = e)."""
+    (T - s*I = L D L^T, with D = d and the subdiagonal of L = e); like
+    _refuse, it takes LAPACK's overwrite keywords and ignores them."""
     diag = d.copy()
     diag[1:] += e * e * d[:-1]
     vector = eigh_tridiagonal(diag, e * d[:-1], select="i",
@@ -588,6 +589,59 @@ def test_single_level_route_falls_back_to_stebz(monkeypatch, name, value):
                                       select_range=(0, 0),
                                       lapack_driver="stebz")
     assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
+
+
+def test_single_level_iteration_history_is_pinned(monkeypatch):
+    # the benchmark's warm-up scan takes exactly these factorizations and
+    # solves: a change to _ground's shifts or rounds changes the counts,
+    # and with them the sub-resolution weights test_golden_sweep_columns
+    # pins
+    spectrum._load_lapack()    # bound first, so the patches stay
+    counts = {"dpttrf": 0, "dpttrs": 0}
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(spectrum, name),
+                    **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(spectrum, name, counted)
+    cfg = SolverConfig(10.0, grid_points_for(10.0, 0.005))
+    crossings.relocalization_scan(4.0, (0.0006, 0.0046), 21, cfg)
+    assert counts == {"dpttrf": 114, "dpttrs": 155}
+
+
+def test_solves_share_one_read_only_grid():
+    # equal configs share one grid array, which no caller can write; a
+    # later solve on it leaves an earlier solve's results as they were
+    cfg = SolverConfig(9.0, 1801)
+    first = solve_numerical(triple_well(4.0, 0.0026), cfg)[0]
+    psi, energy = first.psi.copy(), first.energy
+    weights = well_weights(first, triple_well(4.0, 0.0026))
+    second = solve_numerical(triple_well(4.0, 0.003), SolverConfig(9.0, 1801))
+    assert second[0].x is first.x is cfg.grid()
+    assert not first.x.flags.writeable
+    with pytest.raises(ValueError):
+        first.x[0] = 0.0
+    assert np.array_equal(first.psi, psi) and first.energy == energy
+    assert well_weights(first, triple_well(4.0, 0.0026)) == weights
+
+
+def test_block_off_diagonals_are_read_only(monkeypatch):
+    # the cached off-diagonals of the even, odd and unsplit blocks
+    blocks = []
+    lowest = spectrum._lowest
+
+    def spy(diag, off, k, cfg):
+        blocks.append(off)
+        return lowest(diag, off, k, cfg)
+    monkeypatch.setattr(spectrum, "_lowest", spy)
+    solve_numerical(TRIPLE, SolverConfig(9.0, 1801, 2))
+    solve_numerical(tilted_double_well(4.0, 0.1), SolverConfig(5.0, 1001))
+    assert [off.size for off in blocks] == [899, 898, 998]
+    assert blocks[0][0] == math.sqrt(2.0) * blocks[0][1]
+    for off in blocks:
+        assert not off.flags.writeable
+        with pytest.raises(ValueError):
+            off[-1] = 0.0
 
 
 def _spy_located(monkeypatch) -> list:
