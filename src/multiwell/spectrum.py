@@ -676,8 +676,10 @@ def _edge_indices(x: np.ndarray, edges: tuple[float, ...]
                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """For each edge, the first grid index at or past it and the first
     index beyond it, a grid point within the isolation tolerance of an
-    edge being on it (see _region_weights); cached per grid and edges.
-    An entry holds its grid, so no other array can take the id in its key.
+    edge being on it (see _region_weights); cached per grid and edges,
+    which assumes a grid never changes in place, as the solver's grids are
+    read-only.  An entry holds its grid, so no other array can take the id
+    in its key.
     """
     key = (id(x), edges)
     if key not in _EDGE_INDICES:
