@@ -2,16 +2,18 @@
 
 Two routes: closed-form harmonic estimates per well family (level spacing
 2*lam*sqrt(V''/2)), and a second-order finite-difference discretization on
-a symmetric grid with Dirichlet boundaries.  A tridiagonal block that
-needs one level is solved by shift-and-invert on LAPACK dpttrf/dpttrs from
-a harmonic first shift (one rule, _harmonic_guess, for every block) and
-min V as its first lower bound, every shift certified by the signs of the
-factor's pivots.  Any other block runs Rayleigh-quotient iteration on
-LAPACK dgttrf/dgttrs from loose bisection plus inverse iteration
-(stebz/stein), certified by one Sturm count and a residual-and-gap bound
-(_refined).  All reach stebz's absolute tolerance, ulp * max |Gershgorin
-end|; a block neither route certifies (clustered levels, say) takes
-bisection to that tolerance.
+a symmetric grid with Dirichlet boundaries, whose tridiagonal blocks are
+read for harmonic wells by one rule (_grid_wells).  A block that needs one
+level is solved by shift-and-invert on LAPACK dpttrf/dpttrs from a
+harmonic first shift (_harmonic_guess) and min V as its first lower
+bound, every shift certified by the signs of the factor's pivots.  Any
+other block takes inverse iteration (stein) at the rungs of the wells'
+harmonic ladders, separated by a Rayleigh-Ritz rotation, or, when those do
+not certify, at loose bisection (stebz), then Rayleigh-quotient iteration
+on LAPACK dgttrf/dgttrs, certified by one Sturm count and a
+residual-and-gap bound (_refined).  All reach stebz's absolute tolerance,
+ulp * max |Gershgorin end|; a block neither route certifies (clustered
+levels, say) takes bisection to that tolerance.
 A reflection-symmetric potential is solved as separate even and odd blocks
 on the half grid x >= 0, so its levels have exact parity.  Each numerical
 level carries error_estimate, the first-order correction of its O(h^2)
@@ -389,18 +391,16 @@ def _rayleigh(diag: np.ndarray, off: np.ndarray, u: np.ndarray,
     return rho, math.sqrt(tu @ tu)
 
 
-def _harmonic_guess(diag: np.ndarray, off: np.ndarray) -> float:
-    """The lowest harmonic ground level over the grid wells of the block
-    T = (diag, off), less _GUESS_MARGIN of its zero-point energy: a first
-    shift of _ground close below the lowest eigenvalue, not a bound on it.
+def _grid_wells(diag: np.ndarray, off: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(index, vertex, zpe) of the grid wells of the block T = (diag, off).
 
     With t = -off[-1] = lam^2/h^2 and V = diag - 2t, each grid local
-    minimum i of V gets the parabola through V[i-1], V[i], V[i+1]: its
-    vertex value v and second difference d2 give the level
-    v + sqrt(t * d2 / 2), which is v + lam * sqrt(V''/2) with V'' = d2 / h^2.
-    V[-1] is V[1], the mirror image at x = -h of the even block's first
-    point x = 0; on the odd block, which starts at x = h, the same rule
-    gives a looser guess.
+    minimum i of V gets the parabola through V[i-1], V[i], V[i+1], whose
+    vertex value and second difference d2 give the zero-point energy
+    zpe = sqrt(t * d2 / 2) = lam * sqrt(V''/2), V'' = d2 / h^2.  V[-1] is
+    V[1], the mirror image at x = -h of the even block's first point x = 0;
+    on the odd block, which starts at x = h, the rule reads a looser well.
     """
     t = -float(off[-1])
     v = diag - 2.0 * t
@@ -411,11 +411,37 @@ def _harmonic_guess(diag: np.ndarray, off: np.ndarray) -> float:
     d2 = neighbour - 2.0 * mid + right
     slope = right - neighbour
     vertex = mid - slope * slope / (8.0 * np.where(d2 > 0.0, d2, 1.0))
-    zpe = np.sqrt(t * 0.5 * d2)
+    return wells, vertex, np.sqrt(t * 0.5 * d2)
+
+
+def _harmonic_guess(diag: np.ndarray, off: np.ndarray) -> float:
+    """The least vertex + (1 - _GUESS_MARGIN) zpe over the grid wells of
+    the block T = (diag, off) (_grid_wells), or min V without one: a first
+    shift of _ground close below the lowest level, not a bound on it."""
+    _, vertex, zpe = _grid_wells(diag, off)
     if vertex.size == 0:
-        return float(np.min(v))
+        return float(np.min(diag) + 2.0 * off[-1])
     j = int(np.argmin(vertex + zpe))
     return float(vertex[j] + (1.0 - _GUESS_MARGIN) * zpe[j])
+
+
+def _rungs(wells: tuple[np.ndarray, np.ndarray, np.ndarray] | None, k: int,
+           parity: int | None) -> np.ndarray | None:
+    """Start of _located for the k lowest levels: the rungs vertex +
+    (2j + 1) zpe of the grid wells (index, vertex, zpe) of _grid_wells,
+    ascending, the k lowest and any within the least zpe of the k-th (a
+    near pair across that cut stays whole).  A well at x = 0, index 0 of the
+    even block that both parity blocks read, has only its even (parity 0)
+    or odd (parity 1) rungs.  None for k < 2."""
+    if wells is None or k < 2 or wells[1].size == 0:
+        return None
+    index, vertex, zpe = wells
+    ladder = 2.0 * np.arange(k) + 1.0
+    rungs = vertex[:, None] + np.outer(zpe, ladder)
+    if parity is not None and index[0] == 0:
+        rungs[0] = vertex[0] + zpe[0] * (2.0 * ladder - 1.0 + 2.0 * parity)
+    rungs = np.sort(rungs, axis=None)
+    return rungs[rungs <= rungs[k - 1] + zpe.min()]
 
 
 def _ground(diag: np.ndarray, off: np.ndarray
@@ -473,12 +499,38 @@ def _ground(diag: np.ndarray, off: np.ndarray
     return None
 
 
-def _located(diag: np.ndarray, off: np.ndarray, k: int
+def _located(diag: np.ndarray, off: np.ndarray, k: int,
+             rungs: np.ndarray | None
              ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Lowest k eigenpairs of the tridiagonal T = (diag, off): stebz
-    bisects levels 1..k to _LOCATE_TOL, about seven decades short of its
-    own tolerance, stein computes their vectors, and _refined supplies the
-    missing digits and the certificate; None when any of them fails."""
+    """Lowest k eigenpairs of the tridiagonal T = (diag, off): stein's
+    vectors at estimates of levels 1..k, refined and certified by _refined;
+    None when it refuses.  The estimates are the k lowest Ritz values of
+    stein's vectors at the rungs (_rungs): the rotation separates near
+    pairs that the rungs place only to a fraction of their spacing.  Their
+    certified vectors are re-orthonormalised (Cholesky QR), as a column
+    that _refined iterates is orthogonal to the others only to about
+    tol / gap.  When two of the k + 1 lowest Ritz values lie within
+    2 _LOCATE_TOL and Sturm counts find two levels there, no start passes
+    the gap rule: None.  Without rungs, or when they do not certify, stebz
+    bisects levels 1..k to _LOCATE_TOL, seven decades short of its own."""
+    n = diag.size
+    block = np.ones(n, np.int32), np.full(n, n, np.int32)   # T unsplit
+    if rungs is not None and rungs.size <= n:
+        vectors, info = dstein(diag, off, rungs, *block)
+        if info == 0:
+            cross = vectors[:-1].T @ (off[:, None] * vectors[1:])
+            ritz = np.linalg.eigvalsh(   # of vectors^T T vectors
+                (diag[:, None] * vectors).T @ vectors + cross + cross.T)
+            close = (np.diff(ritz[:k + 1]) <= 2.0 * _LOCATE_TOL).nonzero()[0]
+            if close.size and (
+                    _count(diag, off, ritz[close[0] + 1] + _LOCATE_TOL)
+                    - _count(diag, off, ritz[close[0]] - _LOCATE_TOL) >= 2):
+                return None
+            vectors, info = dstein(diag, off, ritz[:k], *block)
+            found = _refined(diag, off, vectors) if info == 0 else None
+            if found is not None:
+                rho, u = found
+                return rho, u @ np.linalg.inv(np.linalg.cholesky(u.T @ u)).T
     m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, k,
                                         _LOCATE_TOL, "B")
     if info != 0:
@@ -504,9 +556,10 @@ def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray] | None:
     """Lowest k eigenpairs of the tridiagonal T = (diag, off) from start, an
     (n, k) matrix whose column j is near the eigenvector of level j (stein's
-    vectors from loose bisection), by Rayleigh-quotient iteration certified
-    by one Sturm count; None when a factorization fails, a level does not
-    converge in _RQI_ROUNDS rounds or the certificate fails.
+    vectors at the rungs' Ritz values or at loose bisection), by
+    Rayleigh-quotient iteration certified by one Sturm count; None when a
+    factorization fails, a level does not converge in _RQI_ROUNDS rounds or
+    the certificate fails.
 
     Column j starts at its Rayleigh quotient rho_j on T and repeats
     u <- (T - rho_j I)^-1 u on dgttrf/dgttrs until its residual
@@ -557,16 +610,17 @@ def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray
     return rho, vectors
 
 
-def _lowest(diag: np.ndarray, off: np.ndarray, k: int, cfg: SolverConfig
+def _lowest(diag: np.ndarray, off: np.ndarray, k: int, cfg: SolverConfig,
+            rungs: np.ndarray | None = None
             ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of a symmetric tridiagonal matrix with negative
-    off-diagonal: _ground for k == 1 and _located (loose stebz/stein, then
-    _refined) for k >= 2; when those give up (a cluster below the loose
-    tolerance, say), LAPACK bisection on the Sturm count to stebz's full
-    precision plus inverse iteration (stebz/stein), which also raises
-    ConvergenceError on a LAPACK failure."""
+    off-diagonal: _ground for k == 1 and _located (from the rungs, or from
+    loose stebz/stein, then _refined) for k >= 2; when those give up (a
+    cluster below the loose tolerance, say), LAPACK bisection on the Sturm
+    count to stebz's full precision plus inverse iteration (stebz/stein),
+    which also raises ConvergenceError on a LAPACK failure."""
     _load_lapack()
-    found = _ground(diag, off) if k == 1 else _located(diag, off, k)
+    found = _ground(diag, off) if k == 1 else _located(diag, off, k, rungs)
     if found is not None:
         return found
     # the calls eigh_tridiagonal(select="i", lapack_driver="stebz") makes:
@@ -595,10 +649,12 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     Second-order central differences, diagonal V(x_i) + 2*lam^2/h^2,
     off-diagonal -lam^2/h^2, Dirichlet boundaries.  A block solved for one
     level takes certified shift-and-invert (dpttrf/dpttrs), any other block
-    loose bisection plus inverse iteration (stebz/stein) refined by
-    certified Rayleigh-quotient iteration (_refined), both to stebz's
-    tolerance, with full-precision bisection as their fallback (see
-    _lowest); wavefunctions are returned L2-normalized (sum psi^2 * h = 1)
+    inverse iteration (stein) at the harmonic ladders of the grid wells
+    (_rungs), or at loose bisection (stebz), refined by certified
+    Rayleigh-quotient iteration (_refined), both to stebz's tolerance, with
+    full-precision bisection as their fallback (see _lowest); the wells of
+    a symmetric potential are read on its even block, which holds x = 0.
+    Wavefunctions are returned L2-normalized (sum psi^2 * h = 1)
     with deterministic sign (the leftmost largest |psi| is positive).  Each
     level's error_estimate is h^2/(12 lam^2) * sum (V - E)^2 psi^2 h.
 
@@ -622,14 +678,17 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     if p.is_even:
         c = (n - 1) // 2    # x[c] = 0
         diag = p(x[c:-1]) - 2.0 * off
+        even = _off_diagonal(c - 1, off, math.sqrt(2.0))
+        wells = _grid_wells(diag, even) if k > 2 else None
         energies = np.empty(k)
         half = np.zeros((c, k))    # psi on x[c:-1], one column per level
         energies[0::2], half[:, 0::2] = _lowest(
-            diag, _off_diagonal(c - 1, off, math.sqrt(2.0)), (k + 1) // 2, cfg)
+            diag, even, (k + 1) // 2, cfg, _rungs(wells, (k + 1) // 2, 0))
         half[0, 0::2] *= math.sqrt(2.0)
         if k > 1:
             energies[1::2], half[1:, 1::2] = _lowest(
-                diag[1:], _off_diagonal(c - 2, off, 1.0), k // 2, cfg)
+                diag[1:], _off_diagonal(c - 2, off, 1.0), k // 2, cfg,
+                _rungs(wells, k // 2, 1))
         # the blocks are solved separately, each to about ulp * |T|: a
         # doublet split below that may come out with its odd member lower
         energies = np.maximum.accumulate(energies)
@@ -640,8 +699,9 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
         v = np.concatenate((v[:0:-1], v))
     else:
         v = p(x[1:-1])
-        energies, vectors = _lowest(
-            v - 2.0 * off, _off_diagonal(n - 3, off, 1.0), k, cfg)
+        diag, full = v - 2.0 * off, _off_diagonal(n - 3, off, 1.0)
+        energies, vectors = _lowest(diag, full, k, cfg, _rungs(
+            _grid_wells(diag, full) if k > 1 else None, k, None))
     # the grid operator is the continuum one minus (lam^2 h^2 / 12) d4/dx4
     # + O(h^4); to first order that shifts E by (lam^2 h^2 / 12) |psi''|^2,
     # with lam^2 psi'' = (V - E) psi

@@ -356,6 +356,7 @@ _SYMMETRIC = st.one_of(
 @given(_SYMMETRIC, st.integers(1, 9))
 @example(TRIPLE, 1)
 @example(TRIPLE, 8)
+@example(triple_well(3.8830612176125454, 0.008684097638228421), 6)
 def test_parity_blocks_match_unsplit_operator(p, k):
     # the even and odd half-grid blocks reproduce the full operator's k
     # lowest levels, level j with parity (-1)^j, as an orthonormal set
@@ -556,6 +557,20 @@ def test_harmonic_guess_without_a_grid_well(monkeypatch):
     _assert_certified(calls, [599])
 
 
+@pytest.mark.parametrize("k, parity, ladder", [
+    (3, 0, [1, 5, 9]), (3, 1, [3, 7, 11]), (4, None, [1, 3, 5, 7])])
+def test_rungs_of_a_well_at_the_origin_follow_the_parity(k, parity, ladder):
+    # the unit oscillator's one grid well, read on the even half-grid block,
+    # has zero-point energy 1: its even rungs 1, 5, 9 start the even block,
+    # its odd ones the odd block, and an unsplit block takes every rung
+    cfg = SolverConfig(6.0, 2401)
+    off = -1.0 / cfg.step ** 2
+    diag = HO(cfg.grid()[1200:-1]) - 2.0 * off
+    wells = spectrum._grid_wells(diag, np.full(diag.size - 1, off))
+    assert np.allclose(spectrum._rungs(wells, k, parity), ladder, atol=1e-4)
+    assert spectrum._rungs(wells, 1, parity) is None
+
+
 def _refuse(d, e, **overwrite):
     return d, e, 1
 
@@ -630,9 +645,9 @@ def test_block_off_diagonals_are_read_only(monkeypatch):
     blocks = []
     lowest = spectrum._lowest
 
-    def spy(diag, off, k, cfg):
+    def spy(diag, off, k, cfg, *rungs):
         blocks.append(off)
-        return lowest(diag, off, k, cfg)
+        return lowest(diag, off, k, cfg, *rungs)
     monkeypatch.setattr(spectrum, "_lowest", spy)
     solve_numerical(TRIPLE, SolverConfig(9.0, 1801, 2))
     solve_numerical(tilted_double_well(4.0, 0.1), SolverConfig(5.0, 1001))
@@ -649,10 +664,24 @@ def _spy_located(monkeypatch) -> list:
     calls = []
     located = spectrum._located
 
-    def spy(diag, off, k):
-        calls.append((diag, off, k, located(diag, off, k)))
+    def spy(diag, off, k, *start):
+        calls.append((diag, off, k, located(diag, off, k, *start)))
         return calls[-1][3]
     monkeypatch.setattr(spectrum, "_located", spy)
+    return calls
+
+
+def _spy_loose(monkeypatch) -> list:
+    """Record the arguments of every loose bisection, a stebz call at
+    spectrum._LOCATE_TOL."""
+    spectrum._load_lapack()    # bound first, so the patch stays
+    calls, stebz = [], spectrum.dstebz
+
+    def spy(*args):
+        if args[7] == spectrum._LOCATE_TOL:
+            calls.append(args)
+        return stebz(*args)
+    monkeypatch.setattr(spectrum, "dstebz", spy)
     return calls
 
 
@@ -703,6 +732,61 @@ def test_multi_level_route_falls_back_on_a_cluster(monkeypatch):
     energy, vector = spectrum._lowest(diag, off, k, SolverConfig(1.0, 401))
     want_e, want_v = _stebz(diag, off, k)
     assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
+
+
+def test_multi_level_route_skips_the_loose_start_on_a_cluster(monkeypatch):
+    # at that crossing the Ritz values of the even block's rungs hold
+    # central-0 and the even member of offcentral-0 within 2e-4, and two
+    # Sturm counts find both levels there: no start passes the gap rule, so
+    # the block goes to full precision without loose bisection, and gives
+    # its very eigenpairs; the odd block certifies from its rungs
+    loose = _spy_loose(monkeypatch)
+    p = triple_well(4.0, 0.0026010433800040303)
+    (diag, off, (energy, vector)), _ = _blocks(p, resolve_solver(p, 6))
+    assert loose == []
+    want_e, want_v = _stebz(diag, off, 3)
+    assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
+
+
+def test_multi_level_route_falls_back_without_the_lowest_rung(monkeypatch):
+    # rungs that miss the lowest level give Ritz values one level high, which
+    # the Sturm count of _refined refuses: each block takes the loose start
+    # and returns its eigenpairs bit for bit
+    rungs = spectrum._rungs
+    monkeypatch.setattr(spectrum, "_rungs",
+                        lambda *args: rungs(*args)[1:])
+    loose = _spy_loose(monkeypatch)
+    blocks = _alc_blocks(0.005)
+    assert len(loose) == len(blocks) == 2
+    cfg = SolverConfig(1.0, 401)
+    for diag, off, found in blocks:
+        cold = spectrum._lowest(diag, off, found[1].shape[1], cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(found, cold))
+
+
+def test_multi_level_route_reorthonormalises_certified_columns(monkeypatch):
+    # _refined bounds each column's angle to its own eigenvector, about
+    # tol / gap after Rayleigh-quotient iteration, not the columns' angles
+    # to each other: two certified columns turned 1e-9 towards each other
+    # come back orthonormal to 1e-12, still within 1e-12 of stebz's vectors
+    refined = spectrum._refined
+
+    def turned(diag, off, start):
+        found = refined(diag, off, start)
+        if found is not None:
+            found[1][:, 1] += 1e-9 * found[1][:, 0]
+        return found
+    monkeypatch.setattr(spectrum, "_refined", turned)
+    loose = _spy_loose(monkeypatch)
+    for diag, off, (energy, vector) in _alc_blocks(0.005):
+        k = vector.shape[1]
+        assert np.allclose(vector.T @ vector, np.eye(k), rtol=0.0, atol=1e-12)
+        want_e, want_v = _stebz(diag, off, k)
+        assert np.all(np.abs(energy - want_e)
+                      <= spectrum._tolerance(diag, off))
+        assert np.all(np.abs(np.einsum("ij,ij->j", vector, want_v))
+                      >= 1.0 - 1e-12)
+    assert loose == []
 
 
 def _neighbour(vectors: np.ndarray) -> np.ndarray:
@@ -795,8 +879,8 @@ def _blocks(p, cfg) -> list:
     calls = []
     lowest = spectrum._lowest
 
-    def spy(diag, off, k, cfg):
-        calls.append((diag, off, lowest(diag, off, k, cfg)))
+    def spy(diag, off, k, cfg, *rungs):
+        calls.append((diag, off, lowest(diag, off, k, cfg, *rungs)))
         return calls[-1][2]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectrum, "_lowest", spy)
@@ -810,14 +894,18 @@ def test_warm_route_certifies_every_menu_block(monkeypatch):
     # loose bisection (_located), and agrees with bisection to full
     # precision, energies within stebz's tolerance and vectors to 1e-12 in
     # |<v, v_ref>|: the 96 blocks of the one solve per crossing from the
-    # second-order root, and those of the 73 solves from the harmonic root
+    # second-order root, and those of the 73 solves from the harmonic root;
+    # the 96 blocks certify from their rungs, with no loose bisection, and
+    # every block's vectors are orthonormal to 1e-12
     calls = _spy_located(monkeypatch)
+    loose = _spy_loose(monkeypatch)
     queries = [AlcQuery(m, n, alpha, backend="numerical")
                for alpha in (3.5, 4.0, 5.0, 6.0)
                for m, n in crossings.TABLE_PAIRS]
     for q in queries:
         solve_crossing(q)
     assert len(calls) == 2 * 48
+    assert loose == []
     monkeypatch.setattr(crossings, "_anharmonic_residual",
                         lambda d, m, n, a: 1.0)
     for q in queries:
@@ -830,6 +918,7 @@ def test_warm_route_certifies_every_menu_block(monkeypatch):
                       <= spectrum._tolerance(diag, off))
         assert np.all(np.abs(np.einsum("ij,ij->j", vector, want_v))
                       >= 1.0 - 1e-12)
+        assert np.allclose(vector.T @ vector, np.eye(k), rtol=0.0, atol=1e-12)
 
 
 def _alc_blocks(delta: float) -> list:
