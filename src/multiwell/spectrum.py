@@ -8,12 +8,12 @@ level is solved by shift-and-invert on LAPACK dpttrf/dpttrs from a
 harmonic first shift (_harmonic_guess) and min V as its first lower
 bound, every shift certified by the signs of the factor's pivots.  Any
 other block takes inverse iteration (stein) at the rungs of the wells'
-harmonic ladders, separated by a Rayleigh-Ritz rotation, or, when those do
-not certify, at loose bisection (stebz), then Rayleigh-quotient iteration
-on LAPACK dgttrf/dgttrs, certified by one Sturm count and a
-residual-and-gap bound (_refined).  All reach stebz's absolute tolerance,
-ulp * max |Gershgorin end|; a block neither route certifies (clustered
-levels, say) takes bisection to that tolerance.
+harmonic ladders, separated by a Rayleigh-Ritz rotation, then
+Rayleigh-quotient iteration on LAPACK dgttrf/dgttrs, certified by one
+Sturm count and a residual-and-gap bound (_refined).  Both reach stebz's
+absolute tolerance, ulp * max |Gershgorin end|; a block neither route
+certifies (clustered levels, say) takes bisection (stebz) to that
+tolerance.
 A reflection-symmetric potential is solved as separate even and odd blocks
 on the half grid x >= 0, so its levels have exact parity.  Each numerical
 level carries error_estimate, the first-order correction of its O(h^2)
@@ -363,7 +363,7 @@ def _load_flapack() -> ModuleType | None:
 
 _GROUND_ROUNDS = 60    # shift rounds of _ground before it gives up
 _GUESS_MARGIN = 0.01   # share of the zero-point energy the guess stays below
-_LOCATE_TOL = 1e-4     # stebz's tolerance in _located; _refined's least gap
+_LEAST_GAP = 1e-4      # _refined's least gap; _located's cluster threshold
 _RQI_ROUNDS = 4        # Rayleigh-quotient rounds per level of _refined
 
 
@@ -503,42 +503,35 @@ def _located(diag: np.ndarray, off: np.ndarray, k: int,
              rungs: np.ndarray | None
              ) -> tuple[np.ndarray, np.ndarray] | None:
     """Lowest k eigenpairs of the tridiagonal T = (diag, off): stein's
-    vectors at estimates of levels 1..k, refined and certified by _refined;
-    None when it refuses.  The estimates are the k lowest Ritz values of
-    stein's vectors at the rungs (_rungs): the rotation separates near
-    pairs that the rungs place only to a fraction of their spacing.  Their
-    certified vectors are re-orthonormalised (Cholesky QR), as a column
-    that _refined iterates is orthogonal to the others only to about
-    tol / gap.  When two of the k + 1 lowest Ritz values lie within
-    2 _LOCATE_TOL and Sturm counts find two levels there, no start passes
-    the gap rule: None.  Without rungs, or when they do not certify, stebz
-    bisects levels 1..k to _LOCATE_TOL, seven decades short of its own."""
+    vectors at the k lowest Ritz values of stein's vectors at the rungs
+    (_rungs), refined and certified by _refined; None without rungs (no
+    grid well, or more rungs than points) or when it refuses.  The rotation
+    separates near pairs that the rungs place only to a fraction of their
+    spacing.  The certified vectors are re-orthonormalised (Cholesky QR),
+    as a column that _refined iterates is orthogonal to the others only to
+    about tol / gap.  When two of the k + 1 lowest Ritz values lie within
+    2 _LEAST_GAP and Sturm counts find two levels there, no start passes
+    the gap rule: None before the second stein."""
     n = diag.size
+    if rungs is None or rungs.size > n:
+        return None
     block = np.ones(n, np.int32), np.full(n, n, np.int32)   # T unsplit
-    if rungs is not None and rungs.size <= n:
-        vectors, info = dstein(diag, off, rungs, *block)
-        if info == 0:
-            cross = vectors[:-1].T @ (off[:, None] * vectors[1:])
-            ritz = np.linalg.eigvalsh(   # of vectors^T T vectors
-                (diag[:, None] * vectors).T @ vectors + cross + cross.T)
-            close = (np.diff(ritz[:k + 1]) <= 2.0 * _LOCATE_TOL).nonzero()[0]
-            if close.size and (
-                    _count(diag, off, ritz[close[0] + 1] + _LOCATE_TOL)
-                    - _count(diag, off, ritz[close[0]] - _LOCATE_TOL) >= 2):
-                return None
-            vectors, info = dstein(diag, off, ritz[:k], *block)
-            found = _refined(diag, off, vectors) if info == 0 else None
-            if found is not None:
-                rho, u = found
-                return rho, u @ np.linalg.inv(np.linalg.cholesky(u.T @ u)).T
-    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, k,
-                                        _LOCATE_TOL, "B")
+    vectors, info = dstein(diag, off, rungs, *block)
     if info != 0:
         return None
-    vectors, info = dstein(diag, off, w[:m], iblock, isplit)
-    if info != 0:
+    cross = vectors[:-1].T @ (off[:, None] * vectors[1:])
+    ritz = np.linalg.eigvalsh(   # of vectors^T T vectors
+        (diag[:, None] * vectors).T @ vectors + cross + cross.T)
+    close = (np.diff(ritz[:k + 1]) <= 2.0 * _LEAST_GAP).nonzero()[0]
+    if close.size and (_count(diag, off, ritz[close[0] + 1] + _LEAST_GAP)
+                       - _count(diag, off, ritz[close[0]] - _LEAST_GAP) >= 2):
         return None
-    return _refined(diag, off, vectors[:, np.argsort(w[:m])])
+    vectors, info = dstein(diag, off, ritz[:k], *block)
+    found = _refined(diag, off, vectors) if info == 0 else None
+    if found is None:
+        return None
+    rho, u = found
+    return rho, u @ np.linalg.inv(np.linalg.cholesky(u.T @ u)).T
 
 
 def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
@@ -556,7 +549,7 @@ def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray] | None:
     """Lowest k eigenpairs of the tridiagonal T = (diag, off) from start, an
     (n, k) matrix whose column j is near the eigenvector of level j (stein's
-    vectors at the rungs' Ritz values or at loose bisection), by
+    vectors at the rungs' Ritz values), by
     Rayleigh-quotient iteration certified by one Sturm count; None when a
     factorization fails, a level does not converge in _RQI_ROUNDS rounds or
     the certificate fails.
@@ -565,7 +558,7 @@ def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray
     u <- (T - rho_j I)^-1 u on dgttrf/dgttrs until its residual
     r_j = |T u - rho_j u| is within stebz's tolerance tol (_tolerance), a
     vector as accurate as stein's.  Let p_j be the midpoint of rho_j and
-    rho_{j+1}, p_0 = -inf and p_k = rho_k + 2a, a = _LOCATE_TOL, and
+    rho_{j+1}, p_0 = -inf and p_k = rho_k + 2a, a = _LEAST_GAP, and
     g_j = min(rho_j - p_{j-1}, p_j - rho_j), which must exceed a: the
     quotients ascend with j, neighbours more than 2a apart (a start with
     its columns out of level order, or two columns on one level, is
@@ -600,9 +593,9 @@ def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray
         if residual[j] > tol:
             return None
         vectors[:, j] = u
-    points = np.append(0.5 * (rho[:-1] + rho[1:]), rho[-1] + 2.0 * _LOCATE_TOL)
+    points = np.append(0.5 * (rho[:-1] + rho[1:]), rho[-1] + 2.0 * _LEAST_GAP)
     gap = np.minimum(rho - np.append(-math.inf, points[:-1]), points - rho)
-    if not np.all((gap > _LOCATE_TOL) & (residual < 0.5 * gap)
+    if not np.all((gap > _LEAST_GAP) & (residual < 0.5 * gap)
                   & (residual * residual <= tol * (gap - residual))):
         return None
     if _count(diag, off, points[-1]) != k:
@@ -614,11 +607,11 @@ def _lowest(diag: np.ndarray, off: np.ndarray, k: int, cfg: SolverConfig,
             rungs: np.ndarray | None = None
             ) -> tuple[np.ndarray, np.ndarray]:
     """Lowest k eigenpairs of a symmetric tridiagonal matrix with negative
-    off-diagonal: _ground for k == 1 and _located (from the rungs, or from
-    loose stebz/stein, then _refined) for k >= 2; when those give up (a
-    cluster below the loose tolerance, say), LAPACK bisection on the Sturm
-    count to stebz's full precision plus inverse iteration (stebz/stein),
-    which also raises ConvergenceError on a LAPACK failure."""
+    off-diagonal: _ground for k == 1 and _located from the rungs for
+    k >= 2; without rungs, or when those give up (a cluster closer than
+    2 _LEAST_GAP, say), LAPACK bisection on the Sturm count to stebz's full
+    precision plus inverse iteration (stebz/stein), which also raises
+    ConvergenceError on a LAPACK failure."""
     _load_lapack()
     found = _ground(diag, off) if k == 1 else _located(diag, off, k, rungs)
     if found is not None:
@@ -650,10 +643,10 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     off-diagonal -lam^2/h^2, Dirichlet boundaries.  A block solved for one
     level takes certified shift-and-invert (dpttrf/dpttrs), any other block
     inverse iteration (stein) at the harmonic ladders of the grid wells
-    (_rungs), or at loose bisection (stebz), refined by certified
-    Rayleigh-quotient iteration (_refined), both to stebz's tolerance, with
-    full-precision bisection as their fallback (see _lowest); the wells of
-    a symmetric potential are read on its even block, which holds x = 0.
+    (_rungs), refined by certified Rayleigh-quotient iteration (_refined),
+    both to stebz's tolerance, with full-precision bisection as their
+    fallback (see _lowest); the wells of a symmetric potential are read on
+    its even block, which holds x = 0.
     Wavefunctions are returned L2-normalized (sum psi^2 * h = 1)
     with deterministic sign (the leftmost largest |psi| is positive).  Each
     level's error_estimate is h^2/(12 lam^2) * sum (V - E)^2 psi^2 h.

@@ -671,15 +671,16 @@ def _spy_located(monkeypatch) -> list:
     return calls
 
 
-def _spy_loose(monkeypatch) -> list:
-    """Record the arguments of every loose bisection, a stebz call at
-    spectrum._LOCATE_TOL."""
+def _spy_stebz(monkeypatch) -> list:
+    """Record the arguments of every stebz call, and assert that each
+    bisects to full precision (tolerance 0) or only counts (spectrum._count's
+    tolerance 1e300)."""
     spectrum._load_lapack()    # bound first, so the patch stays
     calls, stebz = [], spectrum.dstebz
 
     def spy(*args):
-        if args[7] == spectrum._LOCATE_TOL:
-            calls.append(args)
+        assert args[7] in (0.0, 1e300)
+        calls.append(args)
         return stebz(*args)
     monkeypatch.setattr(spectrum, "dstebz", spy)
     return calls
@@ -691,77 +692,90 @@ def _stebz(diag: np.ndarray, off: np.ndarray, k: int):
                             lapack_driver="stebz")
 
 
+def _own_rungs(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
+    """The rungs that solve_numerical gives an unsplit block of k levels."""
+    return spectrum._rungs(spectrum._grid_wells(diag, off), k, None)
+
+
 def test_multi_level_route_matches_stebz(monkeypatch):
-    # the one-level cases re-run at k = 2..7, then a strongly tilted double
-    # well, one full-grid block: every block certified by loose bisection
-    # and Rayleigh quotients agrees with bisection to full precision,
-    # energies within stebz's tolerance, vectors to 1e-12 in |<v, v_ref>|
-    # (also at the near doublets of the tilted double wells, whose vectors
-    # stein recomputes from the certified energies); the doublets split
-    # below the loose tolerance fall back
+    # the one-level cases re-run at k = 2..7, then strongly tilted double
+    # wells at k = 7, one full-grid block each: every block certified from
+    # its rungs agrees with bisection to full precision, energies within
+    # stebz's tolerance, vectors to 1e-12 in |<v, v_ref>| (also at the near
+    # doublets of the tilted double wells, whose vectors stein recomputes
+    # from the Ritz values), and more than half the one-level cases'
+    # blocks certify; every refused block (a doublet split below 2e-4, or
+    # rungs that drift from the levels of a tilted well) gives stebz's
+    # eigenpairs bit for bit
     calls = _spy_located(monkeypatch)
-    for p, cfg, _ in _single_level_cases():
-        for k in range(2, 8):
-            solve_numerical(p, dataclasses.replace(cfg, num_levels=k))
-    certified = [call for call in calls if call[3] is not None]
-    assert len(certified) > len(calls) // 2
-    tilted = tilted_double_well(4.0, 0.5)
-    cfg = resolve_solver(tilted, 7)
-    solve_numerical(tilted, cfg)
-    assert calls[-1][0].size == cfg.grid_points - 2
-    assert calls[-1][3] is not None
-    certified.append(calls[-1])
-    for diag, off, k, (energy, vector) in certified:
+    blocks = [block for p, cfg, _ in _single_level_cases()
+              for k in range(2, 8)
+              for block in _blocks(p, dataclasses.replace(cfg, num_levels=k))
+              if block[2][1].shape[1] > 1]
+    assert sum(call[3] is not None for call in calls) > len(calls) // 2
+    for s1 in (2.0, 4.0, 8.0):
+        for b in (0.5, 0.1, 1e-3):
+            tilted = tilted_double_well(s1, b)
+            cfg = resolve_solver(tilted, 7)
+            ((diag, off, found),) = _blocks(tilted, cfg)
+            assert diag.size == cfg.grid_points - 2
+            blocks.append((diag, off, found))
+    tail = [call[3] is not None for call in calls[-9:]]
+    assert any(tail) and not all(tail)
+    for (diag, off, (energy, vector)), (*_, k, located) in zip(
+            blocks, calls, strict=True):
         want_e, want_v = _stebz(diag, off, k)
-        tol = spectrum._tolerance(diag, off)
-        assert np.all(np.abs(energy - want_e) <= tol)
+        if located is None:
+            assert np.array_equal(energy, want_e)
+            assert np.array_equal(vector, want_v)
+            continue
+        assert np.all(np.abs(energy - want_e)
+                      <= spectrum._tolerance(diag, off))
         assert np.all(np.abs(np.einsum("ij,ij->j", vector, want_v))
                       >= 1.0 - 1e-12)
 
 
 def test_multi_level_route_falls_back_on_a_cluster(monkeypatch):
     # at the finite-difference crossing of central-0 and the even member of
-    # offcentral-0 the even block's two lowest levels lie 5.9e-11 apart,
-    # unresolved at the loose tolerance: the block takes the full-precision
-    # route and gives its very eigenpairs
+    # offcentral-0 the even block's two lowest levels lie 5.9e-11 apart:
+    # the Ritz values of its rungs hold them within 2e-4, and two Sturm
+    # counts find both levels there, so no start passes the gap rule and
+    # _located refuses after its first stein call; the block takes the
+    # full-precision route and gives its very eigenpairs, and the odd block
+    # certifies from its rungs
     calls = _spy_located(monkeypatch)
-    p = triple_well(4.0, 0.0026010433800040303)
-    solve_numerical(p, resolve_solver(p, 6))
-    (diag, off, k, result), odd = calls
-    assert (k, result) == (3, None) and odd[3] is not None
-    energy, vector = spectrum._lowest(diag, off, k, SolverConfig(1.0, 401))
-    want_e, want_v = _stebz(diag, off, k)
-    assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
+    _spy_stebz(monkeypatch)
+    stein, steins = spectrum.dstein, []
 
-
-def test_multi_level_route_skips_the_loose_start_on_a_cluster(monkeypatch):
-    # at that crossing the Ritz values of the even block's rungs hold
-    # central-0 and the even member of offcentral-0 within 2e-4, and two
-    # Sturm counts find both levels there: no start passes the gap rule, so
-    # the block goes to full precision without loose bisection, and gives
-    # its very eigenpairs; the odd block certifies from its rungs
-    loose = _spy_loose(monkeypatch)
+    def counted(*args):
+        steins.append(len(calls))    # the _located calls finished before it
+        return stein(*args)
+    monkeypatch.setattr(spectrum, "dstein", counted)
     p = triple_well(4.0, 0.0026010433800040303)
     (diag, off, (energy, vector)), _ = _blocks(p, resolve_solver(p, 6))
-    assert loose == []
-    want_e, want_v = _stebz(diag, off, 3)
+    (*_, k, result), odd = calls
+    assert (k, result) == (3, None) and odd[3] is not None
+    # one stein in the even _located, one in its fallback, two in the odd one
+    assert steins == [0, 1, 1, 1]
+    want_e, want_v = _stebz(diag, off, k)
     assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
 
 
 def test_multi_level_route_falls_back_without_the_lowest_rung(monkeypatch):
     # rungs that miss the lowest level give Ritz values one level high, which
-    # the Sturm count of _refined refuses: each block takes the loose start
-    # and returns its eigenpairs bit for bit
+    # the Sturm count of _refined refuses: each block takes full-precision
+    # bisection and returns stebz's eigenpairs bit for bit
     rungs = spectrum._rungs
     monkeypatch.setattr(spectrum, "_rungs",
                         lambda *args: rungs(*args)[1:])
-    loose = _spy_loose(monkeypatch)
+    located = _spy_located(monkeypatch)
+    stebz = _spy_stebz(monkeypatch)
     blocks = _alc_blocks(0.005)
-    assert len(loose) == len(blocks) == 2
-    cfg = SolverConfig(1.0, 401)
+    assert len(blocks) == 2 and [call[3] for call in located] == [None] * 2
+    assert [args[7] for args in stebz].count(0.0) == 2
     for diag, off, found in blocks:
-        cold = spectrum._lowest(diag, off, found[1].shape[1], cfg)
-        assert all(np.array_equal(a, b) for a, b in zip(found, cold))
+        want = _stebz(diag, off, found[1].shape[1])
+        assert all(np.array_equal(a, b) for a, b in zip(found, want))
 
 
 def test_multi_level_route_reorthonormalises_certified_columns(monkeypatch):
@@ -777,7 +791,8 @@ def test_multi_level_route_reorthonormalises_certified_columns(monkeypatch):
             found[1][:, 1] += 1e-9 * found[1][:, 0]
         return found
     monkeypatch.setattr(spectrum, "_refined", turned)
-    loose = _spy_loose(monkeypatch)
+    located = _spy_located(monkeypatch)
+    _spy_stebz(monkeypatch)
     for diag, off, (energy, vector) in _alc_blocks(0.005):
         k = vector.shape[1]
         assert np.allclose(vector.T @ vector, np.eye(k), rtol=0.0, atol=1e-12)
@@ -786,7 +801,7 @@ def test_multi_level_route_reorthonormalises_certified_columns(monkeypatch):
                       <= spectrum._tolerance(diag, off))
         assert np.all(np.abs(np.einsum("ij,ij->j", vector, want_v))
                       >= 1.0 - 1e-12)
-    assert loose == []
+    assert [call[3] is not None for call in located] == [True, True]
 
 
 def _neighbour(vectors: np.ndarray) -> np.ndarray:
@@ -800,33 +815,44 @@ def _mixed(vectors: np.ndarray) -> np.ndarray:
     return mixed / np.linalg.norm(mixed)
 
 
+def _tilted_block() -> tuple:
+    """(diag, off, cfg) of tilted_double_well(4, 0.1) at three levels: one
+    full-grid block, whose third column needs Rayleigh-quotient iteration
+    from stein's vector at its Ritz value."""
+    p = tilted_double_well(4.0, 0.1)
+    cfg = resolve_solver(p, 3)
+    ((diag, off, _),) = _blocks(p, cfg)
+    return diag, off, cfg
+
+
 @pytest.mark.parametrize("corrupt", [_neighbour, _mixed])
 def test_multi_level_route_rejects_a_wrong_vector(monkeypatch, corrupt):
-    # stein handing back the next level's vector in place of the lowest
+    # stein handing _refined the next level's vector in place of the lowest
     # one (whose Rayleigh quotient is that level's energy, on the next
     # column's level) fails certification, and the block takes the
     # full-precision route; the lowest one turned by 1e-3 is not returned
     # either: Rayleigh-quotient iteration repairs it, to stebz's tolerance
+    diag, off, cfg = _tilted_block()
     spectrum._load_lapack()
     stein, calls = spectrum.dstein, []
 
     def corrupted(*args):
         vectors, info = stein(*args)
-        if not calls:
+        if len(calls) == 1:    # at the Ritz values of the rungs' vectors
             vectors[:, 0] = corrupt(vectors)
         calls.append(args)
         return vectors, info
     monkeypatch.setattr(spectrum, "dstein", corrupted)
     located = _spy_located(monkeypatch)
-    diag, off = np.linspace(2.0, 3.0, 401), np.full(400, -1.0)
-    energy, vector = spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401))
+    energy, vector = spectrum._lowest(diag, off, 3, cfg,
+                                      _own_rungs(diag, off, 3))
     want_e, want_v = _stebz(diag, off, 3)
     if corrupt is _neighbour:
-        assert len(calls) == 2 and located[0][3] is None
+        assert len(calls) == 3 and located[0][3] is None
         assert np.array_equal(energy, want_e)
         assert np.array_equal(vector, want_v)
     else:
-        assert len(calls) == 1 and located[0][3] is not None
+        assert len(calls) == 2 and located[0][3] is not None
         assert np.all(np.abs(energy - want_e)
                       <= spectrum._tolerance(diag, off))
         assert np.all(np.abs(np.einsum("ij,ij->j", vector, want_v))
@@ -835,22 +861,22 @@ def test_multi_level_route_rejects_a_wrong_vector(monkeypatch, corrupt):
 
 def test_multi_level_route_falls_back_when_a_factorization_fails(
         monkeypatch):
-    # stein's vectors of the near doublet of a slightly tilted double well
-    # need Rayleigh-quotient iteration to reach stebz's tolerance; when its
+    # stein's vector at the third Ritz value of a tilted double well needs
+    # Rayleigh-quotient iteration to reach stebz's tolerance; when its
     # factorization reports failure, the block takes the full-precision
     # route
+    diag, off, cfg = _tilted_block()
+    k = 3
+    rungs = _own_rungs(diag, off, k)
+    assert spectrum._located(diag, off, k, rungs) is not None
     located = _spy_located(monkeypatch)
-    p = tilted_double_well(4.0, 1e-6)
-    cfg = resolve_solver(p, 3)
-    solve_numerical(p, cfg)
-    diag, off, k, _ = located[0]
     calls = []
 
     def failing(*args):
         calls.append(args)
         return _fail_dgttrf(*args)
     monkeypatch.setattr(spectrum, "dgttrf", failing)
-    energy, vector = spectrum._lowest(diag, off, k, cfg)
+    energy, vector = spectrum._lowest(diag, off, k, cfg, rungs)
     assert len(calls) == 1 and located[-1][3] is None
     want_e, want_v = _stebz(diag, off, k)
     assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
@@ -863,7 +889,8 @@ def test_multi_level_route_needs_a_level_above(monkeypatch, capfd):
     # print that the index is out of range)
     calls = _spy_located(monkeypatch)
     diag, off = np.array([2.0, 3.0, 5.0]), np.array([-1.0, -1.0])
-    energy, vector = spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401))
+    energy, vector = spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401),
+                                      _own_rungs(diag, off, 3))
     assert calls[0][3] is not None
     assert capfd.readouterr().out == ""
     want_e, want_v = _stebz(diag, off, 3)
@@ -888,24 +915,24 @@ def _blocks(p, cfg) -> list:
     return calls
 
 
-def test_warm_route_certifies_every_menu_block(monkeypatch):
+def test_multi_level_route_certifies_every_menu_block(monkeypatch):
     # every multi-level block of the 48 menu crossings (the table pairs at
-    # alpha in {3.5, 4, 5, 6}) is certified by _refined on the vectors of
-    # loose bisection (_located), and agrees with bisection to full
-    # precision, energies within stebz's tolerance and vectors to 1e-12 in
-    # |<v, v_ref>|: the 96 blocks of the one solve per crossing from the
-    # second-order root, and those of the 73 solves from the harmonic root;
-    # the 96 blocks certify from their rungs, with no loose bisection, and
-    # every block's vectors are orthonormal to 1e-12
+    # alpha in {3.5, 4, 5, 6}) is certified by _refined on stein's vectors
+    # at the Ritz values of its rungs (_located), and agrees with bisection
+    # to full precision, energies within stebz's tolerance and vectors to
+    # 1e-12 in |<v, v_ref>|: the 96 blocks of the one solve per crossing
+    # from the second-order root, and those of the 73 solves from the
+    # harmonic root; no stebz call bisects, and every block's vectors are
+    # orthonormal to 1e-12
     calls = _spy_located(monkeypatch)
-    loose = _spy_loose(monkeypatch)
+    stebz = _spy_stebz(monkeypatch)
     queries = [AlcQuery(m, n, alpha, backend="numerical")
                for alpha in (3.5, 4.0, 5.0, 6.0)
                for m, n in crossings.TABLE_PAIRS]
     for q in queries:
         solve_crossing(q)
     assert len(calls) == 2 * 48
-    assert loose == []
+    assert 0.0 not in [args[7] for args in stebz]
     monkeypatch.setattr(crossings, "_anharmonic_residual",
                         lambda d, m, n, a: 1.0)
     for q in queries:
@@ -996,7 +1023,7 @@ def test_warm_route_is_right_whenever_it_certifies(start_delta, certified):
                           >= 1.0 - 1e-12)
 
 
-def test_warm_route_refuses_a_near_doublet():
+def test_multi_level_route_refuses_a_near_doublet():
     # the two lowest levels of a double well tilted by 1e-8 lie far closer
     # than 2e-4: from the vectors at the tilt 1.01e-8 _refined reaches
     # residuals within stebz's tolerance, but the gap of the doublet leaves
@@ -1020,8 +1047,8 @@ def test_lowest_called_first_binds_lapack():
     # without importing scipy.linalg; imported after it, scipy.linalg binds
     # the very same routines, and the solves repeat bit for bit.  Both
     # routes agree with stebz within its tolerance, 5 ulp here (the
-    # Gershgorin ends are 0 and 5): the three levels come from certified
-    # Rayleigh quotients, not from bisection to that tolerance
+    # Gershgorin ends are 0 and 5): without rungs the three levels come from
+    # full-precision bisection, the one level from a certified quotient
     code = ("import sys\n"
             "import numpy as np\n"
             "from multiwell import spectrum\n"
