@@ -21,9 +21,9 @@ method on it starts from the second-order root (_anharmonic_residual), at
 least 84 times closer to the converged crossings than the harmonic root, and
 takes a step without another eigensolve once it is short enough for the
 slope's error to leave it within tolerance: one eigensolve per crossing of
-the benchmark menu.  A crossing's bracket and a scan's lattice are
-delta-lines, each labelled by one well map found at its two ends
-(_line_map, _line_solve).
+the benchmark menu, of only the three levels the crossing compares.  A
+crossing's bracket and a scan's lattice are delta-lines, each labelled by
+one well map found at its two ends (_line_map, _line_solve).
 
 Both backends find the harmonic root first.  The closed-form residual
 (_harmonic_residual) takes a float or a numpy array, so bracket_scan
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -258,14 +258,51 @@ def _line_solve(alpha: float, delta: float, cfg: SolverConfig,
     return pairs, _labels(pairs, *well_map)
 
 
+def _window_solve(delta: float, q: AlcQuery, cfg: SolverConfig,
+                  well_map: tuple
+                  ) -> tuple[list[Eigenpair], list[LabeledLevel]] | None:
+    """Levels n + 2m .. n + 2m + 2 of triple_well(alpha, delta) on cfg,
+    labelled central-n, offcentral-m, offcentral-m, or None.
+
+    At a crossing n central levels and m doublets lie below the three it
+    compares, in either parity.  The window is taken when cfg holds it and
+    its levels are, by their weights on the well map, one central and two
+    off-central, each within a quarter of its family's harmonic spacing
+    2 sqrt(c) or 2 Omega of the family's level of _n2_second_order.
+    """
+    first = q.n + 2 * q.m
+    if first + 3 > cfg.num_levels:
+        return None
+    pairs = solve_numerical(triple_well(q.alpha, delta),
+                            replace(cfg, num_levels=3), first=first)
+    labeled = _labels(pairs, *well_map)
+    if sorted(lv.family for lv in labeled) != ["central", "offcentral",
+                                                "offcentral"]:
+        return None
+    spring_c, spring_o, _ = _n2_closed_form(q.alpha,
+                                            q.alpha * math.sqrt(2.0 + delta))
+    central, outer = _n2_second_order(q.alpha, delta, q.n, q.m)
+    want = {"central": (q.n, central, spring_c),
+            "offcentral": (q.m, outer, spring_o)}
+    named = []
+    for lv, pair in zip(labeled, pairs):
+        index, level, spring = want[lv.family]
+        if not abs(pair.energy + pair.error_estimate - level) <= 0.5 * spring:
+            return None
+        named.append(replace(lv, index=index, label=f"{lv.family}-{index}"))
+    return pairs, named
+
+
 def _numeric_residual(delta: float, q: AlcQuery, cfg: SolverConfig,
                       well_map: tuple) -> tuple[float, float]:
     """Mean corrected energy of doublet m minus corrected central level n,
     and its delta-slope from the Hellmann-Feynman slopes sum psi^2 dV h of
     the grid energies, dV/ddelta = alpha^2 (3 alpha^2 x^2 - 1.5 x^4) exactly
     (the slope leaves out d(error_estimate)/ddelta; nan when r is +-inf),
-    on the eigenpairs solved and labelled by _line_solve."""
-    pairs, labeled = _line_solve(q.alpha, delta, cfg, well_map)
+    on the three levels of _window_solve, or when it gives None on the
+    cfg.num_levels lowest, solved and labelled by _line_solve."""
+    pairs, labeled = (_window_solve(delta, q, cfg, well_map)
+                      or _line_solve(q.alpha, delta, cfg, well_map))
     a2, x2 = q.alpha * q.alpha, pairs[0].x ** 2
     dv = a2 * x2 * (3.0 * a2 - 1.5 * x2)
     central, doublet = ([(pair.energy + pair.error_estimate,
@@ -330,12 +367,13 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     The numerical backend counts eigensolves of one residual: the corrected
     energies on q.solver, or else on the grid resolve_solver gives the
     bracket's widest triple well at step CROSSING_STEP, labelled by the
-    bracket's well map (_line_map).  Newton's method, with the
-    Hellmann-Feynman slope, runs within near from the root of the
-    second-order residual (_anharmonic_residual), which Brent's method
-    finds on near, or from the harmonic root when near shows that residual
-    no sign change, and takes its last step without another eigensolve:
-    one eigensolve on each of the 48 menu crossings.  Without a harmonic
+    bracket's well map (_line_map), of the three levels compared
+    (_window_solve) or, when those do not match, of the grid's lowest.
+    Newton's method, with the Hellmann-Feynman slope, runs within near
+    from the root of the second-order residual (_anharmonic_residual),
+    which Brent's method finds on near, or from the harmonic root when near
+    shows that residual no sign change, and takes its last step without
+    another eigensolve: one eigensolve on each of the 48 menu crossings.  Without a harmonic
     root, or when Newton fails (_newton), Brent's method runs on near, then
     on q.bracket if wider; a root outside near draws a warning.
 

@@ -3,14 +3,15 @@
 Two routes: closed-form harmonic estimates per well family (level spacing
 2*lam*sqrt(V''/2)), and a second-order finite-difference discretization on
 a symmetric grid with Dirichlet boundaries, whose tridiagonal blocks are
-read for harmonic wells by one rule (_grid_wells).  A block that needs one
-level is solved by shift-and-invert on LAPACK dpttrf/dpttrs from a
-harmonic first shift (_harmonic_guess) and min V as its first lower
-bound, every shift certified by the signs of the factor's pivots.  Any
-other block takes inverse iteration (stein) at the rungs of the wells'
-harmonic ladders, separated by a Rayleigh-Ritz rotation, then
-Rayleigh-quotient iteration on LAPACK dgttrf/dgttrs, certified by one
-Sturm count and a residual-and-gap bound (_refined).  Both reach stebz's
+read for harmonic wells by one rule (_grid_wells).  A solve returns a
+window of consecutive levels, the lowest by default.  A block that needs
+its lowest level alone is solved by shift-and-invert on LAPACK
+dpttrf/dpttrs from a harmonic first shift (_harmonic_guess) and min V as
+its first lower bound, every shift certified by the signs of the factor's
+pivots.  Any other block takes inverse iteration (stein) at the rungs of
+the wells' harmonic ladders, separated by a Rayleigh-Ritz rotation, then
+Rayleigh-quotient iteration on LAPACK dgttrf/dgttrs, certified by Sturm
+counts at the window's edges and a residual-and-gap bound (_refined).  Both reach stebz's
 absolute tolerance, ulp * max |Gershgorin end|; a block neither route
 certifies (clustered levels, say) takes bisection (stebz) to that
 tolerance.
@@ -500,21 +501,26 @@ def _ground(diag: np.ndarray, off: np.ndarray
 
 
 def _located(diag: np.ndarray, off: np.ndarray, k: int,
-             rungs: np.ndarray | None
+             rungs: np.ndarray | None, first: int = 0
              ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Lowest k eigenpairs of the tridiagonal T = (diag, off): stein's
-    vectors at the k lowest Ritz values of stein's vectors at the rungs
-    (_rungs), refined and certified by _refined; None without rungs (no
-    grid well, or more rungs than points) or when it refuses.  The rotation
-    separates near pairs that the rungs place only to a fraction of their
-    spacing.  The certified vectors are re-orthonormalised (Cholesky QR),
-    as a column that _refined iterates is orthogonal to the others only to
-    about tol / gap.  When two of the k + 1 lowest Ritz values lie within
-    2 _LEAST_GAP and Sturm counts find two levels there, no start passes
-    the gap rule: None before the second stein."""
+    """Eigenpairs first .. first + k - 1 of the tridiagonal T = (diag, off):
+    stein's vectors at k Ritz values of stein's vectors at the rungs (_rungs
+    of first + k levels) from rung max(first - 1, 0), refined and certified
+    by _refined; None without rungs (no grid well, or more rungs than
+    points) or when it refuses.  The k are the lowest, or when first > 0
+    those above the lowest, a guess that the counts of _refined check.  The
+    rotation separates near pairs that the rungs place only to a fraction
+    of their spacing.  The certified vectors are re-orthonormalised
+    (Cholesky QR), as a column that _refined iterates is orthogonal to the
+    others only to about tol / gap.  When two neighbours among the k and the
+    Ritz values either side lie within 2 _LEAST_GAP and Sturm counts find
+    two levels there, no start passes the gap rule: None before the second
+    stein."""
     n = diag.size
-    if rungs is None or rungs.size > n:
+    below = min(first, 1)    # the Ritz values below the window
+    if rungs is None or rungs.size - first + below > n:
         return None
+    rungs = rungs[first - below:]
     block = np.ones(n, np.int32), np.full(n, n, np.int32)   # T unsplit
     vectors, info = dstein(diag, off, rungs, *block)
     if info != 0:
@@ -522,12 +528,12 @@ def _located(diag: np.ndarray, off: np.ndarray, k: int,
     cross = vectors[:-1].T @ (off[:, None] * vectors[1:])
     ritz = np.linalg.eigvalsh(   # of vectors^T T vectors
         (diag[:, None] * vectors).T @ vectors + cross + cross.T)
-    close = (np.diff(ritz[:k + 1]) <= 2.0 * _LEAST_GAP).nonzero()[0]
+    close = (np.diff(ritz[:below + k + 1]) <= 2.0 * _LEAST_GAP).nonzero()[0]
     if close.size and (_count(diag, off, ritz[close[0] + 1] + _LEAST_GAP)
                        - _count(diag, off, ritz[close[0]] - _LEAST_GAP) >= 2):
         return None
-    vectors, info = dstein(diag, off, ritz[:k], *block)
-    found = _refined(diag, off, vectors) if info == 0 else None
+    vectors, info = dstein(diag, off, ritz[below:below + k], *block)
+    found = _refined(diag, off, vectors, first) if info == 0 else None
     if found is None:
         return None
     rho, u = found
@@ -545,29 +551,31 @@ def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
     return m if info == 0 else -1
 
 
-def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Lowest k eigenpairs of the tridiagonal T = (diag, off) from start, an
-    (n, k) matrix whose column j is near the eigenvector of level j (stein's
-    vectors at the rungs' Ritz values), by
-    Rayleigh-quotient iteration certified by one Sturm count; None when a
-    factorization fails, a level does not converge in _RQI_ROUNDS rounds or
-    the certificate fails.
+def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray,
+             first: int = 0) -> tuple[np.ndarray, np.ndarray] | None:
+    """Eigenpairs first .. first + k - 1 of the tridiagonal T = (diag, off)
+    from start, an (n, k) matrix whose column j is near the eigenvector of
+    level first + j (stein's vectors at the rungs' Ritz values), by
+    Rayleigh-quotient iteration certified by Sturm counts, at the top and,
+    when first > 0, at the bottom; None when a factorization fails, a level
+    does not converge in _RQI_ROUNDS rounds or the certificate fails.
 
     Column j starts at its Rayleigh quotient rho_j on T and repeats
     u <- (T - rho_j I)^-1 u on dgttrf/dgttrs until its residual
     r_j = |T u - rho_j u| is within stebz's tolerance tol (_tolerance), a
     vector as accurate as stein's.  Let p_j be the midpoint of rho_j and
-    rho_{j+1}, p_0 = -inf and p_k = rho_k + 2a, a = _LEAST_GAP, and
+    rho_{j+1} (columns counted from 1), p_0 = -inf, or rho_1 - 2a when
+    first > 0, and p_k = rho_k + 2a, a = _LEAST_GAP, and
     g_j = min(rho_j - p_{j-1}, p_j - rho_j), which must exceed a: the
     quotients ascend with j, neighbours more than 2a apart (a start with
     its columns out of level order, or two columns on one level, is
     refused).  When r_j < g_j / 2, some level lies within r_j of rho_j,
-    inside (p_{j-1}, p_j], so the Sturm count (_count) at p_k is at least
-    k.  When it is exactly k (Sylvester inertia, Parlett, The Symmetric
-    Eigenvalue Problem, SIAM 1998, ch. 4), each interval holds one level,
-    the j-th, as counts at every p_j would show, and the other levels lie
-    at least g_j from rho_j.  Kato-Temple (sec. 10.5) then bounds
+    inside (p_{j-1}, p_j], so the Sturm counts (_count) at p_k and p_0
+    differ by at least k.  When they are exactly first + k and first
+    (Sylvester inertia, Parlett, The Symmetric Eigenvalue Problem, SIAM
+    1998, ch. 4), each interval holds one level, level first + j - 1, as
+    counts at every p_j would show, and the other levels lie at least g_j
+    from rho_j.  Kato-Temple (sec. 10.5) then bounds
     |lambda_j - rho_j| by r_j^2 / (g_j - r_j), which must be within tol,
     and u_j lies within the angle r_j / (g_j - r_j) <= tol / (a - tol) of
     its eigenvector (Davis & Kahan, SIAM J. Numer. Anal. 7, 1 (1970)).
@@ -593,33 +601,39 @@ def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray
         if residual[j] > tol:
             return None
         vectors[:, j] = u
+    low = rho[0] - 2.0 * _LEAST_GAP if first else -math.inf
     points = np.append(0.5 * (rho[:-1] + rho[1:]), rho[-1] + 2.0 * _LEAST_GAP)
-    gap = np.minimum(rho - np.append(-math.inf, points[:-1]), points - rho)
+    gap = np.minimum(rho - np.append(low, points[:-1]), points - rho)
     if not np.all((gap > _LEAST_GAP) & (residual < 0.5 * gap)
                   & (residual * residual <= tol * (gap - residual))):
         return None
-    if _count(diag, off, points[-1]) != k:
+    if _count(diag, off, points[-1]) != first + k:
+        return None
+    if first and _count(diag, off, low) != first:
         return None
     return rho, vectors
 
 
 def _lowest(diag: np.ndarray, off: np.ndarray, k: int, cfg: SolverConfig,
-            rungs: np.ndarray | None = None
+            rungs: np.ndarray | None = None, first: int = 0
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Lowest k eigenpairs of a symmetric tridiagonal matrix with negative
-    off-diagonal: _ground for k == 1 and _located from the rungs for
-    k >= 2; without rungs, or when those give up (a cluster closer than
-    2 _LEAST_GAP, say), LAPACK bisection on the Sturm count to stebz's full
-    precision plus inverse iteration (stebz/stein), which also raises
-    ConvergenceError on a LAPACK failure."""
+    """Eigenpairs first .. first + k - 1 of a symmetric tridiagonal matrix
+    with negative off-diagonal: _ground for the lowest level alone
+    (k == 1, first == 0) and _located from the rungs otherwise; without
+    rungs, or when those give up (a cluster closer than 2 _LEAST_GAP, say),
+    LAPACK bisection on the Sturm count to stebz's full precision plus
+    inverse iteration (stebz/stein), which also raises ConvergenceError on
+    a LAPACK failure."""
     _load_lapack()
-    found = _ground(diag, off) if k == 1 else _located(diag, off, k, rungs)
+    found = (_ground(diag, off) if k == 1 and not first
+             else _located(diag, off, k, rungs, first))
     if found is not None:
         return found
     # the calls eigh_tridiagonal(select="i", lapack_driver="stebz") makes:
-    # levels 1..k by index (range 2; vl, vu unused) at stebz's default
-    # tolerance (abstol 0), ordered by block ("B") as stein needs them
-    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, 1, k, 0.0, "B")
+    # levels first+1..first+k by index (range 2; vl, vu unused) at stebz's
+    # default tolerance (abstol 0), ordered by block ("B") as stein needs
+    m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 1.0, first + 1,
+                                        first + k, 0.0, "B")
     _check_info("dstebz", info, cfg)
     w = w[:m]
     vectors, info = dstein(diag, off, w, iblock, isplit)
@@ -636,8 +650,10 @@ def _check_info(routine: str, info: int, cfg: SolverConfig) -> None:
             f"lam={cfg.lam:g})")
 
 
-def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
-    """Lowest cfg.num_levels eigenpairs of the discretized operator.
+def solve_numerical(p: Polynomial, cfg: SolverConfig, *,
+                    first: int = 0) -> list[Eigenpair]:
+    """Eigenpairs first .. first + cfg.num_levels - 1 of the discretized
+    operator, by default the lowest cfg.num_levels.
 
     Second-order central differences, diagonal V(x_i) + 2*lam^2/h^2,
     off-diagonal -lam^2/h^2, Dirichlet boundaries.  A block solved for one
@@ -655,16 +671,17 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
     x >= 0: an even block (psi(0) free; its unknown at x = 0 is
     psi(0)/sqrt(2), which keeps the block symmetric) and an odd block
     (psi(0) = 0).  Level j of the tridiagonal operator has j sign changes,
-    so its parity is (-1)^j: the k lowest levels are the ceil(k/2) lowest
-    even and floor(k/2) lowest odd ones, interleaved even, odd, even, ...
+    so its parity is (-1)^j and its index in its block j // 2: the k levels
+    from first are the even block's from ceil(first/2) and the odd block's
+    from floor(first/2), interleaved by parity.
     Each vector is mirrored onto the full grid and so has exact parity,
     also inside doublets split below machine precision, where the even
     member is kept at or below the odd one.
     """
     n, k = cfg.grid_points, cfg.num_levels
-    if k > n - 2:
-        raise ParameterError(f"requested {k} levels on a grid with "
-                             f"{n - 2} interior points")
+    if first < 0 or first + k > n - 2:
+        raise ParameterError(f"requested levels {first} to {first + k - 1} "
+                             f"on a grid with {n - 2} interior points")
     x = cfg.grid()
     h = cfg.step
     off = -cfg.lam * cfg.lam / (h * h)
@@ -672,29 +689,31 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig) -> list[Eigenpair]:
         c = (n - 1) // 2    # x[c] = 0
         diag = p(x[c:-1]) - 2.0 * off
         even = _off_diagonal(c - 1, off, math.sqrt(2.0))
-        wells = _grid_wells(diag, even) if k > 2 else None
+        wells = _grid_wells(diag, even) if k > 2 or first else None
         energies = np.empty(k)
         half = np.zeros((c, k))    # psi on x[c:-1], one column per level
-        energies[0::2], half[:, 0::2] = _lowest(
-            diag, even, (k + 1) // 2, cfg, _rungs(wells, (k + 1) // 2, 0))
-        half[0, 0::2] *= math.sqrt(2.0)
-        if k > 1:
-            energies[1::2], half[1:, 1::2] = _lowest(
-                diag[1:], _off_diagonal(c - 2, off, 1.0), k // 2, cfg,
-                _rungs(wells, k // 2, 1))
+        blocks = (diag, even), (diag[1:], _off_diagonal(c - 2, off, 1.0))
+        for parity, (d, e) in enumerate(blocks):
+            col = (first + parity) % 2    # the block's first column
+            j, size = (first + col) // 2, (k - col + 1) // 2
+            if size:
+                energies[col::2], half[parity:, col::2] = _lowest(
+                    d, e, size, cfg, _rungs(wells, j + size, parity), j)
+        half[0, first % 2::2] *= math.sqrt(2.0)
         # the blocks are solved separately, each to about ulp * |T|: a
         # doublet split below that may come out with its odd member lower
         energies = np.maximum.accumulate(energies)
         vectors = np.empty((n - 2, k))
         vectors[c - 1:] = half
-        vectors[:c - 1] = half[:0:-1] * (-1.0) ** np.arange(k)
+        vectors[:c - 1] = half[:0:-1] * (-1.0) ** np.arange(first, first + k)
         v = diag + 2.0 * off
         v = np.concatenate((v[:0:-1], v))
     else:
         v = p(x[1:-1])
         diag, full = v - 2.0 * off, _off_diagonal(n - 3, off, 1.0)
         energies, vectors = _lowest(diag, full, k, cfg, _rungs(
-            _grid_wells(diag, full) if k > 1 else None, k, None))
+            _grid_wells(diag, full) if k > 1 or first else None, first + k,
+            None), first)
     # the grid operator is the continuum one minus (lam^2 h^2 / 12) d4/dx4
     # + O(h^4); to first order that shifts E by (lam^2 h^2 / 12) |psi''|^2,
     # with lam^2 psi'' = (V - E) psi

@@ -145,9 +145,9 @@ class TestNumericalSearch:
 
     def test_ground_pair_takes_few_eigensolves(self, monkeypatch):
         calls = []
-        def counting(p, cfg):
+        def counting(p, cfg, **window):
             calls.append(cfg)
-            return solve_numerical(p, cfg)
+            return solve_numerical(p, cfg, **window)
         monkeypatch.setattr(crossings, "solve_numerical", counting)
         sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
         assert len(calls) == 1
@@ -335,6 +335,79 @@ class TestNumericalSearch:
         counts = [[solve_crossing(q).evaluations for q in queries]
                   for _ in range(2)]
         assert sum(counts[0]) == 48 and counts[0] == counts[1]
+
+    def test_menu_crossings_solve_only_their_window(self, monkeypatch):
+        # every menu crossing solves levels n + 2m .. n + 2m + 2 alone, with
+        # no full solve and no full-precision bisection, and lands within
+        # 1e-12 of the delta of the full solve (the window route off)
+        spectrum._load_lapack()
+        stebz, tolerances = spectrum.dstebz, []
+
+        def spy_stebz(*args):
+            tolerances.append(args[7])
+            return stebz(*args)
+        monkeypatch.setattr(spectrum, "dstebz", spy_stebz)
+        solves = []
+
+        def counting(p, cfg, **window):
+            solves.append((cfg.num_levels, window))
+            return solve_numerical(p, cfg, **window)
+        monkeypatch.setattr(crossings, "solve_numerical", counting)
+        queries = [AlcQuery(m, n, alpha, backend="numerical")
+                   for alpha in (3.5, 4.0, 5.0, 6.0) for m, n in TABLE_PAIRS]
+        window = []
+        for q in queries:
+            solves.clear()
+            window.append(solve_crossing(q).delta)
+            assert solves == [(3, {"first": q.n + 2 * q.m})], (q.m, q.n)
+        assert 0.0 not in tolerances
+        monkeypatch.setattr(crossings, "_window_solve", lambda *args: None)
+        for q, delta in zip(queries, window):
+            assert abs(solve_crossing(q).delta - delta) <= 1e-12, (q.m, q.n)
+
+    @pytest.mark.parametrize("alpha", [3.5, 4.0, 5.0, 6.0])
+    def test_window_labels_equal_the_full_solve_labels(self, alpha):
+        # at each menu crossing the window's three labels are those that
+        # _labels gives the same levels of the full solve
+        for m, n in TABLE_PAIRS:
+            q = AlcQuery(m, n, alpha, backend="numerical")
+            cfg = crossings._default_numeric_config(q)
+            well_map = crossings._line_map(alpha, *q.bracket, cfg.half_width)
+            delta = solve_crossing(q).delta
+            _, labeled = crossings._window_solve(delta, q, cfg, well_map)
+            full = crossings._line_solve(alpha, delta, cfg, well_map)[1]
+            first = n + 2 * m
+            assert [(lv.family, lv.index, lv.label) for lv in labeled] == \
+                [(lv.family, lv.index, lv.label)
+                 for lv in full[first:first + 3]], (m, n)
+            for a, b in zip(labeled, full[first:first + 3]):
+                assert a.energy == pytest.approx(b.energy, abs=1e-9)
+                assert a.w_central == pytest.approx(b.w_central, abs=1e-9)
+
+    @pytest.mark.parametrize("m,n", [(0, 0), (2, 1), (3, 2)])
+    def test_window_mismatch_falls_back_to_the_full_solve(self, monkeypatch,
+                                                           m, n):
+        # second-order levels moved by more than a quarter of either
+        # family's spacing (96 and 192 at alpha = 4) disagree with the
+        # window's energies: the window is solved, refused, and the full
+        # solve gives the delta of the route without the window bit for bit
+        second_order = spectrum._n2_second_order
+        monkeypatch.setattr(crossings, "_n2_second_order",
+                            lambda *args: tuple(e + 100.0 for e in
+                                                second_order(*args)))
+        solves = []
+
+        def counting(p, cfg, **window):
+            solves.append((cfg.num_levels, window))
+            return solve_numerical(p, cfg, **window)
+        monkeypatch.setattr(crossings, "solve_numerical", counting)
+        q = AlcQuery(m, n, 4.0, backend="numerical")
+        fallback = solve_crossing(q)
+        full_levels = crossings._default_numeric_config(q).num_levels
+        assert solves == [(3, {"first": n + 2 * m}), (full_levels, {})] \
+            * fallback.evaluations
+        monkeypatch.setattr(crossings, "_window_solve", lambda *args: None)
+        assert solve_crossing(q) == fallback
 
     @pytest.mark.parametrize("m,n", TABLE_PAIRS)
     def test_one_step_lands_within_its_slope_error_of_the_root(self, m, n):

@@ -374,6 +374,53 @@ def test_parity_blocks_match_unsplit_operator(p, k):
 
 
 @settings(max_examples=25, deadline=None)
+@given(st.one_of(_SYMMETRIC, st.builds(tilted_double_well, st.floats(2.0, 6.0),
+                                       st.floats(0.05, 0.5))),
+       st.integers(0, 8), st.integers(1, 4))
+@example(TRIPLE, 0, 3)
+@example(TRIPLE, 1, 1)
+@example(TRIPLE, 8, 3)
+def test_window_matches_the_full_solve(p, first, k):
+    # levels first .. first + k - 1 alone, of a symmetric potential (two
+    # parity blocks) or a tilted one (one block), are those levels of the
+    # full solve: energies within stebz's tolerance, vectors to 1e-12 in
+    # |<v, v_ref>|, and the same error_estimate
+    cfg = SolverConfig(half_width=choose_domain(p, 0.0), grid_points=801,
+                       num_levels=first + k)
+    full = solve_numerical(p, cfg)[first:]
+    window = solve_numerical(p, dataclasses.replace(cfg, num_levels=k),
+                             first=first)
+    x = cfg.grid()
+    off = -1.0 / (cfg.step * cfg.step)
+    tol = spectrum._tolerance(p(x[1:-1]) - 2.0 * off,
+                              np.full(cfg.grid_points - 3, off))
+    for got, want in zip(window, full, strict=True):
+        assert abs(got.energy - want.energy) <= tol
+        assert abs(got.psi @ want.psi) * cfg.step >= 1.0 - 1e-12
+        assert got.error_estimate == pytest.approx(want.error_estimate,
+                                                   rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("first, k", [(-1, 3), (797, 3), (0, 800)])
+def test_window_outside_the_grid_raises(first, k):
+    # the levels of a window must exist on the grid's 799 interior points
+    cfg = SolverConfig(half_width=9.0, grid_points=801, num_levels=k)
+    with pytest.raises(ParameterError, match="interior points"):
+        solve_numerical(TRIPLE, cfg, first=first)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_window_fallback_raises_when_a_routine_reports_failure(fail_lapack,
+                                                               routine):
+    # a window of a block without rungs takes bisection by index
+    fail_lapack(routine)
+    diag, off = np.linspace(2.0, 3.0, 401), np.full(400, -1.0)
+    with pytest.raises(ConvergenceError,
+                       match=rf"{routine} info=1 \(grid_points=401, h="):
+        spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401), None, 2)
+
+
+@settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(0.5, 3.0), min_size=1, max_size=2),
        st.floats(0.5, 2.0), st.floats(0.5, 2.0))
 def test_lambda_scaling_of_numerical_energies(widths, s, lam):
@@ -686,9 +733,11 @@ def _spy_stebz(monkeypatch) -> list:
     return calls
 
 
-def _stebz(diag: np.ndarray, off: np.ndarray, k: int):
-    """The k lowest eigenpairs by bisection to stebz's full precision."""
-    return eigh_tridiagonal(diag, off, select="i", select_range=(0, k - 1),
+def _stebz(diag: np.ndarray, off: np.ndarray, k: int, first: int = 0):
+    """Eigenpairs first .. first + k - 1 (the k lowest by default) by
+    bisection to stebz's full precision."""
+    return eigh_tridiagonal(diag, off, select="i",
+                            select_range=(first, first + k - 1),
                             lapack_driver="stebz")
 
 
@@ -785,8 +834,8 @@ def test_multi_level_route_reorthonormalises_certified_columns(monkeypatch):
     # come back orthonormal to 1e-12, still within 1e-12 of stebz's vectors
     refined = spectrum._refined
 
-    def turned(diag, off, start):
-        found = refined(diag, off, start)
+    def turned(diag, off, start, *first):
+        found = refined(diag, off, start, *first)
         if found is not None:
             found[1][:, 1] += 1e-9 * found[1][:, 0]
         return found
@@ -916,31 +965,48 @@ def _blocks(p, cfg) -> list:
 
 
 def test_multi_level_route_certifies_every_menu_block(monkeypatch):
-    # every multi-level block of the 48 menu crossings (the table pairs at
-    # alpha in {3.5, 4, 5, 6}) is certified by _refined on stein's vectors
-    # at the Ritz values of its rungs (_located), and agrees with bisection
-    # to full precision, energies within stebz's tolerance and vectors to
-    # 1e-12 in |<v, v_ref>|: the 96 blocks of the one solve per crossing
-    # from the second-order root, and those of the 73 solves from the
-    # harmonic root; no stebz call bisects, and every block's vectors are
-    # orthonormal to 1e-12
-    calls = _spy_located(monkeypatch)
+    # every block of the 48 menu crossings (the table pairs at alpha in
+    # {3.5, 4, 5, 6}) solves only its part of the window n + 2m .. n + 2m + 2
+    # of its crossing, levels ceil((n + 2m) / 2) .. of the even block and
+    # floor((n + 2m) / 2) .. of the odd one: the 96 blocks of the one solve
+    # per crossing from the second-order root, and those of the 73 solves
+    # from the harmonic root.  Each block is certified, by _refined on
+    # stein's vectors at the window's Ritz values of its rungs (_located),
+    # or by _ground for the lone odd level of a (0, 0) window, and agrees
+    # with bisection to full precision, energies within stebz's tolerance
+    # and vectors to 1e-12 in |<v, v_ref>|; no stebz call bisects, and
+    # every block's vectors are orthonormal to 1e-12
+    blocks, lowest = [], spectrum._lowest
+
+    def spy(diag, off, k, cfg, rungs=None, first=0):
+        blocks.append((diag, off, k, first,
+                       lowest(diag, off, k, cfg, rungs, first)))
+        return blocks[-1][4]
+    monkeypatch.setattr(spectrum, "_lowest", spy)
+    located = _spy_located(monkeypatch)
     stebz = _spy_stebz(monkeypatch)
     queries = [AlcQuery(m, n, alpha, backend="numerical")
                for alpha in (3.5, 4.0, 5.0, 6.0)
                for m, n in crossings.TABLE_PAIRS]
     for q in queries:
         solve_crossing(q)
-    assert len(calls) == 2 * 48
+        first = q.n + 2 * q.m
+        want = [((first + 1) // 2, (first + 4) // 2 - (first + 1) // 2),
+                (first // 2, (first + 3) // 2 - first // 2)]
+        assert [(block[3], block[2]) for block in blocks[-2:]] == want
+    assert len(blocks) == 2 * 48
     assert 0.0 not in [args[7] for args in stebz]
     monkeypatch.setattr(crossings, "_anharmonic_residual",
                         lambda d, m, n, a: 1.0)
     for q in queries:
         solve_crossing(q)
-    assert len(calls) == 2 * (48 + 73)
-    assert all(call[3] is not None for call in calls)
-    for diag, off, k, (energy, vector) in calls:
-        want_e, want_v = _stebz(diag, off, k)
+    assert len(blocks) == 2 * (48 + 73)
+    assert 0.0 not in [args[7] for args in stebz]
+    assert all(call[3] is not None for call in located)
+    assert len(located) == sum((k, first) != (1, 0)
+                               for _, _, k, first, _ in blocks)
+    for diag, off, k, first, (energy, vector) in blocks:
+        want_e, want_v = _stebz(diag, off, k, first)
         assert np.all(np.abs(energy - want_e)
                       <= spectrum._tolerance(diag, off))
         assert np.all(np.abs(np.einsum("ij,ij->j", vector, want_v))
@@ -974,8 +1040,8 @@ def _fail_dgttrf(*args):
     (None, "_count", _refuse_count),
     (None, "dgttrf", _fail_dgttrf),
 ])
-def test_warm_route_falls_back_to_the_cold_result(monkeypatch, start, name,
-                                                  value):
+def test_multi_level_route_falls_back_to_bisection(monkeypatch, start, name,
+                                                   value):
     # _refined refuses a start with its columns out of level order; in a
     # solve, a Sturm count that disagrees refuses both blocks of _located,
     # and they take full-precision stebz, its very eigenpairs, while a
@@ -1004,7 +1070,8 @@ def test_warm_route_falls_back_to_the_cold_result(monkeypatch, start, name,
     (-0.05, False), (-0.005, False), (0.0, False), (0.004, True),
     (0.0049, True), (0.00499, True), (0.006, True), (0.015, False),
     (0.05, False)])
-def test_warm_route_is_right_whenever_it_certifies(start_delta, certified):
+def test_multi_level_route_is_right_whenever_it_certifies(start_delta,
+                                                         certified):
     # _refined on the even and odd blocks at delta = 0.005, started from
     # the block vectors at a near or a far delta: whatever it certifies
     # agrees with bisection to full precision, energies within stebz's
