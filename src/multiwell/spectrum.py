@@ -504,35 +504,32 @@ def _located(diag: np.ndarray, off: np.ndarray, k: int,
              rungs: np.ndarray | None, first: int = 0
              ) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenpairs first .. first + k - 1 of the tridiagonal T = (diag, off):
-    stein's vectors at k Ritz values of stein's vectors at the rungs (_rungs
-    of first + k levels) from rung max(first - 1, 0), refined and certified
-    by _refined; None without rungs (no grid well, or more rungs than
-    points) or when it refuses.  The k are the lowest, or when first > 0
-    those above the lowest, a guess that the counts of _refined check.  The
-    rotation separates near pairs that the rungs place only to a fraction
-    of their spacing.  The certified vectors are re-orthonormalised
-    (Cholesky QR), as a column that _refined iterates is orthogonal to the
-    others only to about tol / gap.  When two neighbours among the k and the
-    Ritz values either side lie within 2 _LEAST_GAP and Sturm counts find
-    two levels there, no start passes the gap rule: None before the second
-    stein."""
+    stein's vectors at the k lowest Ritz values of stein's vectors at the
+    rungs (_rungs of first + k levels) from rung first, refined and
+    certified by _refined, whose counts check that those are the levels
+    meant; None without rungs (no grid well, or more rungs than points) or
+    when it refuses.  The rotation separates near pairs that the rungs
+    place only to a fraction of their spacing.  The certified vectors are
+    re-orthonormalised (Cholesky QR), as a column that _refined iterates is
+    orthogonal to the others only to about tol / gap.  When two neighbours
+    among the k and the Ritz value above lie within 2 _LEAST_GAP and Sturm
+    counts find two levels there, no start passes the gap rule: None before
+    the second stein."""
     n = diag.size
-    below = min(first, 1)    # the Ritz values below the window
-    if rungs is None or rungs.size - first + below > n:
+    if rungs is None or rungs.size - first > n:
         return None
-    rungs = rungs[first - below:]
     block = np.ones(n, np.int32), np.full(n, n, np.int32)   # T unsplit
-    vectors, info = dstein(diag, off, rungs, *block)
+    vectors, info = dstein(diag, off, rungs[first:], *block)
     if info != 0:
         return None
     cross = vectors[:-1].T @ (off[:, None] * vectors[1:])
     ritz = np.linalg.eigvalsh(   # of vectors^T T vectors
         (diag[:, None] * vectors).T @ vectors + cross + cross.T)
-    close = (np.diff(ritz[:below + k + 1]) <= 2.0 * _LEAST_GAP).nonzero()[0]
+    close = (np.diff(ritz[:k + 1]) <= 2.0 * _LEAST_GAP).nonzero()[0]
     if close.size and (_count(diag, off, ritz[close[0] + 1] + _LEAST_GAP)
                        - _count(diag, off, ritz[close[0]] - _LEAST_GAP) >= 2):
         return None
-    vectors, info = dstein(diag, off, ritz[below:below + k], *block)
+    vectors, info = dstein(diag, off, ritz[:k], *block)
     found = _refined(diag, off, vectors, first) if info == 0 else None
     if found is None:
         return None
@@ -661,22 +658,21 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig, *,
     inverse iteration (stein) at the harmonic ladders of the grid wells
     (_rungs), refined by certified Rayleigh-quotient iteration (_refined),
     both to stebz's tolerance, with full-precision bisection as their
-    fallback (see _lowest); the wells of a symmetric potential are read on
-    its even block, which holds x = 0.
-    Wavefunctions are returned L2-normalized (sum psi^2 * h = 1)
+    fallback (see _lowest); the grid wells are read once, on the first
+    block.  Wavefunctions are returned L2-normalized (sum psi^2 * h = 1)
     with deterministic sign (the leftmost largest |psi| is positive).  Each
     level's error_estimate is h^2/(12 lam^2) * sum (V - E)^2 psi^2 h.
 
-    A reflection-symmetric potential is solved as two half-grid blocks on
-    x >= 0: an even block (psi(0) free; its unknown at x = 0 is
-    psi(0)/sqrt(2), which keeps the block symmetric) and an odd block
-    (psi(0) = 0).  Level j of the tridiagonal operator has j sign changes,
-    so its parity is (-1)^j and its index in its block j // 2: the k levels
-    from first are the even block's from ceil(first/2) and the odd block's
-    from floor(first/2), interleaved by parity.
-    Each vector is mirrored onto the full grid and so has exact parity,
-    also inside doublets split below machine precision, where the even
-    member is kept at or below the odd one.
+    The blocks are one full-grid block, or for a reflection-symmetric
+    potential two half-grid blocks on x >= 0: an even block (psi(0) free;
+    its unknown at x = 0 is psi(0)/sqrt(2), which keeps the block
+    symmetric) and an odd block (psi(0) = 0).  Level j of the tridiagonal
+    operator has j sign changes, so its parity is (-1)^j and its index in
+    its block j // 2: the k levels from first are the even block's from
+    ceil(first/2) and the odd block's from floor(first/2), interleaved by
+    parity.  Each vector is then mirrored onto the full grid and so has
+    exact parity, also inside doublets split below machine precision,
+    where the even member is kept at or below the odd one.
     """
     n, k = cfg.grid_points, cfg.num_levels
     if first < 0 or first + k > n - 2:
@@ -685,35 +681,32 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig, *,
     x = cfg.grid()
     h = cfg.step
     off = -cfg.lam * cfg.lam / (h * h)
-    if p.is_even:
+    if p.is_even:    # (diag, off, parity) of each block
         c = (n - 1) // 2    # x[c] = 0
         diag = p(x[c:-1]) - 2.0 * off
-        even = _off_diagonal(c - 1, off, math.sqrt(2.0))
-        wells = _grid_wells(diag, even) if k > 2 or first else None
-        energies = np.empty(k)
-        half = np.zeros((c, k))    # psi on x[c:-1], one column per level
-        blocks = (diag, even), (diag[1:], _off_diagonal(c - 2, off, 1.0))
-        for parity, (d, e) in enumerate(blocks):
-            col = (first + parity) % 2    # the block's first column
-            j, size = (first + col) // 2, (k - col + 1) // 2
-            if size:
-                energies[col::2], half[parity:, col::2] = _lowest(
-                    d, e, size, cfg, _rungs(wells, j + size, parity), j)
-        half[0, first % 2::2] *= math.sqrt(2.0)
+        blocks = ((diag, _off_diagonal(c - 1, off, math.sqrt(2.0)), 0),
+                  (diag[1:], _off_diagonal(c - 2, off, 1.0), 1))
+    else:
+        v = p(x[1:-1])
+        blocks = ((v - 2.0 * off, _off_diagonal(n - 3, off, 1.0), None),)
+    size = len(blocks)
+    wells = _grid_wells(*blocks[0][:2]) if k > size or first else None
+    energies = np.empty(k)
+    vectors = np.zeros((blocks[0][0].size, k))    # psi on the first block
+    for b, (d, e, parity) in enumerate(blocks):
+        col = (first + b) % size    # the block's first column
+        j, count = (first + col) // size, (k - col + size - 1) // size
+        if count:
+            energies[col::size], vectors[b:, col::size] = _lowest(
+                d, e, count, cfg, _rungs(wells, j + count, parity), j)
+    if p.is_even:    # from x[c:-1] onto the full grid
+        vectors[0, first % 2::2] *= math.sqrt(2.0)
         # the blocks are solved separately, each to about ulp * |T|: a
         # doublet split below that may come out with its odd member lower
         energies = np.maximum.accumulate(energies)
-        vectors = np.empty((n - 2, k))
-        vectors[c - 1:] = half
-        vectors[:c - 1] = half[:0:-1] * (-1.0) ** np.arange(first, first + k)
-        v = diag + 2.0 * off
-        v = np.concatenate((v[:0:-1], v))
-    else:
-        v = p(x[1:-1])
-        diag, full = v - 2.0 * off, _off_diagonal(n - 3, off, 1.0)
-        energies, vectors = _lowest(diag, full, k, cfg, _rungs(
-            _grid_wells(diag, full) if k > 1 or first else None, first + k,
-            None), first)
+        vectors = np.concatenate((
+            vectors[:0:-1] * (-1.0) ** np.arange(first, first + k), vectors))
+        v = np.concatenate((diag[:0:-1], diag)) + 2.0 * off
     # the grid operator is the continuum one minus (lam^2 h^2 / 12) d4/dx4
     # + O(h^4); to first order that shifts E by (lam^2 h^2 / 12) |psi''|^2,
     # with lam^2 psi'' = (V - E) psi
@@ -741,27 +734,18 @@ def _region_edges(points: list[CriticalPoint]) -> list[float]:
     return [-math.inf] + sorted(maxima) + [math.inf]
 
 
-_EDGE_INDICES: dict = {}    # (id(x), edges) -> (x, first, past)
-
-
-def _edge_indices(x: np.ndarray, edges: tuple[float, ...]
+@functools.lru_cache(maxsize=_CACHED)
+def _edge_indices(half_width: float, grid_points: int,
+                  edges: tuple[float, ...]
                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """For each edge, the first grid index at or past it and the first
-    index beyond it, a grid point within the isolation tolerance of an
-    edge being on it (see _region_weights); cached per grid and edges,
-    which assumes a grid never changes in place, as the solver's grids are
-    read-only.  An entry holds its grid, so no other array can take the id
-    in its key.
-    """
-    key = (id(x), edges)
-    if key not in _EDGE_INDICES:
-        if len(_EDGE_INDICES) == _CACHED:
-            del _EDGE_INDICES[next(iter(_EDGE_INDICES))]
-        near = _isolation_tol(float(x[-1]))
-        first = np.searchsorted(x, np.subtract(edges, near), side="left")
-        past = np.searchsorted(x, np.add(edges, near), side="right")
-        _EDGE_INDICES[key] = (x, tuple(first.tolist()), tuple(past.tolist()))
-    return _EDGE_INDICES[key][1:]
+    """For each edge, the first index of _grid(half_width, grid_points) at
+    or past it and the first index beyond it, a grid point within the
+    isolation tolerance of an edge being on it (see _region_weights)."""
+    x = _grid(half_width, grid_points)
+    near = _isolation_tol(half_width)
+    first = np.searchsorted(x, np.subtract(edges, near), side="left")
+    past = np.searchsorted(x, np.add(edges, near), side="right")
+    return tuple(first.tolist()), tuple(past.tolist())
 
 
 def _region_weights(pairs: list[Eigenpair], edges: list[float]
@@ -776,7 +760,8 @@ def _region_weights(pairs: list[Eigenpair], edges: list[float]
     """
     rho = (pairs[0].psi[None] if len(pairs) == 1 else
            np.array([pair.psi for pair in pairs])) ** 2 * pairs[0].h
-    first, past = _edge_indices(pairs[0].x, tuple(edges))
+    x = pairs[0].x    # SolverConfig.grid(), which _edge_indices reads
+    first, past = _edge_indices(float(x[-1]), x.size, tuple(edges))
     row_sum = np.add.reduce   # pairwise along each row, as on one pair
     half = [0.5 * row_sum(rho[:, a:b], 1) if a < b else 0.0
             for a, b in zip(first, past)]

@@ -671,6 +671,54 @@ def test_single_level_iteration_history_is_pinned(monkeypatch):
     assert counts == {"dpttrf": 114, "dpttrs": 155}
 
 
+def test_window_work_is_pinned(monkeypatch):
+    # the 48 menu crossings (the table pairs at alpha in {3.5, 4, 5, 6})
+    # take exactly these stein calls, stein vectors and Sturm counts: each
+    # block's first stein starts at the rung of its own lowest level, and a
+    # change to the rungs or to _located's start changes the counts
+    spectrum._load_lapack()    # bound first, so the patches stay
+    counts = {"dstein": 0, "vectors": 0, "_count": 0}
+    stein, count = spectrum.dstein, spectrum._count
+
+    def counted_stein(diag, off, w, *block):
+        counts["dstein"] += 1
+        counts["vectors"] += len(w)
+        return stein(diag, off, w, *block)
+
+    def counted_count(*args):
+        counts["_count"] += 1
+        return count(*args)
+    monkeypatch.setattr(spectrum, "dstein", counted_stein)
+    monkeypatch.setattr(spectrum, "_count", counted_count)
+    for alpha in (3.5, 4.0, 5.0, 6.0):
+        for m, n in crossings.TABLE_PAIRS:
+            solve_crossing(AlcQuery(m, n, alpha, backend="numerical"))
+    assert counts == {"dstein": 184, "vectors": 280, "_count": 176}
+
+
+def test_edge_indices_are_cached_per_grid_and_edges():
+    # the region-edge indices are keyed by the grid's half-width and point
+    # count, not by the grid array: once the grid has left every cache, a
+    # pair's weights are recomputed bit for bit, and a window config shares
+    # the entry of the full config it narrows
+    p = triple_well(4.0, 0.0026)
+    cfg = SolverConfig(9.0, 1801, 6)
+    pairs = solve_numerical(p, cfg)
+    weights = [well_weights(pair, p) for pair in pairs]
+    for i in range(spectrum._CACHED + 1):
+        well_weights(solve_numerical(p, SolverConfig(9.0, 1803 + 2 * i))[0], p)
+    assert pairs[0].x is not cfg.grid()    # evicted, and built anew
+    misses = spectrum._edge_indices.cache_info().misses
+    assert [well_weights(pair, p) for pair in pairs] == weights
+    assert spectrum._edge_indices.cache_info().misses == misses + 1
+    window = solve_numerical(p, dataclasses.replace(cfg, num_levels=3),
+                             first=2)
+    before = spectrum._edge_indices.cache_info()
+    well_weights(window[0], p)
+    after = spectrum._edge_indices.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
 def test_solves_share_one_read_only_grid():
     # equal configs share one grid array, which no caller can write; a
     # later solve on it leaves an earlier solve's results as they were
