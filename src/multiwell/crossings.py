@@ -294,16 +294,14 @@ def _window_solve(delta: float, q: AlcQuery, cfg: SolverConfig,
 
 
 def _numeric_residual(delta: float, q: AlcQuery, cfg: SolverConfig,
-                      well_map: tuple, window: bool = True
-                      ) -> tuple[float, float]:
+                      well_map: tuple) -> tuple[float, float]:
     """Mean corrected energy of doublet m minus corrected central level n,
     and its delta-slope from the Hellmann-Feynman slopes sum psi^2 dV h of
     the grid energies, dV/ddelta = alpha^2 (3 alpha^2 x^2 - 1.5 x^4) exactly
     (the slope leaves out d(error_estimate)/ddelta; nan when r is +-inf),
-    on the three levels of _window_solve, or when window is false or it
-    gives None on the cfg.num_levels lowest, solved and labelled by
-    _line_solve."""
-    pairs, labeled = (window and _window_solve(delta, q, cfg, well_map)
+    on the three levels of _window_solve, or when it gives None on the
+    cfg.num_levels lowest, solved and labelled by _line_solve."""
+    pairs, labeled = (_window_solve(delta, q, cfg, well_map)
                       or _line_solve(q.alpha, delta, cfg, well_map))
     a2, x2 = q.alpha * q.alpha, pairs[0].x ** 2
     dv = a2 * x2 * (3.0 * a2 - 1.5 * x2)
@@ -375,10 +373,9 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     from the root of the second-order residual (_anharmonic_residual),
     which Brent's method finds on near, or from the harmonic root when near
     shows that residual no sign change, and takes its last step without
-    another eigensolve: one eigensolve on each of the 48 menu crossings.
-    Without a harmonic root, or when Newton fails (_newton), Brent's method
-    runs on the grid's lowest levels, on near, then on q.bracket if wider;
-    a root outside near draws a warning.
+    another eigensolve: one eigensolve on each of the 48 menu crossings.  Without a harmonic
+    root, or when Newton fails (_newton), Brent's method runs on near, then
+    on q.bracket if wider; a root outside near draws a warning.
 
     Raises ValueError when no window brackets a crossing; the numerical
     backend raises ParameterError when the bracket's ends have different
@@ -409,10 +406,10 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
         well_map = _line_map(q.alpha, lo, hi, cfg.half_width)
         evaluations = 0  # from here on, eigensolves only
 
-        def residual(d, window=True):
+        def residual(d):
             nonlocal evaluations
             evaluations += 1
-            return _numeric_residual(d, q, cfg, well_map, window)
+            return _numeric_residual(d, q, cfg, well_map)
         if solved is not None:  # from the second-order root when near has one
             fa, fb = (_anharmonic_residual(d, q.m, q.n, q.alpha) for d in near)
             if (fa < 0.0) != (fb < 0.0):
@@ -423,10 +420,10 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
                 *solved, newton_step = solved
         if solved is None:  # Brent's method on near, then on a wider bracket
             for a, b in dict.fromkeys((near, (lo, hi))):
-                fa, fb = residual(a, False)[0], residual(b, False)[0]
+                fa, fb = residual(a)[0], residual(b)[0]
                 if fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0):
-                    solved = brent_root(lambda d: residual(d, False)[0], a,
-                                        b, fa, fb, delta_tol)
+                    solved = brent_root(lambda d: residual(d)[0], a, b,
+                                        fa, fb, delta_tol)
                     break
     if solved is None:
         raise ValueError(f"no crossing in bracket [{lo:g}, {hi:g}] for "

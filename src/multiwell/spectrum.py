@@ -773,7 +773,9 @@ def well_weights(pair: Eigenpair, p: Polynomial) -> list[RegionWeight]:
     """Probability weights of the grid regions delimited by the maxima of V.
 
     A single-well potential (no interior maxima) yields one region of
-    weight 1.  Weights sum to the normalization (1 within 1e-9).
+    weight 1.  Weights sum to the normalization (1 within 1e-9).  pair.x
+    must be a SolverConfig grid, linspace(-L, L, n), as solve_numerical
+    gives: the region edges are found on that grid, not on pair.x.
     """
     edges = _region_edges(critical_points(p, float(pair.x[-1])))
     return [RegionWeight(lo, hi, w) for lo, hi, w in
@@ -839,7 +841,8 @@ def classify_levels(pairs: list[Eigenpair], p: Polynomial) -> list[LabeledLevel]
     """Label each eigenpair by the well family that holds most of its weight.
 
     The families and their names are those of harmonic_families, found on
-    the pairs' grid; _labels does the labelling.
+    the pairs' grid; _labels does the labelling.  Every pair.x must be one
+    SolverConfig grid, as for well_weights.
     """
     if not pairs:
         return []

@@ -194,8 +194,8 @@ class TestNumericalSearch:
 
     def test_nan_slope_falls_back_to_brent(self, monkeypatch):
         true_residual = crossings._numeric_residual
-        def no_slope(d, q, cfg, well_map, window):
-            return true_residual(d, q, cfg, well_map, window)[0], math.nan
+        def no_slope(d, q, cfg, well_map):
+            return true_residual(d, q, cfg, well_map)[0], math.nan
         monkeypatch.setattr(crossings, "_numeric_residual", no_slope)
         sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
         assert sol.delta == pytest.approx(2.601628516e-3, abs=1e-8)
@@ -258,8 +258,8 @@ class TestNumericalSearch:
         expected = solve_crossing(q)
         true_residual = crossings._numeric_residual
 
-        def wrong_sign(d, q, cfg, well_map, window):
-            r, slope = true_residual(d, q, cfg, well_map, window)
+        def wrong_sign(d, q, cfg, well_map):
+            r, slope = true_residual(d, q, cfg, well_map)
             return r, -slope
         monkeypatch.setattr(crossings, "_numeric_residual", wrong_sign)
         monkeypatch.setattr(crossings, "_anharmonic_residual",
@@ -276,35 +276,12 @@ class TestNumericalSearch:
         newton = [solve_crossing(q) for q in queries]
         true_residual = crossings._numeric_residual
         monkeypatch.setattr(crossings, "_numeric_residual",
-                            lambda d, q, cfg, well_map, window:
-                            (true_residual(d, q, cfg, well_map, window)[0],
-                             math.nan))
+                            lambda d, q, cfg, well_map:
+                            (true_residual(d, q, cfg, well_map)[0], math.nan))
         for q, want in zip(queries, newton):
             sol = solve_crossing(q)
             assert sol.evaluations > 3 and sol.newton_step is None
             assert abs(sol.delta - want.delta) <= 1e-8, (q.m, q.n, q.alpha)
-
-    @pytest.mark.parametrize("m,n", [(2, 1), (3, 3), (2, 0), (3, 2)])
-    def test_brent_fallback_solves_no_window(self, monkeypatch, m, n):
-        # at alpha = 3 these pairs have no crossing in the default bracket,
-        # whose closed-form residual shows no sign change: Brent's fallback
-        # evaluates the bracket's two ends on the grid's lowest levels, with
-        # no window solve, and finds no sign change either
-        windows, solves = [], []
-        window_solve = crossings._window_solve
-        monkeypatch.setattr(crossings, "_window_solve",
-                            lambda *args: windows.append(args)
-                            or window_solve(*args))
-
-        def counting(p, cfg, **window):
-            solves.append((cfg.num_levels, window))
-            return solve_numerical(p, cfg, **window)
-        monkeypatch.setattr(crossings, "solve_numerical", counting)
-        q = AlcQuery(m, n, 3.0, backend="numerical")
-        with pytest.raises(ValueError, match="no crossing"):
-            solve_crossing(q)
-        full_levels = crossings._default_numeric_config(q).num_levels
-        assert windows == [] and solves == [(full_levels, {})] * 2
 
     def test_one_well_map_per_crossing(self, monkeypatch):
         # the resolver isolates the stationary points once and the well map
