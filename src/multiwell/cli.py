@@ -21,9 +21,9 @@ from pathlib import Path
 
 from . import __version__
 from .crossings import (REFERENCE_DELTAS_ALPHA4, TABLE_PAIRS, AlcQuery,
-                        LabelsUnresolvedError, NewtonError, asym_locus_cubic,
-                        crossing_table, linearized_shift, pairing_gaps,
-                        relocalization_scan, solve_crossing, tilt_scan)
+                        LabelsUnresolvedError, NewtonError, _crossings,
+                        asym_locus_cubic, crossing_table, linearized_shift,
+                        pairing_gaps, relocalization_scan, tilt_scan)
 from .polynomial import (ParameterError, Polynomial, RootIsolationError,
                          lattice)
 from .spectrum import (ConvergenceError, classify_levels, harmonic_families,
@@ -392,9 +392,11 @@ def _sweep_alc(cfg: dict):
             except ValueError as exc:
                 raise ParameterError(f"bad pairs entry {tok!r}: {exc}") from exc
     bracket = (cfg["bracket_lo"], cfg["bracket_hi"])
-    sols = [solve_crossing(AlcQuery(m, n, cfg["alpha"], bracket=bracket,
-                                    backend=cfg["backend"]))
-            for m, n in pairs]
+    # the pairs share alpha and bracket, so one scan, at solve_crossing's
+    # default tolerance
+    sols = _crossings([AlcQuery(m, n, cfg["alpha"], bracket=bracket,
+                                backend=cfg["backend"]) for m, n in pairs],
+                      1e-8)
     sols.sort(key=lambda s: s.delta)
     records = [{"m": s.m, "n": s.n, "delta": s.delta, "residual": s.residual,
                 "evaluations": s.evaluations,

@@ -27,8 +27,9 @@ one well map found at its two ends (_line_map, _line_solve).
 
 Both backends find the harmonic root first.  The closed-form residual
 (_harmonic_residual) takes a float or a numpy array, so bracket_scan
-evaluates its 33-point sign-change lattice as one array; Brent's method
-then refines that root, and the second-order one, on float evaluations.
+evaluates its 33-point sign-change lattice as one array, of every pair
+that shares the alpha and the bracket (_crossings); Brent's method
+then refines each root, and the second-order one, on float evaluations.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .polynomial import ParameterError, bracket_scan, brent_root, lattice
+from .polynomial import (_SCAN_SAMPLES, ParameterError, bracket_scan,
+                         brent_root, lattice)
 from .spectrum import (Eigenpair, LabeledLevel, SolverConfig, _labels,
                        _n2_closed_form, _n2_second_order, _region_weights,
                        _well_families, harmonic_families, resolve_solver,
@@ -192,9 +194,10 @@ class TiltRow:
     w_right: float
 
 
-def _harmonic_residual(delta, m: int, n: int, alpha: float):
+def _harmonic_residual(delta, m, n, alpha: float):
     """Outer doublet m minus central level n of the closed-form spectrum,
-    at delta a float or a numpy array.  A float gives the Python float that
+    at delta a float or a numpy array; m and n are ints, or integer column
+    arrays that give one row per pair.  A float gives the Python float that
     harmonic_spectrum_n2 gives.  An array decides signs only: numpy's
     b2 ** 3 can differ from Python's by an ulp."""
     sqrt = np.sqrt if isinstance(delta, np.ndarray) else math.sqrt
@@ -352,46 +355,19 @@ def _newton(f, x: float, a: float, b: float,
     return None
 
 
-def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
-    """Solve the crossing condition for delta to within delta_tol.
+def _solved(q: AlcQuery, cells: list[tuple[float, float, float]],
+            delta_tol: float) -> AlcSolution:
+    """solve_crossing of q from the cells of its harmonic scan."""
+    evaluations = _SCAN_SAMPLES
 
-    Both backends scan the closed-form harmonic residual on a 33-point
-    lattice of the bracket, as one array (bracket_scan), and refine its
-    sign-change cell by Brent's method: that root is harmonic_delta, and
-    the harmonic backend's solution, whose evaluations count every
-    closed-form point.  Several cells (not seen on the default bracket,
-    where the residual is monotone) draw a warning, and the one nearest
-    zero is taken.  The window near is that cell widened by its width on
-    each side within q.bracket, or q.bracket when there is no cell.
-
-    The numerical backend counts eigensolves of one residual: the corrected
-    energies on q.solver, or else on the grid resolve_solver gives the
-    bracket's widest triple well at step CROSSING_STEP, labelled by the
-    bracket's well map (_line_map), of the three levels compared
-    (_window_solve) or, when those do not match, of the grid's lowest.
-    Newton's method, with the Hellmann-Feynman slope, runs within near
-    from the root of the second-order residual (_anharmonic_residual),
-    which Brent's method finds on near, or from the harmonic root when near
-    shows that residual no sign change, and takes its last step without
-    another eigensolve: one eigensolve on each of the 48 menu crossings.  Without a harmonic
-    root, or when Newton fails (_newton), Brent's method runs on near, then
-    on q.bracket if wider; a root outside near draws a warning.
-
-    Raises ValueError when no window brackets a crossing; the numerical
-    backend raises ParameterError when the bracket's ends have different
-    well maps.
-    """
-    evaluations = 0
-
-    def harmonic(d):
+    def harmonic(d: float) -> float:
         nonlocal evaluations
-        evaluations += d.size if isinstance(d, np.ndarray) else 1
+        evaluations += 1
         return _harmonic_residual(d, q.m, q.n, q.alpha)
-    cells = bracket_scan(harmonic, *q.bracket)
     if len(cells) > 1:
         warnings.warn("multiple residual sign changes in bracket; "
-                      "taking the root nearest zero", stacklevel=2)
-        cells.sort(key=lambda iv: abs(0.5 * (iv[0] + iv[1])))
+                      "taking the root nearest zero", stacklevel=4)
+        cells = sorted(cells, key=lambda iv: abs(0.5 * (iv[0] + iv[1])))
     lo, hi = q.bracket
     near, solved = (lo, hi), None
     if cells:
@@ -432,7 +408,7 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
     if not near[0] <= delta <= near[1]:
         warnings.warn(f"{q.backend} root delta={delta:.8g} lies outside the "
                       f"widened harmonic cell [{near[0]:.8g}, {near[1]:.8g}]",
-                      stacklevel=2)
+                      stacklevel=4)
     return AlcSolution(q.m, q.n, delta, mu=math.sqrt(2.0 + delta),
                        beta=q.alpha * math.sqrt(2.0 + delta),
                        residual=value, backend=q.backend,
@@ -440,10 +416,62 @@ def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
                        newton_step=newton_step)
 
 
+def _crossings(queries: list[AlcQuery],
+               delta_tol: float) -> list[AlcSolution]:
+    """solve_crossing of each query in turn, the queries sharing alpha and
+    bracket and so one bracket_scan: of their (len(queries), 33) rows,
+    which _harmonic_residual forms from one _n2_closed_form of the lattice
+    by the array operations it does for a single pair (broadcast, so a
+    residual that does not depend on (m, n) is every pair's row).  The
+    first query without a crossing raises its ValueError."""
+    alpha, bracket = queries[0].alpha, queries[0].bracket
+    m, n = (np.array([[q.m] for q in queries]),
+            np.array([[q.n] for q in queries]))
+    cells = bracket_scan(lambda d: np.broadcast_to(
+        _harmonic_residual(d, m, n, alpha), (m.size, d.size)), *bracket)
+    return [_solved(q, c, delta_tol) for q, c in zip(queries, cells)]
+
+
+def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:
+    """Solve the crossing condition for delta to within delta_tol.
+
+    Both backends scan the closed-form harmonic residual on a 33-point
+    lattice of the bracket, as one array (bracket_scan, through _crossings,
+    which scans all pairs of crossing_table, or of a sweep of kind alc, on
+    one lattice, as they share alpha and bracket), and refine the
+    sign-change cell by Brent's method: that root is harmonic_delta, and
+    the harmonic backend's solution, whose evaluations count every
+    closed-form point.  Several cells (not seen on the default bracket,
+    where the residual is monotone) draw a warning, and the one nearest
+    zero is taken.  The window near is that cell widened by its width on
+    each side within q.bracket, or q.bracket when there is no cell.
+
+    The numerical backend counts eigensolves of one residual: the corrected
+    energies on q.solver, or else on the grid resolve_solver gives the
+    bracket's widest triple well at step CROSSING_STEP, labelled by the
+    bracket's well map (_line_map), of the three levels compared
+    (_window_solve) or, when those do not match, of the grid's lowest.
+    Newton's method, with the Hellmann-Feynman slope, runs within near
+    from the root of the second-order residual (_anharmonic_residual),
+    which Brent's method finds on near, or from the harmonic root when near
+    shows that residual no sign change, and takes its last step without
+    another eigensolve: one eigensolve on each of the 48 menu crossings.
+    Without a harmonic root, or when Newton fails (_newton), Brent's method
+    runs on near, then on q.bracket if wider; a root outside near draws a
+    warning.
+
+    Raises ValueError when no window brackets a crossing; the numerical
+    backend raises ParameterError when the bracket's ends have different
+    well maps.
+    """
+    return _crossings([q], delta_tol)[0]
+
+
 def crossing_table(alpha: float) -> list[AlcSolution]:
-    """All twelve reference (m, n) crossings, harmonic backend, sorted by delta."""
-    sols = [solve_crossing(AlcQuery(m, n, alpha), delta_tol=1e-12)
-            for m, n in TABLE_PAIRS]
+    """All twelve reference (m, n) crossings, harmonic backend, sorted by
+    delta: solve_crossing of each at delta_tol = 1e-12, the twelve
+    scanned on one lattice."""
+    sols = _crossings([AlcQuery(m, n, alpha) for m, n in TABLE_PAIRS], 1e-12)
     return sorted(sols, key=lambda s: s.delta)
 
 

@@ -5,7 +5,8 @@ Coefficients are stored ascending by power, so ``coeffs[k]`` multiplies
 (<= ~15); robustness comes from Sturm-count isolation, not from extended
 precision.  Brent's method (brent_root) and the lattice sign-change scan
 (bracket_scan) are shared by every scalar root-find in the package; the
-scan evaluates its function once, on the whole lattice as a numpy array.
+scan evaluates its function once, on the whole lattice as a numpy array,
+and scans many functions on one lattice when it returns one row each.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ _EPS = 2.0 ** -52  # float64 unit roundoff, Brent's relative step floor
 _TINY = 5e-324  # smallest subnormal, Brent's absolute step floor at 0
 _MAX_DEPTH = 64  # subdivisions real_roots makes before it gives up
 _SCAN_SAMPLES = 33  # lattice points of bracket_scan
+_Cell = tuple[float, float, float]  # a bracket_scan cell (a, b, f(a))
 
 
 class ParameterError(ValueError):
@@ -273,18 +275,26 @@ def lattice(lo: float, hi: float, n: int) -> np.ndarray:
     return lo + (hi - lo) * np.arange(n) / (n - 1)
 
 
-def bracket_scan(f, lo: float, hi: float) -> list[tuple[float, float, float]]:
+def bracket_scan(f, lo: float, hi: float) -> list[_Cell] | list[list[_Cell]]:
     """Evaluate f once on the 33-point lattice of [lo, hi], passed as one
     numpy array, so f must accept arrays; return every cell (a, b, f(a))
     where f(a) == 0 or f changes sign, in lattice order, as Python floats.
-    Overflow and invalid-operation warnings are off during the call: as in
-    Python float arithmetic, values turn into inf or nan silently."""
+    When f returns a (rows, 33) array, one function per row on the same
+    lattice, the result is one such cell list per row, each the list that
+    scanning its row alone gives.  Overflow and invalid-operation warnings
+    are off during the call: as in Python float arithmetic, values turn
+    into inf or nan silently."""
     xs = lattice(lo, hi, _SCAN_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):
         fs = f(xs)
-    neg = fs < 0.0
-    cells = ((fs[:-1] == 0.0) | (neg[:-1] != neg[1:])).nonzero()[0]
-    return [(float(xs[i]), float(xs[i + 1]), float(fs[i])) for i in cells]
+    rows = np.atleast_2d(fs)
+    neg = rows < 0.0
+    hit = (rows[:, :-1] == 0.0) | (neg[:, :-1] != neg[:, 1:])
+    x, values = xs.tolist(), rows.tolist()
+    cells: list[list[_Cell]] = [[] for _ in values]
+    for r, i in zip(*(k.tolist() for k in hit.nonzero())):
+        cells[r].append((x[i], x[i + 1], values[r][i]))
+    return cells if fs.ndim > 1 else cells[0]
 
 
 def _is_ambiguous(dp: Polynomial, r: float, tol: float) -> bool:

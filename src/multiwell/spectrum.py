@@ -11,7 +11,8 @@ its first lower bound, every shift certified by the signs of the factor's
 pivots.  Any other block takes inverse iteration (stein) at the rungs of
 the wells' harmonic ladders, separated by a Rayleigh-Ritz rotation, then
 Rayleigh-quotient iteration on LAPACK dgttrf/dgttrs, certified by Sturm
-counts at the window's edges and a residual-and-gap bound (_refined).  Both reach stebz's
+counts at the window's edges, the negative pivots of dpttrf factorizations
+(_count), and a residual-and-gap bound (_refined).  Both reach stebz's
 absolute tolerance, ulp * max |Gershgorin end|; a block neither route
 certifies (clustered levels, say) takes bisection (stebz) to that
 tolerance.
@@ -538,14 +539,32 @@ def _located(diag: np.ndarray, off: np.ndarray, k: int,
 
 
 def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """The number of eigenvalues of T = (diag, off) at or below x: stebz's
-    Sturm count on (lo, x], lo below min V and so below every level, with
-    an absolute tolerance so loose that it bisects nothing; -1 when stebz
-    reports failure."""
-    lo = float(np.min(diag) + 2.0 * off[-1])
-    m, _, _, _, info = dstebz(diag, off, 1, lo - 1.0 - abs(lo), x, 0, 0,
-                              1e300, "B")
-    return m if info == 0 else -1
+    """The number of eigenvalues of T = (diag, off) below x, or -1 when a
+    pivot is exactly 0.
+
+    T - x I = L D L^T, L unit lower bidiagonal, has the pivots d_1 =
+    diag_1 - x and d_{i+1} = diag_{i+1} - x - off_i (off_i / d_i) in D,
+    which is congruent to T - x I, so by Sylvester's law of inertia (Parlett,
+    The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4) as many pivots are
+    negative as T has eigenvalues below x: stebz's Sturm count, on the same
+    recurrence.  dpttrf runs the recurrence and stops at the first pivot
+    <= 0; that pivot counts one negative, and dpttrf restarts on the rest of
+    the block from the next pivot, which is formed as dpttrf forms it.  A
+    zero pivot has no next one, and leaves open whether x is a level."""
+    d, count, start, last = diag - x, 0, 0, diag.size - 1
+    while start < last:    # dpttrf takes no block of one point
+        pivots, _, info = dpttrf(d[start:], off[start:], overwrite_d=1)
+        if info == 0:
+            return count
+        i, pivot = start + info - 1, pivots[info - 1]
+        if pivot == 0.0:
+            return -1
+        count += 1
+        if i == last:
+            return count
+        d[i + 1] -= off[i] * (off[i] / pivot)
+        start = i + 1
+    return -1 if d[last] == 0.0 else count + int(d[last] < 0.0)
 
 
 def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray,

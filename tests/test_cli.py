@@ -241,9 +241,12 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
     def test_eigensolver_failure_exits_2(self, capsys, fail_lapack, routine):
+        # seven levels of a tilted quartic, one block whose rungs refuse
+        # it, so it takes full-precision stebz/stein
         fail_lapack(routine)
-        code, out, err = run_cli(capsys, "spectrum", "--alpha", "4",
-                                 "--backend", "numerical", "--levels", "5")
+        code, out, err = run_cli(capsys, "spectrum", "--potential",
+                                 "1,0,-8,0.5,0", "--backend", "numerical",
+                                 "--levels", "7")
         assert (code, out) == (EXIT_NUMERIC, "")
         assert err.startswith("error: tridiagonal eigensolver failed: "
                               f"{routine} info=1 (grid_points=")

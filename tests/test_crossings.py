@@ -21,7 +21,7 @@ from multiwell.crossings import (PAIRED_ROWS, REFERENCE_DELTAS_ALPHA4,
                                  relocalization_scan, solve_crossing, tilt_scan,
                                  tune_maximal_degeneracy)
 from multiwell.polynomial import (ParameterError, Polynomial, bracket_scan,
-                                  brent_root)
+                                  brent_root, lattice)
 from multiwell.spectrum import (SolverConfig, classify_levels, resolve_solver,
                                 solve_numerical, well_weights)
 from multiwell.wells import (PerturbationRangeError, WellShape, build_symmetric,
@@ -543,6 +543,32 @@ class TestCrossingTable:
         for g in gaps:
             assert g.gap <= 1e-4
 
+    @pytest.mark.parametrize("alpha", [3.5, 4.0, 4.7, 7.25, 8.0, 1e3])
+    def test_one_lattice_gives_each_pair_its_own_solve(self, alpha):
+        # the twelve pairs scanned as one array: every field, evaluations
+        # included, equals that of the pair's own solve_crossing
+        alone = sorted((solve_crossing(AlcQuery(m, n, alpha), 1e-12)
+                        for m, n in TABLE_PAIRS), key=lambda s: s.delta)
+        table = crossing_table(alpha)
+        assert table == alone
+        assert all(s.evaluations > 33 for s in table)
+
+    def test_a_pair_without_a_cell_raises_its_own_error(self):
+        # at alpha = 3 the first pair in table order whose residual has no
+        # sign change on the bracket is (2, 1): the table raises its error
+        with pytest.raises(ValueError, match=r"^no crossing in bracket "
+                           r"\[-0\.05, 0\.05\] for \(m=2, n=1\)$"):
+            crossing_table(3.0)
+        queries = [AlcQuery(m, n, 3.5, bracket=(0.001, 0.003))
+                   for m, n in TABLE_PAIRS]
+        with pytest.raises(ValueError) as alone:
+            for q in queries:
+                solve_crossing(q)
+        with pytest.raises(ValueError) as shared:
+            crossings._crossings(queries, 1e-8)
+        assert str(shared.value) == str(alone.value) == (
+            "no crossing in bracket [0.001, 0.003] for (m=1, n=3)")
+
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             crossing_table(0.0)
@@ -586,6 +612,32 @@ def test_array_scan_finds_the_scalar_cells(alpha, m, n, lo, hi):
     for (_, _, fa), (_, _, ea) in zip(got, expected):
         assert type(fa) is float
         assert (fa < 0.0, fa == 0.0) == (ea < 0.0, ea == 0.0)
+
+
+def test_row_scan_gives_each_row_its_own_cells():
+    # a (rows, 33) result is scanned row by row: exact zeros, +-inf and
+    # nan give each row the cells its 1-D scan gives, bit for bit
+    lo, hi = -0.05, 0.05
+    xs = lattice(lo, hi, 33)
+    rng = np.random.default_rng(7)
+    rows = np.array([
+        xs - xs[5],                                  # an exact zero
+        np.where(xs > 0.01, np.inf, -1.0),
+        np.where(xs < -0.02, -np.inf, np.where(xs > 0.03, np.inf, 0.0)),
+        np.where(np.abs(xs) < 0.02, np.nan, xs),
+        np.where(xs > 0.0, np.nan, -1.0),
+        rng.choice([-1.0, -0.0, 0.0, 1.0, np.inf, -np.inf, np.nan], 33),
+        np.ones(33),
+    ])
+
+    def bits(cells):
+        return [tuple(float.hex(v) for v in cell) for cell in cells]
+    together = bracket_scan(lambda d: rows, lo, hi)
+    assert len(together) == len(rows)
+    for row, cells in zip(rows, together):
+        assert bits(cells) == bits(bracket_scan(lambda d: row, lo, hi))
+    assert [len(cells) for cells in together[:5]] == [2, 1, 17, 1, 1]
+    assert together[-1] == []
 
 
 class TestTuneMaximalDegeneracy:

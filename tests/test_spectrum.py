@@ -768,13 +768,13 @@ def _spy_located(monkeypatch) -> list:
 
 def _spy_stebz(monkeypatch) -> list:
     """Record the arguments of every stebz call, and assert that each
-    bisects to full precision (tolerance 0) or only counts (spectrum._count's
-    tolerance 1e300)."""
+    bisects to full precision (tolerance 0): spectrum._count counts by
+    dpttrf, not by stebz."""
     spectrum._load_lapack()    # bound first, so the patch stays
     calls, stebz = [], spectrum.dstebz
 
     def spy(*args):
-        assert args[7] in (0.0, 1e300)
+        assert args[7] == 0.0
         calls.append(args)
         return stebz(*args)
     monkeypatch.setattr(spectrum, "dstebz", spy)
@@ -1068,6 +1068,61 @@ def _alc_blocks(delta: float) -> list:
     cfg = crossings._default_numeric_config(AlcQuery(0, 0, 4.0,
                                                      backend="numerical"))
     return _blocks(triple_well(4.0, delta), cfg)
+
+
+def _sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
+    """stebz's count of the eigenvalues at or below x, bisecting nothing."""
+    lo = float(diag.min() - 2.0 * np.abs(off).max()) - 1.0
+    m, *_, info = scipy.linalg.lapack.dstebz(diag, off, 1, lo, x, 0, 0,
+                                             1e300, "B")
+    assert info == 0
+    return m
+
+
+@pytest.mark.parametrize("blocks", [
+    lambda: _blocks(triple_well(4.0, 0.0026),
+                    SolverConfig(10.0, grid_points_for(10.0, 0.005))),
+    lambda: _alc_blocks(0.005)], ids=["reloc", "alc"])
+def test_inertia_count_agrees_with_sturm_count(blocks):
+    # the negative pivots of T - x I against stebz's Sturm count: at the
+    # block's ten lowest levels +- 1e-3, at random shifts between min V and
+    # the top of the spectrum, and 0 below min V and n above the top
+    rng = np.random.default_rng(3)
+    for diag, off, _ in blocks():
+        levels = eigh_tridiagonal(diag, off, select="i", select_range=(0, 9),
+                                  eigvals_only=True)
+        bottom = float(diag.min() + 2.0 * off[-1])
+        top = float(diag.max() + 2.0 * np.abs(off).max())
+        shifts = np.concatenate((levels - 1e-3, levels + 1e-3,
+                                 rng.uniform(bottom, top, 20)))
+        for x in shifts:
+            assert spectrum._count(diag, off, x) == \
+                _sturm_count(diag, off, x), x
+        assert spectrum._count(diag, off, bottom - 1.0) == 0
+        assert spectrum._count(diag, off, top + 1.0) == diag.size
+        assert [spectrum._count(diag, off, x) for x in levels - 1e-3] == \
+            list(range(10))
+
+
+@pytest.mark.parametrize("diag, off, x, want", [
+    ([1.0, 2.0, 3.0], [-1.0, -1.0], 1.0, -1),    # the first pivot
+    ([2.0, 0.5, 5.0], [-1.0, -1.0], 0.0, -1),    # 0.5 - 1 * (1 / 2)
+    ([-1.0, -1.0], [-1.0], 0.0, -1),             # past a negative pivot
+    ([-1.0, 5.0], [-1.0], 0.0, 1),
+    ([3.0, -2.0, 4.0, -1.0], [0.5, -1.0, 2.0], 0.0, None),
+    ([-3.0], [], 0.0, 1),
+])
+def test_inertia_count_of_small_blocks(diag, off, x, want):
+    # an exact zero pivot, also one formed after a restart, gives -1;
+    # otherwise the count of eigenvalues below x, here checked against
+    # the dense eigenvalues
+    spectrum._load_lapack()
+    diag, off = np.array(diag), np.array(off)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    if want is None:
+        want = int(np.sum(np.linalg.eigvalsh(dense) < x))
+        assert want == 2
+    assert spectrum._count(diag, off, x) == want
 
 
 def _swapped(vectors: np.ndarray) -> np.ndarray:
