@@ -44,11 +44,11 @@ from .polynomial import (_SCAN_SAMPLES, ParameterError, bracket_scan,
                          brent_root, lattice)
 from .spectrum import (Eigenpair, LabeledLevel, SolverConfig, _labels,
                        _n2_closed_form, _n2_second_order, _region_weights,
-                       _well_families, harmonic_families, resolve_solver,
+                       _resolve_solver, _well_families, harmonic_families,
                        solve_numerical)
 from .wells import (PerturbationRangeError, WellShape, _isolation_tol,
-                    build_symmetric, critical_points, require_alpha,
-                    tilted_double_well, triple_well)
+                    _within, build_symmetric, critical_points, require_alpha,
+                    stationary_window, tilted_double_well, triple_well)
 
 __all__ = [
     "AlcQuery", "AlcSolution", "AsymLocusPoint", "PairGap",
@@ -220,28 +220,49 @@ def _anharmonic_residual(delta, m: int, n: int, alpha: float):
 CROSSING_STEP = 0.01
 
 
-def _default_numeric_config(q: AlcQuery) -> SolverConfig:
+def _default_numeric_config(q: AlcQuery,
+                            end: tuple | None = None) -> SolverConfig:
     """The resolved grid of the widest potential in the bracket, at
-    CROSSING_STEP."""
-    return resolve_solver(triple_well(q.alpha, q.bracket[1]),
-                          2 * (q.m + 1) + q.n + 3, step=CROSSING_STEP)
+    CROSSING_STEP; end is that potential's _line_ends entry, when found."""
+    p, points = end[:2] if end else (triple_well(q.alpha, q.bracket[1]), None)
+    return _resolve_solver(p, points, 2 * (q.m + 1) + q.n + 3,
+                           step=CROSSING_STEP)
 
 
-def _line_map(alpha: float, lo: float, hi: float, window: float
+def _line_ends(alpha: float, lo: float, hi: float,
+               window: float | None = None) -> list[tuple]:
+    """(p, its stationary points, its well map) of the triple wells p at
+    delta = lo and hi, the points isolated on +-window or, when None, on
+    p's stationary_window."""
+    ends = []
+    for p in (triple_well(alpha, lo), triple_well(alpha, hi)):
+        points = critical_points(p, stationary_window(p) if window is None
+                                 else window)
+        ends.append((p, points, _well_families(p, points)))
+    return ends
+
+
+def _line_map(alpha: float, lo: float, hi: float, window: float,
+              ends: list[tuple] | None = None
               ) -> tuple[list[float], list[tuple[str, tuple[int, ...]]]]:
     """The one well map (_well_families) of every triple well on the
-    delta-line [lo, hi], its stationary points isolated on [-window, window].
+    delta-line [lo, hi], from its ends (_line_ends), found on +-window
+    unless given; a stationary point of either end beyond +-window raises
+    ValueError, as critical_points does.
 
     V' = 6x(x^2 - alpha^2)(x^2 - (3 + delta) alpha^2), so for delta > -2
     the maxima sit at +-alpha and the map does not depend on delta; the
     maps of the two ends are compared to check it.  They agree when their
     families are equal and each edge of one lies within the isolation
-    tolerance of the other's, the tolerance within which _region_weights
-    treats a grid point as on an edge; otherwise ParameterError.
+    tolerance on window of the other's, the tolerance within which
+    _region_weights treats a grid point as on an edge; otherwise
+    ParameterError.
     """
-    (e0, f0), (e1, f1) = [
-        _well_families(p, critical_points(p, window))
-        for p in (triple_well(alpha, lo), triple_well(alpha, hi))]
+    if ends is None:
+        ends = _line_ends(alpha, lo, hi, window)
+    for _, points, _ in ends:
+        _within(points, window)
+    (_, _, (e0, f0)), (_, _, (e1, f1)) = ends
     near = _isolation_tol(window)
     if f0 != f1 or not all(math.isclose(a, b, rel_tol=0.0, abs_tol=near)
                            for a, b in zip(e0, e1)):
@@ -356,8 +377,9 @@ def _newton(f, x: float, a: float, b: float,
 
 
 def _solved(q: AlcQuery, cells: list[tuple[float, float, float]],
-            delta_tol: float) -> AlcSolution:
-    """solve_crossing of q from the cells of its harmonic scan."""
+            delta_tol: float, ends: list[tuple] | None) -> AlcSolution:
+    """solve_crossing of q from the cells of its harmonic scan and, on the
+    numerical backend, the _line_ends of its bracket."""
     evaluations = _SCAN_SAMPLES
 
     def harmonic(d: float) -> float:
@@ -378,8 +400,9 @@ def _solved(q: AlcQuery, cells: list[tuple[float, float, float]],
     harmonic_delta = solved[0] if solved is not None else None
     newton_step = None
     if q.backend == "numerical":
-        cfg = q.solver if q.solver is not None else _default_numeric_config(q)
-        well_map = _line_map(q.alpha, lo, hi, cfg.half_width)
+        cfg = q.solver if q.solver is not None else \
+            _default_numeric_config(q, ends[1])
+        well_map = _line_map(q.alpha, lo, hi, cfg.half_width, ends)
         evaluations = 0  # from here on, eigensolves only
 
         def residual(d):
@@ -423,13 +446,18 @@ def _crossings(queries: list[AlcQuery],
     which _harmonic_residual forms from one _n2_closed_form of the lattice
     by the array operations it does for a single pair (broadcast, so a
     residual that does not depend on (m, n) is every pair's row).  The
-    first query without a crossing raises its ValueError."""
+    numerical queries share one _line_ends of the bracket, on each end's
+    stationary_window: the hi end's points size the default grid, and each
+    query checks the points against its own grid's half-width.  The first
+    query without a crossing raises its ValueError."""
     alpha, bracket = queries[0].alpha, queries[0].bracket
     m, n = (np.array([[q.m] for q in queries]),
             np.array([[q.n] for q in queries]))
     cells = bracket_scan(lambda d: np.broadcast_to(
         _harmonic_residual(d, m, n, alpha), (m.size, d.size)), *bracket)
-    return [_solved(q, c, delta_tol) for q, c in zip(queries, cells)]
+    ends = _line_ends(alpha, *bracket) if any(
+        q.backend == "numerical" for q in queries) else None
+    return [_solved(q, c, delta_tol, ends) for q, c in zip(queries, cells)]
 
 
 def solve_crossing(q: AlcQuery, delta_tol: float = 1e-8) -> AlcSolution:

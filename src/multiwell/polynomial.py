@@ -3,10 +3,12 @@
 Coefficients are stored ascending by power, so ``coeffs[k]`` multiplies
 ``x**k``.  Everything is plain float arithmetic on small degrees
 (<= ~15); robustness comes from Sturm-count isolation, not from extended
-precision.  Brent's method (brent_root) and the lattice sign-change scan
-(bracket_scan) are shared by every scalar root-find in the package; the
-scan evaluates its function once, on the whole lattice as a numpy array,
-and scans many functions on one lattice when it returns one row each.
+precision.  A quadratic's roots come from the closed-form branch of
+real_roots, which leaves near-double roots to that isolation.  Brent's
+method (brent_root) and the lattice sign-change scan (bracket_scan) are
+shared by every scalar root-find in the package; the scan evaluates its
+function once, on the whole lattice as a numpy array, and scans many
+functions on one lattice when it returns one row each.
 """
 
 from __future__ import annotations
@@ -326,14 +328,22 @@ def real_roots(p: Polynomial, lo: float, hi: float,
                tol: float = 1e-10) -> list[Root]:
     """All real roots of p in [lo, hi], each accurate to tol.
 
-    Isolation subdivides on Sturm-sequence root counts; refinement is
-    Brent's method on the chain's head, the unit-scaled p whose roots the
-    counts describe.  Near-multiple roots come back flagged: the
-    derivative's sign is ambiguous within tol, or the isolating interval
-    holds a root of the chain's last member, the float gcd(p, p') whose
-    roots are the multiple roots of p (a root of odd multiplicity keeps
-    p' of one sign around it).  Raises RootIsolationError if subdivision
-    exceeds _MAX_DEPTH levels without isolating.
+    Isolation subdivides on Sturm-sequence root counts of (lo - tol,
+    hi + tol]; refinement is Brent's method on the chain's head, the
+    unit-scaled p whose roots the counts describe.  Near-multiple roots
+    come back flagged: the derivative's sign is ambiguous within tol, or
+    the isolating interval holds a root of the chain's last member, the
+    float gcd(p, p') whose roots are the multiple roots of p (a root of
+    odd multiplicity keeps p' of one sign around it).  Raises
+    RootIsolationError if subdivision exceeds _MAX_DEPTH levels without
+    isolating.  Roots within 2 tol of each other come back as one flagged
+    root, and the roots sorted.
+
+    A quadratic p takes a closed-form branch instead, the stable quadratic
+    formula (_quadratic_roots), whose roots in (lo - tol, hi + tol] are
+    flagged where the derivative's sign is ambiguous and merged as above;
+    when the formula's rounding could move a root by more than tol, as
+    for near-double roots, p falls back to the Sturm path.
     """
     if not (lo < hi):
         raise ParameterError(f"need lo < hi, got [{lo}, {hi}]")
@@ -343,9 +353,14 @@ def real_roots(p: Polynomial, lo: float, hi: float,
         raise ParameterError("zero polynomial: every point of the interval is a root")
     if p.degree == 0:
         return []
+    dp = p.derivative()
+    if p.degree == 2:
+        closed = _quadratic_roots(p, tol)
+        if closed is not None:
+            return _merged([Root(r, _is_ambiguous(dp, r, tol)) for r in closed
+                            if lo - tol < r <= hi + tol], tol)
 
     chain = _sturm_chain(p)
-    dp = p.derivative()
     a, b = lo - tol, hi + tol  # widen so endpoint roots land inside (a, b]
     work = [(a, b, _sign_changes(chain, a), _sign_changes(chain, b), 0)]
     leaves: list[tuple[float, float, int]] = []
@@ -408,6 +423,12 @@ def real_roots(p: Polynomial, lo: float, hi: float,
             continue
         roots.append(Root(r, multiple or _is_ambiguous(dp, r, tol)))
 
+    return _merged(roots, tol)
+
+
+def _merged(roots: list[Root], tol: float) -> list[Root]:
+    """roots sorted, each run of roots within 2 tol of its first one
+    merged into that one, flagged."""
     roots.sort()
     merged: list[Root] = []
     for root in roots:
@@ -416,3 +437,29 @@ def real_roots(p: Polynomial, lo: float, hi: float,
             continue
         merged.append(root)
     return merged
+
+
+def _quadratic_roots(p: Polynomial, tol: float) -> list[float] | None:
+    """The real roots of the quadratic p by the stable quadratic formula on
+    its unit-scaled coefficients (c, b, a), or None when the formula cannot
+    place them within tol: scaling and rounding leave d = b^2 - 4ac off by
+    at most err = 2 eps (b^2 + 4|ac|), which moves s / (2|a|), s =
+    sqrt(|d|), half the distance of two real roots (each also off by a few
+    eps relative) or that of a complex pair from the real axis, by at most
+    err / (4|a| s).  None when the sign of d is unknown (|d| <= err), when
+    either error exceeds tol, or when a complex pair may lie within tol of
+    the real axis: near-double roots are left to the Sturm path."""
+    c, b, a = _unit_scale(list(p.coeffs))
+    d = b * b - 4.0 * a * c
+    err = 2.0 * _EPS * (b * b + 4.0 * abs(a * c))
+    if not abs(d) > err:    # true for nan too
+        return None
+    s = math.sqrt(abs(d))
+    shift = err / (4.0 * abs(a) * s)
+    if d < 0.0:
+        return [] if shift <= tol < s / (2.0 * abs(a)) - shift else None
+    t = -0.5 * (b + math.copysign(s, b))
+    roots = [t / a, c / t]
+    if any(shift + 4.0 * _EPS * abs(r) > tol for r in roots):
+        return None
+    return roots

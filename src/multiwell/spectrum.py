@@ -290,16 +290,30 @@ def resolve_solver(p: Polynomial, num_levels: int, lam: float = 1.0, *,
 
     The step is `step` (positive, finite) or DEFAULT_STEP.  Without a
     half_width, L is choose_domain(p, E_max), E_max being the highest
-    harmonic estimate of index num_levels - 1 over the wells of
-    harmonic_families(p), which reach as far as the stationary points of a
-    confining p (its outermost one is a minimum, and a mirror pair's wells
-    lie at equal |x|); a potential without a well raises DomainEstimateError.
+    harmonic estimate of index num_levels - 1 over the harmonic wells of
+    p, which reach as far as the stationary points of a confining p (its
+    outermost one is a minimum); a potential without a well raises
+    DomainEstimateError.  Those wells are the ones harmonic_families(p)
+    names, with the mirror images of its mirrored families, which change
+    neither E_max nor the reach.
     """
+    return _resolve_solver(p, None, num_levels, lam,
+                           half_width=half_width, step=step)
+
+
+def _resolve_solver(p: Polynomial, points: list[CriticalPoint] | None,
+                    num_levels: int, lam: float = 1.0, *,
+                    half_width: float | None = None,
+                    step: float | None = None) -> SolverConfig:
+    """resolve_solver of p, reading its wells from points, the
+    critical_points(p, stationary_window(p)) it finds itself when None."""
     step = DEFAULT_STEP if step is None else step
     if not 0.0 < step < math.inf:
         raise ParameterError(f"step must be positive and finite, got {step!r}")
     if half_width is None:
-        wells = [w for _, w in harmonic_families(p)]
+        if points is None:
+            points = critical_points(p, stationary_window(p))
+        wells = harmonic_wells_from(p, points)
         if not wells:
             raise DomainEstimateError("cannot estimate a domain for this "
                                       "potential (no harmonic well); give a "

@@ -282,7 +282,11 @@ def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
     on (0, Y], Y the Cauchy bound on the roots of q, and only x = 0 and
     each +sqrt(y) are classified and polished; the points at x < 0 are
     their exact mirror images.  Any other p has the roots of V' isolated
-    on [-B, B], B = stationary_window(p).
+    on [-B, B], B = stationary_window(p).  When q is a quadratic (N = 2,
+    the triple well among them) real_roots places its roots in closed
+    form, with no Sturm chain, and the points do not depend on window;
+    near-double roots of q (a triple well near delta = -2) fall back to
+    Sturm isolation at the window's tolerance.
     """
     if not (window > 0.0):
         raise ParameterError(f"window must be positive, got {window!r}")
@@ -300,11 +304,6 @@ def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
     else:
         bound = stationary_window(p)
         roots = real_roots(dv, -bound, bound, tol=tol)
-    outside = [r.x for r in roots if abs(r.x) > window + tol]
-    if outside:
-        raise ValueError(f"window={window:g} too small: stationary point at "
-                         f"x={max(outside, key=abs):.6g} lies outside; "
-                         "enlarge the window past it")
     points = []
     for root in roots:
         x = root.x
@@ -320,6 +319,19 @@ def critical_points(p: Polynomial, window: float) -> list[CriticalPoint]:
     if mirrored:    # p, V'' even: the mirror images are exact
         points = [CriticalPoint(-cp.x, cp.value, cp.curvature, cp.kind)
                   for cp in points[:0:-1]] + points
+    return _within(points, window)
+
+
+def _within(points: list[CriticalPoint],
+            window: float) -> list[CriticalPoint]:
+    """points, unless one lies beyond +-window by more than the isolation
+    tolerance on it: then ValueError naming the outermost."""
+    near = window + _isolation_tol(window)
+    outside = [cp.x for cp in points if abs(cp.x) > near]
+    if outside:
+        raise ValueError(f"window={window:g} too small: stationary point at "
+                         f"x={max(outside, key=abs):.6g} lies outside; "
+                         "enlarge the window past it")
     return points
 
 

@@ -284,9 +284,9 @@ class TestNumericalSearch:
             assert abs(sol.delta - want.delta) <= 1e-8, (q.m, q.n, q.alpha)
 
     def test_one_well_map_per_crossing(self, monkeypatch):
-        # the resolver isolates the stationary points once and the well map
-        # of the bracket once per end; no eigensolve is labelled by a fresh
-        # classify_levels
+        # the stationary points of the bracket's ends are isolated once
+        # each: the hi end's size the grid and both make the well map; no
+        # eigensolve is labelled by a fresh classify_levels
         from multiwell import spectrum
         calls, classified = [], []
 
@@ -299,8 +299,42 @@ class TestNumericalSearch:
                             lambda *args: classified.append(args))
         sol = solve_crossing(AlcQuery(0, 0, 4.0, backend="numerical"))
         assert sol.evaluations >= 1
-        assert len(calls) == 3 and classified == []
+        assert len(calls) == 2 and classified == []
         assert not hasattr(crossings, "classify_levels")
+
+    def test_one_pair_of_ends_per_numerical_table(self, monkeypatch):
+        # the twelve queries of one alpha and bracket share the stationary
+        # points of its two ends: 2 isolations in all, not 2 per pair
+        from multiwell import spectrum
+        calls = []
+
+        def counting(poly, window):
+            calls.append(window)
+            return critical_points(poly, window)
+        monkeypatch.setattr(crossings, "critical_points", counting)
+        monkeypatch.setattr(spectrum, "critical_points", counting)
+        queries = [AlcQuery(m, n, 4.0, backend="numerical")
+                   for m, n in TABLE_PAIRS]
+        assert len(crossings._crossings(queries, 1e-8)) == 12
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("alpha", [3.5, 6.0])
+    def test_shared_ends_solve_each_pair_as_it_is_solved_alone(self, alpha):
+        queries = [AlcQuery(m, n, alpha, backend="numerical")
+                   for m, n in TABLE_PAIRS]
+        shared = crossings._crossings(queries, 1e-8)
+        assert [repr(s) for s in shared] == \
+            [repr(solve_crossing(q)) for q in queries]
+
+    def test_shared_ends_check_each_query_window(self):
+        # the points of the ends are shared, the window check is not: a
+        # query whose grid is too narrow for the outer minima raises, as
+        # critical_points on that grid would
+        narrow = SolverConfig(half_width=6.0, grid_points=1201, num_levels=9)
+        queries = [AlcQuery(0, 0, 4.0, backend="numerical"),
+                   AlcQuery(1, 2, 4.0, backend="numerical", solver=narrow)]
+        with pytest.raises(ValueError, match="window=6 too small"):
+            crossings._crossings(queries, 1e-8)
 
     def test_bracket_near_minus_two_raises(self):
         # as delta approaches -2 the maxima at +-alpha degenerate, and the

@@ -5,6 +5,7 @@ factorizations noted inline.
 """
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -232,6 +233,89 @@ class TestRealRoots:
         assert len(found) == len(roots)
         for got, want in zip(found, roots):
             assert abs(got.x - want) <= tol
+
+
+def sturm_roots(p, lo, hi, tol):
+    """real_roots of p by the Sturm path alone, the closed form off."""
+    with mock.patch.object(polynomial, "_quadratic_roots",
+                           lambda p, tol: None):
+        return real_roots(p, lo, hi, tol=tol)
+
+
+def assert_same_roots(got, want, tol):
+    """Equal counts and flags, and each root within tol of its partner."""
+    assert [r.flagged for r in got] == [r.flagged for r in want]
+    assert all(abs(g.x - w.x) <= tol for g, w in zip(got, want))
+
+
+class TestQuadraticRoots:
+    """The closed-form branch of real_roots against its Sturm path."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(first=st.floats(-8.0, 8.0), gap=st.floats(0.25, 8.0),
+           lead=st.sampled_from([1.0, -0.5, 3.0, 1e-6, 1e6]),
+           tol=st.sampled_from([1e-12, 1e-10, 1e-6]))
+    def test_separated_roots_agree_with_sturm(self, first, gap, lead, tol):
+        p = poly_from_roots([first, first + gap], lead)
+        assert polynomial._quadratic_roots(p, tol) is not None
+        roots = real_roots(p, -20.0, 20.0, tol=tol)
+        assert len(roots) == 2 and not any(r.flagged for r in roots)
+        assert_same_roots(roots, sturm_roots(p, -20.0, 20.0, tol), tol)
+
+    @pytest.mark.parametrize("coeffs", [
+        (1.0, 0.0, 1.0), (5.0, 2.0, 1.0), (-3.0, 1.0, -1.0),
+        (1e-300, 0.0, 1e-300), (1.0 + 1e-6, -2.0, 1.0)])
+    def test_negative_discriminant_gives_no_root(self, coeffs):
+        p = Polynomial(coeffs)
+        assert polynomial._quadratic_roots(p, 1e-10) == []
+        assert real_roots(p, -10.0, 10.0) == [] == \
+            sturm_roots(p, -10.0, 10.0, 1e-10)
+
+    @pytest.mark.parametrize("roots, lo, hi, tol, kept", [
+        ((-1.0, 2.0), -1.0, 2.0, 1e-10, 2),          # on lo and hi
+        ((-1.25, 2.25), -1.0, 2.0, 0.5, 2),          # within tol outside
+        ((-1.0 - 3e-10, 2.0 + 3e-10), -1.0, 2.0, 1e-10, 0),  # just outside
+        ((-1.0 + 3e-10, 2.0 - 3e-10), -1.0, 2.0, 1e-10, 2),  # just inside
+        ((-1.0, 3.0), 0.0, 2.0, 1e-10, 0)])          # both far outside
+    def test_ends_keep_and_drop_roots_as_sturm_does(self, roots, lo, hi,
+                                                    tol, kept):
+        # the Sturm counts cover (lo - tol, hi + tol]
+        p = poly_from_roots(roots)
+        assert polynomial._quadratic_roots(p, tol) is not None
+        found = real_roots(p, lo, hi, tol=tol)
+        assert len(found) == kept
+        assert_same_roots(found, sturm_roots(p, lo, hi, tol), tol)
+
+    @pytest.mark.parametrize("p", [
+        poly_from_roots([1.0, 1.0]), poly_from_roots([1.0, 1.0 + 1e-12]),
+        poly_from_roots([1.0, 1.0 + 1e-9]), poly_from_roots([1.0, 1.0 + 1e-7]),
+        Polynomial([1.0 + 1e-15, -2.0, 1.0]),
+        Polynomial([1.0 + 1e-14, -2.0, 1.0])],
+        ids=["double", "1e-12", "1e-9", "1e-7", "complex-3e-8", "complex-1e-7"])
+    def test_near_double_roots_are_left_to_sturm_and_flagged(self, p):
+        # roots or a complex pair closer together than the formula's
+        # rounding can resolve at tol: the Sturm path flags one root
+        assert polynomial._quadratic_roots(p, 1e-10) is None
+        roots = real_roots(p, -3.0, 3.0, tol=1e-10)
+        assert len(roots) == 1 and roots[0].flagged
+        assert abs(roots[0].x - 1.0) <= 1e-6
+
+    @pytest.mark.parametrize("c", [1.0, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -51,
+                                   1.0 + 2.0 ** -52])
+    def test_discriminant_within_its_rounding_is_left_to_sturm(self, c):
+        # x^2 - 2x + c: d = 4 - 4c lies within its rounding error of 0, so
+        # its sign is unknown, however loose tol is
+        p = Polynomial([c, -2.0, 1.0])
+        assert polynomial._quadratic_roots(p, 1e-3) is None
+
+    @pytest.mark.parametrize("coeffs", [(1e307, -3e307, 1e307),
+                                        (1e-300, -3e-300, 1e-300)])
+    def test_extreme_coefficients_are_scaled_first(self, coeffs):
+        # x^2 - 3x + 1 times 1e307 or 1e-300: b^2 neither overflows nor
+        # underflows once the coefficients are unit-scaled
+        roots = real_roots(Polynomial(coeffs), -10.0, 10.0, tol=1e-12)
+        want = [(3.0 - math.sqrt(5.0)) / 2.0, (3.0 + math.sqrt(5.0)) / 2.0]
+        assert [r.x for r in roots] == pytest.approx(want, abs=1e-12)
 
 
 class Recorder:

@@ -312,6 +312,24 @@ class TestCriticalPoints:
                 top.curvature)
             assert off <= _isolation_tol(10.0)
 
+    @pytest.mark.parametrize("alpha, delta", [(3.5, -0.05), (4.0, 0.0),
+                                              (6.0, 0.05), (4.0, -1.9)])
+    def test_quadratic_q_needs_no_sturm_chain(self, monkeypatch, alpha,
+                                              delta):
+        # V' = x q(x^2) with q a quadratic: the closed form places its
+        # roots, and the points are the same on every window that holds them
+        from multiwell import polynomial
+
+        def refused(p):
+            raise AssertionError("Sturm chain built")
+        monkeypatch.setattr(polynomial, "_sturm_chain", refused)
+        p = triple_well(alpha, delta)
+        reach = alpha * math.sqrt(3.0 + delta)
+        lists = [critical_points(p, reach + margin)
+                 for margin in (0.5, 10.0, 1e3)]
+        assert len(lists[0]) == 5
+        assert lists[0] == lists[1] == lists[2]
+
     def test_harmonic_wells_read_the_polished_minima(self):
         p = build_symmetric(WellShape((16.0, 48.0)))
         minima = [c for c in critical_points(p, 9.0) if c.kind == "min"]
