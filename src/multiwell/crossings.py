@@ -10,7 +10,7 @@ with a central level:
 
 A parity-breaking eps*x^3 coupling moves the crossing line to negative
 delta; the locus is eps = -(1/2)*alpha^3*delta*sqrt(3+delta), linearized
-delta = -2*eps/(sqrt(3)*alpha^3).
+delta = -2*eps/(sqrt(3)*alpha^3), exactly by Viete (asym_locus_cubic).
 
 The numerical backend equates the levels' corrected energies, energy +
 error_estimate, which are accurate to O(h^4); that lets its default grid
@@ -606,31 +606,30 @@ def asym_locus_linearized(epsilon: float, alpha: float) -> AsymLocusPoint:
     return AsymLocusPoint(epsilon, alpha, delta, "linearized")
 
 
-def _locus_epsilon(delta: float, alpha: float) -> float:
-    return -0.5 * alpha ** 3 * delta * math.sqrt(3.0 + delta)
-
-
 def asym_locus_cubic(epsilon: float, alpha: float) -> AsymLocusPoint:
-    """Solve eps = -(1/2)*alpha^3*delta*sqrt(3+delta) for delta in (-3, 1].
+    """Solve eps = -(1/2)*alpha^3*delta*sqrt(3+delta) for delta in [-2, 1].
 
-    Agrees with the linearized form as eps/alpha^3 -> 0.  When the
-    equation has two solutions the one nearest zero is returned: it is the
-    only one in [-2, 1], where delta*sqrt(3+delta) increases strictly
-    (from -2 to 2), so Brent's method on that branch, run with tol = 0,
-    finds it to a few ulps; |epsilon| > alpha^3 raises ParameterError.
+    s = sqrt(3+delta) solves s^3 - 3s = -2*eps/alpha^3; Viete's root on the
+    branch s in [1, 2] (delta*sqrt(3+delta) rises from -2 to 2 there; the
+    root nearest 0) is delta = -4*sin(pi/3 + phi)*sin(phi), phi =
+    asin(eps/alpha^3)/3 (Numerical Recipes, 3rd ed., sec. 5.6), which is
+    2*cos(pi/3 + 2*phi) - 1 without its cancellation near eps = 0.  eps = 0
+    and -+alpha^3 give 0.0, 1.0 and -2.0 exactly, where the sines miss the
+    ends by an ulp; |epsilon| > alpha^3 raises ParameterError.
     """
     require_alpha(alpha, 3)
-    if not abs(epsilon) <= alpha ** 3:
+    cube = alpha ** 3
+    if not abs(epsilon) <= cube:
         raise ParameterError(
             f"no catastrophe shift in (-3, 1] for epsilon={epsilon:g}, "
             f"alpha={alpha:g} (attainable range is +-alpha^3)")
     if epsilon == 0.0:
         return AsymLocusPoint(0.0, alpha, 0.0, "cubic")
-
-    def excess(d: float) -> float:
-        return _locus_epsilon(d, alpha) - epsilon
-
-    delta = brent_root(excess, -2.0, 1.0, excess(-2.0), excess(1.0), 0.0)[0]
+    if abs(epsilon) == cube:
+        delta = -2.0 if epsilon > 0.0 else 1.0
+    else:
+        phi = math.asin(epsilon / cube) / 3.0
+        delta = -4.0 * math.sin(math.pi / 3.0 + phi) * math.sin(phi)
     return AsymLocusPoint(epsilon, alpha, delta, "cubic")
 
 

@@ -771,6 +771,44 @@ class TestAsymLocus:
         back = -0.5 * alpha ** 3 * delta * math.sqrt(3.0 + delta)
         assert back == pytest.approx(eps, rel=1e-9)
 
+    @given(st.floats(-1.0, 1.0), st.floats(0.8, 8.0))
+    @example(1.0, 4.0)
+    @example(-1.0, 4.0)
+    @example(1e-300, 8.0)
+    def test_cubic_on_branch_with_roundoff_residual(self, scale, alpha):
+        cube = alpha ** 3
+        eps = scale * cube
+        delta = asym_locus_cubic(eps, alpha).delta
+        assert -2.0 <= delta <= 1.0
+        back = -0.5 * cube * delta * math.sqrt(3.0 + delta)
+        assert abs(back - eps) <= 2e-15 * cube
+
+    @given(st.floats(-0.99, 0.99), st.floats(0.8, 8.0))
+    def test_cubic_matches_brent_oracle(self, scale, alpha):
+        # Brent's method on the branch [-2, 1] run to tol = 0; near the
+        # fold at eps -> alpha^3 the two drift apart by tens of ulps
+        eps = scale * alpha ** 3
+
+        def excess(d):
+            return -0.5 * alpha ** 3 * d * math.sqrt(3.0 + d) - eps
+
+        oracle = brent_root(excess, -2.0, 1.0, excess(-2.0), excess(1.0),
+                            0.0)[0]
+        assert abs(asym_locus_cubic(eps, alpha).delta - oracle) <= 1e-13
+
+    def test_cubic_decreases_along_epsilon(self):
+        deltas = [asym_locus_cubic(eps, 4.0).delta
+                  for eps in lattice(-64.0, 64.0, 2001).tolist()]
+        assert deltas[0] == 1.0 and deltas[-1] == -2.0
+        assert all(b <= a for a, b in zip(deltas, deltas[1:]))
+
+    def test_cubic_needs_no_root_finder(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("brent_root called")
+
+        monkeypatch.setattr(crossings, "brent_root", refuse)
+        assert -1.0 < asym_locus_cubic(0.5 * 64.0, 4.0).delta < -0.4
+
 
 class TestLeftWellShift:
     def test_zero(self):
