@@ -379,7 +379,7 @@ def _load_flapack() -> ModuleType | None:
 
 _GROUND_ROUNDS = 60    # shift rounds of _ground before it gives up
 _GUESS_MARGIN = 0.01   # share of the zero-point energy the guess stays below
-_LEAST_GAP = 1e-4      # _refined's least gap; _located's cluster threshold
+_LEAST_GAP = 1e-4      # _refined's least gap
 _RQI_ROUNDS = 4        # Rayleigh-quotient rounds per level of _refined
 
 
@@ -519,17 +519,15 @@ def _located(diag: np.ndarray, off: np.ndarray, k: int,
              rungs: np.ndarray | None, first: int = 0
              ) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenpairs first .. first + k - 1 of the tridiagonal T = (diag, off):
-    stein's vectors at the k lowest Ritz values of stein's vectors at the
-    rungs (_rungs of first + k levels) from rung first, refined and
-    certified by _refined, whose counts check that those are the levels
-    meant; None without rungs (no grid well, or more rungs than points) or
-    when it refuses.  The rotation separates near pairs that the rungs
-    place only to a fraction of their spacing.  The certified vectors are
-    re-orthonormalised (Cholesky QR), as a column that _refined iterates is
-    orthogonal to the others only to about tol / gap.  When two neighbours
-    among the k and the Ritz value above lie within 2 _LEAST_GAP and Sturm
-    counts find two levels there, no start passes the gap rule: None before
-    the second stein."""
+    the k lowest Ritz vectors of stein's vectors at the rungs (_rungs of
+    first + k levels) from rung first, refined and certified by _refined,
+    whose counts check that those are the levels meant; None without rungs
+    (no grid well, or more rungs than points) or when it refuses, as it
+    does when two neighbours lie within 2 _LEAST_GAP.  The rotation
+    separates near pairs that the rungs place only to a fraction of their
+    spacing.  The certified vectors are re-orthonormalised (Cholesky QR),
+    as a column that _refined iterates is orthogonal to the others only to
+    about tol / gap."""
     n = diag.size
     if rungs is None or rungs.size - first > n:
         return None
@@ -538,14 +536,9 @@ def _located(diag: np.ndarray, off: np.ndarray, k: int,
     if info != 0:
         return None
     cross = vectors[:-1].T @ (off[:, None] * vectors[1:])
-    ritz = np.linalg.eigvalsh(   # of vectors^T T vectors
-        (diag[:, None] * vectors).T @ vectors + cross + cross.T)
-    close = (np.diff(ritz[:k + 1]) <= 2.0 * _LEAST_GAP).nonzero()[0]
-    if close.size and (_count(diag, off, ritz[close[0] + 1] + _LEAST_GAP)
-                       - _count(diag, off, ritz[close[0]] - _LEAST_GAP) >= 2):
-        return None
-    vectors, info = dstein(diag, off, ritz[:k], *block)
-    found = _refined(diag, off, vectors, first) if info == 0 else None
+    rotation = np.linalg.eigh(   # of vectors^T T vectors
+        (diag[:, None] * vectors).T @ vectors + cross + cross.T)[1]
+    found = _refined(diag, off, vectors @ rotation[:, :k], first)
     if found is None:
         return None
     rho, u = found
@@ -585,7 +578,7 @@ def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray,
              first: int = 0) -> tuple[np.ndarray, np.ndarray] | None:
     """Eigenpairs first .. first + k - 1 of the tridiagonal T = (diag, off)
     from start, an (n, k) matrix whose column j is near the eigenvector of
-    level first + j (stein's vectors at the rungs' Ritz values), by
+    level first + j (the Ritz vectors of stein's vectors at the rungs), by
     Rayleigh-quotient iteration certified by Sturm counts, at the top and,
     when first > 0, at the bottom; None when a factorization fails, a level
     does not converge in _RQI_ROUNDS rounds or the certificate fails.

@@ -722,6 +722,37 @@ _TILT = "kind = tilt\ns1 = 2\ntilt_min = -0.3\ntilt_max = 0.3\nsteps = 3\n"
     pytest.param(None, _ALC + "name = ..\n", "'..'", id="sweep-name-dotdot"),
     pytest.param(None, _ALC + "name = a\0b\n", "'a\\x00b'",
                  id="sweep-name-nul"),
+    pytest.param(["spectrum", "--potential", "1,x,0"], None,
+                 "could not parse --potential", id="potential-unparsable"),
+    pytest.param(["spectrum", "--potential", "5"], None,
+                 "--potential needs at least two coefficients",
+                 id="potential-constant"),
+    pytest.param(["spectrum", "--alpha", "4", "--mu2", "2", "--delta", "0"],
+                 None, "give --mu2 or --delta, not both", id="mu2-and-delta"),
+    pytest.param(["spectrum", "--alpha", "4", "--mu2", "-1"], None,
+                 "mu^2 must be positive", id="mu2-negative"),
+    # -x^2 has no minimum, so no harmonic well
+    pytest.param(["spectrum", "--potential=-1,0,0"], None,
+                 "no harmonic wells found", id="potential-no-wells"),
+    pytest.param(["spectrum", "--alpha", "4", "--levels", "0"], None,
+                 "--levels must be at least 1", id="spectrum-levels"),
+    pytest.param(["density", "--alpha", "4", "--level", "-1"], None,
+                 "--level must be non-negative", id="density-level"),
+    pytest.param(["locus", "--alpha", "4", "--steps", "1"], None,
+                 "--steps must be at least 2", id="locus-steps"),
+    pytest.param(["sweep", "--config", "{tmp}/missing.conf", "--outdir",
+                  "{tmp}/o"], None, "cannot read config",
+                 id="sweep-config-missing"),
+    pytest.param(None, "kind = alc\nalpha =\npairs = 0:0\n",
+                 "line 2: empty key or value", id="sweep-empty-value"),
+    pytest.param(None, "# comments only\n\n  # and blank lines\n",
+                 "empty config", id="sweep-comments-only"),
+    pytest.param(None, _RELOC + "delta_min = 0\nsteps = five\n",
+                 "config key 'steps'", id="sweep-steps-not-a-number"),
+    pytest.param(None, "kind = alc\nalpha = 4\npairs = 0-0\n",
+                 "bad pairs entry '0-0'", id="sweep-pairs-entry"),
+    pytest.param(None, "kind = scan\nalpha = 4\n",
+                 "unknown sweep kind 'scan'", id="sweep-kind"),
 ])
 def test_bad_input_exits_64(capsys, tmp_path, argv, config, named):
     argv = [arg.format(tmp=tmp_path) for arg in argv or ()]

@@ -268,6 +268,19 @@ class TestNumericalSearch:
         assert sol.delta == pytest.approx(expected.delta, abs=1e-8)
         assert sol.newton_step is None and sol.evaluations > 6
 
+    def test_newton_gives_up_after_six_evaluations(self):
+        # at the triple root of x^3 each Newton step shrinks x by only a
+        # third, so from x = 1 no step is short enough to accept at tol
+        # 1e-12, and _newton returns None after its sixth evaluation
+        evaluations = []
+
+        def cube(x):
+            evaluations.append(x)
+            return x ** 3, 3.0 * x * x
+        assert crossings._newton(cube, 1.0, -1.0, 2.0, 1e-12) is None
+        assert len(evaluations) == 6
+        assert evaluations[-1] == pytest.approx((2.0 / 3.0) ** 5)
+
     def test_brent_fallback_matches_cold_solves(self, monkeypatch):
         # with no usable slope, Brent's method takes over after the first
         # solve and lands within delta_tol of Newton's delta

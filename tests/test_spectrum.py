@@ -174,6 +174,11 @@ class TestChooseDomain:
         assert n % 2 == 1 and n >= 201
         assert abs(2 * 9.0 / (n - 1) - 0.005) < 1e-5
 
+    def test_grid_points_for_rounds_an_even_count_up(self):
+        # 2 / (2/201) asks for 202 points, an even count with no point at
+        # x = 0, so the grid takes one more
+        assert grid_points_for(1.0, 2.0 / 201.0) == 203
+
     @pytest.mark.parametrize("half_width, step", [
         (1e300, 0.005), (1e16, 0.005), (1e300, 1e-10), (math.nan, 0.005)])
     def test_grid_points_for_rejects_an_unsizable_grid(self, half_width, step):
@@ -673,27 +678,34 @@ def test_single_level_iteration_history_is_pinned(monkeypatch):
 
 def test_window_work_is_pinned(monkeypatch):
     # the 48 menu crossings (the table pairs at alpha in {3.5, 4, 5, 6})
-    # take exactly these stein calls, stein vectors and Sturm counts: each
-    # block's first stein starts at the rung of its own lowest level, and a
-    # change to the rungs or to _located's start changes the counts
+    # take exactly these stein calls, stein vectors, Rayleigh-quotient
+    # factorizations and Sturm counts: each block's one stein call starts
+    # at the rung of its own lowest level, and a change to the rungs or to
+    # _located's start changes the counts
     spectrum._load_lapack()    # bound first, so the patches stay
-    counts = {"dstein": 0, "vectors": 0, "_count": 0}
-    stein, count = spectrum.dstein, spectrum._count
+    counts = {"dstein": 0, "vectors": 0, "dgttrf": 0, "_count": 0}
+    stein, dgttrf, count = spectrum.dstein, spectrum.dgttrf, spectrum._count
 
     def counted_stein(diag, off, w, *block):
         counts["dstein"] += 1
         counts["vectors"] += len(w)
         return stein(diag, off, w, *block)
 
+    def counted_dgttrf(*args):
+        counts["dgttrf"] += 1
+        return dgttrf(*args)
+
     def counted_count(*args):
         counts["_count"] += 1
         return count(*args)
     monkeypatch.setattr(spectrum, "dstein", counted_stein)
+    monkeypatch.setattr(spectrum, "dgttrf", counted_dgttrf)
     monkeypatch.setattr(spectrum, "_count", counted_count)
     for alpha in (3.5, 4.0, 5.0, 6.0):
         for m, n in crossings.TABLE_PAIRS:
             solve_crossing(AlcQuery(m, n, alpha, backend="numerical"))
-    assert counts == {"dstein": 184, "vectors": 280, "_count": 176}
+    assert counts == {"dstein": 92, "vectors": 140, "dgttrf": 144,
+                      "_count": 176}
 
 
 def test_edge_indices_are_cached_per_grid_and_edges():
@@ -799,8 +811,8 @@ def test_multi_level_route_matches_stebz(monkeypatch):
     # wells at k = 7, one full-grid block each: every block certified from
     # its rungs agrees with bisection to full precision, energies within
     # stebz's tolerance, vectors to 1e-12 in |<v, v_ref>| (also at the near
-    # doublets of the tilted double wells, whose vectors stein recomputes
-    # from the Ritz values), and more than half the one-level cases'
+    # doublets of the tilted double wells, whose Ritz vectors the rotation
+    # separates), and more than half the one-level cases'
     # blocks certify; every refused block (a doublet split below 2e-4, or
     # rungs that drift from the levels of a tilted well) gives stebz's
     # eigenpairs bit for bit
@@ -835,25 +847,31 @@ def test_multi_level_route_matches_stebz(monkeypatch):
 def test_multi_level_route_falls_back_on_a_cluster(monkeypatch):
     # at the finite-difference crossing of central-0 and the even member of
     # offcentral-0 the even block's two lowest levels lie 5.9e-11 apart:
-    # the Ritz values of its rungs hold them within 2e-4, and two Sturm
-    # counts find both levels there, so no start passes the gap rule and
-    # _located refuses after its first stein call; the block takes the
+    # the Ritz vectors of its rungs reach Rayleigh quotients within 2e-4 of
+    # each other, so _refined's gap rule refuses them; the block takes the
     # full-precision route and gives its very eigenpairs, and the odd block
     # certifies from its rungs
     calls = _spy_located(monkeypatch)
     _spy_stebz(monkeypatch)
     stein, steins = spectrum.dstein, []
+    refined, refinements = spectrum._refined, []
 
     def counted(*args):
         steins.append(len(calls))    # the _located calls finished before it
         return stein(*args)
+
+    def spied(*args):
+        refinements.append(refined(*args))
+        return refinements[-1]
     monkeypatch.setattr(spectrum, "dstein", counted)
+    monkeypatch.setattr(spectrum, "_refined", spied)
     p = triple_well(4.0, 0.0026010433800040303)
     (diag, off, (energy, vector)), _ = _blocks(p, resolve_solver(p, 6))
     (*_, k, result), odd = calls
     assert (k, result) == (3, None) and odd[3] is not None
-    # one stein in the even _located, one in its fallback, two in the odd one
-    assert steins == [0, 1, 1, 1]
+    # one stein in the even _located, one in its fallback, one in the odd one
+    assert steins == [0, 1, 1]
+    assert refinements[0] is None and refinements[1] is not None
     want_e, want_v = _stebz(diag, off, k)
     assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
 
@@ -924,18 +942,19 @@ def _tilted_block() -> tuple:
 
 @pytest.mark.parametrize("corrupt", [_neighbour, _mixed])
 def test_multi_level_route_rejects_a_wrong_vector(monkeypatch, corrupt):
-    # stein handing _refined the next level's vector in place of the lowest
-    # one (whose Rayleigh quotient is that level's energy, on the next
-    # column's level) fails certification, and the block takes the
+    # stein handing _located the next level's vector in place of the lowest
+    # one (the Ritz vectors then miss the lowest level, and iterate to
+    # levels 1 to 3) fails the Sturm count, and the block takes the
     # full-precision route; the lowest one turned by 1e-3 is not returned
-    # either: Rayleigh-quotient iteration repairs it, to stebz's tolerance
+    # either: Rayleigh-Ritz and Rayleigh-quotient iteration repair it, to
+    # stebz's tolerance
     diag, off, cfg = _tilted_block()
     spectrum._load_lapack()
     stein, calls = spectrum.dstein, []
 
     def corrupted(*args):
         vectors, info = stein(*args)
-        if len(calls) == 1:    # at the Ritz values of the rungs' vectors
+        if len(calls) == 0:    # at the rungs
             vectors[:, 0] = corrupt(vectors)
         calls.append(args)
         return vectors, info
@@ -945,11 +964,11 @@ def test_multi_level_route_rejects_a_wrong_vector(monkeypatch, corrupt):
                                       _own_rungs(diag, off, 3))
     want_e, want_v = _stebz(diag, off, 3)
     if corrupt is _neighbour:
-        assert len(calls) == 3 and located[0][3] is None
+        assert len(calls) == 2 and located[0][3] is None
         assert np.array_equal(energy, want_e)
         assert np.array_equal(vector, want_v)
     else:
-        assert len(calls) == 2 and located[0][3] is not None
+        assert len(calls) == 1 and located[0][3] is not None
         assert np.all(np.abs(energy - want_e)
                       <= spectrum._tolerance(diag, off))
         assert np.all(np.abs(np.einsum("ij,ij->j", vector, want_v))
@@ -1019,7 +1038,7 @@ def test_multi_level_route_certifies_every_menu_block(monkeypatch):
     # floor((n + 2m) / 2) .. of the odd one: the 96 blocks of the one solve
     # per crossing from the second-order root, and those of the 73 solves
     # from the harmonic root.  Each block is certified, by _refined on
-    # stein's vectors at the window's Ritz values of its rungs (_located),
+    # the Ritz vectors of stein's vectors at its rungs (_located),
     # or by _ground for the lone odd level of a (0, 0) window, and agrees
     # with bisection to full precision, energies within stebz's tolerance
     # and vectors to 1e-12 in |<v, v_ref>|; no stebz call bisects, and
@@ -1147,26 +1166,23 @@ def test_multi_level_route_falls_back_to_bisection(monkeypatch, start, name,
                                                    value):
     # _refined refuses a start with its columns out of level order; in a
     # solve, a Sturm count that disagrees refuses both blocks of _located,
-    # and they take full-precision stebz, its very eigenpairs, while a
-    # factorization that reports failure changes nothing: _located
-    # certifies stein's vectors, which need no factorization here
-    want = _alc_blocks(0.005)
+    # and so does a factorization that reports failure, as the Ritz
+    # vectors of both blocks need Rayleigh-quotient iteration here: they
+    # take full-precision stebz, its very eigenpairs
     if start is not None:
         near = _alc_blocks(0.00499)
         assert [spectrum._refined(diag, off, start(found[1]))
-                for (diag, off, _), (*_, found) in zip(want, near)] == \
-            [None, None]
+                for (diag, off, _), (*_, found) in
+                zip(_alc_blocks(0.005), near)] == [None, None]
     else:
         spectrum._load_lapack()
         monkeypatch.setattr(spectrum, name, value)
         located = _spy_located(monkeypatch)
         got = _alc_blocks(0.005)
-        assert [call[3] is not None for call in located] == \
-            [name != "_count"] * 2
-        for (diag, off, found), (*_, cold) in zip(got, want):
-            if name == "_count":
-                cold = _stebz(diag, off, found[1].shape[1])
-            assert all(np.array_equal(a, b) for a, b in zip(found, cold))
+        assert [call[3] for call in located] == [None] * 2
+        for diag, off, found in got:
+            want = _stebz(diag, off, found[1].shape[1])
+            assert all(np.array_equal(a, b) for a, b in zip(found, want))
 
 
 @pytest.mark.parametrize("start_delta, certified", [
@@ -1389,6 +1405,9 @@ class TestWellWeights:
 
 
 class TestClassifyLevels:
+    def test_no_pairs_no_labels(self):
+        assert classify_levels([], triple_well(4.0, 0.0)) == []
+
     def test_below_crossing_ground_is_central(self):
         p = triple_well(4.0, delta=0.0)
         cfg = SolverConfig(half_width=9.0, grid_points=1801, num_levels=4)
