@@ -17,6 +17,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -44,19 +45,41 @@ def _fmt(v: float) -> str:
     return format(float(v) + 0.0, ".10e")  # +0.0 normalizes -0.0
 
 
-def _canon(obj):
-    """Round-trip floats through %.10e so JSON output is reproducible."""
+def _json(obj, pad: str = "") -> str:
+    """obj as json.dumps(obj, indent=2) writes it at indent pad, each float
+    first rounded through %.10e so the output is reproducible; a dict key
+    that is not a str raises TypeError.  One recursive pass of C-level
+    formatting: json's own indent turns off its C encoder."""
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        value = float(_fmt(obj))
+        return float.__repr__(value) if math.isfinite(value) else \
+            json.dumps(value)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True or obj is False:
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
     if isinstance(obj, dict):
-        return {k: _canon(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        return "{\n" + ",\n".join(
+            f"{inner}{encode_basestring_ascii(key)}: {_json(value, inner)}"
+            for key, value in obj.items()) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        return [_canon(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        return "[\n" + ",\n".join(inner + _json(value, inner)
+                                  for value in obj) + "\n" + pad + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON "
+                    "serializable")
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(_canon(obj), indent=2) + "\n"
+    return _json(obj) + "\n"
 
 
 def _render(columns: list[str], records: list[dict], fmt: str,
@@ -360,7 +383,8 @@ def _sweep_relocalization(cfg: dict):
     result = relocalization_scan(alpha, (cfg["delta_min"], hi), cfg["steps"],
                                  solver)
     records = [{"delta": r.delta, "E0": r.e0, "w_central": r.w_central,
-                "w_outer": r.w_outer, "label": r.label} for r in result.rows]
+                "w_outer": r.w_outer, "label": r.label,
+                "angle_bound": r.angle_bound} for r in result.rows]
     return ["delta", "E0", "w_central", "w_outer", "label"], records, {
         "solver": asdict(solver), "crossing": result.crossing,
         "crossing_bracket": result.bracket}
@@ -374,7 +398,7 @@ def _sweep_tilt(cfg: dict):
     # at -|b| the deeper well, which holds the ground state, lies at x > 0
     solver = _sweep_grid(cfg, tilted_double_well(s1, -max(abs(lo), abs(hi))), 1)
     records = [{"tilt": r.tilt, "E0": r.e0, "w_left": r.w_left,
-                "w_right": r.w_right}
+                "w_right": r.w_right, "angle_bound": r.angle_bound}
                for r in tilt_scan(s1, (lo, hi), cfg["steps"], solver)]
     return ["tilt", "E0", "w_left", "w_right"], records, {
         "solver": asdict(solver), "crossing": None}

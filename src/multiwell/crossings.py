@@ -176,6 +176,7 @@ class ScanRow:
     w_central: float
     w_outer: float
     label: str
+    angle_bound: float | None    # the ground pair's (Eigenpair.angle_bound)
 
 
 @dataclass(frozen=True)
@@ -192,6 +193,7 @@ class TiltRow:
     e0: float
     w_left: float
     w_right: float
+    angle_bound: float | None    # the ground pair's (Eigenpair.angle_bound)
 
 
 def _harmonic_residual(delta, m, n, alpha: float):
@@ -681,9 +683,11 @@ def relocalization_scan(alpha: float, delta_range: tuple[float, float],
     well_map = _line_map(alpha, deltas[0], deltas[-1], cfg.half_width)
     rows = []
     for delta in deltas:
-        ground = _line_solve(alpha, delta, cfg, well_map)[1][0]
+        pairs, labeled = _line_solve(alpha, delta, cfg, well_map)
+        ground = labeled[0]
         rows.append(ScanRow(delta, ground.energy, ground.w_central,
-                            ground.w_outer, ground.label))
+                            ground.w_outer, ground.label,
+                            pairs[0].angle_bound))
     for a, b in zip(rows, rows[1:]):
         if a.w_central > 0.5 >= b.w_central:
             frac = (a.w_central - 0.5) / (a.w_central - b.w_central)
@@ -705,5 +709,5 @@ def tilt_scan(s1: float, tilt_range: tuple[float, float], steps: int,
     for b in _lattice("tilt", tilt_range, steps):
         ground = solve_numerical(tilted_double_well(s1, b), cfg)[0]
         left, right = _region_weights([ground], [-math.inf, 0.0, math.inf])[0]
-        rows.append(TiltRow(b, ground.energy, left, right))
+        rows.append(TiltRow(b, ground.energy, left, right, ground.angle_bound))
     return rows

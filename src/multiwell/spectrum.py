@@ -8,14 +8,21 @@ window of consecutive levels, the lowest by default.  A block that needs
 its lowest level alone is solved by shift-and-invert on LAPACK
 dpttrf/dpttrs from a harmonic first shift (_harmonic_guess) and min V as
 its first lower bound, every shift certified by the signs of the factor's
-pivots.  Any other block takes inverse iteration (stein) at the rungs of
-the wells' harmonic ladders, separated by a Rayleigh-Ritz rotation, then
-Rayleigh-quotient iteration on LAPACK dgttrf/dgttrs, certified by Sturm
-counts at the window's edges, the negative pivots of dpttrf factorizations
-(_count), and a residual-and-gap bound (_refined).  Both reach stebz's
-absolute tolerance, ulp * max |Gershgorin end|; a block neither route
-certifies (clustered levels, say) takes bisection (stebz) to that
-tolerance.
+pivots.  It stops once one Sturm count, the negative pivots of a dpttrf
+factorization (_count), certifies a gap above the level, from which the
+Kato-Temple bound certifies the energy and Davis-Kahan the vector's angle
+(_ground); a doublet split too finely for such a gap stops when the
+shifts close in on the level.  Any other block takes inverse iteration
+(stein) at the rungs of the wells' harmonic ladders, separated by a
+Rayleigh-Ritz rotation, then Rayleigh-quotient iteration on LAPACK
+dgttrf/dgttrs, certified by Sturm counts at the window's edges and a
+residual-and-gap bound (_refined).  Both reach stebz's absolute
+tolerance, ulp * max |Gershgorin end|; a block neither route certifies
+(clustered levels, say) takes bisection (stebz) to that tolerance.
+A certified gap also bounds the angle of each vector to its eigenvector
+(Eigenpair.angle_bound): a region weight at or below its resolution
+2 sqrt(w) theta + theta^2 is reported as exactly 0, since its digits
+would record the iteration that produced the vector, not the state.
 A reflection-symmetric potential is solved as separate even and odd blocks
 on the half grid x >= 0, so its levels have exact parity.  Each numerical
 level carries error_estimate, the first-order correction of its O(h^2)
@@ -142,7 +149,13 @@ class Eigenpair:
     O(h^2).  error_estimate is the first-order estimate of that
     discretization error, signed so that energy + error_estimate is the
     continuum level to O(h^4).  x is the grid, one shared read-only array
-    per grid (SolverConfig.grid); psi is the pair's own.
+    per grid (SolverConfig.grid); psi is the pair's own.  angle_bound
+    bounds the sine of the angle between psi and the grid operator's
+    eigenvector, from the residual and a gap certified by Sturm counts
+    (Davis-Kahan; see _ground and _refined), or is None when the solve
+    certified no gap: a doublet split below resolution, say, or a block
+    that took bisection.  A region weight w of psi then lies within
+    2 sqrt(w) angle_bound + angle_bound^2 of the eigenvector's.
     """
 
     energy: float
@@ -150,6 +163,7 @@ class Eigenpair:
     psi: np.ndarray
     x: np.ndarray
     h: float
+    angle_bound: float | None
 
 
 @dataclass(frozen=True)
@@ -378,8 +392,9 @@ def _load_flapack() -> ModuleType | None:
 
 
 _GROUND_ROUNDS = 60    # shift rounds of _ground before it gives up
+_POLISH = 2            # inverse iterations of _ground after its last round
 _GUESS_MARGIN = 0.01   # share of the zero-point energy the guess stays below
-_LEAST_GAP = 1e-4      # _refined's least gap
+_LEAST_GAP = 1e-4      # least gap that _refined and _ground certify
 _RQI_ROUNDS = 4        # Rayleigh-quotient rounds per level of _refined
 
 
@@ -430,15 +445,23 @@ def _grid_wells(diag: np.ndarray, off: np.ndarray
     return wells, vertex, np.sqrt(t * 0.5 * d2)
 
 
-def _harmonic_guess(diag: np.ndarray, off: np.ndarray) -> float:
-    """The least vertex + (1 - _GUESS_MARGIN) zpe over the grid wells of
-    the block T = (diag, off) (_grid_wells), or min V without one: a first
-    shift of _ground close below the lowest level, not a bound on it."""
+def _harmonic_guess(diag: np.ndarray, off: np.ndarray) -> tuple[float, float]:
+    """(first shift, trial gap) of _ground on the block T = (diag, off), from
+    one reading of its grid wells (_grid_wells).  The shift is the least
+    vertex + (1 - _GUESS_MARGIN) zpe over the wells, or min V without one:
+    close below the lowest level, not a bound on it.  The trial gap is half
+    the distance between the two lowest rungs over the wells, vertex + zpe
+    and vertex + 3 zpe: an estimate of half the gap between the block's two
+    lowest levels, not a bound; 0 without a well."""
     _, vertex, zpe = _grid_wells(diag, off)
     if vertex.size == 0:
-        return float(np.min(diag) + 2.0 * off[-1])
-    j = int(np.argmin(vertex + zpe))
-    return float(vertex[j] + (1.0 - _GUESS_MARGIN) * zpe[j])
+        return float(np.min(diag) + 2.0 * off[-1]), 0.0
+    rungs = vertex + zpe
+    j = int(np.argmin(rungs))
+    low = float(rungs[j])
+    rungs[j] += 2.0 * zpe[j]
+    return (float(vertex[j] + (1.0 - _GUESS_MARGIN) * zpe[j]),
+            0.5 * (float(rungs.min()) - low))
 
 
 def _rungs(wells: tuple[np.ndarray, np.ndarray, np.ndarray] | None, k: int,
@@ -461,63 +484,103 @@ def _rungs(wells: tuple[np.ndarray, np.ndarray, np.ndarray] | None, k: int,
 
 
 def _ground(diag: np.ndarray, off: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Lowest eigenpair of the tridiagonal T = (diag, off), off < 0, by
-    shift-and-invert with shifts certified by Sylvester inertia (Parlett,
-    The Symmetric Eigenvalue Problem, SIAM 1998, ch. 4); None when it is not
-    certified within _GROUND_ROUNDS rounds.
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Lowest eigenpair of the tridiagonal T = (diag, off), off < 0, and the
+    bound on its vector's angle (nan without one), by shift-and-invert with
+    shifts certified by Sylvester inertia (Parlett, The Symmetric
+    Eigenvalue Problem, SIAM 1998, ch. 4); None when it is not certified
+    within _GROUND_ROUNDS rounds.
 
     lo is a certified lower bound on the lowest eigenvalue, hi an upper one.
     T - s*I has LDL^T pivots all positive exactly when no eigenvalue lies at
     or below s (the pivots of stebz's Sturm count), so a shift that factors
     raises lo, and one that does not lowers hi, as does a Rayleigh
-    quotient.  The rounds stop when hi - lo is within stebz's own absolute
-    tolerance, ulp * max |Gershgorin end|, and the returned Rayleigh
-    quotient must lie within twice that tolerance of lo: a vector that
-    converged to an excited level gives None.
+    quotient.  Each solve y = (T - lo I)^-1 u of the unit vector u gives
+    the quotient and residual of y/|y| for free: with nu = |y| and
+    c = (y/nu).u, T y/nu = lo y/nu + u/nu, so rho = lo + c/nu and
+    r = |u - c y/nu|/nu, padded by stebz's own absolute tolerance tol,
+    ulp * max |Gershgorin end|, for roundoff.  The next shift is
+    rho - min(r, r^2/G), G the trial gap below; one that would not halve
+    the distance from lo to rho costs a factorization for little, so a
+    fresh factor takes a second solve instead.
+
+    The rounds stop by one of two exits.  Once r^2 <= tol G, one Sturm
+    count (_count) at mu = rho + G that finds exactly one level below mu
+    certifies that the next level lies at or above mu.  G starts at the
+    trial gap of _harmonic_guess, at least _LEAST_GAP, and is halved while
+    the count finds more, down to _LEAST_GAP, as _refined's least gap.  The
+    Kato-Temple bound (Parlett, sec. 10.5) rho >= lambda_0 >= rho -
+    r^2/(mu - rho) then puts the quotient within tol, and u lies within
+    the angle theta = r/(mu - rho) of the eigenvector (Davis & Kahan, SIAM
+    J. Numer. Anal. 7, 1 (1970)).  A block whose count never finds one
+    level, such as a doublet split below _LEAST_GAP, stops when hi - lo is
+    within tol instead, with no angle bound.  Either way _POLISH more
+    inverse iterations at the last factor, as stein's two extra, give the
+    returned vector, and its own quotient and residual (_rayleigh, the
+    residual padded by tol) give the energy and angle: after the count the
+    quotient must lie below mu within the Kato-Temple bound, otherwise
+    within twice tol of lo, or the result is None, as for a vector that
+    converged to an excited level.
 
     lo starts at min V, which lies below every level: the Dirichlet
     difference Laplacian is positive definite, and each level of a parity
     block is one of the full operator.  The first shift is _harmonic_guess,
-    usually just below the lowest eigenvalue, so a solve takes about 5
-    factorizations (8 from min V).  A guess that does not factor is a
+    usually just below the lowest eigenvalue, so a solve takes about two
+    factorizations and one count.  A guess that does not factor is a
     certified hi, and the rounds bisect between min V and it.
     """
     tol = _tolerance(diag, off)
     lo, hi = float(diag.min() + 2.0 * off[-1]), math.inf    # min V
-    shift, factor = _harmonic_guess(diag, off), None
-    u = np.ones(diag.size)    # the ground vector is positive: off < 0
+    shift, gap = _harmonic_guess(diag, off)
+    gap = max(gap, _LEAST_GAP)
+    factor, fresh, mu = None, False, math.nan    # fresh: factor not yet reused
+    # the ground vector is positive: off < 0
+    u = np.full(diag.size, 1.0 / math.sqrt(diag.size))
     work = np.empty((2, diag.size))
-
-    def invert(u: np.ndarray) -> np.ndarray:
-        u = dpttrs(*factor, u, overwrite_b=1)[0]
-        u /= math.sqrt(u @ u)
-        return u
-
     for _ in range(_GROUND_ROUNDS):
-        d, e, info = dpttrf(diag - shift, off, overwrite_d=1)
-        if info == 0:
-            lo, factor = shift, (d, e)
-            u = invert(u)
-            rho, residual = _rayleigh(diag, off, u, work)
+        if factor is None or shift != lo:
+            d, e, info = dpttrf(diag - shift, off, overwrite_d=1)
+            if info == 0:
+                lo, factor, fresh = shift, (d, e), True
+            else:
+                hi = shift
+        solved = factor is not None and shift == lo
+        if solved:
+            y = dpttrs(*factor, u)[0]
+            nu = math.sqrt(y @ y)
+            y /= nu
+            c = float(y @ u)
+            np.subtract(u, np.multiply(c, y, out=work[0]), out=work[0])
+            rho = shift + c / nu
+            residual = math.sqrt(work[0] @ work[0]) / nu + tol
+            u = y
             hi = min(hi, rho)
-            shift = rho - residual
-        else:
-            hi = shift
-        if factor is not None and hi - lo <= tol:
-            u = invert(invert(u))    # as stein's two extra iterations
-            rho = _rayleigh(diag, off, u, work)[0]
-            if rho - lo > 2.0 * tol:
+            while gap >= _LEAST_GAP and residual * residual <= tol * gap:
+                if _count(diag, off, rho + gap) == 1:
+                    mu = rho + gap
+                    break
+                gap *= 0.5
+            shift = rho - min(residual, residual * residual / gap)
+        if factor is not None and (mu < math.inf or hi - lo <= tol):
+            for _ in range(_POLISH):
+                u = dpttrs(*factor, u, overwrite_b=1)[0]
+                u /= math.sqrt(u @ u)
+            rho, residual = _rayleigh(diag, off, u, work)
+            residual += tol
+            if not (rho < mu and residual * residual <= tol * (mu - rho)
+                    if mu < math.inf else rho - lo <= 2.0 * tol):
                 return None
-            return np.array([rho]), u[:, None]
-        if not lo < shift < hi:
+            return np.array([rho]), u[:, None], np.array([residual / (mu - rho)])
+        if solved and fresh and shift < 0.5 * (lo + rho):
+            shift, fresh = lo, False
+        elif not lo < shift < hi:
             shift = 0.5 * (lo + hi)
     return None
 
 
 def _located(diag: np.ndarray, off: np.ndarray, k: int,
              rungs: np.ndarray | None, first: int = 0
-             ) -> tuple[np.ndarray, np.ndarray] | None:
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """Eigenpairs first .. first + k - 1 of the tridiagonal T = (diag, off):
     the k lowest Ritz vectors of stein's vectors at the rungs (_rungs of
     first + k levels) from rung first, refined and certified by _refined,
@@ -527,7 +590,8 @@ def _located(diag: np.ndarray, off: np.ndarray, k: int,
     separates near pairs that the rungs place only to a fraction of their
     spacing.  The certified vectors are re-orthonormalised (Cholesky QR),
     as a column that _refined iterates is orthogonal to the others only to
-    about tol / gap."""
+    about tol / gap.  U = Q L^T turns column j by the angle whose sine is
+    |L[j, :j]| / |u_j|, which is added to its angle bound from _refined."""
     n = diag.size
     if rungs is None or rungs.size - first > n:
         return None
@@ -541,8 +605,12 @@ def _located(diag: np.ndarray, off: np.ndarray, k: int,
     found = _refined(diag, off, vectors @ rotation[:, :k], first)
     if found is None:
         return None
-    rho, u = found
-    return rho, u @ np.linalg.inv(np.linalg.cholesky(u.T @ u)).T
+    rho, u, angle = found
+    gram = u.T @ u
+    lower = np.linalg.cholesky(gram)
+    turn = [math.hypot(*row[:j]) / math.sqrt(gram[j, j])
+            for j, row in enumerate(lower.tolist())]
+    return rho, u @ np.linalg.inv(lower).T, angle + turn
 
 
 def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
@@ -575,9 +643,11 @@ def _count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
 
 
 def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray,
-             first: int = 0) -> tuple[np.ndarray, np.ndarray] | None:
-    """Eigenpairs first .. first + k - 1 of the tridiagonal T = (diag, off)
-    from start, an (n, k) matrix whose column j is near the eigenvector of
+             first: int = 0
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Eigenpairs first .. first + k - 1 of the tridiagonal T = (diag, off),
+    and the bounds on their vectors' angles, from start, an (n, k) matrix
+    whose column j is near the eigenvector of
     level first + j (the Ritz vectors of stein's vectors at the rungs), by
     Rayleigh-quotient iteration certified by Sturm counts, at the top and,
     when first > 0, at the bottom; None when a factorization fails, a level
@@ -600,8 +670,9 @@ def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray,
     counts at every p_j would show, and the other levels lie at least g_j
     from rho_j.  Kato-Temple (sec. 10.5) then bounds
     |lambda_j - rho_j| by r_j^2 / (g_j - r_j), which must be within tol,
-    and u_j lies within the angle r_j / (g_j - r_j) <= tol / (a - tol) of
-    its eigenvector (Davis & Kahan, SIAM J. Numer. Anal. 7, 1 (1970)).
+    and u_j lies within the angle theta_j = r_j / (g_j - r_j) <= tol /
+    (a - tol) of its eigenvector (Davis & Kahan, SIAM J. Numer. Anal. 7, 1
+    (1970)), the bound returned, with r_j padded by tol for roundoff.
     Without the 2a rule g_j could shrink to the splitting of a near
     doublet, and that angle grow with tol / g_j.
     """
@@ -634,19 +705,21 @@ def _refined(diag: np.ndarray, off: np.ndarray, start: np.ndarray,
         return None
     if first and _count(diag, off, low) != first:
         return None
-    return rho, vectors
+    residual += tol
+    return rho, vectors, residual / (gap - residual)
 
 
 def _lowest(diag: np.ndarray, off: np.ndarray, k: int, cfg: SolverConfig,
             rungs: np.ndarray | None = None, first: int = 0
-            ) -> tuple[np.ndarray, np.ndarray]:
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenpairs first .. first + k - 1 of a symmetric tridiagonal matrix
-    with negative off-diagonal: _ground for the lowest level alone
-    (k == 1, first == 0) and _located from the rungs otherwise; without
-    rungs, or when those give up (a cluster closer than 2 _LEAST_GAP, say),
-    LAPACK bisection on the Sturm count to stebz's full precision plus
-    inverse iteration (stebz/stein), which also raises ConvergenceError on
-    a LAPACK failure."""
+    with negative off-diagonal, and the bounds on their vectors' angles:
+    _ground for the lowest level alone (k == 1, first == 0), whose bound is
+    nan when no count certifies its gap, and _located from the rungs
+    otherwise; without rungs, or when those give up (a cluster closer than
+    2 _LEAST_GAP, say), LAPACK bisection on the Sturm count to stebz's full
+    precision plus inverse iteration (stebz/stein), with no bound (nan),
+    which also raises ConvergenceError on a LAPACK failure."""
     _load_lapack()
     found = (_ground(diag, off) if k == 1 and not first
              else _located(diag, off, k, rungs, first))
@@ -662,7 +735,7 @@ def _lowest(diag: np.ndarray, off: np.ndarray, k: int, cfg: SolverConfig,
     vectors, info = dstein(diag, off, w, iblock, isplit)
     _check_info("dstein", info, cfg)
     order = np.argsort(w)
-    return w[order], vectors[:, order]
+    return w[order], vectors[:, order], np.full(m, math.nan)
 
 
 def _check_info(routine: str, info: int, cfg: SolverConfig) -> None:
@@ -687,7 +760,8 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig, *,
     fallback (see _lowest); the grid wells are read once, on the first
     block.  Wavefunctions are returned L2-normalized (sum psi^2 * h = 1)
     with deterministic sign (the leftmost largest |psi| is positive).  Each
-    level's error_estimate is h^2/(12 lam^2) * sum (V - E)^2 psi^2 h.
+    level's error_estimate is h^2/(12 lam^2) * sum (V - E)^2 psi^2 h, and
+    its angle_bound the one its block's certificate gives, or None.
 
     The blocks are one full-grid block, or for a reflection-symmetric
     potential two half-grid blocks on x >= 0: an even block (psi(0) free;
@@ -717,14 +791,15 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig, *,
         blocks = ((v - 2.0 * off, _off_diagonal(n - 3, off, 1.0), None),)
     size = len(blocks)
     wells = _grid_wells(*blocks[0][:2]) if k > size or first else None
-    energies = np.empty(k)
+    energies, angles = np.empty(k), np.empty(k)
     vectors = np.zeros((blocks[0][0].size, k))    # psi on the first block
     for b, (d, e, parity) in enumerate(blocks):
         col = (first + b) % size    # the block's first column
         j, count = (first + col) // size, (k - col + size - 1) // size
         if count:
-            energies[col::size], vectors[b:, col::size] = _lowest(
-                d, e, count, cfg, _rungs(wells, j + count, parity), j)
+            (energies[col::size], vectors[b:, col::size],
+             angles[col::size]) = _lowest(d, e, count, cfg,
+                                          _rungs(wells, j + count, parity), j)
     if p.is_even:    # from x[c:-1] onto the full grid
         vectors[0, first % 2::2] *= math.sqrt(2.0)
         # the blocks are solved separately, each to about ulp * |T|: a
@@ -749,8 +824,9 @@ def solve_numerical(p: Polynomial, cfg: SolverConfig, *,
         peak = int(np.argmax(np.abs(psi)))
         if psi[peak] < 0.0:
             psi = -psi
+        angle = float(angles[j])
         pairs.append(Eigenpair(float(energies[j]), float(corrections[j]),
-                               psi, x, h))
+                               psi, x, h, None if math.isnan(angle) else angle))
     return pairs
 
 
@@ -782,7 +858,9 @@ def _region_weights(pairs: list[Eigenpair], edges: list[float]
     A grid point within critical_points' isolation tolerance on the grid's
     half-width of an edge lies on it and counts half to each side, so a
     maximum polished to one ulp either side of a grid point splits it the
-    same way.
+    same way.  A weight w of a pair with an angle bound theta is exactly 0
+    when w <= 2 sqrt(w) theta + theta^2, its bound: below its resolution it
+    would record how the solver got there, not the state.
     """
     rho = (pairs[0].psi[None] if len(pairs) == 1 else
            np.array([pair.psi for pair in pairs])) ** 2 * pairs[0].h
@@ -791,15 +869,22 @@ def _region_weights(pairs: list[Eigenpair], edges: list[float]
     row_sum = np.add.reduce   # pairwise along each row, as on one pair
     half = [0.5 * row_sum(rho[:, a:b], 1) if a < b else 0.0
             for a, b in zip(first, past)]
-    return np.transpose([row_sum(rho[:, a:b], 1) + h0 + h1 for a, b, h0, h1 in
-                         zip(past, first[1:], half, half[1:])]).tolist()
+    rows = np.transpose([row_sum(rho[:, a:b], 1) + h0 + h1 for a, b, h0, h1
+                         in zip(past, first[1:], half, half[1:])]).tolist()
+    for row, pair in zip(rows, pairs):
+        theta = pair.angle_bound
+        if theta is not None:
+            row[:] = [0.0 if w <= (2.0 * math.sqrt(w) + theta) * theta else w
+                      for w in row]
+    return rows
 
 
 def well_weights(pair: Eigenpair, p: Polynomial) -> list[RegionWeight]:
     """Probability weights of the grid regions delimited by the maxima of V.
 
     A single-well potential (no interior maxima) yields one region of
-    weight 1.  Weights sum to the normalization (1 within 1e-9).  pair.x
+    weight 1.  Weights sum to the normalization (1 within 1e-9); one below
+    its resolution is 0 (see _region_weights).  pair.x
     must be a SolverConfig grid, linspace(-L, L, n), as solve_numerical
     gives: the region edges are found on that grid, not on pair.x.
     """

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from multiwell import cli
+from multiwell import cli, spectrum
 from multiwell.cli import main
-from multiwell.crossings import AlcQuery, solve_crossing
+from multiwell.crossings import AlcQuery, relocalization_scan, solve_crossing
+from multiwell.spectrum import SolverConfig
+from multiwell.wells import triple_well
 
 EXIT_OK, EXIT_NUMERIC, EXIT_USAGE = 0, 2, 64
 DATA = Path(__file__).parent / "data"
@@ -615,7 +617,8 @@ def test_golden_csv_bytes(capsys, tmp_path, name, argv):
 # the lattice and the labels do not depend on the last bits of a level, so
 # they are pinned exactly; E0 and the weights come from LAPACK, whose last
 # bits vary by machine, and are pinned to 1e-9 relative, with no absolute
-# floor: a weight of 1e-100 is checked as closely as one of 0.5.
+# floor: a weight of 1e-100 would be checked as closely as one of 0.5, and
+# one below its angle bound prints as exactly 0.
 @pytest.mark.parametrize("name, exact, solver", [
     ("sweep_relocalization_alpha4", {"delta", "label"},
      {"half_width": 9.5, "grid_points": 3801, "num_levels": 2, "lam": 1.0}),
@@ -638,6 +641,89 @@ def test_golden_sweep_columns(capsys, tmp_path, name, exact, solver):
             else:
                 assert float(row[column]) == pytest.approx(
                     float(value), rel=1e-9, abs=0.0)
+
+
+def _canon(obj):
+    """obj with each float rounded through %.10e, the manifest's floats."""
+    if isinstance(obj, float):
+        return float(format(obj + 0.0, ".10e"))
+    if isinstance(obj, dict):
+        return {k: _canon(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canon(v) for v in obj]
+    return obj
+
+
+_NO_CROSSING = ("kind = relocalization\nalpha = 4\ndelta_min = 0.0\n"
+                "delta_max = 0.001\nsteps = 3\nhalf_width = 9.0\n"
+                "grid_step = 0.02\n")
+
+
+@pytest.mark.parametrize("config", [
+    "sweep_alc_alpha4.conf", "sweep_relocalization_alpha4.conf",
+    "sweep_tilt_s1_8.conf", _NO_CROSSING])
+def test_manifest_bytes_equal_json_dumps(capsys, tmp_path, monkeypatch,
+                                         config):
+    # the manifest writer gives the bytes of json.dumps(indent=2) on the
+    # rounded floats, for the three golden sweeps and a scan without a
+    # crossing (null), and for the values no sweep writes
+    if config == _NO_CROSSING:
+        (tmp_path / "scan.conf").write_text(config)
+        config = tmp_path / "scan.conf"
+    else:
+        config = DATA / config
+    dumped, dump = [], cli._dump_json
+
+    def spy(obj):
+        dumped.append(obj)
+        return dump(obj)
+    monkeypatch.setattr(cli, "_dump_json", spy)
+    code, out, _ = run_cli(capsys, "sweep", "--config", str(config),
+                           "--outdir", str(tmp_path / "out"))
+    assert code == EXIT_OK and len(dumped) == 1
+    if config == tmp_path / "scan.conf":
+        assert dumped[0]["crossing"] is None and "no crossing" in out
+    odd = {"nan": math.nan, "inf": [math.inf, -math.inf, -0.0, 1e-320],
+           "text": "µ \"quoted\"\n\t\\", "empty": [{}, [], ()],
+           "flags": (True, False, None, 0, -7, 2 ** 70)}
+    for obj in (dumped[0], odd):
+        assert cli._dump_json(obj) == json.dumps(_canon(obj), indent=2) + "\n"
+    manifest = (tmp_path / "out" / next(
+        p.name for p in (tmp_path / "out").iterdir()
+        if p.name.endswith("_manifest.json"))).read_text()
+    assert manifest == json.dumps(_canon(dumped[0]), indent=2) + "\n"
+    with pytest.raises(TypeError):
+        cli._dump_json({1: 2.0})
+
+
+@pytest.mark.parametrize("name, value", [("_GUESS_MARGIN", 0.02),
+                                         ("_POLISH", 3)])
+def test_relocalization_weights_do_not_record_iteration_history(
+        capsys, tmp_path, monkeypatch, name, value):
+    # a weight below its resolution prints as 0, so another first shift of
+    # _ground, or one inverse iteration more, leaves every weight cell of
+    # the relocalization golden byte for byte, and E0 within twice stebz's
+    # tolerance on the even block; without the rule, one more iteration
+    # moves the delta = 0 cell of w_outer from 9.2e-111 to 5.7e-136
+    cfg = SolverConfig(9.5, 3801, 2)
+    before = relocalization_scan(4.0, (0.0, 0.005), 11, cfg).rows
+    monkeypatch.setattr(spectrum, name, value)
+    after = relocalization_scan(4.0, (0.0, 0.005), 11, cfg).rows
+    x, c, off = cfg.grid(), (cfg.grid_points - 1) // 2, -1.0 / cfg.step ** 2
+    for a, b in zip(before, after, strict=True):
+        diag = triple_well(4.0, a.delta)(x[c:-1]) - 2.0 * off
+        tol = spectrum._tolerance(
+            diag, spectrum._off_diagonal(c - 1, off, math.sqrt(2.0)))
+        assert abs(a.e0 - b.e0) <= 2.0 * tol
+    code, _, _ = run_cli(capsys, "sweep", "--config",
+                         str(DATA / "sweep_relocalization_alpha4.conf"),
+                         "--outdir", str(tmp_path))
+    assert code == EXIT_OK
+    golden = "sweep_relocalization_alpha4.csv"
+    got, want = ([line.split(",")[2:4] for line in
+                  (path / golden).read_text().splitlines()]
+                 for path in (tmp_path, DATA))
+    assert got == want
 
 
 # Bad input exits 64 whichever layer rejects it: the library raises

@@ -913,10 +913,11 @@ class TestRelocalizationScan:
         assert {r.label[:7] for r in scan.rows} == {"central", "offcent"}
         for row in scan.rows:
             p = triple_well(alpha, row.delta)
-            ground = classify_levels(solve_numerical(p, cfg), p)[0]
+            pairs = solve_numerical(p, cfg)
+            ground = classify_levels(pairs, p)[0]
             assert row == crossings.ScanRow(
                 row.delta, ground.energy, ground.w_central, ground.w_outer,
-                ground.label)
+                ground.label, pairs[0].angle_bound)
 
     @pytest.mark.parametrize("steps", [3, 11, 41])
     def test_stationary_points_found_twice_per_scan(self, monkeypatch, steps):

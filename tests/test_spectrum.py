@@ -535,7 +535,7 @@ def _assert_certified(calls: list, sizes: list) -> None:
     block to twice stebz's own tolerance, and brackets its energy E by
     E -+ that tolerance."""
     assert [diag.size for diag, _, _ in calls] == sizes
-    for diag, off, (energy, _) in calls:
+    for diag, off, (energy, _, _) in calls:
         tol = np.finfo(float).eps * _tnorm(diag, off)
         want = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0),
                                 lapack_driver="stebz")[0]
@@ -574,7 +574,10 @@ def test_single_level_route_certifies_any_first_shift(monkeypatch, guess, p,
     # the harmonic guess is a candidate only: one above the ground level
     # does not factor and the rounds bisect between min V and it, one below
     # min V factors and is a certified lower bound
-    monkeypatch.setattr(spectrum, "_harmonic_guess", guess)
+    harmonic = spectrum._harmonic_guess
+    monkeypatch.setattr(spectrum, "_harmonic_guess",
+                        lambda diag, off: (guess(diag, off),
+                                           harmonic(diag, off)[1]))
     calls = _spy_ground(monkeypatch)
     solve_numerical(p, cfg)
     _assert_certified(calls, sizes)
@@ -594,18 +597,19 @@ def test_harmonic_guess_lies_just_below_the_ground_level(delta):
     e0 = eigh_tridiagonal(diag, block_off, select="i", select_range=(0, 0),
                           lapack_driver="stebz")[0][0]
     height = e0 - float(np.min(diag) + 2.0 * off)
-    guess = spectrum._harmonic_guess(diag, block_off)
+    guess = spectrum._harmonic_guess(diag, block_off)[0]
     assert e0 - 0.02 * height < guess < e0
 
 
 def test_harmonic_guess_without_a_grid_well(monkeypatch):
     # V = -5x falls across the whole grid, so no grid point is a local
-    # minimum: the guess is min V itself, and the block still certifies
+    # minimum: the guess is min V itself with no trial gap, and the block
+    # still certifies
     calls = _spy_ground(monkeypatch)
     solve_numerical(Polynomial([0.0, -5.0]), SolverConfig(3.0, 601))
     diag, off, _ = calls[0]
     assert spectrum._harmonic_guess(diag, off) == \
-        float(np.min(diag) + 2.0 * off[-1])
+        (float(np.min(diag) + 2.0 * off[-1]), 0.0)
     _assert_certified(calls, [599])
 
 
@@ -650,21 +654,86 @@ def test_single_level_route_falls_back_to_stebz(monkeypatch, name, value):
     solve_numerical(triple_well(4.0, 0.0026), cfg)
     diag, off, _ = calls[0]
     monkeypatch.setattr(spectrum, name, value)
-    energy, vector = spectrum._lowest(diag, off, 1, cfg)
-    assert calls[-1][2] is None
+    energy, vector, angle = spectrum._lowest(diag, off, 1, cfg)
+    assert calls[-1][2] is None and np.isnan(angle[0])
     want_e, want_v = eigh_tridiagonal(diag, off, select="i",
                                       select_range=(0, 0),
                                       lapack_driver="stebz")
     assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
 
 
+def test_single_level_count_refuses_an_excited_vector(monkeypatch):
+    # handed the first excited vector by every solve, the rounds' quotient
+    # lies above the block's two lowest levels: each Sturm count at rho + G
+    # finds both below it, however far G is halved, so no gap certifies, and
+    # the exit without a count refuses the quotient as well
+    calls = _spy_ground(monkeypatch)
+    solve_numerical(triple_well(4.0, 0.0026), SolverConfig(9.0, 1801))
+    diag, off, _ = calls[0]
+    counts, count = [], spectrum._count
+
+    def spied(*args):
+        counts.append(count(*args))
+        return counts[-1]
+    monkeypatch.setattr(spectrum, "_count", spied)
+    monkeypatch.setattr(spectrum, "dpttrs", _excited)
+    assert spectrum._ground(diag, off) is None
+    assert counts and all(found >= 2 for found in counts)
+
+
+def test_single_level_route_bounds_every_gap_it_certifies(monkeypatch):
+    # all 43 one-level blocks of the cases certify on _ground, none is left
+    # to stebz; every block but the tilted double wells at s1 = 8 and 16,
+    # whose doublets split below _LEAST_GAP (by 8e-6 at most), certifies the
+    # gap above its level by a count and carries an angle bound, and those
+    # eight stop when hi - lo is within tol, with none
+    calls = _spy_ground(monkeypatch)
+    tilts = []
+    for p, cfg, sizes in _single_level_cases():
+        before = len(calls)
+        pairs = solve_numerical(p, cfg)
+        _assert_certified(calls[before:], sizes)
+        if not p.is_even:
+            tilts.append(pairs[0].angle_bound)
+    assert len(calls) == 43
+    bounded = [bool(np.isfinite(found[2][0])) for *_, found in calls]
+    assert bounded == [True] * 35 + [False] * 8
+    assert tilts[8:] == [None] * 8
+    assert all(0.0 < found[2][0] < 1e-5 for *_, found in calls[:35])
+
+
+@pytest.mark.parametrize("p, cfg, sizes", _single_level_cases())
+def test_single_level_weights_lie_within_their_bounds(monkeypatch, p, cfg,
+                                                      sizes):
+    # each region weight w of a pair with an angle bound theta lies within
+    # 2 sqrt(w) theta + theta^2 of the stebz route's weight, and the printed
+    # weights, those below their bound written as 0, sum to 1 within the
+    # sum of the bounds
+    pairs = solve_numerical(p, cfg)
+    monkeypatch.setattr(spectrum, "_ground", lambda diag, off: None)
+    edges = spectrum._region_edges(critical_points(p, cfg.half_width))
+    for pair, ref in zip(pairs, solve_numerical(p, cfg), strict=True):
+        theta = pair.angle_bound
+        if theta is None:
+            continue
+        raw = spectrum._region_weights(
+            [dataclasses.replace(pair, angle_bound=None)], edges)[0]
+        bounds = [(2.0 * math.sqrt(w) + theta) * theta for w in raw]
+        want = spectrum._region_weights([ref], edges)[0]
+        assert all(abs(w - v) <= b for w, v, b in zip(raw, want, bounds))
+        shown = [r.weight for r in well_weights(pair, p)]
+        assert shown == _resolved(raw, theta)
+        assert abs(sum(shown) - 1.0) <= sum(bounds)
+
+
 def test_single_level_iteration_history_is_pinned(monkeypatch):
-    # the benchmark's warm-up scan takes exactly these factorizations and
-    # solves: a change to _ground's shifts or rounds changes the counts,
-    # and with them the sub-resolution weights test_golden_sweep_columns
-    # pins
+    # the benchmark's warm-up scan, 21 one-level solves, takes exactly these
+    # factorizations (those of the 21 Sturm counts, two each, included),
+    # solves and Rayleigh quotients, one per solve: a change to _ground's
+    # shifts, rounds or exits changes the counts.  The printed weights no
+    # longer follow them: a weight below its angle bound prints as 0
     spectrum._load_lapack()    # bound first, so the patches stay
-    counts = {"dpttrf": 0, "dpttrs": 0}
+    counts = {"dpttrf": 0, "dpttrs": 0, "_count": 0, "_rayleigh": 0}
     for name in counts:
         def counted(*args, _name=name, _real=getattr(spectrum, name),
                     **kwargs):
@@ -673,7 +742,8 @@ def test_single_level_iteration_history_is_pinned(monkeypatch):
         monkeypatch.setattr(spectrum, name, counted)
     cfg = SolverConfig(10.0, grid_points_for(10.0, 0.005))
     crossings.relocalization_scan(4.0, (0.0006, 0.0046), 21, cfg)
-    assert counts == {"dpttrf": 114, "dpttrs": 155}
+    assert counts == {"dpttrf": 88, "dpttrs": 108, "_count": 21,
+                      "_rayleigh": 21}
 
 
 def test_window_work_is_pinned(monkeypatch):
@@ -681,7 +751,8 @@ def test_window_work_is_pinned(monkeypatch):
     # take exactly these stein calls, stein vectors, Rayleigh-quotient
     # factorizations and Sturm counts: each block's one stein call starts
     # at the rung of its own lowest level, and a change to the rungs or to
-    # _located's start changes the counts
+    # _located's start changes the counts; the lone odd level of each (0, 0)
+    # window, solved by _ground, takes one Sturm count
     spectrum._load_lapack()    # bound first, so the patches stay
     counts = {"dstein": 0, "vectors": 0, "dgttrf": 0, "_count": 0}
     stein, dgttrf, count = spectrum.dstein, spectrum.dgttrf, spectrum._count
@@ -705,7 +776,7 @@ def test_window_work_is_pinned(monkeypatch):
         for m, n in crossings.TABLE_PAIRS:
             solve_crossing(AlcQuery(m, n, alpha, backend="numerical"))
     assert counts == {"dstein": 92, "vectors": 140, "dgttrf": 144,
-                      "_count": 176}
+                      "_count": 180}
 
 
 def test_edge_indices_are_cached_per_grid_and_edges():
@@ -831,7 +902,7 @@ def test_multi_level_route_matches_stebz(monkeypatch):
             blocks.append((diag, off, found))
     tail = [call[3] is not None for call in calls[-9:]]
     assert any(tail) and not all(tail)
-    for (diag, off, (energy, vector)), (*_, k, located) in zip(
+    for (diag, off, (energy, vector, _)), (*_, k, located) in zip(
             blocks, calls, strict=True):
         want_e, want_v = _stebz(diag, off, k)
         if located is None:
@@ -866,7 +937,7 @@ def test_multi_level_route_falls_back_on_a_cluster(monkeypatch):
     monkeypatch.setattr(spectrum, "dstein", counted)
     monkeypatch.setattr(spectrum, "_refined", spied)
     p = triple_well(4.0, 0.0026010433800040303)
-    (diag, off, (energy, vector)), _ = _blocks(p, resolve_solver(p, 6))
+    (diag, off, (energy, vector, _)), _ = _blocks(p, resolve_solver(p, 6))
     (*_, k, result), odd = calls
     assert (k, result) == (3, None) and odd[3] is not None
     # one stein in the even _located, one in its fallback, one in the odd one
@@ -908,7 +979,7 @@ def test_multi_level_route_reorthonormalises_certified_columns(monkeypatch):
     monkeypatch.setattr(spectrum, "_refined", turned)
     located = _spy_located(monkeypatch)
     _spy_stebz(monkeypatch)
-    for diag, off, (energy, vector) in _alc_blocks(0.005):
+    for diag, off, (energy, vector, _) in _alc_blocks(0.005):
         k = vector.shape[1]
         assert np.allclose(vector.T @ vector, np.eye(k), rtol=0.0, atol=1e-12)
         want_e, want_v = _stebz(diag, off, k)
@@ -960,8 +1031,8 @@ def test_multi_level_route_rejects_a_wrong_vector(monkeypatch, corrupt):
         return vectors, info
     monkeypatch.setattr(spectrum, "dstein", corrupted)
     located = _spy_located(monkeypatch)
-    energy, vector = spectrum._lowest(diag, off, 3, cfg,
-                                      _own_rungs(diag, off, 3))
+    energy, vector, _ = spectrum._lowest(diag, off, 3, cfg,
+                                         _own_rungs(diag, off, 3))
     want_e, want_v = _stebz(diag, off, 3)
     if corrupt is _neighbour:
         assert len(calls) == 2 and located[0][3] is None
@@ -992,7 +1063,7 @@ def test_multi_level_route_falls_back_when_a_factorization_fails(
         calls.append(args)
         return _fail_dgttrf(*args)
     monkeypatch.setattr(spectrum, "dgttrf", failing)
-    energy, vector = spectrum._lowest(diag, off, k, cfg, rungs)
+    energy, vector, _ = spectrum._lowest(diag, off, k, cfg, rungs)
     assert len(calls) == 1 and located[-1][3] is None
     want_e, want_v = _stebz(diag, off, k)
     assert np.array_equal(energy, want_e) and np.array_equal(vector, want_v)
@@ -1005,8 +1076,8 @@ def test_multi_level_route_needs_a_level_above(monkeypatch, capfd):
     # print that the index is out of range)
     calls = _spy_located(monkeypatch)
     diag, off = np.array([2.0, 3.0, 5.0]), np.array([-1.0, -1.0])
-    energy, vector = spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401),
-                                      _own_rungs(diag, off, 3))
+    energy, vector, _ = spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401),
+                                         _own_rungs(diag, off, 3))
     assert calls[0][3] is not None
     assert capfd.readouterr().out == ""
     want_e, want_v = _stebz(diag, off, 3)
@@ -1016,7 +1087,7 @@ def test_multi_level_route_needs_a_level_above(monkeypatch, capfd):
 
 
 def _blocks(p, cfg) -> list:
-    """(diag, off, (energies, vectors)) of each tridiagonal block that
+    """(diag, off, (energies, vectors, angles)) of each tridiagonal block that
     solve_numerical(p, cfg) solves: the even and odd half-grid blocks of a
     symmetric potential, or its one full-grid block."""
     calls = []
@@ -1041,8 +1112,9 @@ def test_multi_level_route_certifies_every_menu_block(monkeypatch):
     # the Ritz vectors of stein's vectors at its rungs (_located),
     # or by _ground for the lone odd level of a (0, 0) window, and agrees
     # with bisection to full precision, energies within stebz's tolerance
-    # and vectors to 1e-12 in |<v, v_ref>|; no stebz call bisects, and
-    # every block's vectors are orthonormal to 1e-12
+    # and vectors to 1e-12 in |<v, v_ref>|, each within its angle bound
+    # of stebz's (|v - <v, v_ref> v_ref| is that angle's sine); no stebz
+    # call bisects, and every block's vectors are orthonormal to 1e-12
     blocks, lowest = [], spectrum._lowest
 
     def spy(diag, off, k, cfg, rungs=None, first=0):
@@ -1072,12 +1144,14 @@ def test_multi_level_route_certifies_every_menu_block(monkeypatch):
     assert all(call[3] is not None for call in located)
     assert len(located) == sum((k, first) != (1, 0)
                                for _, _, k, first, _ in blocks)
-    for diag, off, k, first, (energy, vector) in blocks:
+    for diag, off, k, first, (energy, vector, angle) in blocks:
         want_e, want_v = _stebz(diag, off, k, first)
         assert np.all(np.abs(energy - want_e)
                       <= spectrum._tolerance(diag, off))
-        assert np.all(np.abs(np.einsum("ij,ij->j", vector, want_v))
-                      >= 1.0 - 1e-12)
+        overlap = np.einsum("ij,ij->j", vector, want_v)
+        assert np.all(np.abs(overlap) >= 1.0 - 1e-12)
+        assert np.all(np.linalg.norm(vector - overlap * want_v, axis=0)
+                      <= angle)
         assert np.allclose(vector.T @ vector, np.eye(k), rtol=0.0, atol=1e-12)
 
 
@@ -1196,7 +1270,7 @@ def test_multi_level_route_is_right_whenever_it_certifies(start_delta,
     # agrees with bisection to full precision, energies within stebz's
     # tolerance and vectors to 1e-12 in |<v, v_ref>|; from a start within
     # 1e-3 of delta both blocks are certified
-    for (diag, off, _), (*_, (_, start)) in zip(_alc_blocks(0.005),
+    for (diag, off, _), (*_, (_, start, _)) in zip(_alc_blocks(0.005),
                                                _alc_blocks(start_delta)):
         found = spectrum._refined(diag, off, start)
         if certified:
@@ -1218,8 +1292,8 @@ def test_multi_level_route_refuses_a_near_doublet():
     # stebz's, every energy within its tolerance
     p = tilted_double_well(6.0, 1e-8)
     cfg = resolve_solver(p, 2)
-    ((*_, (_, start)),) = _blocks(tilted_double_well(6.0, 1.01e-8), cfg)
-    ((diag, off, (energy, vector)),) = _blocks(p, cfg)
+    ((*_, (_, start, _)),) = _blocks(tilted_double_well(6.0, 1.01e-8), cfg)
+    ((diag, off, (energy, vector, _)),) = _blocks(p, cfg)
     assert spectrum._refined(diag, off, start) is None
     want_e, want_v = _stebz(diag, off, 2)
     assert np.all(np.abs(energy - want_e) <= spectrum._tolerance(diag, off))
@@ -1240,8 +1314,8 @@ def test_lowest_called_first_binds_lapack():
             "from multiwell import spectrum\n"
             "diag, off = np.linspace(2.0, 3.0, 401), np.full(400, -1.0)\n"
             "cfg = spectrum.SolverConfig(1.0, 401)\n"
-            "e1, v1 = spectrum._lowest(diag, off, 1, cfg)\n"
-            "e3, v3 = spectrum._lowest(diag, off, 3, cfg)\n"
+            "e1, v1, a1 = spectrum._lowest(diag, off, 1, cfg)\n"
+            "e3, v3, a3 = spectrum._lowest(diag, off, 3, cfg)\n"
             "print('scipy' in sys.modules, 'scipy.linalg' in sys.modules)\n"
             "import scipy.linalg\n"
             "print(all(getattr(scipy.linalg.lapack, name)"
@@ -1250,8 +1324,8 @@ def test_lowest_called_first_binds_lapack():
             " 'dstein')))\n"
             "again = spectrum._lowest(diag, off, 1, cfg)"
             " + spectrum._lowest(diag, off, 3, cfg)\n"
-            "print(all(np.array_equal(a, b)"
-            " for a, b in zip((e1, v1, e3, v3), again)))\n"
+            "print(all(np.array_equal(a, b, equal_nan=True)"
+            " for a, b in zip((e1, v1, a1, e3, v3, a3), again, strict=True)))\n"
             "want_e, want_v = scipy.linalg.eigh_tridiagonal(diag, off,"
             " select='i', select_range=(0, 2), lapack_driver='stebz')\n"
             "tol = 5.0 * np.finfo(float).eps\n"
@@ -1301,7 +1375,7 @@ def test_loader_falls_back_to_scipy_linalg_lapack(monkeypatch, tmp_path):
     _find_scipy_as(monkeypatch, empty)
     diag, off = np.full(401, 2.0), np.full(400, -1.0)
     off[100] = 0.0
-    energy, vector = spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401))
+    energy, vector, _ = spectrum._lowest(diag, off, 3, SolverConfig(1.0, 401))
     assert spectrum._lapack is scipy.linalg.lapack
     assert spectrum._FLAPACK not in sys.modules
     for name in ("dpttrf", "dpttrs", "dstebz", "dstein"):
@@ -1318,6 +1392,15 @@ def test_loader_without_scipy_raises_import_error(monkeypatch):
     monkeypatch.setitem(sys.modules, "scipy.linalg", None)
     with pytest.raises(ImportError):
         spectrum._load_lapack()
+
+
+def _resolved(weights: list, theta: float | None) -> list:
+    """weights with each one at or below its bound 2 sqrt(w) theta +
+    theta^2, for the angle bound theta of its pair, written as 0."""
+    if theta is None:
+        return weights
+    return [0.0 if w <= (2.0 * math.sqrt(w) + theta) * theta else w
+            for w in weights]
 
 
 class TestWellWeights:
@@ -1347,8 +1430,9 @@ class TestWellWeights:
         assert outer[0].weight == pytest.approx(outer[1].weight, abs=0.06)
 
     def test_slices_match_masks(self):
-        # reference: one boolean mask per region, edge points counted half;
-        # edges 2 and 3 are grid points, the others fall between them
+        # reference: one boolean mask per region, edge points counted half,
+        # a weight below its bound counted as 0; edges 2 and 3 are grid
+        # points, the others fall between them
         p = triple_well(4.0, delta=0.0026)
         cfg = SolverConfig(half_width=9.0, grid_points=1801, num_levels=4)
         edges = [-math.inf, -4.0001, 2.0, 3.0, 4.0001, math.inf]
@@ -1356,9 +1440,10 @@ class TestWellWeights:
             rho = pair.psi ** 2 * pair.h
             x = pair.x
             assert 2.0 in x and 3.0 in x
-            expected = [rho[(x > lo) & (x < hi)].sum()
-                        + 0.5 * rho[(x == lo) | (x == hi)].sum()
-                        for lo, hi in zip(edges, edges[1:])]
+            expected = _resolved([rho[(x > lo) & (x < hi)].sum()
+                                  + 0.5 * rho[(x == lo) | (x == hi)].sum()
+                                  for lo, hi in zip(edges, edges[1:])],
+                                 pair.angle_bound)
             got = spectrum._region_weights([pair], edges)[0]
             assert got == pytest.approx(expected, abs=1e-15)
             assert got[0] == expected[0] and got[-1] == expected[-1]
@@ -1366,8 +1451,9 @@ class TestWellWeights:
     @pytest.mark.parametrize("alpha", [3.5, 4.0, 6.0])
     def test_batched_weights_equal_the_per_pair_slices(self, alpha):
         # the rows of one density matrix against each pair's own slices,
-        # and the labelled weights summed from them, bit for bit, over one-
-        # and nine-level solves along a crossing bracket
+        # each below its bound counted as 0, and the labelled weights summed
+        # from them, bit for bit, over one- and nine-level solves along a
+        # crossing bracket
         def slices(pair, edges):
             rho = pair.psi ** 2 * pair.h
             near = wells._isolation_tol(float(pair.x[-1]))
@@ -1384,7 +1470,8 @@ class TestWellWeights:
             solver = dataclasses.replace(cfg, num_levels=k)
             for delta in np.linspace(-0.05, 0.05, 9):
                 pairs = solve_numerical(triple_well(alpha, delta), solver)
-                rows = [slices(pair, edges) for pair in pairs]
+                rows = [_resolved(slices(pair, edges), pair.angle_bound)
+                        for pair in pairs]
                 assert spectrum._region_weights(pairs, edges) == rows
                 for lv, row in zip(spectrum._labels(pairs, edges, families),
                                    rows):
